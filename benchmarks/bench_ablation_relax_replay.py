@@ -1,7 +1,7 @@
 """Benchmark ABL-RELAX-REPLAY: the relaxation policy in the streaming lineup.
 
 Replays one Poisson trace under Relax+Round (Algorithm 2 per window,
-warm-started session), Online+Density, and Greedy+Density, and prints
+one stacked solve per window), Online+Density, and Greedy+Density, and prints
 the measured table.  Every policy is a density scheduler, so the trace
 must replay miss-free; the relaxation policy's multi-path spreading
 should not cost energy against the greedy baseline.

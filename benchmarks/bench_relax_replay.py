@@ -3,30 +3,32 @@
 Replays a Poisson trace on the paper's k = 8 fat-tree through
 :class:`~repro.traces.policies.RelaxationRoundingPolicy` — the F-MCF
 relaxation + randomized rounding pipeline run window by window against
-the committed background.  Three measurements land in
-``BENCH_relax_replay.json``:
+the committed background.  Each window's elementary intervals are
+solved together as one stacked Frank–Wolfe problem
+(:meth:`~repro.routing.mcflow.FrankWolfeSolver.solve_stacked`, DESIGN.md
+Section 16).  Three measurements land in ``BENCH_relax_replay.json``:
 
-* the headline 10k-flow warm replay (one persistent
-  :class:`~repro.routing.mcflow.RelaxationSession` carried across every
-  interval and window, interval-resolved background),
+* the headline 10k-flow warm replay (one persistent pipeline — solver,
+  path registry, walk cache — carried across windows, one stacked solve
+  per window, interval-resolved background), with the stacked solve's
+  rounds per window (the most iterations any interval of the window
+  took) and its mean per-interval iterations,
 * the warm-vs-cold speedup at a matched smaller trace, where "cold"
-  means what the session replaces: a fresh solver per window and a cold
-  F-MCF solve per elementary interval, and
+  means a fresh pipeline per window (the committed routes are identical;
+  only the registry, walk cache and shortest-path scratch start empty),
+  and
 * the interval-background overhead: the matched smaller trace replayed
   with ``background_mode="mean"`` (the retained window-averaged vector)
   against the exact per-interval
   :class:`~repro.routing.background.BackgroundProfile` view,
-  interleaved min-of-2 runs per mode.  The
-  profile *reads* are nearly free (a cumulative-integral slice per
-  interval); the measured ~1.6-1.9x overhead (load-dependent) is
-  re-certification — ~84% of elementary intervals see a changed
-  background, each shifted solve pays a corrective sweep plus at
-  least one extra shortest-path dual certificate.  The session's
-  path-pool pricing and pre-certification sweep hold the floor there;
-  pushing toward ~1.2x needs cheaper certificates (incremental
-  shortest-path trees / the compiled tier, ROADMAP direction 1), so
-  the assert below is a regression guard at 2.25x, not the
-  aspirational 1.2x.
+  interleaved min-of-2 runs per mode.  The per-interval session paid
+  ~1.5-1.9x here, mostly re-certification after each interval's
+  background shift.  The stacked solve pays 1.85x, from a faster mean
+  mode (4.6 s against the session's 7.6 s on a 2-vCPU VM); see the
+  comment at the assert.
+
+Both asserts are bounds set from the ratios measured on a 2-vCPU VM
+(see the comments at each), with room for a loaded machine.
 
 The arrival rate is lower than ``bench_traces.py``'s (25/s vs 100/s):
 the relaxation solves one F-MCF per elementary interval, so its natural
@@ -43,6 +45,7 @@ import time
 import pytest
 
 from record import record_bench
+from repro.core.dcfsr import RelaxationPipeline
 from repro.power import PowerModel
 from repro.topology import fat_tree
 from repro.traces import (
@@ -60,8 +63,8 @@ POWER = PowerModel.quadratic()
 WINDOW = 4.0
 ARRIVAL_RATE = 25.0
 NUM_FLOWS = int(os.environ.get("BENCH_RELAX_REPLAY_FLOWS", "10000"))
-#: Matched-shape trace for the warm-vs-cold ratio (cold interval solves
-#: are ~5x slower, so the comparison runs on a prefix-sized trace).
+#: Matched-shape trace for the warm-vs-cold and interval-overhead ratios
+#: (six replays of it run after the headline).
 COLD_FLOWS = min(NUM_FLOWS, 2000)
 
 
@@ -93,13 +96,28 @@ def _run(
 
 
 @pytest.mark.benchmark(group="trace-replay")
-def test_relax_replay_throughput(benchmark):
+def test_relax_replay_throughput(benchmark, monkeypatch):
     trace = _trace(NUM_FLOWS)
+    # Per window: the most iterations any of its intervals took (the
+    # stacked solve's rounds) and the intervals' mean.
+    window_rounds: list[int] = []
+    interval_iterations: list[int] = []
+    solve = RelaxationPipeline.solve
+
+    def counted(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        iterations = [iv.solution.iterations for iv in result.intervals]
+        window_rounds.append(max(iterations))
+        interval_iterations.extend(iterations)
+        return result
+
+    monkeypatch.setattr(RelaxationPipeline, "solve", counted)
 
     def run():
         return _run(trace, warm=True)
 
     warm_s, report = benchmark.pedantic(run, rounds=1, iterations=1)
+    monkeypatch.undo()
     assert report.flows_served == len(trace)
     assert report.miss_rate == 0.0  # density over the span, Theorem 4
 
@@ -108,19 +126,20 @@ def test_relax_replay_throughput(benchmark):
     cold_small_s, cold_small = _run(small, warm=False)
     assert cold_small.flows_served == warm_small.flows_served
     speedup = cold_small_s / warm_small_s
-    # The persistent session must beat per-window cold F-MCF solves by a
-    # wide margin (~5x measured; 3x is the acceptance floor).
-    assert speedup >= 3.0, f"warm-vs-cold speedup {speedup:.2f}x < 3x"
+    # A carried pipeline against a fresh one per window (same routes).
+    # Without a cross-interval warm start the carried caches buy little:
+    # 1.04x measured on a 2-vCPU VM, 0.75x the floor.
+    assert speedup >= 0.75, f"warm-vs-cold speedup {speedup:.2f}x < 0.75x"
 
-    # Interval-resolved background (the PR-7 default the headline run
-    # exercises) vs the retained window-mean vector: same trace, same
-    # session, only the background view differs.  Exact per-interval
-    # charging forces the session to re-certify after almost every
-    # interval's background shift (see the module docstring); ~1.6-1.9x
-    # is the measured structural floor, 2.25x the regression guard.  The
-    # ratio is measured on the matched smaller trace with interleaved
-    # min-of-2 runs per mode — a single-shot ratio of two multi-minute
-    # runs is dominated by shared-box load drift, not by the solver.
+    # Interval-resolved background (the headline's default) vs the
+    # retained window-mean vector: same trace, only the background view
+    # differs.  Measured on the matched smaller trace with interleaved
+    # min-of-2 runs per mode — a single-shot ratio of two runs is
+    # dominated by shared-box load drift, not by the solver.
+    # With a window-mean background every block of a seed group shares
+    # the union's background (DESIGN.md Section 16), so its seed starts
+    # nearer the optimum; exact per-interval slices leave more to
+    # correct.  1.85x measured on a 2-vCPU VM, 2.25x the regression guard.
     interval_1 = warm_small_s
     mean_1, mean_small = _run(small, warm=True, background_mode="mean")
     interval_2, _ = _run(small, warm=True)
@@ -142,6 +161,12 @@ def test_relax_replay_throughput(benchmark):
             "total_energy": report.total_energy,
             "peak_link_rate": report.peak_link_rate,
             "max_weight_drift": report.max_weight_drift,
+            "stacked_rounds_per_window": (
+                sum(window_rounds) / len(window_rounds)
+            ),
+            "interval_iterations_mean": (
+                sum(interval_iterations) / len(interval_iterations)
+            ),
             "warm_vs_cold_speedup": speedup,
             "cold_flows": len(small),
             "warm_small_s": warm_small_s,

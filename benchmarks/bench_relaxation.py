@@ -1,12 +1,12 @@
-"""Benchmark PERF-RELAX: the full interval sweep at Figure-2 scale.
+"""Benchmark PERF-RELAX: the full interval relaxation at Figure-2 scale.
 
 Random-Schedule's relaxation stage solves one F-MCF per elementary
-interval over the paper's k = 8 fat-tree.  The persistent
-:class:`RelaxationSession` (path registry + flow arrays carried across
-intervals, commodity-set diffs) is measured against the retained
+interval over the paper's k = 8 fat-tree.  The stacked solve
+(``solve_relaxation`` with the array-native solver: every interval one
+block of a single Frank–Wolfe problem) is measured against the retained
 reference solver driven through the legacy dict warm-start chain — the
-exact sweep ``solve_relaxation`` runs for Figure 2, the lower bound, and
-every sigma/lambda ablation.  Headline numbers land in
+relaxation Figure 2, the lower bound, and every sigma/lambda ablation
+run.  Headline numbers land in
 ``BENCH_relaxation.json`` (target: >= 10x; the assert uses a
 conservative floor so loaded CI machines stay green).
 
@@ -15,7 +15,7 @@ Figure 2's largest sweep point; the array engine's advantage widens with
 scale, ~4.4x at 120 flows vs ~7x at 200 on an idle machine).
 
 The sweep honours the active ``repro.kernels`` backend: under
-``REPRO_KERNELS=compiled`` the session run uses the numba Dijkstra
+``REPRO_KERNELS=compiled`` the stacked run uses the numba Dijkstra
 batch with incremental shortest-path trees and the fused pairwise
 kernel, and the record's ``kernels`` blob says which backend actually
 ran, so the trend table separates the tiers.  The floor assert stays
@@ -33,7 +33,7 @@ from repro.core.relaxation import default_cost, solve_relaxation
 from repro.flows import paper_workload
 from repro.flows.intervals import TimeGrid
 from repro.power import PowerModel
-from repro.routing import FrankWolfeSolver, RelaxationSession
+from repro.routing import FrankWolfeSolver
 from repro.routing.mcflow import FrankWolfeSolverReference
 from repro.topology import fat_tree
 
@@ -50,9 +50,8 @@ def test_interval_sweep_speedup():
     best_new = float("inf")
     for _ in range(2):
         solver = FrankWolfeSolver(TOPOLOGY, cost)
-        session = RelaxationSession(solver)
         start = time.perf_counter()
-        result_new = solve_relaxation(flows, solver, grid, session=session)
+        result_new = solve_relaxation(flows, solver, grid)
         best_new = min(best_new, time.perf_counter() - start)
 
     reference = FrankWolfeSolverReference(TOPOLOGY, cost)
@@ -81,7 +80,7 @@ def test_interval_sweep_speedup():
         },
     )
     assert intervals == len(result_ref.intervals)
-    # The session's certified bound must be a genuine lower bound on the
+    # The stacked certified bound must be a genuine lower bound on the
     # reference's primal value, and vice versa, interval by interval.
     for iv_new, iv_ref in zip(result_new.intervals, result_ref.intervals):
         assert iv_new.solution.lower_bound <= iv_ref.solution.objective * (

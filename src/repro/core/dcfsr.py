@@ -30,8 +30,8 @@ every subsequent draw is one batched
 the dict reference solver (no array view) fall back to the retained
 :func:`round_schedule_reference` loop.  :class:`RelaxationPipeline`
 packages the whole relax → aggregate → draw chain around one persistent
-:class:`~repro.routing.mcflow.RelaxationSession` for callers that feed it
-a *sequence* of related instances (the streaming replay policy).
+solver for callers that feed it a *sequence* of related instances (the
+streaming replay policy).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.flows.intervals import TimeGrid
 from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
 from repro.routing.costs import EdgeCost
-from repro.routing.mcflow import FrankWolfeSolver, RelaxationSession
+from repro.routing.mcflow import FrankWolfeSolver
 from repro.routing.rounding import (
     ArrayPathWeights,
     aggregate_path_weights,
@@ -238,15 +238,16 @@ def round_schedule_deterministic_reference(
 
 
 class RelaxationPipeline:
-    """Relax → aggregate → round, around one persistent session.
+    """Relax → aggregate → round, around one persistent solver.
 
-    The pipeline owns a :class:`FrankWolfeSolver` and its
-    :class:`RelaxationSession`, so a caller feeding it consecutive related
-    instances (the sliding-horizon replay policy, an interval sweep
-    harness) pays commodity-set diffs instead of cold F-MCF solves, and
-    every hand-off between stages stays in registry-id space: interval
-    rows aggregate via :func:`aggregate_path_weights_array`, draws run
-    through batched :func:`sample_paths`.
+    The pipeline owns a :class:`FrankWolfeSolver`, so a caller feeding it
+    consecutive related instances (the sliding-horizon replay policy, the
+    repair path) keeps one path registry, walk cache and shortest-path
+    scratch across them.  Each instance is one stacked solve over its
+    elementary intervals (:func:`~repro.core.relaxation.solve_relaxation`),
+    and every hand-off between stages stays in registry-id space:
+    interval rows aggregate via :func:`aggregate_path_weights_array`,
+    draws run through batched :func:`sample_paths`.
     """
 
     def __init__(
@@ -265,32 +266,23 @@ class RelaxationPipeline:
             max_iterations=max_iterations,
             gap_tolerance=gap_tolerance,
         )
-        self.session = RelaxationSession(self.solver)
 
     def solve(
         self,
         flows: FlowSet,
         grid: TimeGrid | None = None,
         background: np.ndarray | BackgroundProfile | None = None,
-        warm: bool = True,
     ) -> RelaxationResult:
-        """Solve the instance's interval relaxation through the session.
+        """Solve the instance's interval relaxation in one stacked solve.
 
         ``background`` fixes committed per-edge loads every interval
         routes around — a flat vector charges all intervals alike, a
         :class:`~repro.routing.background.BackgroundProfile` charges
         each elementary interval its own exact slice (see
-        :func:`~repro.core.relaxation.solve_relaxation`); ``warm=False``
-        bypasses the session entirely and solves every interval cold
-        (the benchmark baseline).
+        :func:`~repro.core.relaxation.solve_relaxation`).
         """
         return solve_relaxation(
-            flows,
-            self.solver,
-            grid,
-            session=self.session if warm else None,
-            background=background,
-            warm=warm,
+            flows, self.solver, grid, background=background
         )
 
     def weights(
@@ -311,10 +303,6 @@ class RelaxationPipeline:
     ) -> list[Path]:
         """One batched randomized-rounding draw (one route per flow)."""
         return sample_paths(weights, rng)
-
-    def reset(self) -> None:
-        """Forget carried session state (the next solve is cold)."""
-        self.session.reset()
 
 
 def solve_dcfsr(
@@ -360,9 +348,6 @@ def solve_dcfsr(
         max_iterations=fw_max_iterations,
         gap_tolerance=fw_gap_tolerance,
     )
-    # solve_relaxation drives the sweep through a persistent
-    # RelaxationSession: the path registry and flow arrays carry across
-    # intervals (commodity-set diffs, no dict rebuilds).
     relaxation = solve_relaxation(flows, solver, grid)
     lower_bound = relaxation.lower_bound
 

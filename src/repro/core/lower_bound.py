@@ -35,15 +35,14 @@ def fractional_lower_bound(
 ) -> float:
     """Compute the relaxation lower bound on ``Phi_f`` for an instance.
 
-    Runs the same per-interval Frank–Wolfe sweep as Random-Schedule; use
+    Runs the same stacked interval relaxation as Random-Schedule; use
     :func:`repro.core.solve_dcfsr` instead when you also need the rounded
     schedule (it exposes its ``lower_bound`` without re-solving).
 
-    The sweep runs through a persistent
-    :class:`~repro.routing.mcflow.RelaxationSession` (created by
-    :func:`solve_relaxation`), so consecutive intervals reuse the
-    solver's path registry and flow arrays; the bound itself never
-    materializes any per-path dictionaries.
+    Every interval contributes its own certified Frank–Wolfe dual bound,
+    so the sum is a valid lower bound whatever gap the stacked solve
+    stopped at; the bound itself never materializes any per-path
+    dictionaries.
     """
     flows.validate_against(topology)
     solver = FrankWolfeSolver(

@@ -7,10 +7,10 @@ Random-Schedule's first stage (Algorithm 2, steps 1–5) relaxes DCFSR by
 * allowing links to power on/off freely per interval;
 
 the relaxed problem then decomposes into one fractional MCF per elementary
-interval.  This module runs that decomposition once and exposes the results
-to both the rounding stage and the lower-bound computation, warm-starting
-consecutive intervals (their active-flow sets overlap heavily) so the whole
-sweep stays fast even for the paper's full-scale Figure 2 instances.
+interval.  This module solves those pieces once — all intervals together,
+as the blocks of one stacked Frank–Wolfe problem (DESIGN.md Section 16) —
+and exposes the results to both the rounding stage and the lower-bound
+computation.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from repro.flows.intervals import Interval, TimeGrid
 from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
 from repro.routing.costs import EdgeCost, envelope_cost
-from repro.routing.mcflow import (
-    Commodity,
-    FrankWolfeSolver,
-    MCFSolution,
-    RelaxationSession,
-)
+from repro.routing.mcflow import Commodity, FrankWolfeSolver, MCFSolution
 
 __all__ = ["IntervalSolution", "RelaxationResult", "solve_relaxation"]
 
@@ -97,18 +92,18 @@ def solve_relaxation(
     flows: FlowSet,
     solver: FrankWolfeSolver,
     grid: TimeGrid | None = None,
-    session: RelaxationSession | None = None,
     background=None,
-    warm: bool = True,
 ) -> RelaxationResult:
-    """Solve the per-interval F-MCF problems left to right with warm starts.
+    """Solve every elementary interval's F-MCF problem.
 
-    With the array-native :class:`FrankWolfeSolver` the sweep runs through
-    a persistent :class:`RelaxationSession` (created on the fly when the
-    caller does not pass one): consecutive intervals share the path
-    registry and flow arrays, and each interval applies only its
-    commodity-set diff.  Solvers without session support (the retained
-    reference) fall back to dict-based warm starts.
+    With the array-native :class:`FrankWolfeSolver` all intervals are
+    solved together, as the blocks of one
+    :meth:`~repro.routing.mcflow.FrankWolfeSolver.solve_stacked` call
+    weighted by the interval lengths: the solve stops once
+    ``objective - lower_bound <= gap_tolerance * objective`` for the
+    returned :class:`RelaxationResult` as a whole, while each interval
+    keeps its own certified dual bound.  The retained reference solver
+    sweeps the intervals left to right with dict warm starts.
 
     ``background`` fixes per-edge committed loads every interval routes
     around (array solvers only; see :meth:`FrankWolfeSolver.solve`).  A
@@ -118,33 +113,21 @@ def solve_relaxation(
     ``profile.mean_over(a, b)`` — its own exact background slice — not
     the window mean, which is what retires the window-averaged
     approximation at the relaxation layer.
-    ``warm=False`` forces every interval to a cold F-MCF solve — no
-    session, no dict warm start — which is what the streaming replay
-    benchmarks compare the persistent-session policy against.
     """
     if grid is None:
         grid = TimeGrid(flows)
-    if session is not None and session.solver is not solver:
-        raise ValidationError(
-            "session belongs to a different solver than the one passed"
-        )
     array_solver = isinstance(solver, FrankWolfeSolver)
     if background is not None and not array_solver:
         raise ValidationError(
             "background loads require the array-native FrankWolfeSolver"
         )
-    if not warm:
-        if session is not None:
-            raise ValidationError("warm=False cannot use a session")
-    elif session is None and array_solver:
-        session = RelaxationSession(solver)
     profile = background if isinstance(background, BackgroundProfile) else None
-    interval_solutions: list[IntervalSolution] = []
-    previous: MCFSolution | None = None
-    # One Commodity per flow for the whole sweep: a flow's demand is its
-    # density, constant across every interval it is active in, so the
-    # per-interval commodity lists are views into this cache (building
-    # fresh dataclasses per interval dominated dense streaming windows).
+    intervals: list[tuple[Interval, tuple]] = []
+    blocks: list[list[Commodity]] = []
+    backgrounds = []
+    # One Commodity per flow for the whole relaxation: a flow's demand is
+    # its density, constant across every interval it is active in, so the
+    # per-interval commodity lists share these objects.
     commodity_of: dict[int | str, Commodity] = {}
     for interval in grid.intervals:
         active = grid.active_flows(interval)
@@ -159,29 +142,34 @@ def solve_relaxation(
                 )
                 commodity_of[f.id] = commodity
             commodities.append(commodity)
-        bg = (
+        intervals.append((interval, tuple(f.id for f in active)))
+        blocks.append(commodities)
+        backgrounds.append(
             profile.mean_over(interval.start, interval.end)
             if profile is not None
             else background
         )
-        if session is not None:
-            solution = session.solve(commodities, background=bg)
-        elif not warm:
-            if array_solver:
-                solution = solver.solve(commodities, background=bg)
-            else:
-                solution = solver.solve(commodities)
-        else:
-            solution = solver.solve(commodities, warm_start=previous)
-            previous = solution
-        interval_solutions.append(
-            IntervalSolution(
-                interval=interval,
-                solution=solution,
-                active_flow_ids=tuple(f.id for f in active),
-            )
+    if array_solver:
+        solutions = solver.solve_stacked(
+            blocks,
+            backgrounds,
+            block_weights=[interval.length for interval, _ in intervals],
         )
-    return RelaxationResult(grid=grid, intervals=tuple(interval_solutions))
+    else:
+        solutions = []
+        previous: MCFSolution | None = None
+        for commodities in blocks:
+            previous = solver.solve(commodities, warm_start=previous)
+            solutions.append(previous)
+    return RelaxationResult(
+        grid=grid,
+        intervals=tuple(
+            IntervalSolution(
+                interval=interval, solution=solution, active_flow_ids=ids
+            )
+            for (interval, ids), solution in zip(intervals, solutions)
+        ),
+    )
 
 
 def default_cost(power: PowerModel) -> EdgeCost:

@@ -332,11 +332,11 @@ def relax_replay_ablation(
 
     Replays one Poisson trace under the relaxation+rounding policy (the
     paper's strongest algorithm run window by window against the
-    committed background, warm-started through one persistent F-MCF
-    session) next to the marginal-cost and oblivious heuristics.  Same
-    streaming semantics as ABL-TRACE: every policy sees the identical
-    arrivals, and the table reports measured miss rate, energy, and peak
-    stacked link rate.
+    committed background, one stacked F-MCF solve per window) next to
+    the marginal-cost and oblivious heuristics.  Same streaming
+    semantics as ABL-TRACE: every policy sees the identical arrivals,
+    and the table reports measured miss rate, energy, and peak stacked
+    link rate.
     """
     topology = fat_tree(fat_tree_k)
     power = PowerModel.quadratic()

@@ -27,7 +27,7 @@ moment a slot frees instead of idling behind earlier ablations.
 
 :class:`WorkerGroup` is the *stateful* counterpart for long-lived
 services: one process per worker, built once and messaged many times,
-each owning durable state (a warm relaxation session per topology shard)
+each owning durable state (a warm relaxation pipeline per topology shard)
 that a stateless pool would have to rebuild on every call.
 """
 
@@ -217,8 +217,8 @@ class WorkerGroup:
 
     Unlike :func:`parallel_map` (stateless fan-out, fresh pool per call)
     a worker group keeps one process per worker alive across any number
-    of messages, so state that is expensive to warm — a
-    :class:`~repro.routing.mcflow.RelaxationSession` mid-replay — lives
+    of messages, so state that is expensive to warm — a relaxation
+    pipeline's path registry and caches mid-replay — lives
     where the work happens.  ``factory(i)`` is called *inside* worker
     ``i`` right after the fork and returns the message handler; the
     factory itself is inherited through the same fork-time registry as

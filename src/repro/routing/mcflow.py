@@ -37,11 +37,21 @@ Two implementations live here (DESIGN.md Section 9):
 * :class:`FrankWolfeSolverReference` — the dict-of-paths predecessor,
   retained verbatim as the pinning oracle (``tests/test_fw_engine.py``).
 
+:meth:`FrankWolfeSolver.solve_stacked` solves *many independent* F-MCF
+instances (Random-Schedule's elementary intervals) as one block problem
+(DESIGN.md Section 16): blocks start from the path splits of
+time-averaged union problems, loads live in an interval-offset edge space,
+one shortest-path batch per round covers every (block, source) pair, the
+line search runs once per block, and the stop rule is a weighted
+certificate over all blocks.  Solving a window's intervals together
+trades the per-interval warm start for a few dozen numpy calls per round
+instead of a few dozen per interval.
+
 :class:`RelaxationSession` carries the registry, CSR scratch and flow rows
-across *consecutive* F-MCF solves (Random-Schedule's interval sweep) and
-applies commodity-set diffs — enter/leave/rescale — instead of rebuilding
-per-interval dictionaries, which is what makes the full sweep array-native
-end to end.
+across *consecutive* F-MCF solves and applies commodity-set diffs —
+enter/leave/rescale — instead of rebuilding per-interval dictionaries.
+It was the interval sweep's engine before the stacked solve and is kept
+as its sequential reference.
 
 Shortest paths are batched per distinct source through
 :func:`scipy.sparse.csgraph.dijkstra` (C speed) over a CSR matrix whose
@@ -54,7 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb, log2
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +85,7 @@ __all__ = [
     "FrankWolfeSolver",
     "FrankWolfeSolverReference",
     "RelaxationSession",
+    "check_fw_settings",
 ]
 
 #: Uniform tiny edge weight ensuring shortest-path = fewest hops when all
@@ -100,6 +111,18 @@ _PAIRWISE_ROUNDS = 8
 # than the Frank-Wolfe iteration they occasionally save.
 _PRESWEEP_ROUNDS = 2
 _PAIRWISE_STOP = 1e-7
+# Stacked solves (solve_stacked) sweep in lock step, so every sweep costs
+# the slowest block's; three per round measured fastest end to end on the
+# Relax+Round replay (DESIGN.md Section 16), and the certification-tail
+# trim earned nothing there, so stacked solves do not run it.
+_STACKED_SWEEPS = 3
+# Blocks per group of the stacked solve's seed: each run of this many
+# consecutive blocks starts from one union problem, and the groups'
+# unions are themselves solved stacked (recursively, down to one group).
+# 8 measured fastest on the 200-interval windows of bench_relax_replay
+# (32: 13% slower, one union for all: 95% slower) and made no measurable
+# difference on the ~25-interval windows of the end-to-end benchmark.
+_SEED_GROUP = 8
 
 #: Certification-tail trim budget: while the stale certified bound says
 #: the gap is still more than 4x the target, a dual-bound recompute (a
@@ -114,6 +137,32 @@ _PAIRWISE_STOP = 1e-7
 #: and its certified bound.
 _TRIM_ROUNDS = 64
 _TRIM_GAIN = 0.05
+
+#: Entry budget of one stacked shortest-path call: a chunk of blocks is
+#: searched as one block-diagonal graph, and scipy allocates a (sources x
+#: chunk nodes) distance and predecessor matrix for it, so chunks close
+#: once ``sources * blocks * core nodes`` would pass this (768 KiB).
+#: Larger chunks were slower on the Relax+Round replay, not faster.
+_DIJKSTRA_CHUNK_ENTRIES = 1 << 16
+
+
+def check_fw_settings(max_iterations, gap_tolerance) -> None:
+    """Reject Frank–Wolfe stopping settings no solve can honour.
+
+    ``max_iterations`` must be >= 1 and ``gap_tolerance`` a finite
+    number > 0; NaN fails both comparisons, so it is rejected instead of
+    silently running every solve to the iteration cap.  Policies and
+    services that build solvers later (per window, or in a worker) call
+    this at construction so a bad setting fails there.
+    """
+    if not max_iterations >= 1:
+        raise ValidationError(
+            f"max_iterations must be >= 1, got {max_iterations!r}"
+        )
+    if not 0.0 < gap_tolerance < float("inf"):
+        raise ValidationError(
+            f"gap_tolerance must be finite and > 0, got {gap_tolerance!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -399,10 +448,13 @@ class _Prep(NamedTuple):
     re-attached during reconstruction.  On host-heavy fabrics this
     collapses both the node count and the distinct-source count (e.g. 64
     fat-tree hosts share 16 edge switches).
+
+    Shortest-path sources are distinct ``(block, core source)`` pairs,
+    sorted by block: a single solve is block 0 throughout, a stacked
+    solve searches each block under its own weights.
     """
 
     demands: np.ndarray
-    demand_list: list[float]
     src_rows: np.ndarray
     src_ids: np.ndarray
     dst_ids: np.ndarray
@@ -411,6 +463,7 @@ class _Prep(NamedTuple):
     start_core: np.ndarray
     target_core: np.ndarray
     source_ids: np.ndarray
+    source_blocks: np.ndarray
     srcs: list[str]
     dsts: list[str]
 
@@ -422,16 +475,23 @@ class _FlowState:
     ids of every row cached alongside (``eids``/``lens``/``starts``), so
     rescaling is one vectorized multiply, the load rebuild is one weighted
     ``bincount``, and per-row marginal path costs are one ``reduceat``.
+
+    ``owner_offset`` (stacked solves) shifts every row's cached edge ids
+    by its owner's block offset, ``eid + block * num_edges``; path ids
+    stay block-independent.
     """
 
     __slots__ = (
         "registry", "n", "owner", "pid", "flow",
-        "m", "eids", "lens", "starts", "row_of",
+        "m", "eids", "lens", "starts", "row_of", "owner_offset",
         "_keys_sorted", "_rows_sorted", "_index_dirty",
     )
 
-    def __init__(self, registry: PathRegistry) -> None:
+    def __init__(
+        self, registry: PathRegistry, owner_offset: np.ndarray | None = None
+    ) -> None:
         self.registry = registry
+        self.owner_offset = owner_offset
         self.n = 0
         self.owner = np.empty(64, dtype=np.int64)
         self.pid = np.empty(64, dtype=np.int64)
@@ -467,6 +527,8 @@ class _FlowState:
             self.lens = np.resize(self.lens, n * 2)
             self.starts = np.resize(self.starts, n * 2)
         eids = self.registry.edge_ids(pid)
+        if self.owner_offset is not None:
+            eids = eids + self.owner_offset[owner]
         k = eids.size
         while self.m + k > self.eids.size:
             self.eids = np.resize(self.eids, self.eids.size * 2)
@@ -530,7 +592,7 @@ class _FlowState:
             self.flow = np.resize(self.flow, grow)
             self.lens = np.resize(self.lens, grow)
             self.starts = np.resize(self.starts, grow)
-        flat, lens, starts = self.registry.gather(pids)
+        flat, lens, starts = self._gather(owners, pids)
         while self.m + flat.size > self.eids.size:
             self.eids = np.resize(self.eids, self.eids.size * 2)
         self.eids[self.m : self.m + flat.size] = flat
@@ -546,6 +608,15 @@ class _FlowState:
             for i, (o, p) in enumerate(zip(owners.tolist(), pids.tolist())):
                 row_of[(o, p)] = n + i
         self._index_dirty = True
+
+    def _gather(
+        self, owners: np.ndarray, pids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`PathRegistry.gather` shifted into the owners' blocks."""
+        flat, lens, starts = self.registry.gather(pids)
+        if self.owner_offset is not None and flat.size:
+            flat = flat + np.repeat(self.owner_offset[owners], lens)
+        return flat, lens, starts
 
     def scale(self, factor: float) -> None:
         self.flow[: self.n] *= factor
@@ -590,7 +661,7 @@ class _FlowState:
             owner = new_owner[owner]
         pid = self.pid[:n][keep]
         flow = self.flow[:n][keep]
-        flat, lens, starts = self.registry.gather(pid)
+        flat, lens, starts = self._gather(owner, pid)
         k = owner.size
         if k > self.owner.size:  # pragma: no cover - keep never grows rows
             self.owner = np.resize(self.owner, k)
@@ -657,10 +728,7 @@ class FrankWolfeSolver:
         variant: str = "pairwise",
         tail_trim: bool = True,
     ) -> None:
-        if max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if gap_tolerance <= 0:
-            raise ValidationError("gap_tolerance must be > 0")
+        check_fw_settings(max_iterations, gap_tolerance)
         if variant not in ("classic", "pairwise"):
             raise ValidationError(f"unknown Frank-Wolfe variant {variant!r}")
         self._topology = topology
@@ -676,7 +744,7 @@ class FrankWolfeSolver:
 
         n = len(topology.nodes)
         self._registry = PathRegistry(topology)
-        # Cache: (src id, dst id, padded reversed core walk) key bytes ->
+        # Cache: (src id, dst id, reversed core walk) key bytes ->
         # registered path id.  Hits stay integer-only; name paths are
         # built on first sight only.
         self._walk_pid: dict[bytes, int] = {}
@@ -710,6 +778,9 @@ class FrankWolfeSolver:
         self._graph = csr_matrix(
             (np.ones(cu.size), cv.copy(), core_indptr), shape=(nc, nc)
         )
+        #: copies -> block-diagonal CSR of that many core graphs (stacked
+        #: shortest-path chunks); 1 maps to ``_graph`` itself.
+        self._block_graphs: dict[int, csr_matrix] = {1: self._graph}
         self._core_of = core_of
         self._core_nodes = core_nodes
         self._leaf = leaf
@@ -739,8 +810,11 @@ class FrankWolfeSolver:
         # running a cold Dijkstra per source. ---
         self._k_indptr = core_indptr
         self._k_indices = cv
-        #: source core id -> (dist, pred, parc) of its last tree.
-        self._spt_cache: dict[int, tuple[np.ndarray, ...]] = {}
+        #: (block, source core id) -> (dist, pred, parc) of its last tree.
+        #: Keyed per block: the blocks of a stacked solve carry unrelated
+        #: weights, so one tree per raw source would be re-rooted from
+        #: another block's weights on every lookup.
+        self._spt_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._k_scratch: tuple[np.ndarray, ...] | None = None
 
     @property
@@ -770,6 +844,9 @@ class FrankWolfeSolver:
             # profile arriving here whole means the caller wants one
             # solver-wide vector — the stored window mean.
             background = background.mean()
+        self._background = self._check_background(background)
+
+    def _check_background(self, background) -> np.ndarray:
         background = np.asarray(background, dtype=float)
         if background.shape != (self._topology.num_edges,):
             raise ValidationError(
@@ -778,12 +855,18 @@ class FrankWolfeSolver:
             )
         if np.any(background < 0.0):
             raise ValidationError("background loads must be >= 0")
-        self._background = background
+        return background
 
     # ------------------------------------------------------------------
     # Per-solve commodity plumbing.
     # ------------------------------------------------------------------
-    def _prep(self, commodities: Sequence[Commodity]) -> _Prep:
+    def _prep(
+        self,
+        commodities: Sequence[Commodity],
+        slot_block: np.ndarray | None = None,
+    ) -> _Prep:
+        """Commodity geometry; ``slot_block[i]`` is commodity ``i``'s
+        block in a stacked solve (None: one block)."""
         topo = self._topology
         node_id = topo.node_id
         srcs = [c.src for c in commodities]
@@ -818,20 +901,52 @@ class FrankWolfeSolver:
         core_of = self._core_of
         target_core = core_of[eff_src]
         start_core = core_of[eff_dst]
-        source_ids = np.unique(target_core)
         return _Prep(
             demands=demands,
-            demand_list=demands.tolist(),
-            src_rows=np.searchsorted(source_ids, target_core),
             src_ids=src_ids,
             dst_ids=dst_ids,
             src_contracted=src_contracted,
             dst_contracted=dst_contracted,
             start_core=start_core,
             target_core=target_core,
-            source_ids=source_ids,
             srcs=srcs,
             dsts=dsts,
+            **self._sources(target_core, slot_block),
+        )
+
+    def _sources(
+        self, target_core: np.ndarray, slot_block: np.ndarray | None
+    ) -> dict[str, np.ndarray]:
+        """The ``_Prep`` source fields: distinct ``(block, source)``
+        rows sorted by block, and each commodity's row."""
+        keys = target_core
+        if slot_block is not None:
+            keys = slot_block * self._num_core + target_core
+        source_keys = np.unique(keys)
+        return dict(
+            src_rows=np.searchsorted(source_keys, keys),
+            source_ids=source_keys % self._num_core,
+            source_blocks=source_keys // self._num_core,
+        )
+
+    def _subset_prep(
+        self, prep: _Prep, rows: np.ndarray, slot_block: np.ndarray
+    ) -> _Prep:
+        """``prep`` restricted to commodities ``rows`` (whose blocks are
+        ``slot_block``), without re-resolving any node name."""
+        pick = rows.tolist()
+        target_core = prep.target_core[rows]
+        return prep._replace(
+            demands=prep.demands[rows],
+            src_ids=prep.src_ids[rows],
+            dst_ids=prep.dst_ids[rows],
+            src_contracted=[prep.src_contracted[i] for i in pick],
+            dst_contracted=[prep.dst_contracted[i] for i in pick],
+            start_core=prep.start_core[rows],
+            target_core=target_core,
+            srcs=[prep.srcs[i] for i in pick],
+            dsts=[prep.dsts[i] for i in pick],
+            **self._sources(target_core, slot_block),
         )
 
     def _aon_pids(self, prep: _Prep, weights: np.ndarray) -> np.ndarray:
@@ -841,7 +956,7 @@ class FrankWolfeSolver:
         the search graph.  Predecessor walks for every commodity advance
         in lock-step as vectorized gathers (commodities already at their
         target hold still), walk arcs decode to edge ids in one bulk
-        ``searchsorted``, and each ``(src, dst, padded walk)`` row keys
+        ``searchsorted``, and each ``(src, dst, walk)`` row prefix keys
         the path-id cache by its raw bytes.
 
         With the kernel tier active the scipy batch is replaced by
@@ -849,16 +964,24 @@ class FrankWolfeSolver:
         (:meth:`_spt_predecessors`): exact distances, but equal-cost
         ties may resolve differently than scipy's — always at equal
         cost, which is the level the solver suite pins.
+
+        ``weights`` may span several blocks of the stacked edge space
+        (``block * num_edges + eid``); each source row then searches its
+        own block's weights and its predecessor row is in core ids, so
+        walks and their path-id cache are block-independent.
         """
-        warc = np.maximum(weights, _WEIGHT_FLOOR)[self._search_arc_edge]
+        num_edges = self._topology.num_edges
+        warc = np.maximum(weights, _WEIGHT_FLOOR).reshape(-1, num_edges)[
+            :, self._search_arc_edge
+        ]
         kn = kernels.active()
         if kn is not None:
-            predecessors = self._spt_predecessors(prep.source_ids, warc, kn)
+            predecessors = self._spt_predecessors(
+                prep.source_ids, prep.source_blocks, warc, kn
+            )
         else:
-            self._graph.data = warc
-            _dist, predecessors = dijkstra(
-                self._graph, directed=True, indices=prep.source_ids,
-                return_predecessors=True,
+            predecessors = self._dijkstra_blocks(
+                prep.source_ids, prep.source_blocks, warc
             )
         src_rows = prep.src_rows
         targets = prep.target_core
@@ -917,14 +1040,19 @@ class FrankWolfeSolver:
             todo = np.flatnonzero(~unchanged).tolist()
         else:
             todo = range(out.size)
-        stride = walk_matrix.shape[1] * walk_matrix.itemsize
+        itemsize = walk_matrix.itemsize
+        stride = walk_matrix.shape[1] * itemsize
         buffer = walk_matrix.tobytes()
         hop_list = hops.tolist()
         for j in todo:
-            key = buffer[j * stride : (j + 1) * stride]
+            # The key stops at the target: the padding width follows the
+            # batch's longest walk, and would otherwise re-register the
+            # same path whenever that changes.
+            h = hop_list[j]
+            start = j * stride
+            key = buffer[start : start + (h + 3) * itemsize]
             pid = walk_pid.get(key)
             if pid is None:
-                h = hop_list[j]
                 ids = core_nodes[core_walks[j, : h + 1][::-1]].tolist()
                 src_c = src_contracted[j]
                 dst_c = dst_contracted[j]
@@ -943,17 +1071,95 @@ class FrankWolfeSolver:
         self._last_walks = (prep, walk_matrix, out)
         return out
 
+    def _dijkstra_blocks(
+        self,
+        source_ids: np.ndarray,
+        source_blocks: np.ndarray,
+        warc: np.ndarray,
+    ) -> np.ndarray:
+        """Core predecessor rows of every ``(block, source)`` pair.
+
+        Rows are sorted by block.  Consecutive blocks are grouped into
+        chunks, each searched by one scipy ``dijkstra`` call over a
+        block-diagonal copy of the core graph carrying each block's arc
+        weights (``warc[block]``).  A chunk closes before its
+        ``sources x nodes`` result would pass ``_DIJKSTRA_CHUNK_ENTRIES``,
+        and only each row's own diagonal block is kept, so the returned
+        matrix is ``(sources, core nodes)`` however many blocks there are.
+        """
+        nc = self._num_core
+        blocks, first = np.unique(source_blocks, return_index=True)
+        counts = np.diff(np.append(first, source_ids.size)).tolist()
+        blocks_list = blocks.tolist()
+        out = np.empty((source_ids.size, nc), dtype=np.int32)
+        lo = 0
+        row = 0
+        while lo < len(blocks_list):
+            hi = lo + 1
+            rows = counts[lo]
+            while (
+                hi < len(blocks_list)
+                and (rows + counts[hi]) * (hi + 1 - lo) * nc
+                <= _DIJKSTRA_CHUNK_ENTRIES
+            ):
+                rows += counts[hi]
+                hi += 1
+            copies = hi - lo
+            graph = self._block_graph(copies)
+            graph.data = warc[blocks[lo:hi]].ravel()
+            position = np.repeat(np.arange(copies), counts[lo:hi])
+            shift = position * nc
+            pred = dijkstra(
+                graph, directed=True,
+                indices=source_ids[row : row + rows] + shift,
+                return_predecessors=True,
+            )[1]
+            # Keep each row's own diagonal block, back in core ids (an
+            # unreachable node's negative marker stays negative).
+            out[row : row + rows] = (
+                pred.reshape(rows, copies, nc)[np.arange(rows), position]
+                - shift[:, None]
+            )
+            row += rows
+            lo = hi
+        return out
+
+    def _block_graph(self, copies: int) -> csr_matrix:
+        """Block-diagonal CSR of ``copies`` core graphs (cached)."""
+        graph = self._block_graphs.get(copies)
+        if graph is None:
+            nc = self._num_core
+            indptr = self._k_indptr
+            indices = self._k_indices
+            arcs = indices.size
+            shift = np.arange(copies)[:, None]
+            graph = csr_matrix(
+                (
+                    np.ones(copies * arcs),
+                    (indices + shift * nc).ravel(),
+                    np.append(
+                        (indptr[:-1] + shift * arcs).ravel(), copies * arcs
+                    ),
+                ),
+                shape=(copies * nc, copies * nc),
+            )
+            self._block_graphs[copies] = graph
+        return graph
+
     def _spt_predecessors(
-        self, source_ids: np.ndarray, warc: np.ndarray, kn
+        self,
+        source_ids: np.ndarray,
+        source_blocks: np.ndarray,
+        warc: np.ndarray,
+        kn,
     ) -> np.ndarray:
         """Per-source predecessor rows via incremental shortest-path trees.
 
         Drop-in replacement for the scipy ``dijkstra`` batch of
         :meth:`_aon_pids` when the kernel tier is active.  Each distinct
-        source keeps its last tree ``(dist, pred, parc)`` in
+        ``(block, source)`` keeps its last tree ``(dist, pred, parc)`` in
         ``self._spt_cache`` — across Frank-Wolfe iterations *and* across
-        the consecutive solves of a :class:`RelaxationSession` sweep —
-        so all but the first batch per source run
+        consecutive solves — so all but the first batch per source run
         :func:`repro.kernels._impl.spt_repair` (re-weigh the old tree,
         seed a heap from one arc scan, label-correct the affected cone)
         instead of a cold Dijkstra.  Distances are exact for any weight
@@ -972,21 +1178,24 @@ class FrankWolfeSolver:
         heap_key, heap_node, child_head, child_next, stack = self._k_scratch
         cache = self._spt_cache
         predecessors = np.empty((source_ids.size, nc), dtype=np.int64)
-        for row, src in enumerate(source_ids.tolist()):
-            tree = cache.get(src)
+        for row, (src, block) in enumerate(
+            zip(source_ids.tolist(), source_blocks.tolist())
+        ):
+            block_warc = warc[block]
+            tree = cache.get((block, src))
             if tree is None:
                 dist = np.empty(nc)
                 pred = np.empty(nc, dtype=np.int64)
                 parc = np.empty(nc, dtype=np.int64)
                 kn.spt_tree(
-                    self._k_indptr, self._k_indices, warc, src,
+                    self._k_indptr, self._k_indices, block_warc, src,
                     dist, pred, parc, heap_key, heap_node,
                 )
-                cache[src] = (dist, pred, parc)
+                cache[(block, src)] = (dist, pred, parc)
             else:
                 dist, pred, parc = tree
                 kn.spt_repair(
-                    self._k_indptr, self._k_indices, warc, src,
+                    self._k_indptr, self._k_indices, block_warc, src,
                     dist, pred, parc, heap_key, heap_node,
                     child_head, child_next, stack,
                 )
@@ -1000,30 +1209,59 @@ class FrankWolfeSolver:
     def _line_search(
         self, loads: np.ndarray, direction: np.ndarray, tol: float = 1e-6
     ) -> float:
+        return float(self._block_line_search(loads, direction, 1, tol)[0])
+
+    def _block_line_search(
+        self,
+        point: np.ndarray,
+        direction: np.ndarray,
+        blocks: int,
+        tol: float = 1e-6,
+    ) -> np.ndarray:
+        """Exact line search along ``direction`` from ``point`` for every
+        block of a stacked edge space at once: one step size in [0, 1]
+        per block (0 where a block's direction is 0).
+
+        Power-law costs take their closed form / scalar-polynomial root
+        from per-block moment sums (an ``(blocks, num_edges)`` reshape);
+        other costs bisect all blocks' convex directional derivatives in
+        lock step to ``tol``, each iteration one vector derivative over
+        the direction's support.
+        """
+        if self._poly_degree is not None:
+            return _polynomial_steps(
+                point.reshape(blocks, -1),
+                direction.reshape(blocks, -1),
+                self._poly_degree,
+            )
+        gamma = np.zeros(blocks)
         support = np.flatnonzero(direction)
         if support.size == 0:
-            return 0.0
+            return gamma
         d = direction[support]
-        base = loads[support]
-        if self._poly_degree is not None:
-            return _polynomial_step(base, d, self._poly_degree)
+        base = point[support]
+        owner = support // (direction.size // blocks)
         derivative = self._cost.derivative
 
-        def slope(gamma: float) -> float:
-            return float(d @ derivative(base + gamma * d))
+        def slope(step: np.ndarray) -> np.ndarray:
+            return np.bincount(
+                owner,
+                weights=d * derivative(base + step[owner] * d),
+                minlength=blocks,
+            )
 
-        if slope(0.0) >= 0.0:
-            return 0.0
-        if slope(1.0) <= 0.0:
-            return 1.0
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
+        at_zero = slope(gamma)
+        at_one = slope(np.ones(blocks))
+        lo = np.zeros(blocks)
+        hi = np.ones(blocks)
+        for _ in range(max(0, ceil(-log2(tol)))):
             mid = 0.5 * (lo + hi)
-            if slope(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = slope(mid) < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return np.where(
+            at_zero >= 0.0, 0.0, np.where(at_one <= 0.0, 1.0, 0.5 * (lo + hi))
+        )
 
     # ------------------------------------------------------------------
     # Steps.
@@ -1049,6 +1287,22 @@ class FrankWolfeSolver:
         whole sweep.  Every endpoint is an existing row, so the sweep is
         pure array arithmetic; returns ``(new_loads, stepped)``.
         """
+        move = self._pairwise_direction(state, loads, prep)
+        if move is None:
+            return loads, False
+        point, delta, direction = move
+        gamma = self._line_search(point, direction, tol=1e-4)
+        if gamma <= _STALL_STEP:
+            return loads, False
+        state.flow[: state.n] += gamma * delta
+        return loads + gamma * direction, True
+
+    def _pairwise_direction(
+        self, state: _FlowState, loads: np.ndarray, prep: _Prep
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The sweep of :meth:`_pairwise_step` before its line search:
+        ``(point, per-row delta, per-edge direction)``, None when no
+        commodity can move."""
         n = state.n
         k = prep.demands.size
         point = self._point(loads)
@@ -1082,7 +1336,7 @@ class FrankWolfeSolver:
                 prep.demands, not quadratic, delta, direction,
             )
             if not moved:
-                return loads, False
+                return None
         else:
             costs = state.path_costs(weights)
             flow = state.flow[:n]
@@ -1127,17 +1381,13 @@ class FrankWolfeSolver:
                 can_move[owner], negative + positive * factor[owner], 0.0
             )
             if not np.any(delta):
-                return loads, False
+                return None
             direction = np.bincount(
                 state.eids[: state.m],
                 weights=np.repeat(delta, state.lens[:n]),
                 minlength=loads.size,
             )
-        gamma = self._line_search(point, direction, tol=1e-4)
-        if gamma <= _STALL_STEP:
-            return loads, False
-        state.flow[:n] += gamma * delta
-        return loads + gamma * direction, True
+        return point, delta, direction
 
     def _sweep_rounds(
         self,
@@ -1398,6 +1648,420 @@ class FrankWolfeSolver:
             arrays=arrays,
         )
 
+    # ------------------------------------------------------------------
+    # Stacked solve.
+    # ------------------------------------------------------------------
+    def solve_stacked(
+        self,
+        blocks: Sequence[Sequence[Commodity]],
+        backgrounds: Sequence[np.ndarray | None] | None = None,
+        block_weights: Sequence[float] | np.ndarray | None = None,
+    ) -> list[MCFSolution]:
+        """Solve independent F-MCF instances as one block problem.
+
+        Block ``b`` routes ``blocks[b]`` around the fixed per-edge loads
+        ``backgrounds[b]`` (None: none); the result holds one
+        :class:`MCFSolution` per block, with that block's own loads, path
+        rows and a certified dual bound ``lower_bound <= OPT_b``.
+
+        Layout: block ``b``'s loads occupy ``[b * E, (b + 1) * E)`` of one
+        stacked load vector.  Path ids are block-independent (one
+        registry and walk cache for all blocks); a flow row's cached edge
+        ids are shifted by its block's offset.  Blocks start from the
+        path splits of their group's union problem (see
+        :meth:`_StackedRun.union_seed`).  Every round runs one
+        shortest-path batch over all ``(block, source)`` pairs of the
+        still-open blocks (:meth:`_dijkstra_blocks`), certifies each
+        block, then takes a classic step and the pairwise sweeps with one
+        exact line search per block — each a fixed number of vector
+        operations however many blocks there are.
+
+        Stopping: the weighted certificate
+        ``sum_b w_b (f_b - lb_b) <= gap_tolerance * sum_b w_b |f_b|`` with
+        ``w = block_weights`` (default 1).  For the interval relaxation
+        ``w_b = |I_b|``, which makes it the relative gap between
+        :attr:`~repro.core.relaxation.RelaxationResult.objective` and its
+        ``lower_bound``.  A block whose own gap closes drops out of later
+        rounds; ``max_iterations`` caps the rounds.
+        """
+        num_blocks = len(blocks)
+        if num_blocks == 0:
+            return []
+        for commodities in blocks:
+            _validate_commodities(commodities)
+        lengths = (
+            np.ones(num_blocks)
+            if block_weights is None
+            else np.asarray(block_weights, dtype=float)
+        )
+        if lengths.shape != (num_blocks,) or not np.all(lengths >= 0.0) or (
+            not np.all(np.isfinite(lengths))
+        ):
+            raise ValidationError(
+                "block_weights must hold one finite weight >= 0 per block"
+            )
+        background = None
+        if backgrounds is not None:
+            if len(backgrounds) != num_blocks:
+                raise ValidationError(
+                    f"got {len(backgrounds)} backgrounds for "
+                    f"{num_blocks} blocks"
+                )
+            if any(bg is not None for bg in backgrounds):
+                zero = np.zeros(self._topology.num_edges)
+                background = np.concatenate(
+                    [
+                        zero if bg is None else self._check_background(bg)
+                        for bg in backgrounds
+                    ]
+                )
+        slot_block = np.repeat(
+            np.arange(num_blocks), [len(block) for block in blocks]
+        )
+        stacked = [c for block in blocks for c in block]
+        self._background = background
+        try:
+            run = _StackedRun(self, stacked, slot_block, num_blocks, lengths)
+            return run.solve(blocks)
+        finally:
+            self._background = None
+
+
+class _StackedRun:
+    """The state of one :meth:`FrankWolfeSolver.solve_stacked` call.
+
+    ``slot_block[s]`` is the block of stacked commodity slot ``s`` (slots
+    are grouped by block); per-block quantities are length-``blocks``
+    vectors, and a boolean block mask selects which blocks a step moves.
+    """
+
+    def __init__(
+        self,
+        solver: FrankWolfeSolver,
+        commodities: list[Commodity],
+        slot_block: np.ndarray,
+        blocks: int,
+        lengths: np.ndarray,
+    ) -> None:
+        self.solver = solver
+        self.commodities = commodities
+        self.slot_block = slot_block
+        self.blocks = blocks
+        self.lengths = lengths
+        self.num_edges = solver._topology.num_edges
+        self.tolerance = solver._gap_tolerance
+        self.prep = solver._prep(commodities, slot_block)
+        self.state = _FlowState(solver._registry, slot_block * self.num_edges)
+        self._view_key: bytes | None = None
+        self._view: tuple[_Prep, np.ndarray] | None = None
+
+    # --- per-block quantities -------------------------------------------
+    def objectives(self, loads: np.ndarray) -> np.ndarray:
+        solver = self.solver
+        value = solver._cost.value(solver._point(loads))
+        return value.reshape(self.blocks, -1).sum(axis=1)
+
+    def certified(self, f: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        return f - lower <= self.tolerance * np.maximum(np.abs(f), 1e-30)
+
+    def window_gap(self, f: np.ndarray, lower: np.ndarray) -> float:
+        """The weighted relative gap of the whole stack (inf until every
+        block holds a bound)."""
+        if not np.all(np.isfinite(lower)):
+            return np.inf
+        return float(
+            self.lengths @ (f - lower) / max(self.lengths @ np.abs(f), 1e-30)
+        )
+
+    def window_certified(self, f: np.ndarray, lower: np.ndarray) -> bool:
+        return self.window_gap(f, lower) <= self.tolerance
+
+    def _row_block(self) -> np.ndarray:
+        return self.slot_block[self.state.owner[: self.state.n]]
+
+    def _per_edge(self, per_block: np.ndarray) -> np.ndarray:
+        return np.repeat(per_block, self.num_edges)
+
+    # --- all-or-nothing batch ---------------------------------------------
+    def view(self, mask: np.ndarray) -> tuple[_Prep, np.ndarray]:
+        """``(prep, slots)`` of the commodities in ``mask``'s blocks; the
+        same objects while the mask holds, so the walk carry-over of
+        :meth:`FrankWolfeSolver._aon_pids` keeps working."""
+        key = mask.tobytes()
+        if key != self._view_key:
+            slots = np.flatnonzero(mask[self.slot_block])
+            if slots.size == self.slot_block.size:
+                prep = self.prep
+            else:
+                prep = self.solver._subset_prep(
+                    self.prep, slots, self.slot_block[slots]
+                )
+            self._view_key = key
+            self._view = (prep, slots)
+        return self._view
+
+    def aon(self, mask: np.ndarray, loads: np.ndarray):
+        """Marginal weights at ``loads`` plus the all-or-nothing batch of
+        ``mask``'s blocks: ``(weights, (aon loads, path ids, prep,
+        slots))``."""
+        solver = self.solver
+        prep, slots = self.view(mask)
+        weights = solver._cost.derivative(solver._point(loads))
+        pids = solver._aon_pids(prep, weights)
+        flat, lens, _ = self.state._gather(slots, pids)
+        aon_loads = np.bincount(
+            flat, weights=np.repeat(prep.demands, lens), minlength=loads.size
+        )
+        return weights, (aon_loads, pids, prep, slots)
+
+    # --- steps --------------------------------------------------------------
+    def classic(self, loads: np.ndarray, batch, mask: np.ndarray):
+        """Frank–Wolfe step of ``mask``'s blocks toward the batch's
+        all-or-nothing point; returns the loads and the blocks that
+        stepped (a block at a numerical stall accepts its point)."""
+        aon_loads, aon_pids, prep, slots = batch
+        solver = self.solver
+        direction = aon_loads - loads
+        direction.reshape(self.blocks, -1)[~mask] = 0.0
+        gamma = solver._block_line_search(
+            solver._point(loads), direction, self.blocks
+        )
+        stepped = mask & (gamma > _STALL_STEP)
+        gamma = np.where(stepped, gamma, 0.0)
+        state = self.state
+        state.flow[: state.n] *= 1.0 - gamma[self._row_block()]
+        take = stepped[self.slot_block[slots]]
+        if take.any():
+            state.add_batch(
+                slots[take],
+                aon_pids[take],
+                gamma[self.slot_block[slots[take]]] * prep.demands[take],
+            )
+        return loads + self._per_edge(gamma) * direction, stepped
+
+    def sweeps(
+        self,
+        loads: np.ndarray,
+        f: np.ndarray,
+        lower: np.ndarray,
+        mask: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`FrankWolfeSolver._sweep_rounds` per block, up to
+        ``_STACKED_SWEEPS`` rounds: a block leaves the sweep once it
+        stalls, improves by less than ``_PAIRWISE_STOP``, or its stale gap
+        certifies, and all stop once the stale window gap does."""
+        solver = self.solver
+        sweeping = mask & ~self.certified(f, lower)
+        for _ in range(_STACKED_SWEEPS):
+            if not sweeping.any() or self.window_certified(f, lower):
+                break
+            move = solver._pairwise_direction(self.state, loads, self.prep)
+            if move is None:
+                break
+            point, delta, direction = move
+            direction.reshape(self.blocks, -1)[~sweeping] = 0.0
+            gamma = solver._block_line_search(
+                point, direction, self.blocks, tol=1e-4
+            )
+            moved = sweeping & (gamma > _STALL_STEP)
+            if not moved.any():
+                break
+            gamma = np.where(moved, gamma, 0.0)
+            self.state.flow[: self.state.n] += gamma[self._row_block()] * delta
+            loads = loads + self._per_edge(gamma) * direction
+            previous = f
+            f = self.objectives(loads)
+            sweeping = (
+                moved
+                & (previous - f >= _PAIRWISE_STOP * np.abs(f))
+                & ~self.certified(f, lower)
+            )
+        return loads, f
+
+    # --- solve loop ---------------------------------------------------------
+    def union_seed(self) -> None:
+        """Seed every slot with its commodity's path split in its group's
+        union problem.
+
+        Blocks are grouped in runs of ``_SEED_GROUP``.  A group's union
+        holds each of its distinct commodities at the weight-averaged
+        demand over the group, on the weight-averaged background; all
+        groups' unions are solved together by a nested stacked solve (a
+        single group by one plain solve).  Consecutive intervals share
+        most of their commodities, so a union's split is close to each of
+        its blocks' optima: it already holds the equal-cost paths a cold
+        block would otherwise spend a round apiece discovering."""
+        solver = self.solver
+        num_edges = self.num_edges
+        group = np.arange(self.blocks) // _SEED_GROUP
+        groups = int(group[-1]) + 1
+        slot_group = group[self.slot_block]
+        keys: dict = {}
+        slot_union = np.array(
+            [keys.setdefault((g, c.id, c.src, c.dst), len(keys))
+             for g, c in zip(slot_group.tolist(), self.commodities)],
+            dtype=np.int64,
+        )
+        count = len(keys)
+        first = np.unique(slot_union, return_index=True)[1]
+        union_group = slot_group[first]
+        group_total = np.bincount(
+            group, weights=self.lengths, minlength=groups
+        )
+        share = self.lengths[self.slot_block]
+        demand = self.prep.demands
+        # A union with zero total weight keeps its first slot's demand.
+        avg = np.bincount(slot_union, weights=demand * share, minlength=count)
+        total = group_total[union_group]
+        avg = np.where(total > 0.0, avg / np.maximum(total, 1e-300), 0.0)
+        avg = np.where(avg > 0.0, avg, demand[first])
+        union = [
+            Commodity(
+                self.commodities[s].id, self.commodities[s].src,
+                self.commodities[s].dst, float(d),
+            )
+            for s, d in zip(first.tolist(), avg.tolist())
+        ]
+        stacked_bg = solver._background
+        mean_bg = None
+        if stacked_bg is not None:
+            sums = np.zeros((groups, num_edges))
+            np.add.at(
+                sums,
+                group,
+                stacked_bg.reshape(self.blocks, -1) * self.lengths[:, None],
+            )
+            mean_bg = sums / np.maximum(group_total, 1e-300)[:, None]
+        group_start = np.searchsorted(union_group, np.arange(groups + 1))
+        try:
+            if groups == 1:
+                prep = solver._prep(union)
+                state = _FlowState(solver._registry)
+                solver._background = None if mean_bg is None else mean_bg[0]
+                solver._seed_fresh(
+                    state, union, prep, list(range(count)),
+                    np.zeros(num_edges),
+                )
+                parts = [
+                    solver._run(state, union, prep, state.loads(num_edges))
+                ]
+            else:
+                parts = solver.solve_stacked(
+                    [
+                        union[group_start[g] : group_start[g + 1]]
+                        for g in range(groups)
+                    ],
+                    None if mean_bg is None else list(mean_bg),
+                    group_total,
+                )
+        finally:
+            # The nested solve resets the solver's background on exit.
+            solver._background = stacked_bg
+        owner = np.concatenate(
+            [
+                part.arrays.owner_slots + group_start[g]
+                for g, part in enumerate(parts)
+            ]
+        )
+        path_ids = np.concatenate([part.arrays.path_ids for part in parts])
+        amounts = np.concatenate([part.arrays.amounts for part in parts])
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        pid = path_ids[order]
+        frac = amounts[order] / avg[owner]
+        starts = np.searchsorted(owner, np.arange(count))
+        per = np.bincount(owner, minlength=count)[slot_union]
+        total_rows = int(per.sum())
+        idx = np.repeat(starts[slot_union], per) + (
+            np.arange(total_rows) - np.repeat(np.cumsum(per) - per, per)
+        )
+        slots = np.repeat(np.arange(slot_union.size), per)
+        self.state.add_batch(slots, pid[idx], frac[idx] * demand[slots])
+
+    def solve(
+        self, blocks: Sequence[Sequence[Commodity]]
+    ) -> list[MCFSolution]:
+        solver = self.solver
+        size = self.blocks * self.num_edges
+        open_ = np.ones(self.blocks, dtype=bool)
+        self.union_seed()
+        loads = self.state.loads(size)
+        f = self.objectives(loads)
+        lower = np.full(self.blocks, -np.inf)
+        iterations = np.ones(self.blocks, dtype=np.int64)
+        pairwise = solver._variant == "pairwise"
+        rounds = 1
+        while rounds < solver._max_iterations:
+            # Stale bounds first: the steps only lower f, so last round's
+            # certificates may already close blocks (or the window).
+            open_ &= ~self.certified(f, lower)
+            if not open_.any() or self.window_certified(f, lower):
+                break
+            weights, batch = self.aon(open_, loads)
+            # Per-block dual bound of the linearization (see _run).
+            slack = (weights * (loads - batch[0])).reshape(
+                self.blocks, -1
+            ).sum(axis=1)
+            lower = np.where(open_, np.maximum(lower, f - slack), lower)
+            open_ &= ~self.certified(f, lower)
+            if not open_.any() or self.window_certified(f, lower):
+                break
+            loads, open_ = self.classic(loads, batch, open_)
+            iterations += open_
+            f = self.objectives(loads)
+            if pairwise:
+                loads, f = self.sweeps(loads, f, lower, open_)
+            rounds += 1
+        return self.finish(blocks, loads, f, lower, iterations)
+
+    def finish(self, blocks, loads, f, lower, iterations) -> list[MCFSolution]:
+        """Split the stacked rows into one pruned solution per block."""
+        state = self.state
+        n = state.n
+        owner = state.owner[:n]
+        keep = np.flatnonzero(
+            state.flow[:n] >= _PRUNE_FRACTION * self.prep.demands[owner]
+        )
+        row_block = self.slot_block[owner[keep]]
+        order = keep[np.argsort(row_block, kind="stable")]
+        owner = owner[order]
+        pid = state.pid[:n][order]
+        flow = state.flow[:n][order]
+        bounds = np.searchsorted(
+            self.slot_block[owner], np.arange(self.blocks + 1)
+        ).tolist()
+        slot_start = np.searchsorted(
+            self.slot_block, np.arange(self.blocks)
+        ).tolist()
+        # A cap of one round never certified: report 0 (see _run).
+        lower = np.where(np.isfinite(lower), lower, 0.0)
+        gap = (f - lower) / np.maximum(np.abs(f), 1e-30)
+        per_block = loads.reshape(self.blocks, -1)
+        registry = self.solver._registry
+        out = []
+        for b, commodities in enumerate(blocks):
+            lo, hi = bounds[b], bounds[b + 1]
+            arrays = ArrayPathFlows(
+                registry=registry,
+                path_ids=pid[lo:hi],
+                amounts=flow[lo:hi],
+                owner_slots=owner[lo:hi] - slot_start[b],
+                commodity_ids=tuple(c.id for c in commodities),
+            )
+            objective = float(f[b])
+            out.append(
+                MCFSolution(
+                    objective=objective,
+                    lower_bound=min(float(lower[b]), objective),
+                    link_loads=per_block[b],
+                    path_flows=_LazyPathFlows(arrays),
+                    relative_gap=max(float(gap[b]), 0.0),
+                    iterations=int(iterations[b]),
+                    arrays=arrays,
+                )
+            )
+        return out
+
 
 def _same_background(
     previous: np.ndarray | None, current: np.ndarray | None
@@ -1633,25 +2297,28 @@ class RelaxationSession:
                 entry.append(int(pids[row]))
 
 
-def _polynomial_step(base: np.ndarray, d: np.ndarray, degree: int) -> float:
-    """Exact line-search step for a pure power-law cost ``mu * x**alpha``.
+def _polynomial_steps(
+    base: np.ndarray, d: np.ndarray, degree: int
+) -> np.ndarray:
+    """Exact line-search steps for a pure power-law cost ``mu * x**alpha``,
+    one per row of ``(blocks, edges)`` arrays.
 
     Along ``x + gamma d`` the directional derivative is a degree
     ``alpha - 1`` polynomial in ``gamma``; its coefficients (up to the
     irrelevant positive factor ``mu * alpha``) are binomial-weighted
-    moment sums ``M_k = sum d**(k+1) * x**(alpha-1-k)``.  One vector pass
-    builds the moments; the root is then bracketed on the scalar
-    polynomial — no repeated vector derivative evaluations.
+    moment sums ``M_k = sum d**(k+1) * x**(alpha-1-k)``.  One pass builds
+    every row's moments; the roots are then bracketed on the scalar
+    polynomials, all rows in lock step — no repeated vector derivative
+    evaluations.
     """
     if degree == 2:
-        # slope(gamma) is affine: d.x + gamma d.d (up to 2 mu).
-        c0 = float(d @ base)
-        if c0 >= 0.0:
-            return 0.0
-        c1 = float(d @ d)
-        if c0 + c1 <= 0.0:
-            return 1.0
-        return -c0 / c1
+        c0 = (d * base).sum(axis=1)
+        c1 = (d * d).sum(axis=1)
+        return np.where(
+            c0 >= 0.0,
+            0.0,
+            np.where(c0 + c1 <= 0.0, 1.0, -c0 / np.maximum(c1, 1e-300)),
+        )
     n = degree - 1
     x_pows = [np.ones_like(base)]
     for _ in range(n):
@@ -1659,24 +2326,24 @@ def _polynomial_step(base: np.ndarray, d: np.ndarray, degree: int) -> float:
     coeffs = []
     d_pow = d
     for k in range(degree):
-        coeffs.append(comb(n, k) * float(d_pow @ x_pows[n - k]))
+        coeffs.append(comb(n, k) * (d_pow * x_pows[n - k]).sum(axis=1))
         if k < n:
             d_pow = d_pow * d
-    if coeffs[0] >= 0.0:
-        return 0.0
-    if sum(coeffs) <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
+    lo = np.zeros(base.shape[0])
+    hi = np.ones(base.shape[0])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        slope = 0.0
+        slope = np.zeros_like(mid)
         for c in reversed(coeffs):
             slope = slope * mid + c
-        if slope < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = slope < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(
+        coeffs[0] >= 0.0,
+        0.0,
+        np.where(sum(coeffs) <= 0.0, 1.0, 0.5 * (lo + hi)),
+    )
 
 
 def _validate_commodities(commodities: Sequence[Commodity]) -> None:
@@ -1703,10 +2370,7 @@ class FrankWolfeSolverReference:
         max_iterations: int = 60,
         gap_tolerance: float = 1e-3,
     ) -> None:
-        if max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if gap_tolerance <= 0:
-            raise ValidationError("gap_tolerance must be > 0")
+        check_fw_settings(max_iterations, gap_tolerance)
         self._topology = topology
         self._cost = cost
         self._max_iterations = max_iterations

@@ -65,6 +65,7 @@ from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
 from repro.routing.costs import envelope_cost
 from repro.routing.fastpath import FastRouter, LoadLedger
+from repro.routing.mcflow import check_fw_settings
 from repro.routing.rounding import argmax_paths, sample_paths
 from repro.scheduling.schedule import FlowSchedule, Segment
 from repro.service.degrade import DegradeController, SolveBudget
@@ -128,7 +129,7 @@ class _ShardSolver:
     """Worker-side handler: one warm relaxation pipeline per shard.
 
     Built *inside* the forked worker by the :class:`WorkerGroup` factory,
-    so the pipeline's session state never crosses a pipe — only window
+    so the pipeline's solver state never crosses a pipe — only window
     messages and ``(flow id, path)`` results do.  The pipeline is created
     lazily on the first relaxed window (greedy-mode services never pay
     for it).
@@ -195,9 +196,7 @@ class _ShardSolver:
                     gap_tolerance=self._fw_gap,
                 )
             flow_set = FlowSet(flows)
-            relaxation = self._pipeline.solve(
-                flow_set, background=background, warm=True
-            )
+            relaxation = self._pipeline.solve(flow_set, background=background)
             weights = self._pipeline.weights(flow_set, relaxation)
             if weights.max_drift > self.max_weight_drift:
                 self.max_weight_drift = weights.max_drift
@@ -357,6 +356,9 @@ class ShardedReplayEngine:
             raise ValidationError(f"window must be > 0, got {window}")
         if mode not in ("relax", "greedy"):
             raise ValidationError(f"unknown mode {mode!r}")
+        if mode == "relax":
+            # Checked here, not in the shard workers that build solvers.
+            check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
         if background_mode not in ("interval", "mean"):

@@ -33,9 +33,8 @@ This module closes the loop with two pieces:
   property the acceptance gate checks.
 
 Phantom ids encode the endpoint pair (``__lookahead:src>dst``) because the
-warm :class:`~repro.routing.mcflow.RelaxationSession` diffs commodity sets
-*by id*: a reused id must always mean the same (src, dst), or the session
-would rescale rows onto the wrong endpoints.
+relaxation keys commodities *by id*: a reused id must always mean the same
+(src, dst), or one flow's path rows would be read as another's.
 """
 
 from __future__ import annotations
@@ -245,7 +244,7 @@ class LookaheadRelaxationPolicy(RelaxationRoundingPolicy):
     """Relaxation + rounding with forecast phantom commodities.
 
     Runs :class:`~repro.traces.policies.RelaxationRoundingPolicy`
-    unchanged — same warm session, same interval-resolved background,
+    unchanged — same stacked solve, same interval-resolved background,
     same rounding — but co-relaxes the forecaster's hedged phantoms for
     the horizon ``[end, end + lookahead)`` alongside the window's real
     flows.  Phantoms only share elementary intervals with real flows

@@ -26,10 +26,9 @@ Six policies span the clairvoyance spectrum:
   paths; the "batch clairvoyant within the window" upper reference.
 * :class:`RelaxationRoundingPolicy` — Algorithm 2 in a window: the
   F-MCF relaxation + randomized rounding pipeline run per epoch against
-  the committed background, with one persistent
-  :class:`~repro.routing.mcflow.RelaxationSession` carried across
-  windows through :attr:`WindowContext.carry` (commodity-set diffs as
-  flows enter and leave the horizon, instead of cold F-MCF solves).
+  the committed background: each window's elementary intervals are one
+  stacked F-MCF solve, on a solver (path registry, walk cache) carried
+  across windows through :attr:`WindowContext.carry`.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
 from repro.routing.costs import envelope_cost
 from repro.routing.fastpath import FastRouter, LoadLedger
+from repro.routing.mcflow import check_fw_settings
 from repro.routing.paths import k_shortest_paths
 from repro.routing.rounding import argmax_paths, sample_paths
 from repro.scheduling.schedule import FlowSchedule, Segment
@@ -96,7 +96,7 @@ class WindowContext:
     carry:
         One mutable dict per replay run, handed to every window's
         context in order: whatever a policy stashes here in window ``k``
-        (a warm relaxation session, committed-route summaries) is
+        (a warm relaxation pipeline, committed-route summaries) is
         exactly what it finds in window ``k + 1``.  The engine creates a
         fresh dict per :meth:`~repro.traces.replay.ReplayEngine.run`, so
         carried state can never leak across runs.
@@ -560,7 +560,7 @@ class EpochDcfsPolicy(_PathCacheMixin, ReplayPolicy):
 _RELAXATION_CARRY = "relaxation_pipeline"
 
 #: Separate carry key for the survivor-fabric pipeline used while links
-#: are down — the base pipeline's warm session is left untouched, so a
+#: are down — the base pipeline is left untouched, so a
 #: replay that never sees a fault follows the base path byte for byte.
 _RELAXATION_DOWN_CARRY = "relaxation_pipeline_down"
 
@@ -569,8 +569,10 @@ class RelaxationRoundingPolicy(ReplayPolicy):
     """Algorithm 2 in a window: F-MCF relaxation + randomized rounding.
 
     Each window's arrivals form an offline DCFSR instance (their spans
-    may stretch far past the window): the policy sweeps the window's
-    elementary intervals through the Frank–Wolfe relaxation, aggregates
+    may stretch far past the window): the policy solves all of the
+    window's elementary intervals as one stacked Frank–Wolfe relaxation
+    (:meth:`~repro.routing.mcflow.FrankWolfeSolver.solve_stacked`),
+    certified on the window's total gap, aggregates
     every flow's ``w_bar`` in registry-id space, draws one route per flow
     in a single batched sampling pass, and commits each flow at its
     density over its whole span — so deadlines are met by construction,
@@ -580,14 +582,11 @@ class RelaxationRoundingPolicy(ReplayPolicy):
 
     * **Warm windows** (default): one
       :class:`~repro.core.dcfsr.RelaxationPipeline` — solver, path
-      registry, walk caches, and the
-      :class:`~repro.routing.mcflow.RelaxationSession` — persists across
-      windows via :attr:`WindowContext.carry`.  Every F-MCF solve of the
-      replay, across intervals *and* windows, is a commodity-set diff on
-      the carried state: flows entering the horizon pay an
-      all-or-nothing seed, flows leaving drop their rows.
-      ``warm_windows=False`` forces the benchmark baseline: a fresh
-      pipeline per window and a cold F-MCF solve per interval.
+      registry and walk caches — persists across windows via
+      :attr:`WindowContext.carry`, and each window is one stacked solve
+      over its intervals.  ``warm_windows=False`` builds a fresh pipeline
+      per window instead (the benchmark baseline; the committed routes
+      are identical, only the caches start cold).
     * **Committed background**: the engine's carried reservations enter
       the relaxation so new flows route around traffic committed by
       earlier windows.  By default the interval-resolved
@@ -618,6 +617,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
     ) -> None:
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
+        check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         self._seed = seed
         self._fw_max_iterations = fw_max_iterations
         self._fw_gap_tolerance = fw_gap_tolerance
@@ -667,9 +667,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
             if self._use_background
             else None
         )
-        relaxation = pipeline.solve(
-            solve_set, background=background, warm=self._warm
-        )
+        relaxation = pipeline.solve(solve_set, background=background)
         weights = pipeline.weights(flow_set, relaxation)
         if weights.max_drift > self.max_weight_drift:
             self.max_weight_drift = weights.max_drift
@@ -699,7 +697,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         """The dead-link branch: relax + round on the survivor fabric.
 
         A survivor :class:`~repro.core.dcfsr.RelaxationPipeline` (its own
-        topology, registry, and warm session) is carried under a separate
+        topology, registry and caches) is carried under a separate
         key, rebuilt whenever the dead-link set changes; survivor node
         paths are valid parent paths verbatim, so commits need no
         translation.  Flows with no surviving route are left unserved.
@@ -752,9 +750,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
                 if isinstance(view, BackgroundProfile)
                 else view[edge_map]
             )
-        relaxation = pipeline.solve(
-            solve_set, background=background, warm=self._warm
-        )
+        relaxation = pipeline.solve(solve_set, background=background)
         weights = pipeline.weights(flow_set, relaxation)
         if weights.max_drift > self.max_weight_drift:
             self.max_weight_drift = weights.max_drift

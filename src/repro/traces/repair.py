@@ -34,10 +34,10 @@ Dijkstra against the currently committed background, dead links clamped
 to an avoid-at-all-costs weight; a returned route still crossing a dead
 link means no survivor path exists.  The relaxation tier
 (``repair="relax"``) batches an event's repairable flows into an F-MCF
-re-solve on the honest survivor topology, reusing one warm
-:class:`~repro.core.dcfsr.RelaxationPipeline` per outage state (the
-session's commodity diffs make consecutive repairs under the same dead
-set cheap), falling back to the greedy tier per flow when the solve is
+re-solve on the honest survivor topology, reusing one
+:class:`~repro.core.dcfsr.RelaxationPipeline` per outage state (its path
+registry and walk cache carry across consecutive repairs under the same
+dead set), falling back to the greedy tier per flow when the solve is
 infeasible or the optional ``repair_budget_s`` is exhausted.
 """
 
@@ -56,6 +56,7 @@ from repro.flows.flow import Flow, FlowSet
 from repro.power.model import PowerModel
 from repro.routing.costs import envelope_cost
 from repro.routing.fastpath import FastRouter
+from repro.routing.mcflow import check_fw_settings
 from repro.routing.rounding import argmax_paths
 from repro.scheduling.schedule import FlowSchedule, Segment
 from repro.sim.churn import (
@@ -133,6 +134,8 @@ class ChurnManager:
     ) -> None:
         if repair not in ("greedy", "relax"):
             raise ValidationError(f"unknown repair tier {repair!r}")
+        if repair == "relax":
+            check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         self._topology = topology
         self._power = power
         self._acct = acct
@@ -637,7 +640,6 @@ class ChurnManager:
                 relaxation = pipeline.solve(
                     commodities,
                     background=profile.restrict(self._relax_edge_map),
-                    warm=True,
                 )
                 weights = pipeline.weights(commodities, relaxation)
                 for (lf, _r), path in zip(chunk, argmax_paths(weights)):

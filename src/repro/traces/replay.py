@@ -718,7 +718,7 @@ class ReplayEngine:
         acct = self._accountant()
         kept: list[FlowSchedule] | None = [] if self._keep else None
         # One dict per run, threaded through every WindowContext so a
-        # policy's warm state (e.g. a relaxation session) survives window
+        # policy's warm state (e.g. a relaxation pipeline) survives window
         # boundaries but never a run boundary.
         carry: dict = {}
 

@@ -20,9 +20,10 @@ too, on machines without numba.  This suite covers:
   reference, dyadic Hypothesis sweep plus a float-dust fuzz;
 * the pricing kernels ``row_costs`` / ``pairwise_delta`` against local
   numpy replicas of the retained expressions, bit for bit;
-* solver level: Frank-Wolfe and the :class:`RelaxationSession` interval
-  sweep stay certified and agree across backends (this exercises
-  ``spt_tree``/``spt_repair`` through ``_aon_pids`` across warm solves).
+* solver level: Frank-Wolfe, the :class:`RelaxationSession` interval
+  sweep and the stacked multi-interval relaxation stay certified and
+  agree across backends (this exercises ``spt_tree``/``spt_repair``
+  through ``_aon_pids`` across warm solves and per-block trees).
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import random_flows_on
 from repro import kernels
+from repro.core.relaxation import solve_relaxation
 from repro.errors import InfeasibleError
 from repro.kernels import _impl
 from repro.power import PowerModel
@@ -581,3 +584,36 @@ class TestSolverAcrossBackends:
                 topology, cost, max_iterations=500, gap_tolerance=GAP
             ).solve(subset, background=background)
             assert_objectives_agree(warm, cold)
+
+    def test_stacked_relaxation_kernel_matches_python(self):
+        """A multi-interval stacked solve: under the kernel backend every
+        (block, source) pair keeps its own shortest-path tree — blocks
+        carry unrelated weights, so a tree shared by raw source id would
+        be re-rooted across blocks — and both backends certify the
+        window and agree interval by interval."""
+        topology = fat_tree(4)
+        cost = envelope_cost(PowerModel.quadratic())
+        flows = random_flows_on(topology, 8, seed=3)
+        background = np.random.default_rng(4).uniform(
+            0.0, 2.0, topology.num_edges
+        )
+        results = {}
+        for backend in ("python", "interpreted"):
+            kernels.set_backend(backend)
+            solver = FrankWolfeSolver(
+                topology, cost, max_iterations=500, gap_tolerance=GAP
+            )
+            result = solve_relaxation(flows, solver, background=background)
+            assert result.lower_bound <= result.objective
+            gap = (result.objective - result.lower_bound) / result.objective
+            assert gap <= GAP * (1 + 1e-9)
+            results[backend] = result
+        assert len(results["python"].intervals) > 3
+        blocks = {block for block, _src in solver._spt_cache}
+        sources = {src for _block, src in solver._spt_cache}
+        assert len(blocks) > 1
+        assert len(solver._spt_cache) > len(sources)
+        for a, b in zip(
+            results["python"].intervals, results["interpreted"].intervals
+        ):
+            assert_objectives_agree(a.solution, b.solution)

@@ -3,10 +3,10 @@ window) and the replay plumbing it rides on.
 
 The load-bearing checks mirror the other policies' suite: windowed energy
 accounting pinned to :meth:`Schedule.energy` and deadline verdicts to
-:func:`repro.sim.fluid.simulate_fluid` — plus the cross-window session
-property this PR adds: a persistent F-MCF session across windows must
-produce the same committed schedule (hence identical total energy) as
-forced per-window cold solves under the same seed.
+:func:`repro.sim.fluid.simulate_fluid` — plus the cross-window property:
+a relaxation pipeline carried across windows must produce the same
+committed schedule (hence identical total energy) as a fresh pipeline
+per window under the same seed.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ class TestCrossWindowSession:
         return sorted([elephant, *mice], key=lambda f: (f.release, str(f.id)))
 
     def test_warm_equals_forced_cold(self, ft4, quadratic):
-        """A flow spanning >= 3 windows: persistent session vs per-window
-        cold F-MCF solves must commit identical schedules (same seed),
-        hence identical total energy."""
+        """A flow spanning >= 3 windows: a carried pipeline vs a fresh
+        pipeline per window must commit identical schedules (same seed),
+        hence identical total energy — carried caches never change a
+        route."""
         trace = self._elephant_and_mice()
         reports = {}
         for warm in (True, False):
