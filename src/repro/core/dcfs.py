@@ -40,8 +40,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import InfeasibleError, ValidationError
 from repro.flows.flow import Flow, FlowSet
 from repro.power.model import PowerModel
@@ -147,15 +145,16 @@ def solve_dcfs(
 ) -> DcfsResult:
     """Run Most-Critical-First on a routed instance.
 
-    This is the incremental array-native engine (DESIGN.md Section 8): each
-    link keeps its job set as NumPy arrays plus an alive mask, candidate
-    critical intervals live in a lazy max-heap with version-stamp
-    invalidation, and only links whose timelines were touched by the
-    previous round's reservations are re-scored (with the vectorized
-    :func:`repro.scheduling.yds.critical_interval_arrays` kernel).  Output
-    — rates, rounds, segments, tie-breaking included — is identical to
-    :func:`solve_dcfs_reference`, which ``tests/test_perf_kernels.py``
-    pins.
+    This is the incremental engine (DESIGN.md Sections 8 and 17): each
+    link keeps its queued flows as parallel Python lists that shrink in
+    place as flows are scheduled, candidate critical intervals live in a
+    lazy max-heap with version-stamp invalidation, each round merges the
+    union of its EDF segments into every touched link's reservations
+    once, and only those links are re-scored (with
+    :func:`repro.scheduling.yds.critical_interval_arrays`, which takes
+    the lists as they are).  Output — rates, rounds, segments,
+    tie-breaking included — is identical to :func:`solve_dcfs_reference`,
+    which ``tests/test_perf_kernels.py`` pins.
 
     Parameters
     ----------
@@ -188,38 +187,27 @@ def solve_dcfs(
         edge: BlockedTimeline() for edge in link_flows
     }
 
-    # Per-link job arrays in the reference's deterministic order (flow ids
-    # sorted by str); scheduled flows are cleared in an alive mask and each
-    # re-score views the arrays through it (storage is never shrunk).
+    # Per-link queue: (flow ids, releases, deadlines, virtual weights) as
+    # parallel lists in the reference's order (flow ids sorted by str).
+    # Scheduling a flow deletes its entries in place, so a re-score hands
+    # the live columns to the scorer without copying them.
     sorted_edges = sorted(link_flows)
     rank = {edge: i for i, edge in enumerate(sorted_edges)}
-    edge_fids: dict[Edge, list[int | str]] = {}
-    edge_release: dict[Edge, np.ndarray] = {}
-    edge_deadline: dict[Edge, np.ndarray] = {}
-    edge_work: dict[Edge, np.ndarray] = {}
-    alive: dict[Edge, np.ndarray] = {}
-    position: dict[Edge, dict[int | str, int]] = {}
+    queue: dict[Edge, tuple[list, list[float], list[float], list[float]]] = {}
     for edge in sorted_edges:
         fids = sorted(link_flows[edge], key=str)
-        edge_fids[edge] = fids
-        edge_release[edge] = np.array(
-            [flows[f].release for f in fids], dtype=float
+        queue[edge] = (
+            fids,
+            [flows[f].release for f in fids],
+            [flows[f].deadline for f in fids],
+            [virtual[f] for f in fids],
         )
-        edge_deadline[edge] = np.array(
-            [flows[f].deadline for f in fids], dtype=float
-        )
-        edge_work[edge] = np.array([virtual[f] for f in fids], dtype=float)
-        alive[edge] = np.ones(len(fids), dtype=bool)
-        position[edge] = {f: i for i, f in enumerate(fids)}
 
     # Candidate = (a, b, delta, contained_fids, overlap_mode).
     Candidate = tuple[float, float, float, list[int | str], bool]
 
     def link_candidate(edge: Edge) -> Candidate:
-        keep = np.flatnonzero(alive[edge])
-        rel = edge_release[edge][keep]
-        dl = edge_deadline[edge][keep]
-        wk = edge_work[edge][keep]
+        fids, rel, dl, wk = queue[edge]
         try:
             a, b, delta, contained = critical_interval_arrays(
                 rel, dl, wk, blocked[edge]
@@ -230,8 +218,7 @@ def solve_dcfs(
             # fall back to raw-time accounting (overlap mode).
             a, b, delta, contained = critical_interval_arrays(rel, dl, wk, None)
             mode = True
-        fids = [edge_fids[edge][i] for i in keep[contained].tolist()]
-        return (a, b, delta, fids, mode)
+        return (a, b, delta, [fids[i] for i in contained], mode)
 
     # Lazy max-heap of candidates: entries are (-delta, rank, version,
     # edge); an entry is stale once the edge's version moved past the one
@@ -249,10 +236,10 @@ def solve_dcfs(
 
     rates: dict[int | str, float] = {}
     segments: dict[int | str, list[tuple[float, float]]] = {}
-    remaining = {flow.id for flow in flows}
+    unscheduled = len(flows)
     rounds = 0
 
-    while remaining:
+    while unscheduled:
         rounds += 1
         # Pop the maximum fresh candidate, then every fresh candidate
         # within the reference's 1e-15 challenge tolerance of it.
@@ -260,7 +247,7 @@ def solve_dcfs(
         contenders: list[tuple[float, int, int, Edge]] = []
         while heap:
             neg_delta, _rk, ver, edge = heap[0]
-            if ver != version[edge] or not link_flows[edge]:
+            if ver != version[edge] or not queue[edge][0]:
                 heapq.heappop(heap)
                 continue
             if top_delta is not None and -neg_delta < top_delta - _TIE_TOL:
@@ -281,7 +268,7 @@ def solve_dcfs(
             best_edge = None
             best = None
             for edge in sorted_edges:
-                if not link_flows[edge]:
+                if not queue[edge][0]:
                     continue
                 candidate = cand[edge]
                 if best is None or candidate[2] > best[2] + _TIE_TOL:
@@ -319,21 +306,25 @@ def solve_dcfs(
                     f"interval [{a:g}, {b:g}] on link {best_edge!r}: {exc}"
                 ) from exc
 
-        touched: set[Edge] = set()
+        # Dequeue the round's flows and gather, per touched link, the
+        # union of their EDF segments: one reservation merge per link
+        # (bit-identical to the reference's merge per flow and link).
+        new_blocks: dict[Edge, list[tuple[float, float]]] = {}
         for fid in crit_fids:
             segments[fid] = placed[fid]
-            remaining.discard(fid)
             for edge in flow_edges[fid]:
-                link_flows[edge].discard(fid)
-                blocked[edge].add_many(placed[fid])
-                alive[edge][position[edge][fid]] = False
-                touched.add(edge)
+                fids, rel, dl, wk = queue[edge]
+                pos = fids.index(fid)
+                del fids[pos], rel[pos], dl[pos], wk[pos]
+                new_blocks.setdefault(edge, []).extend(placed[fid])
+        unscheduled -= len(crit_fids)
         # Invalidate and eagerly re-score touched links (re-scoring must be
         # eager: added reservations can *raise* a link's best intensity, so
         # a purely pop-time refresh would under-estimate the heap top).
-        for edge in touched:
+        for edge, blocks in new_blocks.items():
+            blocked[edge].add_many(blocks)
             version[edge] += 1
-            if link_flows[edge]:
+            if queue[edge][0]:
                 candidate = link_candidate(edge)
                 cand[edge] = candidate
                 heapq.heappush(

@@ -419,7 +419,13 @@ class WorkerGroup:
         return [self.collect(index) for index in range(self._n)]
 
     def close(self) -> None:
-        """Stop every worker (idempotent); pending results are dropped."""
+        """Stop every worker (idempotent); pending results are dropped.
+
+        Idle workers get the stop sentinel and exit on their own.  A
+        worker with pending results is killed instead: it may still be
+        busy on a result nobody will read, and waiting for it would hold
+        ``close`` for as long as that work takes.
+        """
         if self._closed:
             return
         self._closed = True
@@ -427,12 +433,16 @@ class WorkerGroup:
             self._handlers = []
             self._results = []
             return
-        for conn in self._conns:
+        for index, conn in enumerate(self._conns):
+            if self._pending[index]:
+                continue
             try:
                 conn.send(_STOP)
             except (BrokenPipeError, OSError):
                 pass
-        for proc in self._procs:
+        for index, proc in enumerate(self._procs):
+            if self._pending[index]:
+                proc.kill()
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()

@@ -7,15 +7,18 @@ supports exact construction by summing weighted indicator segments and
 exact integration of arbitrary pointwise transforms — which is how schedule
 energy ``\\int f(x_e(t)) dt`` is computed without numerical quadrature.
 
-Both classes here are array-backed: compilation and measure queries run as
-NumPy breakpoint/prefix-sum operations (see DESIGN.md Section 8), while
-per-slot accumulation uses unbuffered ``np.add.at`` in segment order so the
-compiled values are bit-identical to the historical per-slot Python loop.
+:class:`PiecewiseConstant` is array-backed: compilation and integration
+run as NumPy breakpoint/prefix-sum operations (see DESIGN.md Section 8),
+while per-slot accumulation uses unbuffered ``np.add.at`` in segment order
+so the compiled values are bit-identical to the historical per-slot Python
+loop.  :class:`BlockedTimeline` answers its scalar measure queries from
+Python lists and builds NumPy copies only for its grid query.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -77,65 +80,64 @@ class BlockedTimeline:
 
     Used by the YDS-family algorithms to mark time already committed to
     earlier critical intervals.  Supports O(log n) overlap-measure queries
-    via prefix sums.  Insertion is a batched per-round merge: only the
-    incoming blocks are sorted, and :func:`merge_segments` then coalesces
-    the two pre-sorted runs (timsort detects them, so the pass is
-    O(existing + new) rather than a full re-sort per call).  Bit-identical
-    to re-merging the whole raw list — pinned by the Hypothesis suite in
-    ``tests/test_timeline.py``.
+    via prefix sums, kept as plain Python lists: the scalar queries that
+    dominate Most-Critical-First run on them directly, and the NumPy
+    copies :meth:`overlap_grid` needs are built only when it asks.
+    Insertion is a batched merge: only the incoming blocks are sorted,
+    and :func:`merge_segments` then coalesces the two pre-sorted runs
+    (timsort detects them, so the pass is O(existing + new) rather than a
+    full re-sort per call).  Bit-identical to re-merging the whole raw
+    list — pinned by the Hypothesis suite in ``tests/test_timeline.py``.
     """
 
     def __init__(self) -> None:
         self._segments: list[tuple[float, float]] = []
         self._starts: list[float] = []
+        self._ends: list[float] = []
         self._prefix: list[float] = [0.0]
-        self._starts_arr: np.ndarray = np.empty(0)
-        self._ends_arr: np.ndarray = np.empty(0)
-        self._prefix_arr: np.ndarray = np.zeros(1)
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def add_many(
         self, segments: Iterable[tuple[float, float]], tol: float = 1e-12
     ) -> None:
         """Insert segments (merged with the existing reservation set)."""
         incoming = sorted((a, b) for a, b in segments if b > a)
-        if not incoming and not self._segments:
-            return
-        # One batched merge per round: only the incoming blocks need
-        # sorting; timsort's run detection merges the two pre-sorted runs
-        # in linear time inside merge_segments, which keeps the single
-        # copy of the tolerance-coalescing logic.
+        if not incoming:
+            return  # re-merging an already merged set changes nothing
         merged = merge_segments(self._segments + incoming, tol)
         self._segments = merged
-        starts_arr = np.array([s for s, _ in merged], dtype=float)
-        ends_arr = np.array([e for _, e in merged], dtype=float)
-        prefix_arr = np.zeros(len(merged) + 1)
-        # add.accumulate is strictly sequential, matching the historical
-        # running-sum loop bit for bit.
-        np.add.accumulate(ends_arr - starts_arr, out=prefix_arr[1:])
-        self._starts = starts_arr.tolist()
-        self._prefix = prefix_arr.tolist()
-        self._starts_arr = starts_arr
-        self._ends_arr = ends_arr
-        self._prefix_arr = prefix_arr
+        self._starts = [s for s, _ in merged]
+        self._ends = [e for _, e in merged]
+        # A strictly sequential running sum, the historical loop's float
+        # additions in its order.
+        self._prefix = list(accumulate((e - s for s, e in merged), initial=0.0))
+        self._arrays = None
+
+    def columns(self) -> tuple[list[float], list[float], list[float]]:
+        """``(starts, ends, prefix)``: the merged segments' starts and ends
+        and the running blocked measure before each (``prefix[i]`` covers
+        segments ``0..i-1``).
+
+        These are the inputs of :meth:`overlap`, exposed for scorers that
+        hoist its per-``a`` half out of a loop over ``b``.  Do not mutate.
+        """
+        return self._starts, self._ends, self._prefix
 
     def overlap(self, a: float, b: float) -> float:
         """Measure of blocked time inside ``[a, b]``."""
-        from bisect import bisect_left
-
         if not self._segments or b <= a:
             return 0.0
-        lo = bisect_left(self._starts, a)
+        starts, ends = self._starts, self._ends
+        lo = bisect_left(starts, a)
         total = 0.0
         if lo > 0:
-            s, e = self._segments[lo - 1]
-            total += max(0.0, min(e, b) - max(s, a))
-        hi = bisect_left(self._starts, b)
+            total += max(0.0, min(ends[lo - 1], b) - max(starts[lo - 1], a))
+        hi = bisect_left(starts, b)
         if hi > lo:
             # Segments lo..hi-1 start inside [a, b); all but possibly the
             # last end inside as well (prefix sums cover them exactly).
             total += self._prefix[hi - 1] - self._prefix[lo]
-            s, e = self._segments[hi - 1]
-            total += max(0.0, min(e, b) - max(s, a))
+            total += max(0.0, min(ends[hi - 1], b) - max(starts[hi - 1], a))
         return total
 
     def overlap_grid(self, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
@@ -151,7 +153,13 @@ class BlockedTimeline:
         b_vals = np.asarray(b_vals, dtype=float)
         if not self._segments:
             return np.zeros((a_vals.size, b_vals.size))
-        starts, ends, prefix = self._starts_arr, self._ends_arr, self._prefix_arr
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self._starts, dtype=float),
+                np.array(self._ends, dtype=float),
+                np.array(self._prefix, dtype=float),
+            )
+        starts, ends, prefix = self._arrays
         lo = np.searchsorted(starts, a_vals, side="left")
         prev = np.maximum(lo, 1) - 1
         head = np.where(

@@ -17,18 +17,27 @@ intensity divides by the non-blocked measure.  Both formulations are
 equivalent (the blocked measure equals the collapsed length), and the mask
 formulation shares its EDF core with Most-Critical-First.
 
-The production :func:`critical_interval` evaluates all candidate intervals
-for one release point at a time with NumPy breakpoint arrays and prefix
-sums (DESIGN.md Section 8); :func:`critical_interval_reference` retains the
-per-(release, deadline)-pair Python enumeration and is pinned bit-equal by
+The production :func:`critical_interval_arrays` scores small job sets
+with the per-(release, deadline)-pair enumeration on plain Python columns
+and larger ones as one NumPy candidate grid with breakpoint arrays and
+prefix sums (DESIGN.md Sections 8 and 17);
+:func:`critical_interval_reference` retains the enumeration over
+:class:`YdsJob` lists and is pinned bit-equal by
 ``tests/test_perf_kernels.py``.
+
+A job counts as contained in ``[a, b]`` when it is released at or after
+``a - eps`` and due at or before ``b + eps``.  Both sides count equality:
+at absolute times of 2^14 s and beyond ``eps`` is below half an ulp, so
+``b + eps == b`` and only an inclusive count keeps a job inside the
+interval that ends at its own deadline.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,8 +61,11 @@ _EPS = 1e-12
 #: for realistic per-link job counts.
 _GRID_CHUNK_CELLS = 1 << 18
 
-#: Below this many jobs the scalar enumeration beats NumPy call overhead.
-_SCALAR_CUTOFF = 12
+#: At or below this many jobs the list enumeration beats the NumPy grid's
+#: call overhead.  Measured on Epoch-DCFS replay link scores in two runs:
+#: the lists took 0.89–0.96x the grid's time at 9 jobs and 1.17–1.29x at
+#: 10 (``bench_dcfs_scaling.py``, DESIGN.md §17).
+_SCALAR_CUTOFF = 9
 
 
 @dataclass(frozen=True)
@@ -113,59 +125,60 @@ def critical_interval(
     Intensity of ``[a, b]`` is ``sum(work of jobs with span inside [a,b])``
     divided by the *available* (non-blocked) measure of ``[a, b]``.
 
-    This is the vectorized kernel; results (values, tie-breaking and
-    infeasibility behavior) are bit-identical to
-    :func:`critical_interval_reference`.
+    Results (values, tie-breaking and infeasibility behavior) are
+    bit-identical to :func:`critical_interval_reference`.
     """
     if not jobs:
         raise ValidationError("critical_interval requires at least one job")
-    release = np.array([j.release for j in jobs], dtype=float)
-    deadline = np.array([j.deadline for j in jobs], dtype=float)
-    work = np.array([j.work for j in jobs], dtype=float)
     a, b, intensity, contained = critical_interval_arrays(
-        release, deadline, work, blocked
+        [j.release for j in jobs],
+        [j.deadline for j in jobs],
+        [j.work for j in jobs],
+        blocked,
     )
-    return a, b, intensity, [jobs[i] for i in contained.tolist()]
+    return a, b, intensity, [jobs[i] for i in contained]
 
 
 def critical_interval_arrays(
-    release: np.ndarray,
-    deadline: np.ndarray,
-    work: np.ndarray,
+    release: Sequence[float],
+    deadline: Sequence[float],
+    work: Sequence[float],
     blocked: BlockedTimeline | None = None,
-) -> tuple[float, float, float, np.ndarray]:
-    """Array-native critical-interval search.
+) -> tuple[float, float, float, list[int]]:
+    """Column-native critical-interval search.
 
-    ``release``/``deadline``/``work`` are parallel float arrays, one entry
-    per job, in the caller's job order (Most-Critical-First feeds per-link
-    arrays directly to skip rebuilding :class:`YdsJob` lists every round).
-    Returns ``(a, b, intensity, contained_indices)`` where the indices
-    select the contained jobs sorted by deadline (stable in input order),
-    exactly as the reference returns them.
+    ``release``/``deadline``/``work`` are parallel float columns (lists or
+    arrays), one entry per job, in the caller's job order
+    (Most-Critical-First feeds its per-link lists directly to skip
+    rebuilding :class:`YdsJob` lists every round).  Returns ``(a, b,
+    intensity, contained)`` where ``contained`` lists the indices of the
+    contained jobs sorted by deadline (stable in input order), exactly as
+    the reference returns them.
 
-    The whole ``(release, deadline)`` candidate grid is scored in one
-    batched pass (row-chunked so memory stays bounded): contained work
-    via an eligibility-masked prefix sum indexed by ``searchsorted``
-    counts, available time via :meth:`BlockedTimeline.overlap_grid`.  The
-    float operations replicate the reference's per-pair arithmetic, so
-    ties and near-ties resolve identically.
+    At most ``_SCALAR_CUTOFF`` jobs take the reference enumeration on the
+    Python columns as given; larger sets score the whole ``(release,
+    deadline)`` candidate grid in one batched NumPy pass (row-chunked so
+    memory stays bounded): contained work via an eligibility-masked prefix
+    sum indexed by ``searchsorted`` counts, available time via
+    :meth:`BlockedTimeline.overlap_grid`.  Both replicate the reference's
+    per-pair float operations, so ties and near-ties resolve identically.
     """
-    n = release.size
+    n = len(deadline)
     if n == 0:
         raise ValidationError("critical_interval requires at least one job")
     if n <= _SCALAR_CUTOFF:
-        # Tiny job sets (most links, most rounds): NumPy per-call overhead
-        # exceeds the whole quadratic enumeration; run the reference
-        # arithmetic directly on scalars.
-        return _critical_interval_scalar(release, deadline, work, blocked)
+        return _critical_interval_lists(release, deadline, work, blocked)
+    release = np.asarray(release, dtype=float)
+    deadline = np.asarray(deadline, dtype=float)
+    work = np.asarray(work, dtype=float)
     order = np.argsort(deadline, kind="stable")
     dl_sorted = deadline[order]
     wk_sorted = work[order]
     rel_sorted = release[order]
     releases = np.unique(release)
     deadlines = np.unique(deadline)
-    # Jobs (in deadline order) with deadline < b + eps, per candidate b.
-    cnt_idx = np.searchsorted(dl_sorted, deadlines + _EPS, side="left")
+    # Jobs (in deadline order) with deadline <= b + eps, per candidate b.
+    cnt_idx = np.searchsorted(dl_sorted, deadlines + _EPS, side="right")
 
     best_key: tuple[float, float, float] | None = None
     best: tuple[float, float, float, int] | None = None
@@ -226,60 +239,85 @@ def critical_interval_arrays(
     assert best is not None
     a, b, inten, count = best
     contained = order[rel_sorted >= a - _EPS][:count]
-    return a, b, inten, contained
+    return a, b, inten, contained.tolist()
 
 
-def _critical_interval_scalar(
-    release: np.ndarray,
-    deadline: np.ndarray,
-    work: np.ndarray,
+def _critical_interval_lists(
+    rel: Sequence[float],
+    dl: Sequence[float],
+    wk: Sequence[float],
     blocked: BlockedTimeline | None,
-) -> tuple[float, float, float, np.ndarray]:
-    """Reference enumeration on raw scalars for tiny job sets.
+) -> tuple[float, float, float, list[int]]:
+    """The reference enumeration on plain columns, for small job sets.
 
-    Bit-identical to both the vectorized grid above and
-    :func:`critical_interval_reference` (same operations in the same
-    order); exists purely to dodge NumPy call overhead when a link queues
-    only a handful of flows.
+    Bit-identical to both the grid above and
+    :func:`critical_interval_reference` (same float operations in the same
+    order).  Candidates are visited in ascending ``(a, b)`` order, so the
+    reference's ``(intensity, -a, -(b - a))`` key improves exactly when
+    the intensity strictly does.  The blocked measure is
+    :meth:`BlockedTimeline.overlap` split in two: its ``a``-dependent half
+    (the segment straddling ``a``) is looked up once per release and its
+    ``b``-dependent index once per deadline.
     """
-    rel = release.tolist()
-    dl = deadline.tolist()
-    wk = work.tolist()
-    order = sorted(range(len(dl)), key=lambda i: dl[i])
+    n = len(dl)
+    if n == 1:
+        # One job: the only candidate is its own span.
+        a, b = rel[0], dl[0]
+        available = b - a
+        if blocked is not None:
+            available -= blocked.overlap(a, b)
+        if available <= 1e-12:
+            raise InfeasibleError(
+                f"no available time in [{a:g}, {b:g}] but jobs remain"
+            )
+        return a, b, wk[0] / available, [0]
+    order = sorted(range(n), key=dl.__getitem__)
     releases = sorted(set(rel))
     deadlines = sorted(set(dl))
+    reach = [b + _EPS for b in deadlines]
+    starts: Sequence[float] = ()
+    if blocked is not None:
+        starts, ends, prefix = blocked.columns()
+        his = [bisect_left(starts, b) for b in deadlines]
     best: tuple[float, float, float, list[int]] | None = None
-    best_key: tuple[float, float, float] | None = None
+    best_intensity = -np.inf
     for a in releases:
-        eligible = [i for i in order if rel[i] >= a - _EPS]
-        if not eligible:
-            continue
+        cut = a - _EPS
+        eligible = [i for i in order if rel[i] >= cut]
         elig_dl = [dl[i] for i in eligible]
-        prefix = [0.0]
-        for i in eligible:
-            prefix.append(prefix[-1] + wk[i])
-        for b in deadlines:
-            if b <= a:
-                continue
-            count = bisect_left(elig_dl, b + _EPS)
+        work_prefix = list(accumulate([wk[i] for i in eligible], initial=0.0))
+        if starts:
+            lo = bisect_left(starts, a)
+            if lo > 0:
+                head_end, head_start = ends[lo - 1], max(starts[lo - 1], a)
+        for j in range(bisect_right(deadlines, a), len(deadlines)):
+            count = bisect_right(elig_dl, reach[j])
             if count == 0:
                 continue
-            total_work = prefix[count]
+            b = deadlines[j]
             available = b - a
-            if blocked is not None:
-                available -= blocked.overlap(a, b)
+            if starts:
+                # BlockedTimeline.overlap(a, b), operation for operation.
+                total = 0.0
+                if lo > 0:
+                    total += max(0.0, min(head_end, b) - head_start)
+                hi = his[j]
+                if hi > lo:
+                    total += prefix[hi - 1] - prefix[lo]
+                    total += max(
+                        0.0, min(ends[hi - 1], b) - max(starts[hi - 1], a)
+                    )
+                available -= total
             if available <= 1e-12:
                 raise InfeasibleError(
                     f"no available time in [{a:g}, {b:g}] but jobs remain"
                 )
-            intensity = total_work / available
-            key = (intensity, -a, -(b - a))
-            if best_key is None or key > best_key:
-                best_key = key
+            intensity = work_prefix[count] / available
+            if intensity > best_intensity:
+                best_intensity = intensity
                 best = (a, b, intensity, eligible[:count])
     assert best is not None
-    a, b, inten, contained = best
-    return a, b, inten, np.array(contained, dtype=np.int64)
+    return best
 
 
 def critical_interval_reference(
@@ -309,8 +347,8 @@ def critical_interval_reference(
         for b in deadlines:
             if b <= a:
                 continue
-            # Count eligible jobs with deadline <= b.
-            count = bisect_left([j.deadline for j in eligible], b + _EPS)
+            # Count eligible jobs with deadline <= b (+ eps).
+            count = bisect_right([j.deadline for j in eligible], b + _EPS)
             if count == 0:
                 continue
             total_work = work_prefix[count]

@@ -146,7 +146,6 @@ class _ShardSolver:
         seed, self._fw_iters, self._fw_gap, self._rounding = config
         self._pipeline: RelaxationPipeline | None = None
         self._rng = np.random.default_rng((seed, shard.index))
-        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
         self.max_weight_drift = 0.0
 
     def __call__(self, msg):
@@ -170,14 +169,6 @@ class _ShardSolver:
             self.max_weight_drift = state["drift"]
             return None
         raise ValidationError(f"unknown shard message {kind!r}")
-
-    def _shortest(self, src: str, dst: str) -> tuple[str, ...]:
-        key = (src, dst)
-        path = self._paths.get(key)
-        if path is None:
-            path = self._shard.topology.shortest_path(src, dst)
-            self._paths[key] = path
-        return path
 
     def _solve_window(
         self,
@@ -205,7 +196,8 @@ class _ShardSolver:
             else:
                 paths = sample_paths(weights, self._rng)
         else:
-            paths = [self._shortest(f.src, f.dst) for f in flows]
+            topology = self._shard.topology
+            paths = [topology.shortest_path(f.src, f.dst) for f in flows]
         if down_local:
             # Fault fix-up: any solved/cached route crossing a dead local
             # link is replaced by the survivor BFS route; a pair with no
@@ -407,7 +399,6 @@ class ShardedReplayEngine:
         self._acct = WindowAccountant(topology, power, tol=tol)
         self._inflight: deque[_InFlight] = deque()
         self._kept: list[FlowSchedule] | None = [] if keep_schedules else None
-        self._cross_paths: dict[tuple[str, str], tuple[str, ...]] = {}
         self.window_log: list[WindowStats] = []
 
         # Fault injection + crash tolerance.
@@ -734,19 +725,15 @@ class ShardedReplayEngine:
             # Static shortest paths: the exact choice GreedyDensityPolicy
             # makes, which is what the equivalence pin compares against.
             for flow in flows:
-                key = (flow.src, flow.dst)
                 if down:
                     try:
                         path = survivor_shortest_path(
-                            self._topology, down, *key
+                            self._topology, down, flow.src, flow.dst
                         )
                     except TopologyError:
                         continue  # no surviving route -> unserved
                 else:
-                    path = self._cross_paths.get(key)
-                    if path is None:
-                        path = self._topology.shortest_path(*key)
-                        self._cross_paths[key] = path
+                    path = self._topology.shortest_path(flow.src, flow.dst)
                 schedules[flow.id] = _density_schedule(flow, path)
             return schedules
         # Marginal envelope-cost routing on the global view (the

@@ -104,6 +104,16 @@ class Topology:
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._csr_lists: tuple[list[int], list[int], list[int]] | None = None
         self._leaf_mask: list[bool] | None = None
+        # Source node id -> BFS parent node ids (see ``shortest_path``).
+        self._route_trees: dict[int, list[int]] = {}
+
+    def __getstate__(self) -> dict:
+        # Route trees are a cache rebuilt on demand; keeping them out of
+        # the pickle keeps snapshots (which pickle topologies held by
+        # solver state) independent of which routes were asked for.
+        state = self.__dict__.copy()
+        state["_route_trees"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Basic accessors.
@@ -286,30 +296,50 @@ class Topology:
     def shortest_path(self, src: str, dst: str) -> tuple[str, ...]:
         """Deterministic hop-count shortest path (lexicographic tie-break).
 
-        Uses a BFS that expands neighbors in sorted order, so repeated calls
-        and different platforms produce identical routes — important for the
-        SP+MCF baseline to be reproducible.
+        Reads the path off a BFS parent tree rooted at ``src`` that
+        expands neighbors in sorted order, so repeated calls and different
+        platforms produce identical routes — important for the SP+MCF
+        baseline to be reproducible.  The tree is built once per source
+        and memoized on the topology: a replay pays at most one BFS per
+        host, however many flows it routes.
         """
         if src == dst:
             raise TopologyError("shortest_path requires distinct endpoints")
         if not self.has_node(src) or not self.has_node(dst):
             raise TopologyError(f"unknown endpoint in ({src!r}, {dst!r})")
-        parent: dict[str, str] = {src: src}
-        frontier = [src]
+        root = self._node_index[src]
+        parent = self._route_trees.get(root)
+        if parent is None:
+            parent = self._route_trees[root] = self._bfs_tree(root)
+        node = self._node_index[dst]
+        if parent[node] < 0:
+            raise TopologyError(f"no path between {src!r} and {dst!r}")
+        path = [dst]
+        while node != root:
+            node = parent[node]
+            path.append(self._nodes[node])
+        return tuple(reversed(path))
+
+    def _bfs_tree(self, root: int) -> list[int]:
+        """BFS parent of every node id from ``root`` (-1: unreachable).
+
+        Neighbors are expanded in CSR order, which is sorted node-id
+        order, i.e. sorted node-name order: every node gets the parent a
+        per-pair sorted-neighbor BFS stopping at it would give it.
+        """
+        indptr, neighbors, _ = self.csr_adjacency_lists
+        parent = [-1] * len(self._nodes)
+        parent[root] = root
+        frontier = [root]
         while frontier:
-            next_frontier: list[str] = []
+            next_frontier: list[int] = []
             for node in frontier:
-                for nbr in sorted(self._graph.neighbors(node)):
-                    if nbr not in parent:
+                for nbr in neighbors[indptr[node] : indptr[node + 1]]:
+                    if parent[nbr] < 0:
                         parent[nbr] = node
-                        if nbr == dst:
-                            path = [dst]
-                            while path[-1] != src:
-                                path.append(parent[path[-1]])
-                            return tuple(reversed(path))
                         next_frontier.append(nbr)
             frontier = next_frontier
-        raise TopologyError(f"no path between {src!r} and {dst!r}")
+        return parent
 
     def validate_path(self, path: Sequence[str], src: str, dst: str) -> None:
         """Raise :class:`TopologyError` unless ``path`` is a simple

@@ -171,27 +171,7 @@ class ReplayPolicy(ABC):
         """Clear per-run state; called by the engine before each replay."""
 
 
-class _PathCacheMixin:
-    """Shortest-path memoization shared by the static-route policies."""
-
-    def __init__(self) -> None:
-        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    def _shortest_path(
-        self, topology: Topology, src: str, dst: str
-    ) -> tuple[str, ...]:
-        key = (src, dst)
-        path = self._paths.get(key)
-        if path is None:
-            path = topology.shortest_path(src, dst)
-            self._paths[key] = path
-        return path
-
-    def reset(self) -> None:
-        self._paths.clear()
-
-
-class GreedyDensityPolicy(_PathCacheMixin, ReplayPolicy):
+class GreedyDensityPolicy(ReplayPolicy):
     """Shortest path + constant density rate; sees nothing, costs nothing.
 
     Every flow transmits at ``D_i = w_i / (d_i - r_i)`` over its whole span
@@ -216,7 +196,7 @@ class GreedyDensityPolicy(_PathCacheMixin, ReplayPolicy):
                 except TopologyError:
                     continue  # no surviving route -> unserved
             else:
-                path = self._shortest_path(ctx.topology, flow.src, flow.dst)
+                path = ctx.topology.shortest_path(flow.src, flow.dst)
             schedules.append(
                 FlowSchedule(
                     flow=flow,
@@ -499,7 +479,7 @@ class OnlineDensityPolicy(ReplayPolicy):
         self._router = None
 
 
-class EpochDcfsPolicy(_PathCacheMixin, ReplayPolicy):
+class EpochDcfsPolicy(ReplayPolicy):
     """Per-epoch Most-Critical-First re-solve on shortest paths.
 
     Each window is treated as a fresh offline DCFS instance: optimal rates
@@ -514,7 +494,6 @@ class EpochDcfsPolicy(_PathCacheMixin, ReplayPolicy):
     name = "Epoch-DCFS"
 
     def __init__(self) -> None:
-        super().__init__()
         self.fallbacks = 0
         self._greedy = GreedyDensityPolicy()
 
@@ -538,7 +517,7 @@ class EpochDcfsPolicy(_PathCacheMixin, ReplayPolicy):
             flows = routable
         else:
             paths = {
-                flow.id: self._shortest_path(ctx.topology, flow.src, flow.dst)
+                flow.id: ctx.topology.shortest_path(flow.src, flow.dst)
                 for flow in flows
             }
         flow_set = FlowSet(flows)
@@ -550,9 +529,7 @@ class EpochDcfsPolicy(_PathCacheMixin, ReplayPolicy):
         return list(result.schedule)
 
     def reset(self) -> None:
-        super().reset()
         self.fallbacks = 0
-        self._greedy.reset()
 
 
 #: Key under which the relaxation policy stashes its warm pipeline in

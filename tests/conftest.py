@@ -95,3 +95,32 @@ def random_flows_on(
             )
         )
     return FlowSet(flows)
+
+
+def dyadic_ft4_flows(shift: float = 0.0, first_id: int = 0) -> list[Flow]:
+    """Three fat_tree(4) flows whose Most-Critical-First rounds are exact.
+
+    All three cross pod 0 between its two edge switches, so they share the
+    ``sw_a_p00_0`` uplinks on 4-link paths: under quadratic power each
+    virtual weight is exactly ``2 * size``.  Every round's intensity is a
+    power of two (2, then 1, then 1, with a near-tie between links in the
+    second round), so rates, durations and EDF boundaries are dyadic
+    rationals float64 holds exactly at any shift keeping 1/8 s resolution:
+    the rates are 1, 1/2 and 1/2 wherever the instance sits in time.
+    """
+    spans = (
+        ("h_p00_e0_0", "h_p00_e1_0", 0.125, 0.0, 0.125),
+        ("h_p00_e0_1", "h_p00_e1_1", 0.125, 0.0, 0.5),
+        ("h_p00_e0_0", "h_p00_e1_1", 0.0625, 0.25, 0.375),
+    )
+    return [
+        Flow(
+            id=first_id + i,
+            src=src,
+            dst=dst,
+            size=size,
+            release=shift + release,
+            deadline=shift + deadline,
+        )
+        for i, (src, dst, size, release, deadline) in enumerate(spans)
+    ]

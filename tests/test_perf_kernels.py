@@ -12,7 +12,9 @@ the pairs interchangeable:
   Python reference, and ``integrate_power`` vs
   ``integrate(dynamic_power)``;
 * incremental ``solve_dcfs`` vs ``solve_dcfs_reference`` (identical
-  rates, rounds, segments, energy);
+  rates, rounds, segments, energy), on small fat_tree(4) instances, on
+  windows shaped like the replay benchmark's, and at absolute times past
+  2^15 s;
 * event-diff ``simulate_fluid`` vs ``simulate_fluid_reference`` and the
   analytical ``Schedule.energy``;
 * the fork-pool experiment harness vs its serial counterpart.
@@ -21,17 +23,20 @@ the pairs interchangeable:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_flows_on
+from tests.conftest import dyadic_ft4_flows, random_flows_on
 from repro.core import solve_dcfs, solve_dcfs_reference, solve_dcfsr, sp_mcf
 from repro.errors import InfeasibleError, ValidationError
 from repro.experiments.harness import run_comparison
 from repro.experiments.parallel import parallel_map
+from repro.flows import FlowSet
 from repro.flows.workloads import paper_workload
 from repro.power import PowerModel
 from repro.scheduling import (
@@ -42,6 +47,11 @@ from repro.scheduling import (
 )
 from repro.scheduling.timeline import BlockedTimeline
 from repro.sim.fluid import simulate_fluid, simulate_fluid_reference
+from repro.topology import fat_tree
+from repro.traces import PoissonProcess, TraceSpec, generate_trace
+
+#: A shift of 2^15 s: past 2^14 s, ``b + 1e-12 == b`` in float64.
+FAR = 2.0**15
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +142,26 @@ class TestCriticalIntervalPinning:
     def test_chunked_grid_matches(self, jobs, blocked):
         """Tiny chunk budget exercises the cross-chunk tie-breaking."""
         with _kernel_tuning(scalar_cutoff=0, chunk_cells=4):
+            ref, ref_exc = _outcome(critical_interval_reference, jobs, blocked)
+            fast, fast_exc = _outcome(critical_interval, jobs, blocked)
+        assert ref_exc == fast_exc
+        if ref is not None:
+            assert ref[:3] == fast[:3]
+            assert [j.id for j in ref[3]] == [j.id for j in fast[3]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(job_sets(max_jobs=10), blocked_timelines(), st.sampled_from([0, 10**6]))
+    def test_matches_reference_far_from_origin(self, jobs, blocked, cutoff):
+        """Grid and list paths both count a deadline equal to ``b``."""
+        jobs = [
+            YdsJob(j.id, j.release + FAR, j.deadline + FAR, j.work)
+            for j in jobs
+        ]
+        if blocked is not None:
+            shifted = BlockedTimeline()
+            shifted.add_many([(s + FAR, e + FAR) for s, e in blocked.segments()])
+            blocked = shifted
+        with _kernel_tuning(scalar_cutoff=cutoff):
             ref, ref_exc = _outcome(critical_interval_reference, jobs, blocked)
             fast, fast_exc = _outcome(critical_interval, jobs, blocked)
         assert ref_exc == fast_exc
@@ -230,7 +260,71 @@ class TestPiecewiseConstantVectorized:
 # ----------------------------------------------------------------------
 # Incremental Most-Critical-First vs the reference.
 # ----------------------------------------------------------------------
+def _assert_identical(fast, ref):
+    assert fast.rounds == ref.rounds
+    assert fast.rates == ref.rates
+    for fid in ref.rates:
+        assert fast.schedule[fid].segments == ref.schedule[fid].segments
+
+
+def _routed(flows, topology):
+    return {f.id: topology.shortest_path(f.src, f.dst) for f in flows}
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda s: f"seed{s}")
+def epoch_window(request):
+    """One window shaped like the replay benchmark's Epoch-DCFS workload:
+    the first 100 flows (~0.5 s) of a 200/s Poisson trace on fat_tree(8)
+    with default sizes and slack, on shortest paths, plus its reference
+    solve."""
+    topology = fat_tree(8)
+    power = PowerModel.quadratic()
+    spec = TraceSpec(
+        arrivals=PoissonProcess(200.0), duration=1.0, seed=request.param
+    )
+    flows = FlowSet(islice(generate_trace(topology, spec), 100))
+    paths = _routed(flows, topology)
+    ref = solve_dcfs_reference(flows, topology, paths, power)
+    return flows, topology, paths, power, ref
+
+
 class TestSolveDcfsPinning:
+    @pytest.mark.parametrize("cutoff", [0, 10**6], ids=["grid", "lists"])
+    def test_identical_on_replay_shaped_windows(self, epoch_window, cutoff):
+        """Every link scored by the NumPy grid, then every link by the
+        list enumeration: both reproduce the reference bit for bit."""
+        flows, topology, paths, power, ref = epoch_window
+        assert len(flows) == 100
+        with _kernel_tuning(scalar_cutoff=cutoff):
+            fast = solve_dcfs(flows, topology, paths, power)
+        _assert_identical(fast, ref)
+
+    @pytest.mark.parametrize("cutoff", [0, 10**6], ids=["grid", "lists"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_identical_far_from_origin(self, ft4, quadratic, seed, cutoff):
+        flows = FlowSet(
+            replace(f, release=f.release + FAR, deadline=f.deadline + FAR)
+            for f in random_flows_on(ft4, 12, seed=seed)
+        )
+        paths = _routed(flows, ft4)
+        ref = solve_dcfs_reference(flows, ft4, paths, quadratic)
+        with _kernel_tuning(scalar_cutoff=cutoff):
+            fast = solve_dcfs(flows, ft4, paths, quadratic)
+        _assert_identical(fast, ref)
+
+    def test_dyadic_instance_far_from_origin(self, ft4, quadratic):
+        """Exact arithmetic: the shifted rates equal the unshifted ones."""
+        near = FlowSet(dyadic_ft4_flows())
+        far = FlowSet(dyadic_ft4_flows(FAR))
+        paths = _routed(near, ft4)
+        expected = {0: 1.0, 1: 0.5, 2: 0.5}
+        assert solve_dcfs(near, ft4, paths, quadratic).rates == expected
+        fast = solve_dcfs(far, ft4, paths, quadratic)
+        assert fast.rates == expected
+        _assert_identical(
+            fast, solve_dcfs_reference(far, ft4, paths, quadratic)
+        )
+
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_on_fat_tree(self, ft4, quadratic, seed):
         flows = random_flows_on(ft4, 12, seed=seed)

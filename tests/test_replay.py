@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from tests.conftest import dyadic_ft4_flows
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
 from repro.power import PowerModel
@@ -292,6 +293,25 @@ class TestStreamingBehavior:
             quadratic, horizon=report.horizon
         )
         assert report.total_energy == pytest.approx(breakdown.total, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.0, 2.0**15], ids=["near", "far"])
+    def test_epoch_dcfs_far_from_origin(self, ft4, quadratic, shift):
+        """Most-Critical-First windows hours into a trace (past 2^14 s,
+        where ``b + 1e-12 == b``) serve every flow at the rates of the
+        same windows at t = 0 — exactly, since the instance is dyadic."""
+        flows = dyadic_ft4_flows(shift) + dyadic_ft4_flows(shift + 1.0, 3)
+        report = ReplayEngine(
+            ft4, quadratic, EpochDcfsPolicy(), window=0.5, keep_schedules=True
+        ).run(iter(flows))
+        assert report.flows_served == 6 and report.policy_fallbacks == 0
+        assert report.deadline_misses == 0 and report.unserved == 0
+        rates = {
+            fs.flow.id: {seg.rate for seg in fs.segments}
+            for fs in report.schedules
+        }
+        assert rates == {
+            0: {1.0}, 1: {0.5}, 2: {0.5}, 3: {1.0}, 4: {0.5}, 5: {0.5}
+        }
 
     def test_epoch_dcfs_reports_fallbacks(self, ft4, quadratic):
         report = ReplayEngine(

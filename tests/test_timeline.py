@@ -250,6 +250,33 @@ class TestBlockedTimeline:
             reference = merge_segments(reference + segments)
             assert bt.segments() == tuple(reference)
 
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(0, 20, allow_nan=False),
+                    st.floats(-0.1, 5, allow_nan=False),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_one_merge_of_a_union_equals_a_merge_per_batch(self, batches):
+        """Most-Critical-First merges a round's segments into a link once,
+        as one union; the reference merges them flow by flow.  Both must
+        leave identical segments and prefix sums."""
+        base, *rest = [[(s, s + l) for s, l in batch] for batch in batches]
+        per_batch, union = BlockedTimeline(), BlockedTimeline()
+        per_batch.add_many(base)
+        union.add_many(base)
+        for batch in rest:
+            per_batch.add_many(batch)
+        union.add_many([seg for batch in rest for seg in batch])
+        assert union.segments() == per_batch.segments()
+        assert union.columns() == per_batch.columns()
+
     def test_add_many_empty_batch_is_noop(self):
         bt = BlockedTimeline()
         bt.add_many([(0.0, 1.0), (2.0, 3.0)])

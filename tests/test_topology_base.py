@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -12,9 +14,42 @@ from repro.topology import (
     build_topology,
     canonical_edge,
     fat_tree,
+    jellyfish,
+    leaf_spine,
     line,
     path_edges,
 )
+
+
+def _per_pair_bfs(topology: Topology, src: str, dst: str) -> tuple[str, ...]:
+    """Oracle: the per-pair sorted-neighbor BFS that stops at ``dst``."""
+    if src == dst:
+        raise TopologyError("shortest_path requires distinct endpoints")
+    if not topology.has_node(src) or not topology.has_node(dst):
+        raise TopologyError(f"unknown endpoint in ({src!r}, {dst!r})")
+    parent: dict[str, str] = {src: src}
+    frontier = [src]
+    while frontier:
+        next_frontier: list[str] = []
+        for node in frontier:
+            for nbr in sorted(topology.graph.neighbors(node)):
+                if nbr not in parent:
+                    parent[nbr] = node
+                    if nbr == dst:
+                        path = [dst]
+                        while path[-1] != src:
+                            path.append(parent[path[-1]])
+                        return tuple(reversed(path))
+                    next_frontier.append(nbr)
+        frontier = next_frontier
+    raise TopologyError(f"no path between {src!r} and {dst!r}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except TopologyError as exc:
+        return None, str(exc)
 
 
 class TestCanonicalEdge:
@@ -134,6 +169,39 @@ class TestShortestPath:
         )
         with pytest.raises(TopologyError):
             topo.shortest_path("a", "c")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fat_tree(4),
+            lambda: leaf_spine(),
+            lambda: jellyfish(num_switches=12, switch_degree=3, seed=5),
+            lambda: build_topology(
+                [("a", "s1"), ("s1", "s2"), ("s2", "b"), ("s1", "b"),
+                 ("c", "s3"), ("s3", "d")],
+                hosts=["a", "b", "c", "d"],
+            ),
+        ],
+        ids=["fat_tree4", "leaf_spine", "jellyfish", "disconnected"],
+    )
+    def test_route_trees_match_per_pair_bfs(self, make):
+        """Every ordered node pair: same route, or the same error."""
+        topo = make()
+        for src in topo.nodes:
+            for dst in topo.nodes:
+                assert _outcome(topo.shortest_path, src, dst) == _outcome(
+                    _per_pair_bfs, topo, src, dst
+                )
+        # One memoized tree per source asked for, never per pair.
+        assert len(topo._route_trees) == len(topo.nodes)
+
+    def test_route_trees_stay_out_of_pickles(self, ft4):
+        h = ft4.hosts
+        route = ft4.shortest_path(h[0], h[-1])
+        assert ft4._route_trees
+        restored = pickle.loads(pickle.dumps(ft4))
+        assert restored._route_trees == {}
+        assert restored.shortest_path(h[0], h[-1]) == route
 
 
 class TestValidatePath:

@@ -56,6 +56,49 @@ class TestKnownInstances:
         assert res.completion_time("a") == pytest.approx(4.0)
 
 
+#: A shift of 2^15 s: past 2^14 s, ``b + 1e-12 == b`` in float64.
+FAR = 2.0**15
+
+
+def _dyadic_jobs(shift: float) -> list[YdsJob]:
+    """Three rounds whose intensities are all powers of two.
+
+    Every duration and EDF boundary is then a dyadic rational that float64
+    holds exactly at both magnitudes, so the shifted instance's speeds
+    must equal the unshifted one's bit for bit.
+    """
+    return [
+        YdsJob("x", shift + 0.0, shift + 0.125, 0.25),
+        YdsJob("y", shift + 0.0, shift + 0.5, 0.25),
+        YdsJob("z", shift + 0.25, shift + 0.375, 0.125),
+    ]
+
+
+class TestLargeAbsoluteTimes:
+    """Deadlines at or past 2^14 s, where ``eps`` vanishes below an ulp."""
+
+    def test_single_job_far_from_origin(self):
+        res = yds_schedule([YdsJob(1, 20000.0, 20001.0, 2.0)])
+        assert res.speeds[1] == 2.0
+        assert res.segments[1] == ((20000.0, 20001.0),)
+
+    def test_shifted_instance_speeds_equal_unshifted(self):
+        near = yds_schedule(_dyadic_jobs(0.0))
+        far = yds_schedule(_dyadic_jobs(FAR))
+        assert dict(near.speeds) == {"x": 2.0, "y": 1.0, "z": 1.0}
+        assert dict(far.speeds) == dict(near.speeds)
+        for jid, segments in near.segments.items():
+            assert far.segments[jid] == tuple(
+                (s + FAR, e + FAR) for s, e in segments
+            )
+
+    def test_interval_ending_at_own_deadline_counts_the_job(self):
+        jobs = _dyadic_jobs(FAR)
+        a, b, intensity, contained = critical_interval(jobs)
+        assert (a, b, intensity) == (FAR, FAR + 0.125, 2.0)
+        assert [j.id for j in contained] == ["x"]
+
+
 class TestValidation:
     def test_duplicate_ids(self):
         with pytest.raises(ValidationError):
