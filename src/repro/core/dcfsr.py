@@ -64,9 +64,8 @@ from repro.routing.rounding import (
 )
 from repro.scheduling.schedule import (
     EnergyBreakdown,
-    FlowSchedule,
     Schedule,
-    Segment,
+    density_schedule,
 )
 from repro.topology.base import Topology
 
@@ -123,17 +122,6 @@ class DcfsrResult:
         return self.energy.total / self.lower_bound
 
 
-def _density_schedule(flow: Flow, path: Path) -> FlowSchedule:
-    """The Algorithm-2 service profile: density rate over the whole span."""
-    return FlowSchedule(
-        flow=flow,
-        path=path,
-        segments=(
-            Segment(start=flow.release, end=flow.deadline, rate=flow.density),
-        ),
-    )
-
-
 def relaxation_weights(
     flows: Sequence[Flow], relaxation: RelaxationResult
 ) -> ArrayPathWeights | None:
@@ -169,7 +157,7 @@ def round_schedule(
     paths = sample_paths(weights, rng)
     return (
         Schedule(
-            _density_schedule(flow, path)
+            density_schedule(flow, path)
             for flow, path in zip(flows, paths)
         ),
         weights,
@@ -194,7 +182,7 @@ def round_schedule_deterministic(
     paths = argmax_paths(weights)
     return (
         Schedule(
-            _density_schedule(flow, path)
+            density_schedule(flow, path)
             for flow, path in zip(flows, paths)
         ),
         weights,
@@ -216,7 +204,7 @@ def round_schedule_reference(
         w_bar = aggregate_path_weights(flow, fractions)
         weights[flow.id] = w_bar
         flow_schedules.append(
-            _density_schedule(flow, sample_path(w_bar, rng))
+            density_schedule(flow, sample_path(w_bar, rng))
         )
     return Schedule(flow_schedules), weights
 
@@ -233,7 +221,7 @@ def round_schedule_deterministic_reference(
         w_bar = aggregate_path_weights(flow, fractions)
         weights[flow.id] = w_bar
         path = max(sorted(w_bar), key=lambda p: w_bar[p])
-        flow_schedules.append(_density_schedule(flow, path))
+        flow_schedules.append(density_schedule(flow, path))
     return Schedule(flow_schedules), weights
 
 
@@ -366,7 +354,7 @@ def solve_dcfsr(
         else:
             paths = sample_paths(weights, rng)
         schedule = Schedule(
-            _density_schedule(flow, path)
+            density_schedule(flow, path)
             for flow, path in zip(flows, paths)
         )
         # max_link_rate and energy share the schedule's cached link-rate

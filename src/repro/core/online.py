@@ -35,7 +35,7 @@ from repro.flows.flow import FlowSet
 from repro.power.model import PowerModel
 from repro.routing.costs import envelope_cost
 from repro.routing.fastpath import FastRouter, LoadLedger
-from repro.scheduling.schedule import FlowSchedule, Schedule, Segment
+from repro.scheduling.schedule import Schedule, density_schedule
 from repro.topology.base import Topology
 
 __all__ = ["solve_online_density"]
@@ -65,19 +65,7 @@ def solve_online_density(
         path, edge_ids = router.route(flow.src, flow.dst)
         paths[flow.id] = path
         ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
-        flow_schedules.append(
-            FlowSchedule(
-                flow=flow,
-                path=path,
-                segments=(
-                    Segment(
-                        start=flow.release,
-                        end=flow.deadline,
-                        rate=flow.density,
-                    ),
-                ),
-            )
-        )
+        flow_schedules.append(density_schedule(flow, path))
 
     schedule = Schedule(flow_schedules)
     t0, t1 = flows.horizon

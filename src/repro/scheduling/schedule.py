@@ -33,6 +33,7 @@ __all__ = [
     "Schedule",
     "EnergyBreakdown",
     "FeasibilityReport",
+    "density_schedule",
 ]
 
 #: Tolerance used by feasibility checks (volumes, deadlines, capacity).
@@ -109,6 +110,19 @@ class FlowSchedule:
         if not self.segments:
             raise ValidationError(f"flow {self.flow.id!r} has an empty profile")
         return self.segments[-1].end
+
+
+def density_schedule(flow: Flow, path: tuple[str, ...]) -> FlowSchedule:
+    """Full-span density schedule: ``flow`` at its density ``w_i / (d_i -
+    r_i)`` on ``path`` over ``[r_i, d_i]`` — the shape every density-rate
+    policy commits."""
+    return FlowSchedule(
+        flow=flow,
+        path=path,
+        segments=(
+            Segment(start=flow.release, end=flow.deadline, rate=flow.density),
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from repro.flows.flow import Flow
 from repro.power.model import PowerModel
 from repro.service.partition import TopologyPartition
 from repro.service.sharded import ShardedReplayEngine, WindowStats
+from repro.sim.churn import FaultEvent
 from repro.topology.base import Topology
 from repro.traces.replay import ReplayReport
 from repro.traces.store import TraceReader
@@ -89,20 +90,25 @@ class ReplayService:
         self._engine.inject_worker_crash(index)
 
     def serve_trace(self, path: str, limit: int | None = None) -> int:
-        """Stream flows from a JSONL trace file, tracking a resume cursor.
+        """Stream flows and inline fault events from a JSONL trace file,
+        tracking a resume cursor.
 
-        Admits up to ``limit`` flows (all of them when None) and records
-        the byte cursor of the next unread flow after every admission,
-        so a :meth:`snapshot` taken at any point carries an exact resume
-        position.  Returns the number of flows admitted by this call.
+        Admits up to ``limit`` flows (all of them when None; fault
+        records do not count) and records the byte cursor of the next
+        unread record after every admission, so a :meth:`snapshot` taken
+        at any point carries an exact resume position.  Returns the
+        number of flows admitted by this call.
         """
         count = 0
-        with TraceReader(path) as reader:
+        with TraceReader(path, include_faults=True) as reader:
             if self._trace_path == path and self._trace_cursor is not None:
                 reader.seek(self._trace_cursor)
-            for flow in reader:
-                self._engine.feed(flow)
-                count += 1
+            for item in reader:
+                if isinstance(item, FaultEvent):
+                    self._engine.feed_fault(item)
+                else:
+                    self._engine.feed(item)
+                    count += 1
                 self._trace_path = path
                 self._trace_cursor = reader.tell()
                 if limit is not None and count >= limit:

@@ -20,18 +20,23 @@ Division of labor per window ``k``:
   shard) are relaxed and rounded *inside* that shard's worker, against
   the shard-local restriction of the lagged background vector.
 * **Cross-shard flows** are routed in the parent on the boundary-aware
-  global view with marginal envelope-cost routing (the
-  :class:`~repro.traces.policies.OnlineDensityPolicy` machinery): cheap,
-  load-aware, and deterministic.  They are the only traffic that can
-  load a boundary link.
-* **Accounting** goes through the exact same
-  :class:`~repro.traces.replay.WindowAccountant` the single-owner engine
-  uses — commitments are re-merged in arrival order, so verdicts, energy
-  sweeps and capacity checks are shared code, not reimplementations.
+  global view by :class:`~repro.traces.policies.OnlineDensityPolicy`
+  (marginal envelope-cost routing; :class:`~repro.traces.policies.
+  GreedyDensityPolicy` in greedy mode): cheap, load-aware, and
+  deterministic.  They are the only traffic that can load a boundary
+  link.
+* **Everything else is the shared window loop.**  This engine is the
+  pipelined executor of :class:`~repro.traces.replay.WindowLoop`, the
+  loop :class:`~repro.traces.replay.ReplayEngine` runs inline: ingest,
+  window bounds, the commit step (here in arrival order), settlement,
+  the trailing sweep and the report are the same code in both engines.
+  This module adds partitioning, dispatch, the pipeline lag, crash
+  recovery, checkpoints, dark-shard evacuation and the per-shard and
+  per-window telemetry.
 
 **Pipelining.**  ``pipeline_depth = d`` keeps up to ``d`` windows in
 flight: window ``k`` is dispatched as soon as its arrivals are complete,
-and the results of window ``k - d`` are collected (committed, finalized)
+and the results of window ``k - d`` are collected (committed, settled)
 just before.  The background visible to window ``k`` is therefore the
 commitments of windows ``<= k - d`` — *structurally* lagged, a function
 of the window index alone, never of worker timing.  That staleness is
@@ -63,11 +68,9 @@ from repro.experiments.parallel import WorkerCrash, WorkerGroup
 from repro.flows.flow import Flow, FlowSet
 from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
-from repro.routing.costs import envelope_cost
-from repro.routing.fastpath import FastRouter, LoadLedger
 from repro.routing.mcflow import check_fw_settings
 from repro.routing.rounding import argmax_paths, sample_paths
-from repro.scheduling.schedule import FlowSchedule, Segment
+from repro.scheduling.schedule import density_schedule
 from repro.service.degrade import DegradeController, SolveBudget
 from repro.service.partition import TopologyPartition, partition_topology
 from repro.sim.churn import (
@@ -77,12 +80,16 @@ from repro.sim.churn import (
     survivor_shortest_path,
 )
 from repro.topology.base import Topology, path_edges
-from repro.traces.repair import DEAD_EDGE_WEIGHT, ChurnManager
+from repro.traces.policies import (
+    GreedyDensityPolicy,
+    OnlineDensityPolicy,
+    resolve_background,
+)
 from repro.traces.replay import (
     ReplayReport,
     ShardStats,
     WindowAccountant,
-    flow_verdict,
+    WindowLoop,
 )
 
 __all__ = ["WindowStats", "ShardedReplayEngine"]
@@ -97,7 +104,12 @@ SNAPSHOT_KIND = "repro-sharded-replay"
 # state bit-for-bit, in-flight entries pin their dispatch-time dead-link
 # view, and the service state grew the dark-shard (evacuation) set and
 # the ``failure_domains``/``srlg_diverse`` config.
-SNAPSHOT_VERSION = 4
+# v5: the stream, counters, accountant and churn state move under one
+# ``"loop"`` key (the shared WindowLoop's own snapshot); in-flight
+# entries drop their window bounds (derived from the index); the
+# topology fingerprint moves out of the config, which is now exactly
+# the constructor's keyword arguments.
+SNAPSHOT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -227,8 +239,6 @@ class _InFlight:
     """One dispatched-but-uncommitted window (plain data, picklable)."""
 
     index: int
-    start: float
-    end: float
     arrivals: list[Flow]
     assign: dict  # flow id -> shard index (cross-shard flows absent)
     shard_ids: tuple[int, ...]
@@ -367,6 +377,14 @@ class ShardedReplayEngine:
             raise ValidationError(
                 "partition was built for a different topology"
             )
+        if max_worker_restarts < 1:
+            raise ValidationError(
+                f"max_worker_restarts must be >= 1, got {max_worker_restarts}"
+            )
+        if resync_windows < 0:
+            raise ValidationError(
+                f"resync_windows must be >= 0, got {resync_windows}"
+            )
         self._topology = topology
         self._power = power
         self._window = window
@@ -380,44 +398,50 @@ class ShardedReplayEngine:
         self._background_mode = background_mode
         self._budget = budget
         self._tol = tol
-        self._cost = envelope_cost(power)
-
-        if max_worker_restarts < 1:
-            raise ValidationError(
-                f"max_worker_restarts must be >= 1, got {max_worker_restarts}"
-            )
-        if resync_windows < 0:
-            raise ValidationError(
-                f"resync_windows must be >= 0, got {resync_windows}"
-            )
-        shards = partition.shards
-        config = (seed, fw_max_iterations, fw_gap_tolerance, rounding)
-        self._group = WorkerGroup(
-            lambda i: _ShardSolver(shards[i], power, config), len(shards)
-        )
-        self._controller = DegradeController(budget)
-        self._acct = WindowAccountant(topology, power, tol=tol)
-        self._inflight: deque[_InFlight] = deque()
-        self._kept: list[FlowSchedule] | None = [] if keep_schedules else None
-        self.window_log: list[WindowStats] = []
-
-        # Fault injection + crash tolerance.
-        self._faults = faults
         self._failure_domains = (
             tuple(failure_domains) if failure_domains is not None else None
         )
         self._srlg_diverse = srlg_diverse
+        # Cross-shard flows, routed in the parent on the global view.
+        self._cross_policy = (
+            OnlineDensityPolicy(background_mode)
+            if mode == "relax"
+            else GreedyDensityPolicy()
+        )
+        self._controller = DegradeController(budget)
+        self._inflight: deque[_InFlight] = deque()
+        self.window_log: list[WindowStats] = []
+        self._loop = WindowLoop(
+            topology,
+            power,
+            window,
+            WindowAccountant(topology, power, tol=tol),
+            self,
+            keep_schedules=keep_schedules,
+            tol=tol,
+            faults=faults,
+            repair="greedy",  # the snapshot-deterministic tier
+            domains=self._failure_domains,
+            srlg_diverse=srlg_diverse,
+        )
+        #: Pipeline skip state: the largest dispatched deadline.
+        self._max_deadline = -np.inf
+        self._finished = False
+        self._closed = False
+
+        # Crash tolerance.
         self._heartbeat_s = heartbeat_s
         self._max_worker_restarts = max_worker_restarts
         self._ckpt_every = checkpoint_every
         self._resync = resync_windows
-        self._churn: ChurnManager | None = None
-        self._stash_events: list[FaultEvent] = []
         self._worker_events: list[FaultEvent] = sorted(
             faults.worker_events() if faults is not None else (),
             key=lambda e: e.time,
         )
+        for event in self._worker_events:
+            self._check_shard(event.shard)
         self._worker_event_pos = 0
+        shards = partition.shards
         n = len(shards)
         #: Per-shard ledger of submitted-but-uncollected window messages
         #: (append at submit, popleft on successful collect) — exactly
@@ -433,36 +457,27 @@ class ShardedReplayEngine:
         #: and the worker is quiesced; a dark→lit transition triggers the
         #: same greedy resync a restarted worker gets.
         self._dark_prev: frozenset[int] = frozenset()
-        self._evacuated_flows = 0
         self._rev_edge_maps = [
             {int(pid): li for li, pid in enumerate(shard.edge_map)}
             for shard in shards
         ]
 
-        # Stream state (established by the first feed).
-        self._t0: float | None = None
-        self._current = 0
-        self._pending: list[Flow] = []
-        self._last_release = 0.0
-        self._max_deadline = -np.inf
-        self._finished = False
-        self._closed = False
-
-        # Counters mirroring the single-owner engine's report fields.
-        self._flows_seen = 0
-        self._flows_served = 0
-        self._misses = 0
-        self._unserved = 0
-        self._volume_offered = 0.0
-        self._volume_delivered = 0.0
-        self._max_window_arrivals = 0
+        # Service-side counters (the loop keeps the report's).
         self._degraded_windows = 0
+        #: One ShardStats row of counters per shard, then one for the
+        #: cross-shard flows the parent routes.
         self._per_shard = [
-            {"flows": 0, "energy": 0.0, "misses": 0, "degraded": 0,
+            {"flows": 0, "energy": 0.0, "misses": 0, "degraded_windows": 0,
              "solve_s": 0.0, "evacuated": 0}
-            for _ in shards
+            for _ in range(n + 1)
         ]
-        self._cross_stats = {"flows": 0, "energy": 0.0, "misses": 0}
+
+        # Fork last: every check above runs before a worker exists, so a
+        # rejected configuration cannot leak child processes.
+        config = (seed, fw_max_iterations, fw_gap_tolerance, rounding)
+        self._group = WorkerGroup(
+            lambda i: _ShardSolver(shards[i], power, config), n
+        )
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -478,7 +493,7 @@ class ShardedReplayEngine:
 
     @property
     def flows_fed(self) -> int:
-        return self._flows_seen
+        return self._loop.flows_seen
 
     # ------------------------------------------------------------------
     # Streaming admission.
@@ -489,70 +504,27 @@ class ShardedReplayEngine:
             raise ValidationError("engine already finished")
         if self._closed:
             raise ValidationError("engine is closed")
-        if self._t0 is None:
-            self._t0 = flow.release
-            self._last_release = flow.release
-            self._pending = [flow]
-            self._flows_seen = 1
-            self._init_churn()
-            return
-        if flow.release < self._last_release - 1e-9:
-            raise ValidationError(
-                f"trace is not sorted by release time: flow {flow.id!r} "
-                f"released at {flow.release} after {self._last_release}"
-            )
-        self._last_release = max(self._last_release, flow.release)
-        self._flows_seen += 1
-        k = int((flow.release - self._t0) // self._window)
-        while k > self._current:
-            self._dispatch(self._current, self._pending)
-            self._pending = []
-            self._current += 1
-            if k > self._current:
-                self._current = self._next_busy_window(self._current, k)
-        self._pending.append(flow)
+        self._loop.feed(flow)
 
     def feed_fault(self, event: FaultEvent) -> None:
         """Admit one fault event (same nondecreasing-time stream as flows).
 
-        Link events queue on the churn manager (stashed until the first
-        flow fixes the window origin); ``worker_crash`` events join the
-        dispatch-time kill schedule.
+        Fabric events go to the window loop's churn manager;
+        ``worker_crash`` events join the dispatch-time kill schedule.
         """
         if event.kind == WORKER_CRASH:
-            if event.shard >= self._partition.num_shards:
-                raise ValidationError(
-                    f"worker_crash targets shard {event.shard}; partition "
-                    f"has {self._partition.num_shards}"
-                )
+            self._check_shard(event.shard)
             self._worker_events.append(event)
             self._worker_events.sort(key=lambda e: e.time)
-        elif self._churn is None:
-            self._stash_events.append(event)
         else:
-            self._churn.add_events((event,))
+            self._loop.feed_fault(event)
 
-    def _init_churn(self) -> None:
-        """Build the churn manager once the window origin is known."""
-        churn = ChurnManager(
-            self._topology,
-            self._power,
-            self._acct,
-            origin=self._t0,
-            window=self._window,
-            repair="greedy",  # the snapshot-deterministic tier
-            tol=self._tol,
-            domains=self._failure_domains,
-            srlg_diverse=self._srlg_diverse,
-        )
-        churn.kept = self._kept
-        if self._faults is not None:
-            churn.add_events(self._faults.fabric_events())
-        if self._stash_events:
-            churn.add_events(self._stash_events)
-            self._stash_events = []
-        churn.apply_upto(self._t0)
-        self._churn = churn
+    def _check_shard(self, index: int) -> None:
+        if not 0 <= index < self._partition.num_shards:
+            raise ValidationError(
+                f"no shard {index}; partition has "
+                f"{self._partition.num_shards}"
+            )
 
     def run(self, trace: Iterable[Flow]) -> ReplayReport:
         """Feed an entire trace and :meth:`finish` — whole-trace sugar.
@@ -567,37 +539,40 @@ class ShardedReplayEngine:
                 self.feed(item)
         return self.finish()
 
-    def _window_bounds(self, k: int) -> tuple[float, float]:
-        start = self._t0 + k * self._window
-        return start, start + self._window
-
-    def _next_busy_window(self, after: int, upto: int) -> int:
+    # ------------------------------------------------------------------
+    # Executor hooks (see WindowLoop).
+    # ------------------------------------------------------------------
+    def busy_window(self, after: int, upto: int) -> int:
         """Deterministic quiet-gap skip.
 
-        Unlike the single-owner engine this cannot consult the live
-        ledger (in-flight windows are not committed yet), so it uses the
+        Unlike the inline engine this cannot consult the live ledger
+        (in-flight windows are not committed yet), so it uses the
         equivalent full-information test: a dispatched flow's span ends
         exactly at its deadline, so windows before ``after`` still carry
         load iff any dispatched deadline lies beyond ``after``'s start.
         A pure function of the fed prefix — the snapshot/restore pins
         rely on that.
         """
-        if self._max_deadline > self._t0 + after * self._window:
+        if self._max_deadline > self._loop.bounds(after)[0]:
             return after
         return upto
 
-    # ------------------------------------------------------------------
-    # Window dispatch (scatter).
-    # ------------------------------------------------------------------
-    def _dispatch(self, k: int, arrivals: list[Flow]) -> None:
+    def drain(self) -> None:
+        """Collect, commit and settle every window still in flight."""
+        while self._inflight:
+            self._collect_one()
+
+    def close_window(self, k: int, arrivals: list[Flow]) -> None:
+        """Dispatch window ``k`` (the scatter); commit and settle the
+        windows the pipeline lag releases first."""
         # Commit everything old enough that its reservations become
         # visible: the structural pipeline lag.
         while self._inflight and self._inflight[0].index <= k - self._depth:
             self._collect_one()
-        start, end = self._window_bounds(k)
+        loop = self._loop
         # Enact scheduled worker crashes older than this window, then
         # recover immediately so the submits below reach a live worker.
-        self._consume_worker_events(start)
+        self._consume_worker_events(loop.bounds(k)[0])
         self._maybe_checkpoint(k)
         # Dark shards: a shard whose switch node is down cannot solve
         # anything meaningful locally — quiesce it (no submits) and
@@ -608,21 +583,14 @@ class ShardedReplayEngine:
         for shard_idx in sorted(self._dark_prev - dark):
             self._resync_left[shard_idx] = self._resync
         self._dark_prev = dark
-        self._max_window_arrivals = max(
-            self._max_window_arrivals, len(arrivals)
-        )
         if not arrivals:
-            # Bookkeeping-only entry: its collect finalizes the window in
-            # commit order (finalizing now would sweep ahead of the
+            # Bookkeeping-only entry: its collect settles the window in
+            # commit order (settling now would sweep ahead of the
             # still-uncommitted in-flight windows).
             self._inflight.append(
-                _InFlight(k, start, end, arrivals=[], assign={}, shard_ids=())
+                _InFlight(k, arrivals=[], assign={}, shard_ids=())
             )
             return
-        by_id = {flow.id: flow for flow in arrivals}
-        if len(by_id) != len(arrivals):
-            raise ValidationError("duplicate flow ids within one window")
-        self._volume_offered += sum(flow.size for flow in arrivals)
         for flow in arrivals:
             if flow.deadline > self._max_deadline:
                 self._max_deadline = flow.deadline
@@ -635,7 +603,6 @@ class ShardedReplayEngine:
             if shard is None:
                 cross_flows.append(flow)
             elif shard in dark:
-                self._evacuated_flows += 1
                 self._per_shard[shard]["evacuated"] += 1
                 cross_flows.append(flow)
             else:
@@ -647,17 +614,17 @@ class ShardedReplayEngine:
             relax = not self._controller.should_degrade(len(self._inflight))
             if not relax:
                 self._degraded_windows += 1
-        background = None
-        if self._mode == "relax":
-            if self._background_mode == "interval":
-                background = self._acct.background_profile(start, end)
-            else:
-                background = self._acct.background(start, end)
         # The dead-link view a window dispatches against changes only at
         # collect boundaries (settle applies events before finalize), so
         # it is structurally lagged like the background — a function of
         # the dispatch/collect schedule, never of worker timing.
-        down = self._churn.down_key()
+        down = loop.down_view()
+        # One lazily built context: the shard slices and the cross-shard
+        # policy read the same background, built at most once.
+        ctx = loop.context(k, down, {})
+        background = None
+        if self._mode == "relax":
+            background = resolve_background(ctx, self._background_mode)
         shard_ids = tuple(sorted(per_shard))
         for shard_idx in shard_ids:
             local_bg = None
@@ -689,17 +656,23 @@ class ShardedReplayEngine:
             )
         # Route cross-shard flows in the parent while the shard solves
         # run; with the async submit above this is the window's overlap.
-        cross = self._route_cross(cross_flows, background, down)
+        # The policy is reset every window: its router's candidate cache
+        # depends on history, and a restored run must not inherit a
+        # different cache than the original.
+        cross: dict = {}
+        if cross_flows:
+            self._cross_policy.reset()
+            for fs in self._cross_policy.schedule_window(cross_flows, ctx):
+                cross[fs.flow.id] = fs
         self._inflight.append(
             _InFlight(
-                k, start, end, arrivals, assign, shard_ids, cross, relax,
-                down=down,
+                k, arrivals, assign, shard_ids, cross, relax, down=down
             )
         )
 
     def _dark_shards(self) -> frozenset[int]:
         """Shards owning a currently-down switch node."""
-        switches = self._churn.down_switches
+        switches = self._loop.churn.down_switches
         if not switches:
             return frozenset()
         comp = self._partition.node_component
@@ -707,80 +680,9 @@ class ShardedReplayEngine:
             comp[node][0] for node in switches if node in comp
         )
 
-    def _route_cross(
-        self,
-        flows: list[Flow],
-        background: np.ndarray | BackgroundProfile | None,
-        down: frozenset[int],
-    ) -> dict:
-        """Boundary-aware routing for flows no shard can solve locally.
-
-        With ``down`` nonempty, routes avoid the dead links; a flow with
-        no surviving route is omitted (the collect counts it unserved).
-        """
-        if not flows:
-            return {}
-        schedules: dict = {}
-        if self._mode == "greedy":
-            # Static shortest paths: the exact choice GreedyDensityPolicy
-            # makes, which is what the equivalence pin compares against.
-            for flow in flows:
-                if down:
-                    try:
-                        path = survivor_shortest_path(
-                            self._topology, down, flow.src, flow.dst
-                        )
-                    except TopologyError:
-                        continue  # no surviving route -> unserved
-                else:
-                    path = self._topology.shortest_path(flow.src, flow.dst)
-                schedules[flow.id] = _density_schedule(flow, path)
-            return schedules
-        # Marginal envelope-cost routing on the global view (the
-        # OnlineDensityPolicy machinery).  The router is rebuilt per
-        # window: its candidate cache is history-dependent and a restored
-        # run must not inherit a different cache than the original.
-        router = FastRouter(self._topology)
-        ledger = LoadLedger(self._topology, background=background)
-        down_idx = np.asarray(sorted(down), dtype=np.int64) if down else None
-        for flow in sorted(flows, key=lambda f: (f.release, str(f.id))):
-            loads = ledger.loads(flow.release, flow.deadline)
-            weights = np.maximum(self._cost.derivative(loads), 1e-12)
-            if down_idx is not None:
-                weights[down_idx] = DEAD_EDGE_WEIGHT
-            router.set_marginal(weights, decreased=True)
-            path, edge_ids = router.route(flow.src, flow.dst)
-            if down and any(int(eid) in down for eid in edge_ids):
-                continue  # no surviving route -> unserved
-            ledger.commit(
-                edge_ids, flow.release, flow.deadline, flow.density
-            )
-            schedules[flow.id] = FlowSchedule(
-                flow=flow,
-                path=path,
-                segments=(
-                    Segment(
-                        start=flow.release,
-                        end=flow.deadline,
-                        rate=flow.density,
-                    ),
-                ),
-            )
-        return schedules
-
     # ------------------------------------------------------------------
     # Crash tolerance: heartbeat collects, backoff restart, resubmission.
     # ------------------------------------------------------------------
-    def _settle(self, end: float) -> None:
-        """Apply fault events strictly before ``end``, then finalize.
-
-        The one ordering invariant of the fault model: every finalize is
-        preceded by the churn application for the same boundary, so
-        repair commitments land before the sweep that prices them.
-        """
-        self._churn.apply_upto(end)
-        self._acct.finalize(end)
-
     @staticmethod
     def _degrade_msg(msg):
         """Rewrite a window message to the greedy path for resubmission.
@@ -899,11 +801,7 @@ class ShardedReplayEngine:
         heartbeat expiry), restarts it, and resubmits its uncollected
         windows — the zero-lost-flows guarantee the chaos tests pin.
         """
-        if not 0 <= index < self._partition.num_shards:
-            raise ValidationError(
-                f"no shard {index}; partition has "
-                f"{self._partition.num_shards}"
-            )
+        self._check_shard(index)
         self._group.kill(index)
 
     # ------------------------------------------------------------------
@@ -913,9 +811,10 @@ class ShardedReplayEngine:
         # Peek, don't pop: if a collect below dies hard (restart budget
         # exhausted) the entry stays in flight for error reporting.
         entry = self._inflight[0]
+        loop = self._loop
         if not entry.arrivals:
             self._inflight.popleft()
-            self._settle(entry.end)
+            loop.settle(entry.index)
             return
         results = entry.results
         if results is None:
@@ -932,90 +831,45 @@ class ShardedReplayEngine:
             stats = self._per_shard[shard_idx]
             stats["solve_s"] += solve_s
             if degraded and self._mode == "relax":
-                stats["degraded"] += 1
+                stats["degraded_windows"] += 1
             if solve_s > window_solve:
                 window_solve = solve_s
             for flow_id, path in pairs:
                 path_of[flow_id] = path
 
-        served = 0
-        misses = 0
-        served_ids: set = set()
         # Commit in arrival order regardless of which shard answered:
         # the exact float-accumulation order of the single-owner engine.
-        for flow in entry.arrivals:
-            shard_idx = entry.assign.get(flow.id)
-            if shard_idx is None:
-                fs = entry.cross.get(flow.id)
-            else:
-                if flow.id not in path_of:
-                    raise ValidationError(
-                        f"shard {shard_idx} returned no result for flow "
-                        f"{flow.id!r} in window {entry.index}"
-                    )
-                path = path_of[flow.id]
-                # ``None`` path: no surviving route past the dead links.
-                fs = None if path is None else _density_schedule(flow, path)
-            if fs is None:
-                continue
-            in_span, delivered, missed = flow_verdict(fs, flow, self._tol)
-            if not in_span:
-                raise ValidationError(
-                    f"{self.name}: flow {flow.id!r} scheduled outside "
-                    "its span"
-                )
-            served += 1
-            served_ids.add(flow.id)
-            self._flows_served += 1
-            self._volume_delivered += delivered
-            if missed:
-                misses += 1
-                self._misses += 1
-            n_edges = len(fs.path) - 1
-            standalone = sum(
-                self._power.mu
-                * seg.rate**self._power.alpha
-                * (seg.end - seg.start)
+        committed = loop.commit(
+            entry.index,
+            entry.arrivals,
+            self._schedules(entry, path_of),
+            entry.down,
+            self.name,
+        )
+        mu, alpha = self._power.mu, self._power.alpha
+        misses = 0
+        for fs, missed in committed:
+            shard_idx = entry.assign.get(fs.flow.id)
+            stats = self._per_shard[-1 if shard_idx is None else shard_idx]
+            stats["flows"] += 1
+            stats["energy"] += sum(
+                mu * seg.rate**alpha * (seg.end - seg.start)
                 for seg in fs.segments
-            ) * n_edges
-            if shard_idx is None:
-                self._cross_stats["flows"] += 1
-                self._cross_stats["energy"] += standalone
-                if missed:
-                    self._cross_stats["misses"] += 1
-            else:
-                stats = self._per_shard[shard_idx]
-                stats["flows"] += 1
-                stats["energy"] += standalone
-                if missed:
-                    stats["misses"] += 1
-            self._acct.commit(fs)
-            self._churn.register(flow, fs, missed)
-            if self._kept is not None:
-                self._kept.append(fs)
-        n_unserved = len(entry.arrivals) - served
-        self._unserved += n_unserved
-        if n_unserved and entry.down:
-            # Attribute never-committed arrivals with no survivor route
-            # on the dispatch-time dead-link view — exactly once, and
-            # disjoint from the committed-then-doomed set the churn
-            # manager attributes itself (mirrors the single-owner
-            # engine's schedule-time attribution).
-            for flow in entry.arrivals:
-                if flow.id not in served_ids and self._churn.unreachable(
-                    flow.src, flow.dst, entry.down
-                ):
-                    self._churn.misses_attributed += 1
-        self._settle(entry.end)
+            ) * (len(fs.path) - 1)
+            if missed:
+                stats["misses"] += 1
+                misses += 1
+        loop.settle(entry.index)
         if entry.shard_ids and self._mode == "relax":
             self._controller.observe(window_solve, not entry.relax)
+        start, end = loop.bounds(entry.index)
         self.window_log.append(
             WindowStats(
                 index=entry.index,
-                start=entry.start,
-                end=entry.end,
+                start=start,
+                end=end,
                 arrivals=len(entry.arrivals),
-                served=served,
+                served=len(committed),
                 misses=misses,
                 cross_flows=len(entry.cross),
                 degraded=not entry.relax,
@@ -1023,109 +877,55 @@ class ShardedReplayEngine:
             )
         )
 
+    @staticmethod
+    def _schedules(entry: _InFlight, path_of: dict):
+        """A collected window's schedules, in arrival order.  A ``None``
+        shard path (no surviving route past the dead links) and a cross
+        flow the parent could not route leave the flow unserved."""
+        for flow in entry.arrivals:
+            shard_idx = entry.assign.get(flow.id)
+            if shard_idx is None:
+                fs = entry.cross.get(flow.id)
+            elif flow.id not in path_of:
+                raise ValidationError(
+                    f"shard {shard_idx} returned no result for flow "
+                    f"{flow.id!r} in window {entry.index}"
+                )
+            else:
+                path = path_of[flow.id]
+                fs = None if path is None else density_schedule(flow, path)
+            if fs is not None:
+                yield fs
+
     # ------------------------------------------------------------------
     # Settlement.
     # ------------------------------------------------------------------
     def finish(self) -> ReplayReport:
         """Dispatch the final window, drain every shard, build the report."""
-        if self._t0 is None:
-            raise ValidationError("trace produced no flows")
         if self._finished:
             raise ValidationError("engine already finished")
-        self._dispatch(self._current, self._pending)
-        self._pending = []
-        while self._inflight:
-            self._collect_one()
+        self._loop.finish()
         self._finished = True
-
-        acct = self._acct
-        current = self._current + 1
-        # Trailing sweep over still-transmitting reservations: everything
-        # is committed now, so this mirrors the single-owner engine's
-        # epilogue verbatim (same window arithmetic, same skip rule).
-        churn = self._churn
-        while acct.has_live or churn.has_pending:
-            next_t = acct.next_live_start(self._t0 + current * self._window)
-            if next_t is not None:
-                current = max(
-                    current,
-                    min(1 << 62, int((next_t - self._t0) // self._window)),
-                )
-            elif not acct.has_live:
-                # Only fault events remain; one jump settles them all.
-                current = 1 << 62
-            self._settle(self._window_bounds(current)[1])
-            current += 1
-        churn.flush()
-        acct.drain()
 
         drift = 0.0
         if self._mode == "relax":
             drift = max(self._group.broadcast(("drift",)), default=0.0)
-
-        t1 = (
-            acct.last_segment_end
-            if acct.last_segment_end > self._t0
-            else self._last_release
+        labels = [
+            f"shard{shard.index}[{'+'.join(shard.groups)}]"
+            for shard in self._partition.shards
+        ]
+        shard_stats = tuple(
+            ShardStats(shard=label, **stats)
+            for label, stats in zip(labels + ["cross-shard"], self._per_shard)
         )
-        shard_stats = []
-        for shard, stats in zip(self._partition.shards, self._per_shard):
-            shard_stats.append(
-                ShardStats(
-                    shard=f"shard{shard.index}[{'+'.join(shard.groups)}]",
-                    flows=stats["flows"],
-                    energy=stats["energy"],
-                    misses=stats["misses"],
-                    degraded_windows=stats["degraded"],
-                    solve_s=stats["solve_s"],
-                    evacuated=stats["evacuated"],
-                )
-            )
-        shard_stats.append(
-            ShardStats(
-                shard="cross-shard",
-                flows=self._cross_stats["flows"],
-                energy=self._cross_stats["energy"],
-                misses=self._cross_stats["misses"],
-                degraded_windows=0,
-                solve_s=0.0,
-            )
-        )
-        return ReplayReport(
+        return self._loop.report(
             policy=self.name,
-            window=self._window,
-            windows=current,
-            horizon=(self._t0, t1),
-            flows_seen=self._flows_seen,
-            flows_served=self._flows_served,
-            deadline_misses=self._misses + churn.extra_misses,
-            unserved=self._unserved,
-            volume_offered=self._volume_offered,
-            volume_delivered=self._volume_delivered + churn.delivered_delta,
-            idle_energy=acct.idle_energy(self._t0, t1),
-            dynamic_energy=acct.dynamic_energy,
-            active_links=len(acct.active_links),
-            peak_link_rate=acct.peak_rate,
-            capacity_violations=acct.capacity_violations,
             policy_fallbacks=0,
-            max_resident_segments=acct.max_resident,
-            max_window_arrivals=self._max_window_arrivals,
             max_weight_drift=float(drift),
             degraded_windows=self._degraded_windows,
-            link_failures=churn.link_downs,
-            link_recoveries=churn.link_ups,
-            flows_rerouted=churn.flows_rerouted,
-            repair_energy_delta=churn.repair_energy_delta,
-            time_to_recover=churn.time_to_recover,
-            misses_attributed_to_failure=churn.misses_attributed,
-            domain_failures=churn.domain_failures,
-            domain_recoveries=churn.domain_recoveries,
-            total_recovery_time=churn.total_recovery_time,
-            repairs_triaged=churn.repairs_triaged,
-            evacuated_flows=self._evacuated_flows,
+            evacuated_flows=sum(s["evacuated"] for s in self._per_shard),
             worker_restarts=self._worker_restarts,
-            shard_stats=tuple(shard_stats),
-            schedules=self._kept,
+            shard_stats=shard_stats,
         )
 
     def close(self) -> None:
@@ -1184,7 +984,7 @@ class ShardedReplayEngine:
                 "pipeline_depth": self._depth,
                 "background_mode": self._background_mode,
                 "budget": self._budget,
-                "keep_schedules": self._kept is not None,
+                "keep_schedules": self._loop.kept is not None,
                 "tol": self._tol,
                 "heartbeat_s": self._heartbeat_s,
                 "max_worker_restarts": self._max_worker_restarts,
@@ -1192,41 +992,17 @@ class ShardedReplayEngine:
                 "resync_windows": self._resync,
                 "failure_domains": self._failure_domains,
                 "srlg_diverse": self._srlg_diverse,
-                "topology_name": self._topology.name,
-                "num_edges": self._topology.num_edges,
             },
-            "stream": {
-                "t0": self._t0,
-                "current": self._current,
-                "pending": list(self._pending),
-                "last_release": self._last_release,
-                "max_deadline": self._max_deadline,
-            },
-            "counters": {
-                "flows_seen": self._flows_seen,
-                "flows_served": self._flows_served,
-                "misses": self._misses,
-                "unserved": self._unserved,
-                "volume_offered": self._volume_offered,
-                "volume_delivered": self._volume_delivered,
-                "max_window_arrivals": self._max_window_arrivals,
-                "degraded_windows": self._degraded_windows,
-                "per_shard": [dict(s) for s in self._per_shard],
-                "cross": dict(self._cross_stats),
-            },
+            "fabric": (self._topology.name, self._topology.num_edges),
+            "loop": self._loop.snapshot_state(),
             "controller": self._controller.snapshot_state(),
-            "acct": self._acct.snapshot_state(),
             "inflight": list(self._inflight),
             "window_log": list(self.window_log),
-            "kept": self._kept,
             "workers": workers,
-            "churn": (
-                self._churn.snapshot_state()
-                if self._churn is not None
-                else None
-            ),
-            "service_churn": {
-                "stash_events": list(self._stash_events),
+            "service": {
+                "max_deadline": self._max_deadline,
+                "degraded_windows": self._degraded_windows,
+                "per_shard": [dict(s) for s in self._per_shard],
                 "worker_events": self._worker_events[
                     self._worker_event_pos:
                 ],
@@ -1236,7 +1012,6 @@ class ShardedReplayEngine:
                 "checkpoints": list(self._checkpoints),
                 "last_ckpt": list(self._last_ckpt),
                 "dark_prev": sorted(self._dark_prev),
-                "evacuated_flows": self._evacuated_flows,
             },
         }
 
@@ -1263,36 +1038,15 @@ class ShardedReplayEngine:
                 f"unsupported snapshot version {state.get('version')!r} "
                 f"(expected {SNAPSHOT_VERSION})"
             )
-        cfg = state["config"]
-        if topology.num_edges != cfg["num_edges"]:
+        name, num_edges = state["fabric"]
+        if topology.num_edges != num_edges:
             raise ValidationError(
-                f"snapshot was taken on {cfg['topology_name']!r} "
-                f"({cfg['num_edges']} edges); got {topology.name!r} "
-                f"({topology.num_edges} edges)"
+                f"snapshot was taken on {name!r} ({num_edges} edges); got "
+                f"{topology.name!r} ({topology.num_edges} edges)"
             )
-        engine = cls(
-            topology,
-            power,
-            cfg["window"],
-            partition=partition,
-            num_shards=cfg["num_shards"],
-            mode=cfg["mode"],
-            seed=cfg["seed"],
-            fw_max_iterations=cfg["fw_max_iterations"],
-            fw_gap_tolerance=cfg["fw_gap_tolerance"],
-            rounding=cfg["rounding"],
-            pipeline_depth=cfg["pipeline_depth"],
-            background_mode=cfg["background_mode"],
-            budget=cfg["budget"],
-            keep_schedules=cfg["keep_schedules"],
-            tol=cfg["tol"],
-            heartbeat_s=cfg["heartbeat_s"],
-            max_worker_restarts=cfg["max_worker_restarts"],
-            checkpoint_every=cfg["checkpoint_every"],
-            resync_windows=cfg["resync_windows"],
-            failure_domains=cfg["failure_domains"],
-            srlg_diverse=cfg["srlg_diverse"],
-        )
+        # The config holds exactly the constructor's keyword arguments.
+        cfg = state["config"]
+        engine = cls(topology, power, partition=partition, **cfg)
         if engine._partition.num_shards != cfg["num_shards"]:
             raise ValidationError(
                 f"partition yields {engine._partition.num_shards} shards; "
@@ -1302,36 +1056,14 @@ class ShardedReplayEngine:
             engine._group.submit(index, ("restore", blob))
         for index in range(len(state["workers"])):
             engine._group.collect(index)
-        stream = state["stream"]
-        engine._t0 = stream["t0"]
-        engine._current = stream["current"]
-        engine._pending = list(stream["pending"])
-        engine._last_release = stream["last_release"]
-        engine._max_deadline = stream["max_deadline"]
-        counters = state["counters"]
-        engine._flows_seen = counters["flows_seen"]
-        engine._flows_served = counters["flows_served"]
-        engine._misses = counters["misses"]
-        engine._unserved = counters["unserved"]
-        engine._volume_offered = counters["volume_offered"]
-        engine._volume_delivered = counters["volume_delivered"]
-        engine._max_window_arrivals = counters["max_window_arrivals"]
-        engine._degraded_windows = counters["degraded_windows"]
-        engine._per_shard = [dict(s) for s in counters["per_shard"]]
-        engine._cross_stats = dict(counters["cross"])
+        engine._loop.restore_state(state["loop"])
         engine._controller.restore_state(state["controller"])
-        engine._acct.restore_state(state["acct"])
         engine._inflight = deque(state["inflight"])
         engine.window_log = list(state["window_log"])
-        engine._kept = state["kept"]
-        if engine._t0 is not None and state["churn"] is not None:
-            # Rebuild on the restored accountant, then overwrite with the
-            # snapshotted fault state (events, down set, live registry).
-            engine._init_churn()
-            engine._churn.restore_state(state["churn"])
-            engine._churn.kept = engine._kept
-        sc = state["service_churn"]
-        engine._stash_events = list(sc["stash_events"])
+        sc = state["service"]
+        engine._max_deadline = sc["max_deadline"]
+        engine._degraded_windows = sc["degraded_windows"]
+        engine._per_shard = [dict(s) for s in sc["per_shard"]]
         engine._worker_events = list(sc["worker_events"])
         engine._worker_event_pos = 0
         engine._worker_restarts = sc["worker_restarts"]
@@ -1340,16 +1072,5 @@ class ShardedReplayEngine:
         engine._checkpoints = list(sc["checkpoints"])
         engine._last_ckpt = list(sc["last_ckpt"])
         engine._dark_prev = frozenset(sc["dark_prev"])
-        engine._evacuated_flows = sc["evacuated_flows"]
         return engine
 
-
-def _density_schedule(flow: Flow, path: tuple[str, ...]) -> FlowSchedule:
-    """Full-span density schedule — every sharded commitment's shape."""
-    return FlowSchedule(
-        flow=flow,
-        path=path,
-        segments=(
-            Segment(start=flow.release, end=flow.deadline, rate=flow.density),
-        ),
-    )

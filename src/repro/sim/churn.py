@@ -290,6 +290,8 @@ class FaultEvent:
             raise ValidationError(f"{where}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: bad field value ({exc})") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
 
 
 class FaultSchedule:

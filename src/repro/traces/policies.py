@@ -52,8 +52,9 @@ from repro.routing.fastpath import FastRouter, LoadLedger
 from repro.routing.mcflow import check_fw_settings
 from repro.routing.paths import k_shortest_paths
 from repro.routing.rounding import argmax_paths, sample_paths
-from repro.scheduling.schedule import FlowSchedule, Segment
+from repro.scheduling.schedule import FlowSchedule, density_schedule
 from repro.topology.base import Topology, path_edges
+from repro.traces.repair import DEAD_EDGE_WEIGHT
 
 __all__ = [
     "WindowContext",
@@ -197,19 +198,7 @@ class GreedyDensityPolicy(ReplayPolicy):
                     continue  # no surviving route -> unserved
             else:
                 path = ctx.topology.shortest_path(flow.src, flow.dst)
-            schedules.append(
-                FlowSchedule(
-                    flow=flow,
-                    path=path,
-                    segments=(
-                        Segment(
-                            start=flow.release,
-                            end=flow.deadline,
-                            rate=flow.density,
-                        ),
-                    ),
-                )
-            )
+            schedules.append(density_schedule(flow, path))
         return schedules
 
 
@@ -280,16 +269,6 @@ class _CandidateSetMixin:
         self._candidates.clear()
 
 
-def _choice_schedule(flow: Flow, path: tuple[str, ...]) -> FlowSchedule:
-    return FlowSchedule(
-        flow=flow,
-        path=path,
-        segments=(
-            Segment(start=flow.release, end=flow.deadline, rate=flow.density),
-        ),
-    )
-
-
 class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     """Power-of-two-choices path selection, density rates.
 
@@ -349,7 +328,7 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
                 )
                 path, edge_ids = candidates[pick]
             ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
-            schedules.append(_choice_schedule(flow, path))
+            schedules.append(density_schedule(flow, path))
         return schedules
 
     def reset(self) -> None:
@@ -397,7 +376,7 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
                 candidates, key=lambda cand: float(loads[cand[1]].max())
             )
             ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
-            schedules.append(_choice_schedule(flow, path))
+            schedules.append(density_schedule(flow, path))
         return schedules
 
 
@@ -454,25 +433,13 @@ class OnlineDensityPolicy(ReplayPolicy):
             if down_idx is not None:
                 # Dead links cost (finitely) everything; a route that
                 # still crosses one proves no survivor path exists.
-                weights[down_idx] = 1e15
+                weights[down_idx] = DEAD_EDGE_WEIGHT
             router.set_marginal(weights, decreased=True)
             path, edge_ids = router.route(flow.src, flow.dst)
             if down and any(int(eid) in down for eid in edge_ids):
                 continue  # no surviving route -> unserved
             ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
-            schedules.append(
-                FlowSchedule(
-                    flow=flow,
-                    path=path,
-                    segments=(
-                        Segment(
-                            start=flow.release,
-                            end=flow.deadline,
-                            rate=flow.density,
-                        ),
-                    ),
-                )
-            )
+            schedules.append(density_schedule(flow, path))
         return schedules
 
     def reset(self) -> None:
@@ -654,18 +621,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
             paths = sample_paths(weights, self._rng)
         self.windows_solved += 1
         return [
-            FlowSchedule(
-                flow=flow,
-                path=path,
-                segments=(
-                    Segment(
-                        start=flow.release,
-                        end=flow.deadline,
-                        rate=flow.density,
-                    ),
-                ),
-            )
-            for flow, path in zip(flows, paths)
+            density_schedule(flow, path) for flow, path in zip(flows, paths)
         ]
 
     def _schedule_survivor(
@@ -737,18 +693,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
             paths = sample_paths(weights, self._rng)
         self.windows_solved += 1
         return [
-            FlowSchedule(
-                flow=flow,
-                path=path,
-                segments=(
-                    Segment(
-                        start=flow.release,
-                        end=flow.deadline,
-                        rate=flow.density,
-                    ),
-                ),
-            )
-            for flow, path in zip(served, paths)
+            density_schedule(flow, path) for flow, path in zip(served, paths)
         ]
 
     def reset(self) -> None:

@@ -43,7 +43,7 @@ infeasible or the optional ``repair_budget_s`` is exhausted.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import replace
 from heapq import heappop, heappush
 from time import perf_counter
@@ -110,10 +110,10 @@ class _LiveFlow:
 class ChurnManager:
     """Dead-link state, live-flow registry, and committed-flow repair.
 
-    Built by an engine once a fault source exists (a
-    :class:`~repro.sim.churn.FaultSchedule` or inline trace events);
-    fault-free runs never construct one, which is what keeps them
-    bit-identical to the pre-churn engines for free.
+    Built by the window loop (:class:`~repro.traces.replay.WindowLoop`)
+    once the first flow fixes the window origin.  With no events it never
+    touches accounting, which keeps fault-free runs bit-identical to the
+    pre-churn engines.
     """
 
     def __init__(
@@ -224,6 +224,14 @@ class ChurnManager:
     @property
     def has_pending(self) -> bool:
         return bool(self._events)
+
+    def next_event_time(self, floor: float) -> float | None:
+        """Time of the first pending event at or after ``floor`` (None
+        when there is none).  The window loop's quiet-gap skip stops at
+        that event's window, so every event settles in its own window."""
+        events = self._events
+        i = bisect_left(events, floor, key=lambda e: e.time)
+        return events[i].time if i < len(events) else None
 
     def down_key(self) -> frozenset[int]:
         return frozenset(self.down)

@@ -7,10 +7,18 @@ policy's decisions are irrevocable and their reservations are carried
 across window boundaries (a flow released late in window ``k`` keeps
 transmitting through windows ``k+1, k+2, ...``).
 
+**One loop, two executors.**  The window loop exists once, as
+:class:`WindowLoop`: ingest (window origin, release-order and duplicate-id
+checks, fault events), window bounds, admission counters, the commit
+step, settlement, the trailing sweep and the :class:`ReplayReport`.
+:class:`ReplayEngine` executes it inline — policy, commit and settle as
+each window closes — and the sharded service
+(:mod:`repro.service.sharded`) executes it through pipelined shard
+workers, so a fix or a check in the loop holds for both engines.
+
 Accounting is exact and bounded-memory, and lives in
-:class:`WindowAccountant` so the sharded service engine
-(:mod:`repro.service.sharded`) charges commitments through the identical
-code path.  Because a flow can only be scheduled in the window containing
+:class:`WindowAccountant`; the loop commits both engines' schedules
+through it.  Because a flow can only be scheduled in the window containing
 its release, no segment ever starts before its scheduling window — so
 once window ``k`` is scheduled, the link rates on ``[start_k, end_k)``
 are final.  Energy is integrated by a single global event sweep in the
@@ -221,8 +229,8 @@ def flow_verdict(
     """Judge one committed schedule: ``(in_span, delivered, missed)``.
 
     ``missed`` is True when the flow finished late or short by more than
-    ``tol``; shared verbatim by the single-owner and sharded engines so
-    verdicts cannot drift between them.
+    ``tol``; :meth:`WindowLoop.commit` judges every commitment of both
+    engines with it.
     """
     segments = fs.segments
     if len(segments) == 1:
@@ -625,8 +633,398 @@ class WindowAccountant:
         self.last_segment_end = state["last_segment_end"]
 
 
+#: The loop's admission counters (snapshotted and restored by name).
+_COUNTERS = (
+    "flows_seen",
+    "flows_served",
+    "misses",
+    "unserved",
+    "volume_offered",
+    "volume_delivered",
+    "max_window_arrivals",
+)
+
+
+class WindowLoop:
+    """The one window loop both replay engines run (DESIGN.md Section 6).
+
+    It owns everything that is neither policy nor dispatch: ingest (the
+    first-flow origin, the release-order and duplicate-id checks, fault
+    events and the :class:`~repro.traces.repair.ChurnManager`), window
+    bounds ``t0 + k * window``, the admission counters, the commit step,
+    settlement, the trailing sweep and the :class:`ReplayReport`.  An
+    *executor* decides how a window's schedules are produced and
+    supplies three hooks:
+
+    * ``close_window(k, arrivals)`` — take window ``k``'s arrivals.  Over
+      the run every window must be committed (:meth:`commit`) and
+      settled (:meth:`settle`) exactly once, in index order; when is the
+      executor's choice.
+    * ``busy_window(after, upto)`` — the first window in ``[after,
+      upto]`` that may carry load: the quiet-gap skip.
+    * ``drain()`` — commit and settle every window still in flight.
+
+    :class:`ReplayEngine` is the inline executor (policy, commit and
+    settle at once); :class:`~repro.service.sharded.ShardedReplayEngine`
+    pipelines windows through shard workers and commits them later.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        power: PowerModel,
+        window: float,
+        acct: WindowAccountant,
+        executor,
+        *,
+        keep_schedules: bool = False,
+        tol: float = 1e-6,
+        faults: FaultSchedule | None = None,
+        **churn_options,
+    ) -> None:
+        self.topology = topology
+        self.power = power
+        self.window = window
+        self.acct = acct
+        self.tol = tol
+        self.kept: list[FlowSchedule] | None = [] if keep_schedules else None
+        self._executor = executor
+        #: Repair tier and risk-group settings for the ChurnManager.
+        self._churn_options = churn_options
+        #: Built once the first flow fixes the window origin; until then
+        #: the constructor's events, then inline ones, wait in ``_stash``
+        #: (which a snapshot carries).
+        self.churn: ChurnManager | None = None
+        self._stash: list[FaultEvent] = (
+            list(faults.fabric_events()) if faults is not None else []
+        )
+        self._down_epoch = -1
+        self._down_view: frozenset[int] = frozenset()
+
+        # Stream state.
+        self.t0: float | None = None
+        self.current = 0  # index of the window being filled
+        self._pending: list[Flow] = []
+        self._last_release = 0.0
+
+        self.flows_seen = 0
+        self.flows_served = 0
+        self.misses = 0
+        self.unserved = 0
+        self.volume_offered = 0.0
+        self.volume_delivered = 0.0
+        self.max_window_arrivals = 0
+
+    # ------------------------------------------------------------------
+    # Ingest.
+    # ------------------------------------------------------------------
+    def feed(self, flow: Flow) -> None:
+        """Admit one flow (releases must be nondecreasing)."""
+        if self.t0 is None:
+            self._start(flow)
+            return
+        if flow.release < self._last_release - 1e-9:
+            raise ValidationError(
+                f"trace is not sorted by release time: flow {flow.id!r} "
+                f"released at {flow.release} after {self._last_release}"
+            )
+        self._last_release = max(self._last_release, flow.release)
+        self.flows_seen += 1
+        k = int((flow.release - self.t0) // self.window)
+        while k > self.current:
+            self._close(self.current, self._pending)
+            self._pending = []
+            self.current += 1
+            if k > self.current:
+                self.current = self._skip(
+                    self.current, k, self._executor.busy_window
+                )
+        self._pending.append(flow)
+
+    def feed_fault(self, event: FaultEvent) -> None:
+        """Queue one fault event (worker crashes are dropped here: only
+        the sharded executor has workers, and it takes them first)."""
+        if self.churn is None:
+            self._stash.append(event)
+        else:
+            self.churn.add_events((event,))
+
+    def _start(self, first: Flow) -> None:
+        """Fix the window origin at the first release and build the churn
+        manager.  It exists even for fault-free runs (registry upkeep is
+        cheap and keeps inline mid-stream events correct); with no events
+        it never touches accounting, so fault-free output stays
+        bit-identical to the pre-churn engine."""
+        self.t0 = self._last_release = first.release
+        self._pending = [first]
+        self.flows_seen = 1
+        churn = self._new_churn()
+        churn.add_events(self._stash)
+        self._stash = []
+        # Events timestamped before the first release are pure state
+        # toggles (nothing is committed yet) — pre-apply them so window 0
+        # already sees the right dead-link set.
+        churn.apply_upto(self.t0)
+
+    def _new_churn(self) -> ChurnManager:
+        churn = self.churn = ChurnManager(
+            self.topology,
+            self.power,
+            self.acct,
+            origin=self.t0,
+            window=self.window,
+            tol=self.tol,
+            **self._churn_options,
+        )
+        churn.kept = self.kept
+        return churn
+
+    def _close(self, k: int, arrivals: list[Flow]) -> None:
+        if len(arrivals) > self.max_window_arrivals:
+            self.max_window_arrivals = len(arrivals)
+        if arrivals:
+            if len({flow.id for flow in arrivals}) != len(arrivals):
+                raise ValidationError("duplicate flow ids within one window")
+            self.volume_offered += sum(flow.size for flow in arrivals)
+        self._executor.close_window(k, arrivals)
+
+    def _skip(self, after: int, upto: int, busy) -> int:
+        """First window in ``[after, upto]`` that must be settled.
+
+        ``busy`` is the executor's (or, in the trailing sweep, the
+        ledger's) quiet-gap skip.  It never passes the window holding the
+        next pending fault event: an event inside a quiet gap settles in
+        its own window, before any later window is scheduled against a
+        stale dead-link set.
+        """
+        k = busy(after, upto)
+        t = self.churn.next_event_time(self.t0 + after * self.window)
+        if t is not None:
+            k = min(k, max(after, int((t - self.t0) // self.window)))
+        return k
+
+    def live_window(self, after: int, upto: int) -> int:
+        """First window in ``[after, upto]`` with accounting work.
+
+        A window matters only if a live piece overlaps it or it is
+        ``upto`` itself (where the next arrival lands); the quiet
+        windows between are pure zeros and are skipped in one step —
+        a month-long MMPP silence costs one min(), not 10^6 sweeps.
+        """
+        next_t = self.acct.next_live_start(self.t0 + after * self.window)
+        if next_t is None:
+            return upto
+        return max(after, min(upto, int((next_t - self.t0) // self.window)))
+
+    # ------------------------------------------------------------------
+    # Executor services.
+    # ------------------------------------------------------------------
+    def bounds(self, k: int) -> tuple[float, float]:
+        return self.t0 + k * self.window, self.t0 + (k + 1) * self.window
+
+    def down_view(self) -> frozenset[int]:
+        """The current dead-link set, one frozenset per churn epoch."""
+        churn = self.churn
+        if churn.epoch != self._down_epoch:
+            self._down_epoch = churn.epoch
+            self._down_view = churn.down_key()
+        return self._down_view
+
+    def context(
+        self, k: int, down: frozenset[int], carry: dict
+    ) -> WindowContext:
+        """Window ``k``'s policy view.  Both background views read the
+        live ledger lazily, so they must be read before any of the
+        window's own commits — and a reader pays only for the view it
+        reads."""
+        start, end = self.bounds(k)
+        acct = self.acct
+        return WindowContext(
+            topology=self.topology,
+            power=self.power,
+            start=start,
+            end=end,
+            background_fn=lambda: acct.background(start, end),
+            profile_fn=lambda: acct.background_profile(start, end),
+            carry=carry,
+            down_edge_ids=down,
+        )
+
+    def commit(
+        self,
+        k: int,
+        arrivals: list[Flow],
+        schedules: Iterable[FlowSchedule],
+        down: frozenset[int],
+        source: str,
+    ) -> list[tuple[FlowSchedule, bool]]:
+        """Commit window ``k``'s schedules, in the order given.
+
+        Each schedule must belong to a distinct arrival and lie inside its
+        span (``source`` names the culprit otherwise).  Arrivals left
+        unserved with no route on ``down`` — the dead-link view they were
+        scheduled against — are attributed to the failure exactly once
+        (they are never committed, so no later repair can re-attribute
+        them).  Returns the committed ``(schedule, missed)`` pairs.
+        """
+        acct, churn, kept, tol = self.acct, self.churn, self.kept, self.tol
+        by_id = {flow.id: flow for flow in arrivals}
+        served_ids: set[int | str] = set()
+        committed = []
+        for fs in schedules:
+            flow = by_id.get(fs.flow.id)
+            if flow is None or (fs.flow is not flow and fs.flow != flow):
+                raise ValidationError(
+                    f"{source} returned a schedule for unknown flow "
+                    f"{fs.flow.id!r} in window {k}"
+                )
+            if fs.flow.id in served_ids:
+                raise ValidationError(
+                    f"{source} scheduled flow {fs.flow.id!r} twice"
+                )
+            in_span, delivered, missed = flow_verdict(fs, flow, tol)
+            if not in_span:
+                raise ValidationError(
+                    f"{source}: flow {fs.flow.id!r} scheduled outside "
+                    "its span"
+                )
+            served_ids.add(fs.flow.id)
+            self.flows_served += 1
+            self.volume_delivered += delivered
+            if missed:
+                self.misses += 1
+            acct.commit(fs)
+            churn.register(flow, fs, missed)
+            if kept is not None:
+                kept.append(fs)
+            committed.append((fs, missed))
+        n_unserved = len(arrivals) - len(served_ids)
+        self.unserved += n_unserved
+        if n_unserved and down:
+            # Partition tolerance: an arrival no route could reach
+            # because the survivor fabric is disconnected is doomed by
+            # the failure.
+            for flow in arrivals:
+                if flow.id not in served_ids and churn.unreachable(
+                    flow.src, flow.dst, down
+                ):
+                    churn.misses_attributed += 1
+        return committed
+
+    def settle(self, k: int) -> None:
+        """Close window ``k``: apply its fault events, then finalize.
+
+        The one ordering invariant of the fault model — events must
+        truncate and recommit *ahead* of the energy sweep passing their
+        timestamps.
+        """
+        end = self.bounds(k)[1]
+        self.churn.apply_upto(end)
+        self.acct.finalize(end)
+
+    # ------------------------------------------------------------------
+    # Settlement.
+    # ------------------------------------------------------------------
+    def finish(self) -> None:
+        """Close the last window, drain the executor, and sweep the
+        reservations still transmitting past it."""
+        if self.t0 is None:
+            raise ValidationError("trace produced no flows")
+        self._close(self.current, self._pending)
+        self._pending = []
+        self._executor.drain()
+        self.current += 1
+        # Everything is committed now, so the live ledger drives the skip.
+        acct, churn = self.acct, self.churn
+        while acct.has_live or churn.has_pending:
+            self.current = self._skip(self.current, 1 << 62, self.live_window)
+            self.settle(self.current)
+            self.current += 1
+        churn.flush()
+        acct.drain()
+
+    def report(self, **fields) -> ReplayReport:
+        """The run's :class:`ReplayReport`; ``fields`` carries what only
+        the executor knows (policy name, fallbacks, shard stats, ...)."""
+        acct, churn = self.acct, self.churn
+        t1 = (
+            acct.last_segment_end
+            if acct.last_segment_end > self.t0
+            else self._last_release
+        )
+        return ReplayReport(
+            window=self.window,
+            windows=self.current,
+            horizon=(self.t0, t1),
+            flows_seen=self.flows_seen,
+            flows_served=self.flows_served,
+            deadline_misses=self.misses + churn.extra_misses,
+            unserved=self.unserved,
+            volume_offered=self.volume_offered,
+            volume_delivered=self.volume_delivered + churn.delivered_delta,
+            idle_energy=acct.idle_energy(self.t0, t1),
+            dynamic_energy=acct.dynamic_energy,
+            active_links=len(acct.active_links),
+            peak_link_rate=acct.peak_rate,
+            capacity_violations=acct.capacity_violations,
+            max_resident_segments=acct.max_resident,
+            max_window_arrivals=self.max_window_arrivals,
+            link_failures=churn.link_downs,
+            link_recoveries=churn.link_ups,
+            domain_failures=churn.domain_failures,
+            domain_recoveries=churn.domain_recoveries,
+            flows_rerouted=churn.flows_rerouted,
+            repair_energy_delta=churn.repair_energy_delta,
+            time_to_recover=churn.time_to_recover,
+            total_recovery_time=churn.total_recovery_time,
+            misses_attributed_to_failure=churn.misses_attributed,
+            repairs_triaged=churn.repairs_triaged,
+            schedules=self.kept,
+            **fields,
+        )
+
+    # ------------------------------------------------------------------
+    # Snapshot plumbing (sharded service).
+    # ------------------------------------------------------------------
+    def snapshot_state(self) -> dict:
+        """Plain-data snapshot of the stream, counters, accounting and
+        churn state (picklable)."""
+        return {
+            "t0": self.t0,
+            "current": self.current,
+            "pending": list(self._pending),
+            "last_release": self._last_release,
+            "counters": {name: getattr(self, name) for name in _COUNTERS},
+            "stash": list(self._stash),
+            "kept": None if self.kept is None else list(self.kept),
+            "acct": self.acct.snapshot_state(),
+            "churn": (
+                None if self.churn is None else self.churn.snapshot_state()
+            ),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Adopt a :meth:`snapshot_state` payload (same configuration)."""
+        self.t0 = state["t0"]
+        self.current = state["current"]
+        self._pending = list(state["pending"])
+        self._last_release = state["last_release"]
+        for name in _COUNTERS:
+            setattr(self, name, state["counters"][name])
+        self._stash = list(state["stash"])
+        self.kept = None if state["kept"] is None else list(state["kept"])
+        self.acct.restore_state(state["acct"])
+        if state["churn"] is not None:
+            # Overwrites the fresh manager's events, dead set and live
+            # registry with the snapshotted ones.
+            self._new_churn().restore_state(state["churn"])
+
+
 class ReplayEngine:
     """Replay an arrival stream through ``policy`` in windows of ``window``.
+
+    The inline executor of :class:`WindowLoop`: each window is scheduled
+    by the policy, committed and settled as soon as it closes.
 
     Parameters
     ----------
@@ -707,236 +1105,66 @@ class ReplayEngine:
         loop) to pin whole replays against the pre-vectorization path."""
         return WindowAccountant(self._topology, self._power, tol=self._tol)
 
-    # ------------------------------------------------------------------
-    # Main loop.
-    # ------------------------------------------------------------------
     def run(self, trace: Iterable[Flow]) -> ReplayReport:
-        """Consume ``trace`` (nondecreasing releases) and report metrics."""
-        topology, power, window = self._topology, self._power, self._window
-        self._policy.reset()
+        """Consume ``trace`` (nondecreasing releases) and report metrics.
 
-        acct = self._accountant()
-        kept: list[FlowSchedule] | None = [] if self._keep else None
+        The stream may interleave :class:`~repro.sim.churn.FaultEvent`
+        items (``TraceReader(path, include_faults=True)``).
+        """
+        self._policy.reset()
         # One dict per run, threaded through every WindowContext so a
         # policy's warm state (e.g. a relaxation pipeline) survives window
         # boundaries but never a run boundary.
-        carry: dict = {}
-
-        flows_seen = 0
-        flows_served = 0
-        misses = 0
-        unserved = 0
-        volume_offered = 0.0
-        volume_delivered = 0.0
-        max_window_arrivals = 0
-
-        iterator = iter(trace)
-        # The stream may interleave FaultEvent items with flows
-        # (TraceReader(include_faults=True)); peel events off, collecting
-        # any that precede the first flow.
-        leading: list[FaultEvent] = []
-        first: Flow | None = None
-        for item in iterator:
-            if isinstance(item, FaultEvent):
-                leading.append(item)
-                continue
-            first = item
-            break
-        if first is None:
-            raise ValidationError("trace produced no flows")
-        flows_seen = 1
-        t0 = first.release
-        current = 0  # index of the window being filled
-        pending: list[Flow] = [first]
-        last_release = first.release
-
-        # The churn manager exists even for fault-free runs (registry
-        # upkeep is cheap and keeps inline mid-stream events correct);
-        # with no events it never touches accounting, so fault-free
-        # output stays bit-identical to the pre-churn engine.
-        churn = ChurnManager(
-            topology,
-            power,
-            acct,
-            origin=t0,
-            window=window,
+        self._carry: dict = {}
+        loop = self._loop = WindowLoop(
+            self._topology,
+            self._power,
+            self._window,
+            self._accountant(),
+            self,
+            keep_schedules=self._keep,
+            tol=self._tol,
+            faults=self._faults,
             repair=self._repair,
             repair_budget_s=self._repair_budget_s,
-            tol=self._tol,
             domains=self._failure_domains,
             srlg_diverse=self._srlg_diverse,
         )
-        churn.kept = kept
-        if self._faults is not None:
-            churn.add_events(self._faults.fabric_events())
-        churn.add_events(leading)
-        del leading
-        # Events timestamped before the first release are pure state
-        # toggles (nothing is committed yet) — pre-apply them so window 0
-        # already sees the right dead-link set.
-        churn.apply_upto(t0)
-        down_epoch = -1
-        down_view: frozenset[int] = frozenset()
-
-        def window_bounds(k: int) -> tuple[float, float]:
-            return (t0 + k * window, t0 + (k + 1) * window)
-
-        def settle(end: float) -> None:
-            # Fault events must truncate/recommit ahead of the energy
-            # sweep passing their timestamps.
-            churn.apply_upto(end)
-            acct.finalize(end)
-
-        def schedule_window(k: int, arrivals: list[Flow]) -> None:
-            nonlocal flows_served, misses, unserved, volume_offered
-            nonlocal volume_delivered, max_window_arrivals
-            nonlocal down_epoch, down_view
-            max_window_arrivals = max(max_window_arrivals, len(arrivals))
-            if not arrivals:
-                return
-            start, end = window_bounds(k)
-            if churn.epoch != down_epoch:
-                down_epoch = churn.epoch
-                down_view = churn.down_key()
-            # Both background views read the live ledger lazily; the policy
-            # runs before any of this window's commits, so they are
-            # consistent, and a policy pays only for the view it reads.
-            ctx = WindowContext(
-                topology=topology,
-                power=power,
-                start=start,
-                end=end,
-                background_fn=lambda: acct.background(start, end),
-                profile_fn=lambda: acct.background_profile(start, end),
-                carry=carry,
-                down_edge_ids=down_view,
-            )
-            by_id = {flow.id: flow for flow in arrivals}
-            if len(by_id) != len(arrivals):
-                raise ValidationError("duplicate flow ids within one window")
-            volume_offered += sum(flow.size for flow in arrivals)
-            served_ids: set[int | str] = set()
-            for fs in self._policy.schedule_window(arrivals, ctx):
-                flow = by_id.get(fs.flow.id)
-                if flow is None or (fs.flow is not flow and fs.flow != flow):
-                    raise ValidationError(
-                        f"policy {self._policy.name!r} returned a schedule "
-                        f"for unknown flow {fs.flow.id!r} in window {k}"
-                    )
-                if fs.flow.id in served_ids:
-                    raise ValidationError(
-                        f"policy {self._policy.name!r} scheduled flow "
-                        f"{fs.flow.id!r} twice"
-                    )
-                in_span, delivered, missed = flow_verdict(fs, flow, self._tol)
-                if not in_span:
-                    raise ValidationError(
-                        f"policy {self._policy.name!r}: flow {fs.flow.id!r} "
-                        "scheduled outside its span"
-                    )
-                served_ids.add(fs.flow.id)
-                flows_served += 1
-                volume_delivered += delivered
-                if missed:
-                    misses += 1
-                acct.commit(fs)
-                churn.register(flow, fs, missed)
-                if kept is not None:
-                    kept.append(fs)
-            n_unserved = len(arrivals) - len(served_ids)
-            unserved += n_unserved
-            if n_unserved and down_view:
-                # Partition tolerance: an arrival no policy could route
-                # because the survivor fabric is disconnected is doomed
-                # by the failure — attribute its miss exactly once (it is
-                # never committed, so no later repair can re-attribute).
-                for flow in arrivals:
-                    if flow.id not in served_ids and churn.unreachable(
-                        flow.src, flow.dst, down_view
-                    ):
-                        churn.misses_attributed += 1
-
-        def next_busy_window(after: int, upto: int) -> int:
-            """First window in ``[after, upto]`` with accounting work.
-
-            A window matters only if a live piece overlaps it or it is
-            ``upto`` itself (where the next arrival lands); the quiet
-            windows between are pure zeros and are skipped in one step —
-            a month-long MMPP silence costs one min(), not 10^6 sweeps.
-            """
-            next_t = acct.next_live_start(t0 + after * window)
-            if next_t is None:
-                return upto
-            return max(after, min(upto, int((next_t - t0) // window)))
-
-        for item in iterator:
+        for item in trace:
             if isinstance(item, FaultEvent):
-                churn.add_events((item,))
-                continue
-            flow = item
-            if flow.release < last_release - 1e-9:
-                raise ValidationError(
-                    f"trace is not sorted by release time: flow {flow.id!r} "
-                    f"released at {flow.release} after {last_release}"
-                )
-            last_release = max(last_release, flow.release)
-            flows_seen += 1
-            k = int((flow.release - t0) // window)
-            while k > current:
-                schedule_window(current, pending)
-                settle(window_bounds(current)[1])
-                pending = []
-                current += 1
-                if k > current:
-                    current = next_busy_window(current, k)
-            pending.append(flow)
-
-        schedule_window(current, pending)
-        settle(window_bounds(current)[1])
-        current += 1
-        while acct.has_live or churn.has_pending:
-            current = next_busy_window(current, 1 << 62)
-            settle(window_bounds(current)[1])
-            current += 1
-        churn.flush()
-        acct.drain()
-
-        t1 = (
-            acct.last_segment_end
-            if acct.last_segment_end > t0
-            else last_release
+                loop.feed_fault(item)
+            else:
+                loop.feed(item)
+        loop.finish()
+        policy = self._policy
+        return loop.report(
+            policy=policy.name,
+            policy_fallbacks=getattr(policy, "fallbacks", 0),
+            max_weight_drift=float(getattr(policy, "max_weight_drift", 0.0)),
         )
-        return ReplayReport(
-            policy=self._policy.name,
-            window=window,
-            windows=current,
-            horizon=(t0, t1),
-            flows_seen=flows_seen,
-            flows_served=flows_served,
-            deadline_misses=misses + churn.extra_misses,
-            unserved=unserved,
-            volume_offered=volume_offered,
-            volume_delivered=volume_delivered + churn.delivered_delta,
-            idle_energy=acct.idle_energy(t0, t1),
-            dynamic_energy=acct.dynamic_energy,
-            active_links=len(acct.active_links),
-            peak_link_rate=acct.peak_rate,
-            capacity_violations=acct.capacity_violations,
-            policy_fallbacks=getattr(self._policy, "fallbacks", 0),
-            max_resident_segments=acct.max_resident,
-            max_window_arrivals=max_window_arrivals,
-            max_weight_drift=float(
-                getattr(self._policy, "max_weight_drift", 0.0)
-            ),
-            link_failures=churn.link_downs,
-            link_recoveries=churn.link_ups,
-            domain_failures=churn.domain_failures,
-            domain_recoveries=churn.domain_recoveries,
-            flows_rerouted=churn.flows_rerouted,
-            repair_energy_delta=churn.repair_energy_delta,
-            time_to_recover=churn.time_to_recover,
-            total_recovery_time=churn.total_recovery_time,
-            misses_attributed_to_failure=churn.misses_attributed,
-            repairs_triaged=churn.repairs_triaged,
-            schedules=kept,
-        )
+
+    # ------------------------------------------------------------------
+    # Executor hooks (see WindowLoop).
+    # ------------------------------------------------------------------
+    def close_window(self, k: int, arrivals: list[Flow]) -> None:
+        """Run the policy on window ``k``, commit its schedules in the
+        order it returned them, and settle the window at once."""
+        loop = self._loop
+        if arrivals:
+            down = loop.down_view()
+            ctx = loop.context(k, down, self._carry)
+            loop.commit(
+                k,
+                arrivals,
+                self._policy.schedule_window(arrivals, ctx),
+                down,
+                f"policy {self._policy.name!r}",
+            )
+        loop.settle(k)
+
+    def busy_window(self, after: int, upto: int) -> int:
+        """Every earlier window is committed: read the live ledger."""
+        return self._loop.live_window(after, upto)
+
+    def drain(self) -> None:
+        """Nothing is in flight: every window settled as it closed."""

@@ -26,7 +26,7 @@ from repro.experiments.parallel import WorkerCrash, WorkerGroup
 from repro.flows import Flow
 from repro.power import PowerModel
 from repro.scheduling.schedule import FlowSchedule, Segment
-from repro.service import ShardedReplayEngine
+from repro.service import ReplayService, ShardedReplayEngine
 from repro.sim import (
     FailureDomain,
     FaultEvent,
@@ -494,6 +494,48 @@ class TestPolicyFaultAwareness:
 
 
 # ---------------------------------------------------------------------------
+# A fault inside a quiet gap settles in its own window.
+# ---------------------------------------------------------------------------
+class TestQuietGapFault:
+    @pytest.mark.parametrize(
+        "sharded", [False, True], ids=["inline", "sharded"]
+    )
+    def test_event_settles_before_later_window(self, ft4, powerdown, sharded):
+        """f0 is done by t=0.5, a link on f1's shortest path dies at t=5,
+        and f1 arrives at t=10.  The skip over the quiet windows must stop
+        at the event's window: f1 is then routed around the dead link,
+        instead of across it and "repaired" from before its release."""
+        src, dst = ft4.hosts[0], ft4.hosts[-1]
+        dead = _middle_edge(ft4, ft4.shortest_path(src, dst))
+        flows = [
+            Flow(id="f0", src=src, dst=dst, size=0.5,
+                 release=0.0, deadline=0.5),
+            Flow(id="f1", src=src, dst=dst, size=4.0,
+                 release=10.0, deadline=14.0),
+        ]
+        faults = FaultSchedule.scripted([(5.0, "down", dead)])
+        if sharded:
+            with ShardedReplayEngine(
+                ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
+                keep_schedules=True, faults=faults,
+            ) as engine:
+                report = engine.run(iter(flows))
+        else:
+            report = ReplayEngine(
+                ft4, powerdown, GreedyDensityPolicy(), window=1.0,
+                keep_schedules=True, faults=faults,
+            ).run(iter(flows))
+        assert report.link_failures == 1
+        assert all(fs.within_span() for fs in report.schedules)
+        late = [fs for fs in report.schedules if fs.flow.id == "f1"]
+        assert late
+        for fs in late:
+            assert dead not in path_edges(fs.path)
+        assert report.flows_rerouted == 0
+        assert report.deadline_misses == 0
+
+
+# ---------------------------------------------------------------------------
 # ChurnManager snapshot plumbing.
 # ---------------------------------------------------------------------------
 class TestChurnManagerSnapshot:
@@ -742,6 +784,17 @@ class TestShardedChurn:
                 )
             with pytest.raises(ValidationError):
                 engine.inject_worker_crash(7)
+        # The constructor path: rejected before any worker is forked.
+        before = {p.pid for p in mp.active_children()}
+        with pytest.raises(ValidationError):
+            ShardedReplayEngine(
+                ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
+                faults=FaultSchedule.scripted([(1.0, "crash", 7)]),
+            )
+        leaked = {
+            p.pid for p in mp.active_children() if p.is_alive()
+        } - before
+        assert not leaked
 
     def test_snapshot_between_failure_and_recovery(self, ft4, powerdown):
         """Satellite: snapshot mid-outage; the restored run finishes
@@ -790,6 +843,76 @@ class TestShardedChurn:
         assert _normalized(resumed) == _normalized(uninterrupted)
         assert resumed.link_failures == 1
         assert resumed.link_recoveries == 1
+
+
+class TestServeTraceFaults:
+    def test_service_replays_inline_faults(self, ft4, powerdown, tmp_path):
+        """``serve_trace`` feeds a trace's fault records to the engine:
+        same report as ``run`` over ``TraceReader(include_faults=True)``,
+        also across a snapshot/restore split taken after a fault record."""
+        flows = _poisson_flows(ft4)
+        dead = _middle_edge(
+            ft4, ft4.shortest_path(ft4.hosts[0], ft4.hosts[-1])
+        )
+        down_t = flows[len(flows) // 3].release + 0.01
+        up_t = flows[2 * len(flows) // 3].release + 0.01
+        path = str(tmp_path / "faulted.jsonl")
+        write_trace_jsonl(
+            flows,
+            path,
+            faults=FaultSchedule.scripted(
+                [(down_t, "down", dead), (up_t, "up", dead)]
+            ),
+        )
+        kwargs = dict(window=1.0, num_shards=2, mode="greedy")
+        with ShardedReplayEngine(ft4, powerdown, **kwargs) as engine:
+            with TraceReader(path, include_faults=True) as reader:
+                expected = engine.run(reader)
+        assert expected.link_failures == 1
+
+        with ReplayService(ft4, powerdown, **kwargs) as service:
+            assert service.serve_trace(path) == len(flows)
+            served = service.drain()
+        assert _normalized(served) == _normalized(expected)
+
+        # Split just past the down record: it has been fed, the up has not.
+        split = sum(1 for f in flows if f.release < down_t) + 1
+        with ReplayService(ft4, powerdown, **kwargs) as service:
+            assert service.serve_trace(path, limit=split) == split
+            blob = service.snapshot()
+        restored = ReplayService.restore(ft4, powerdown, blob)
+        with restored:
+            assert restored.resume_trace() == len(flows) - split
+            resumed = restored.drain()
+        assert _normalized(resumed) == _normalized(expected)
+
+
+class TestSnapshotBeforeFirstFlow:
+    def test_constructor_faults_survive_restore(self, ft4, powerdown):
+        """A snapshot taken before the first flow carries the
+        constructor's fault events: the restored engine, built without
+        them, still replays the outage."""
+        flows = _poisson_flows(ft4)
+        dead = _middle_edge(
+            ft4, ft4.shortest_path(ft4.hosts[0], ft4.hosts[-1])
+        )
+        faults = FaultSchedule.scripted(
+            [(flows[len(flows) // 3].release + 0.01, "down", dead)]
+        )
+        kwargs = dict(window=1.0, num_shards=2, mode="greedy")
+        with ShardedReplayEngine(
+            ft4, powerdown, faults=faults, **kwargs
+        ) as engine:
+            expected = engine.run(iter(flows))
+        assert expected.link_failures == 1
+        with ShardedReplayEngine(
+            ft4, powerdown, faults=faults, **kwargs
+        ) as engine:
+            state = pickle.loads(pickle.dumps(engine.snapshot_state()))
+        restored = ShardedReplayEngine.restore_state(ft4, powerdown, state)
+        with restored:
+            resumed = restored.run(iter(flows))
+        assert _normalized(resumed) == _normalized(expected)
 
 
 class TestCloseHardening:

@@ -398,6 +398,37 @@ class TestDegrade:
             SolveBudget(max_in_flight=-3)
 
 
+def _ingest_case(topology, case):
+    h0, h1 = topology.hosts[0], topology.hosts[1]
+    releases, ids = {
+        "unsorted": ((5.0, 1.0), (0, 1)),
+        "empty": ((), ()),
+        "duplicate-ids": ((0.0, 0.5), (0, 0)),
+    }[case]
+    return [
+        Flow(id=i, src=h0, dst=h1, size=1.0, release=r, deadline=r + 2.0)
+        for r, i in zip(releases, ids)
+    ]
+
+
+class TestIngestValidation:
+    @pytest.mark.parametrize("case", ["unsorted", "empty", "duplicate-ids"])
+    def test_engines_reject_alike(self, ft4, quadratic, case):
+        """Both executors share the loop's ingest checks, so a malformed
+        stream fails with the same message either way."""
+        flows = _ingest_case(ft4, case)
+        with pytest.raises(ValidationError) as inline:
+            ReplayEngine(
+                ft4, quadratic, GreedyDensityPolicy(), window=1.0
+            ).run(iter(flows))
+        with ShardedReplayEngine(
+            ft4, quadratic, window=1.0, mode="greedy"
+        ) as engine:
+            with pytest.raises(ValidationError) as sharded:
+                engine.run(iter(flows))
+        assert str(sharded.value) == str(inline.value)
+
+
 class TestReplayService:
     def test_submit_poll_drain(self, ft4, quadratic):
         flows = _trace(ft4, 50, seed=8)

@@ -266,6 +266,12 @@ class TestStore:
                 handle.write(body)
             with pytest.raises(ValidationError, match=r"bad\.jsonl:2"):
                 list(read_trace_jsonl(path))
+        # A fault record failing FaultEvent's own validation.
+        with open(path, "w") as handle:
+            handle.write('{"kind":"trace","version":1}\n')
+            handle.write('{"event": "link_down", "time": 0.5}\n')
+        with pytest.raises(ValidationError, match=r"bad\.jsonl:2"):
+            list(read_trace_jsonl(path, include_faults=True))
 
     def test_csv_rejects_malformed_body(self, tmp_path):
         path = str(tmp_path / "bad.csv")
