@@ -6,7 +6,7 @@ relaxation + randomized rounding pipeline run window by window against
 the committed background.  Each window's elementary intervals are
 solved together as one stacked Frank–Wolfe problem
 (:meth:`~repro.routing.mcflow.FrankWolfeSolver.solve_stacked`, DESIGN.md
-Section 16).  Three measurements land in ``BENCH_relax_replay.json``:
+Section 16).  Two measurements land in ``BENCH_relax_replay.json``:
 
 * the headline 10k-flow warm replay (one persistent pipeline — solver,
   path registry, walk cache — carried across windows, one stacked solve
@@ -15,20 +15,10 @@ Section 16).  Three measurements land in ``BENCH_relax_replay.json``:
   took) and its mean per-interval iterations,
 * the warm-vs-cold speedup at a matched smaller trace, where "cold"
   means a fresh pipeline per window (the committed routes are identical;
-  only the registry, walk cache and shortest-path scratch start empty),
-  and
-* the interval-background overhead: the matched smaller trace replayed
-  with ``background_mode="mean"`` (the retained window-averaged vector)
-  against the exact per-interval
-  :class:`~repro.routing.background.BackgroundProfile` view,
-  interleaved min-of-2 runs per mode.  The per-interval session paid
-  ~1.5-1.9x here, mostly re-certification after each interval's
-  background shift.  The stacked solve pays 1.85x, from a faster mean
-  mode (4.6 s against the session's 7.6 s on a 2-vCPU VM); see the
-  comment at the assert.
+  only the registry, walk cache and shortest-path scratch start empty).
 
-Both asserts are bounds set from the ratios measured on a 2-vCPU VM
-(see the comments at each), with room for a loaded machine.
+The speedup assert is a bound set from the ratio measured on a 2-vCPU
+VM (see the comment at it), with room for a loaded machine.
 
 The arrival rate is lower than ``bench_traces.py``'s (25/s vs 100/s):
 the relaxation solves one F-MCF per elementary interval, so its natural
@@ -63,8 +53,8 @@ POWER = PowerModel.quadratic()
 WINDOW = 4.0
 ARRIVAL_RATE = 25.0
 NUM_FLOWS = int(os.environ.get("BENCH_RELAX_REPLAY_FLOWS", "10000"))
-#: Matched-shape trace for the warm-vs-cold and interval-overhead ratios
-#: (six replays of it run after the headline).
+#: Matched-shape trace for the warm-vs-cold ratio (two replays of it run
+#: after the headline).
 COLD_FLOWS = min(NUM_FLOWS, 2000)
 
 
@@ -79,15 +69,12 @@ def _trace(target_flows: int) -> list:
     return list(generate_trace(TOPOLOGY, spec))
 
 
-def _run(
-    trace: list, warm: bool, background_mode: str = "interval"
-) -> tuple[float, object]:
+def _run(trace: list, warm: bool) -> tuple[float, object]:
     policy = RelaxationRoundingPolicy(
         seed=0,
         fw_max_iterations=40,
         fw_gap_tolerance=5e-3,
         warm_windows=warm,
-        background_mode=background_mode,
     )
     engine = ReplayEngine(TOPOLOGY, POWER, policy, window=WINDOW)
     start = time.perf_counter()
@@ -131,25 +118,6 @@ def test_relax_replay_throughput(benchmark, monkeypatch):
     # 1.04x measured on a 2-vCPU VM, 0.75x the floor.
     assert speedup >= 0.75, f"warm-vs-cold speedup {speedup:.2f}x < 0.75x"
 
-    # Interval-resolved background (the headline's default) vs the
-    # retained window-mean vector: same trace, only the background view
-    # differs.  Measured on the matched smaller trace with interleaved
-    # min-of-2 runs per mode — a single-shot ratio of two runs is
-    # dominated by shared-box load drift, not by the solver.
-    # With a window-mean background every block of a seed group shares
-    # the union's background (DESIGN.md Section 16), so its seed starts
-    # nearer the optimum; exact per-interval slices leave more to
-    # correct.  1.85x measured on a 2-vCPU VM, 2.25x the regression guard.
-    interval_1 = warm_small_s
-    mean_1, mean_small = _run(small, warm=True, background_mode="mean")
-    interval_2, _ = _run(small, warm=True)
-    mean_2, _ = _run(small, warm=True, background_mode="mean")
-    assert mean_small.flows_served == warm_small.flows_served
-    interval_overhead = min(interval_1, interval_2) / min(mean_1, mean_2)
-    assert interval_overhead <= 2.25, (
-        f"interval background overhead {interval_overhead:.2f}x > 2.25x"
-    )
-
     record_bench(
         "relax_replay",
         wall_clock_s=warm_s,
@@ -171,11 +139,7 @@ def test_relax_replay_throughput(benchmark, monkeypatch):
             "cold_flows": len(small),
             "warm_small_s": warm_small_s,
             "cold_small_s": cold_small_s,
-            "interval_overhead_vs_mean": interval_overhead,
-            "mean_mode_s": min(mean_1, mean_2),
-            "mean_mode_energy": mean_small.total_energy,
         },
     )
     benchmark.extra_info["flows"] = report.flows_seen
     benchmark.extra_info["warm_vs_cold_speedup"] = speedup
-    benchmark.extra_info["interval_overhead_vs_mean"] = interval_overhead

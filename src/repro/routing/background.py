@@ -1,29 +1,20 @@
 """First-class per-edge piecewise-constant background-load profiles.
 
 The streaming replay carries reservations committed by earlier windows
-into every later scheduling decision.  Until PR 7 that state crossed the
-policy boundary as a single *window-averaged* per-edge vector — a
-documented approximation, because the accounting layer always held the
-exact piecewise-constant committed rate of every link.  This module is
-the honest representation: a :class:`BackgroundProfile` is one window's
-view of the committed load as an explicit step function per edge, built
-once per window by :meth:`~repro.traces.replay.WindowAccountant.
-background_profile` and threaded through every consumer —
-:class:`~repro.traces.policies.WindowContext`,
+into every later scheduling decision.  A :class:`BackgroundProfile` is
+one window's view of that committed load as an explicit step function
+per edge, built once per window by :meth:`~repro.traces.replay.
+WindowAccountant.background_profile` and threaded through every
+consumer — :class:`~repro.traces.policies.WindowContext`,
 :class:`~repro.routing.fastpath.LoadLedger`, the per-interval relaxation
 sweep in :mod:`repro.core.relaxation` (each elementary interval is
-charged the profile's exact mean over *its own* bounds instead of the
-window mean), and the sharded service's boundary-load exchange.
-
-The window-mean path is retained, not replaced: :meth:`mean` returns the
-exact vector the accountant's pinned window-averaged reference computes
-(stored at construction, never re-derived from the pieces), so a policy
-running in ``background_mode="mean"`` reproduces the pre-profile
-behavior bit for bit while ``"interval"`` reads the resolved view.
+charged the profile's exact mean over *its own* bounds, never a window
+average), and the sharded service's boundary-load exchange.  It is the
+only form in which a window's committed load reaches a policy.
 
 The class is plain data (a breakpoint vector plus a dense step matrix),
 picklable as-is — the sharded engine ships shard-restricted profiles
-over worker pipes exactly like it shipped restricted vectors.
+over worker pipes.
 """
 
 from __future__ import annotations
@@ -54,15 +45,9 @@ class BackgroundProfile:
     loads:
         ``float64[K, num_edges]``; ``loads[k]`` is the per-edge committed
         rate on ``[times[k], times[k + 1])``.
-    mean:
-        The window-mean vector over ``[start, end)``.  When supplied
-        (the accountant passes its pinned window-averaged vector) it is
-        stored verbatim, which is what keeps the ``mean()`` path
-        bit-identical to the retained reference; when omitted it is
-        integrated from the pieces.
     """
 
-    __slots__ = ("num_edges", "start", "end", "times", "loads", "_mean", "_cum")
+    __slots__ = ("num_edges", "start", "end", "times", "loads", "_cum")
 
     def __init__(
         self,
@@ -71,7 +56,6 @@ class BackgroundProfile:
         end: float,
         times,
         loads,
-        mean: np.ndarray | None = None,
     ) -> None:
         times = np.asarray(times, dtype=float)
         loads = np.asarray(loads, dtype=float)
@@ -101,29 +85,10 @@ class BackgroundProfile:
         self.times = times
         self.loads = loads
         self._cum: np.ndarray | None = None
-        self._mean = (
-            np.asarray(mean, dtype=float)
-            if mean is not None
-            else self.mean_over(self.start, self.end)
-        )
-        if self._mean.shape != (num_edges,):
-            raise ValidationError(
-                f"mean must have shape ({num_edges},), got {self._mean.shape}"
-            )
 
     # ------------------------------------------------------------------
     # Views.
     # ------------------------------------------------------------------
-    def mean(self) -> np.ndarray:
-        """The window-mean vector over ``[start, end)``.
-
-        This is the retained window-averaged path: when the accountant
-        built the profile, this is the exact vector its pinned
-        ``background()`` computed — returned as stored, never re-derived,
-        so the mean path stays bit-identical to the reference.
-        """
-        return self._mean
-
     def _cumulative(self) -> np.ndarray:
         """``F[k] = per-edge integral of the profile over [times[0],
         times[k])`` — computed lazily, reused by every query."""
@@ -167,30 +132,6 @@ class BackgroundProfile:
         np.maximum(out, 0.0, out=out)
         return out
 
-    def slice(self, t0: float, t1: float) -> "BackgroundProfile":
-        """The profile restricted to ``[t0, t1)`` (support clipped,
-        breakpoints outside dropped, zero where the parent had no
-        support)."""
-        if not t1 > t0:
-            raise ValidationError(
-                f"slice window [{t0}, {t1}) must have positive length"
-            )
-        times = self.times
-        lo = int(np.searchsorted(times, t0, side="right"))
-        hi = int(np.searchsorted(times, t1, side="left"))
-        new_times = np.concatenate(([t0], times[lo:hi], [t1]))
-        starts = new_times[:-1]
-        idx = np.clip(
-            np.searchsorted(times, starts, side="right") - 1,
-            0,
-            len(times) - 2,
-        )
-        new_loads = self.loads[idx].copy()
-        outside = (new_times[1:] <= times[0]) | (starts >= times[-1])
-        if outside.any():
-            new_loads[outside] = 0.0
-        return BackgroundProfile(self.num_edges, t0, t1, new_times, new_loads)
-
     def restrict(self, edge_map) -> "BackgroundProfile":
         """The profile seen through ``edge_map`` (shard-local edge ids to
         parent ids) — the sharded service's boundary-load exchange."""
@@ -201,7 +142,6 @@ class BackgroundProfile:
             self.end,
             self.times,
             self.loads[:, edge_map].copy(),
-            mean=self._mean[edge_map].copy(),
         )
 
     @property

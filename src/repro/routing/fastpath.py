@@ -579,13 +579,11 @@ class LoadLedger:
     ending at or before ``a`` is expired from ``active`` exactly once.
 
     ``background`` seeds a base load the ledger itself never expires or
-    corrects.  A flat vector is added to ``active`` once at construction
-    (the retained window-mean path — bit-identical to the pre-profile
-    behavior).  A :class:`~repro.routing.background.BackgroundProfile`
+    corrects: a :class:`~repro.routing.background.BackgroundProfile`
     (the replay engine's exact piecewise-constant cross-window
-    reservations) is kept aside and each :meth:`loads` query adds the
-    profile's exact mean over *its own* ``[start, end)`` — the
-    interval-resolved view, no window-averaging involved.
+    reservations), kept aside so each :meth:`loads` query adds the
+    profile's exact mean over *its own* ``[start, end)``.  Any other
+    ``background`` is rejected.
 
     Representation detail: commits land in a small *pending* list first
     and are merged into the deadline-sorted arrays in sorted blocks every
@@ -598,26 +596,21 @@ class LoadLedger:
     def __init__(
         self,
         topology: Topology,
-        background: np.ndarray | BackgroundProfile | None = None,
+        background: BackgroundProfile | None = None,
     ) -> None:
-        self._profile: BackgroundProfile | None = None
-        if background is None:
-            self._active = np.zeros(topology.num_edges)
-        elif isinstance(background, BackgroundProfile):
+        if background is not None:
+            if not isinstance(background, BackgroundProfile):
+                raise ValidationError(
+                    f"background must be a BackgroundProfile, got "
+                    f"{type(background).__name__}"
+                )
             if background.num_edges != topology.num_edges:
                 raise ValidationError(
                     f"background profile covers {background.num_edges} "
                     f"edges, topology has {topology.num_edges}"
                 )
-            self._profile = background
-            self._active = np.zeros(topology.num_edges)
-        else:
-            if len(background) != topology.num_edges:
-                raise ValidationError(
-                    f"background must have {topology.num_edges} entries, "
-                    f"got {len(background)}"
-                )
-            self._active = np.array(background, dtype=float, copy=True)
+        self._profile = background
+        self._active = np.zeros(topology.num_edges)
         self._num_edges = topology.num_edges
         self._ends = np.empty(0)
         self._eids = np.empty(0, dtype=np.int64)
@@ -626,13 +619,6 @@ class LoadLedger:
         #: edge-id list — scalar indexing beats fancy indexing here).
         self._pending: list[tuple[float, float, np.ndarray, list[int]]] = []
         self._clock = -inf
-
-    @property
-    def active(self) -> np.ndarray:
-        """Sum of rates of live commits per edge (plus background)."""
-        if self._profile is not None:
-            return self._active + self._profile.mean()
-        return self._active
 
     def _merge_pending(self) -> None:
         pending = self._pending

@@ -73,7 +73,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro import kernels
 from repro.errors import SolverError, ValidationError
-from repro.routing.background import BackgroundProfile
 from repro.routing.costs import EdgeCost
 from repro.topology.base import Topology, path_edges
 
@@ -832,19 +831,10 @@ class FrankWolfeSolver:
         background = self._background
         return loads if background is None else loads + background
 
-    def _set_background(
-        self, background: np.ndarray | BackgroundProfile | None
-    ) -> None:
-        if background is None:
-            self._background = None
-            return
-        if isinstance(background, BackgroundProfile):
-            # The relaxation layer charges each elementary interval the
-            # profile's exact mean over that interval's own bounds; a
-            # profile arriving here whole means the caller wants one
-            # solver-wide vector — the stored window mean.
-            background = background.mean()
-        self._background = self._check_background(background)
+    def _set_background(self, background: np.ndarray | None) -> None:
+        if background is not None:
+            background = self._check_background(background)
+        self._background = background
 
     def _check_background(self, background) -> np.ndarray:
         background = np.asarray(background, dtype=float)
@@ -1453,7 +1443,7 @@ class FrankWolfeSolver:
         self,
         commodities: Sequence[Commodity],
         warm_start: MCFSolution | None = None,
-        background: np.ndarray | BackgroundProfile | None = None,
+        background: np.ndarray | None = None,
     ) -> MCFSolution:
         """Solve the F-MCF instance to the configured duality gap.
 
@@ -1470,11 +1460,9 @@ class FrankWolfeSolver:
         certified bound are all evaluated at ``commodity loads +
         background``, while ``link_loads``/``path_flows`` report the
         commodity flow alone.  A
-        :class:`~repro.routing.background.BackgroundProfile` is accepted
-        and collapsed to its stored window mean — per-interval resolution
-        happens one layer up, in :func:`repro.core.relaxation.
-        solve_relaxation`, which hands each elementary interval its own
-        ``mean_over`` slice.
+        :class:`~repro.routing.background.BackgroundProfile` is resolved
+        one layer up, in :func:`repro.core.relaxation.solve_relaxation`,
+        which hands each elementary interval its own ``mean_over`` slice.
         """
         _validate_commodities(commodities)
         prep = self._prep(commodities)
@@ -2116,7 +2104,7 @@ class RelaxationSession:
     def solve(
         self,
         commodities: Sequence[Commodity],
-        background: np.ndarray | BackgroundProfile | None = None,
+        background: np.ndarray | None = None,
     ) -> MCFSolution:
         """Solve one instance, warm-started from the previous call.
 
@@ -2139,7 +2127,7 @@ class RelaxationSession:
     def _solve(
         self,
         commodities: Sequence[Commodity],
-        background: np.ndarray | BackgroundProfile | None,
+        background: np.ndarray | None,
     ) -> MCFSolution:
         solver = self._solver
         prep = solver._prep(commodities)

@@ -26,7 +26,10 @@ Typical lifecycle::
 
 from __future__ import annotations
 
+import contextlib
+import os
 import pickle
+import tempfile
 
 from repro.errors import ValidationError
 from repro.flows.flow import Flow
@@ -176,6 +179,11 @@ class ReplayService:
         and returns the path.  Covers the engine (shard pipelines,
         commitment ledger, in-flight windows, degrade controller), the
         poll cursor, and the trace-store cursor.
+
+        The file write is atomic: the payload goes to a temp file in
+        ``path``'s directory, is flushed and fsynced, and then replaces
+        ``path`` — so a write that fails (a full disk) leaves the
+        previous checkpoint intact and no temp file behind.
         """
         payload = {
             "kind": _SERVICE_KIND,
@@ -187,8 +195,19 @@ class ReplayService:
         blob = pickle.dumps(payload)
         if path is None:
             return blob
-        with open(path, "wb") as handle:
-            handle.write(blob)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+        )
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return path
 
     @classmethod
@@ -218,10 +237,12 @@ class ReplayService:
                 f"{payload.get('version')!r} (expected {_SERVICE_VERSION})"
             )
         service = cls.__new__(cls)
-        service._engine = ShardedReplayEngine.restore_state(
-            topology, power, payload["engine"], partition=partition
-        )
         service._poll_cursor = payload["poll_cursor"]
         service._trace_path = payload["trace"]["path"]
         service._trace_cursor = payload["trace"]["cursor"]
+        # Last: the engine forks the shard workers (and closes them
+        # itself if its restore is refused).
+        service._engine = ShardedReplayEngine.restore_state(
+            topology, power, payload["engine"], partition=partition
+        )
         return service

@@ -9,16 +9,15 @@ partition_topology` into shards, each shard owns a **warm**
 of arrivals is scattered to the shards that can solve its flows locally.
 Only two things ever cross a process boundary per window: the shard's
 restriction of the background load going out (a
-:class:`~repro.routing.background.BackgroundProfile` in the default
-interval-resolved mode, the flat window-mean vector in ``"mean"`` mode),
-and ``(flow id, path)`` pairs coming back — the DESIGN.md Section 11
-shard protocol.
+:class:`~repro.routing.background.BackgroundProfile`), and
+``(flow id, path)`` pairs coming back — the DESIGN.md Section 11 shard
+protocol.
 
 Division of labor per window ``k``:
 
 * **Intra-shard flows** (both endpoints in one connected component of one
   shard) are relaxed and rounded *inside* that shard's worker, against
-  the shard-local restriction of the lagged background vector.
+  the shard-local restriction of the lagged background profile.
 * **Cross-shard flows** are routed in the parent on the boundary-aware
   global view by :class:`~repro.traces.policies.OnlineDensityPolicy`
   (marginal envelope-cost routing; :class:`~repro.traces.policies.
@@ -80,11 +79,7 @@ from repro.sim.churn import (
     survivor_shortest_path,
 )
 from repro.topology.base import Topology, path_edges
-from repro.traces.policies import (
-    GreedyDensityPolicy,
-    OnlineDensityPolicy,
-    resolve_background,
-)
+from repro.traces.policies import GreedyDensityPolicy, OnlineDensityPolicy
 from repro.traces.replay import (
     ReplayReport,
     ShardStats,
@@ -109,7 +104,8 @@ SNAPSHOT_KIND = "repro-sharded-replay"
 # entries drop their window bounds (derived from the index); the
 # topology fingerprint moves out of the config, which is now exactly
 # the constructor's keyword arguments.
-SNAPSHOT_VERSION = 5
+# v6: the config drops ``background_mode`` (the window-mean mode is gone).
+SNAPSHOT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,7 @@ class _ShardSolver:
     def _solve_window(
         self,
         flows: Sequence[Flow],
-        background: np.ndarray | BackgroundProfile | None,
+        background: BackgroundProfile | None,
         relax: bool,
         down_local: frozenset[int],
     ):
@@ -282,13 +278,6 @@ class ShardedReplayEngine:
         Windows in flight; window ``k`` sees the background of windows
         ``<= k - pipeline_depth``.  ``1`` disables overlap and recovers
         the single-owner engine's background semantics.
-    background_mode:
-        ``"interval"`` (default) ships each shard its restriction of the
-        exact piecewise-constant
-        :class:`~repro.routing.background.BackgroundProfile`, so shard
-        relaxations charge every elementary interval its own background
-        slice; ``"mean"`` ships the flat window-averaged vector — the
-        retained pre-profile behavior.
     budget:
         Optional :class:`~repro.service.degrade.SolveBudget`; exhausted
         windows degrade to greedy and are counted on the report.
@@ -342,7 +331,6 @@ class ShardedReplayEngine:
         fw_gap_tolerance: float = 1e-3,
         rounding: str = "random",
         pipeline_depth: int = 2,
-        background_mode: str = "interval",
         budget: SolveBudget | None = None,
         keep_schedules: bool = False,
         tol: float = 1e-6,
@@ -363,10 +351,6 @@ class ShardedReplayEngine:
             check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
-        if background_mode not in ("interval", "mean"):
-            raise ValidationError(
-                f"unknown background mode {background_mode!r}"
-            )
         if pipeline_depth < 1:
             raise ValidationError(
                 f"pipeline_depth must be >= 1, got {pipeline_depth}"
@@ -395,7 +379,6 @@ class ShardedReplayEngine:
         self._fw_gap = fw_gap_tolerance
         self._rounding = rounding
         self._depth = pipeline_depth
-        self._background_mode = background_mode
         self._budget = budget
         self._tol = tol
         self._failure_domains = (
@@ -404,9 +387,7 @@ class ShardedReplayEngine:
         self._srlg_diverse = srlg_diverse
         # Cross-shard flows, routed in the parent on the global view.
         self._cross_policy = (
-            OnlineDensityPolicy(background_mode)
-            if mode == "relax"
-            else GreedyDensityPolicy()
+            OnlineDensityPolicy() if mode == "relax" else GreedyDensityPolicy()
         )
         self._controller = DegradeController(budget)
         self._inflight: deque[_InFlight] = deque()
@@ -622,19 +603,12 @@ class ShardedReplayEngine:
         # One lazily built context: the shard slices and the cross-shard
         # policy read the same background, built at most once.
         ctx = loop.context(k, down, {})
-        background = None
-        if self._mode == "relax":
-            background = resolve_background(ctx, self._background_mode)
         shard_ids = tuple(sorted(per_shard))
         for shard_idx in shard_ids:
             local_bg = None
-            if background is not None:
+            if self._mode == "relax":
                 edge_map = self._partition.shards[shard_idx].edge_map
-                local_bg = (
-                    background.restrict(edge_map)
-                    if isinstance(background, BackgroundProfile)
-                    else background[edge_map]
-                )
+                local_bg = ctx.background.restrict(edge_map)
             rev = self._rev_edge_maps[shard_idx]
             down_local = frozenset(
                 rev[pid] for pid in down if pid in rev
@@ -982,7 +956,6 @@ class ShardedReplayEngine:
                 "fw_gap_tolerance": self._fw_gap,
                 "rounding": self._rounding,
                 "pipeline_depth": self._depth,
-                "background_mode": self._background_mode,
                 "budget": self._budget,
                 "keep_schedules": self._loop.kept is not None,
                 "tol": self._tol,
@@ -1046,31 +1019,40 @@ class ShardedReplayEngine:
             )
         # The config holds exactly the constructor's keyword arguments.
         cfg = state["config"]
-        engine = cls(topology, power, partition=partition, **cfg)
-        if engine._partition.num_shards != cfg["num_shards"]:
+        # Resolve and check the partition before constructing: the
+        # constructor forks one worker per shard.
+        if partition is None:
+            partition = partition_topology(topology, cfg["num_shards"])
+        if partition.num_shards != cfg["num_shards"]:
             raise ValidationError(
-                f"partition yields {engine._partition.num_shards} shards; "
+                f"partition yields {partition.num_shards} shards; "
                 f"snapshot had {cfg['num_shards']}"
             )
-        for index, blob in enumerate(state["workers"]):
-            engine._group.submit(index, ("restore", blob))
-        for index in range(len(state["workers"])):
-            engine._group.collect(index)
-        engine._loop.restore_state(state["loop"])
-        engine._controller.restore_state(state["controller"])
-        engine._inflight = deque(state["inflight"])
-        engine.window_log = list(state["window_log"])
-        sc = state["service"]
-        engine._max_deadline = sc["max_deadline"]
-        engine._degraded_windows = sc["degraded_windows"]
-        engine._per_shard = [dict(s) for s in sc["per_shard"]]
-        engine._worker_events = list(sc["worker_events"])
-        engine._worker_event_pos = 0
-        engine._worker_restarts = sc["worker_restarts"]
-        engine._restart_attempts = list(sc["restart_attempts"])
-        engine._resync_left = list(sc["resync_left"])
-        engine._checkpoints = list(sc["checkpoints"])
-        engine._last_ckpt = list(sc["last_ckpt"])
-        engine._dark_prev = frozenset(sc["dark_prev"])
+        engine = cls(topology, power, partition=partition, **cfg)
+        try:
+            for index, blob in enumerate(state["workers"]):
+                engine._group.submit(index, ("restore", blob))
+            for index in range(len(state["workers"])):
+                engine._group.collect(index)
+            engine._loop.restore_state(state["loop"])
+            engine._controller.restore_state(state["controller"])
+            engine._inflight = deque(state["inflight"])
+            engine.window_log = list(state["window_log"])
+            sc = state["service"]
+            engine._max_deadline = sc["max_deadline"]
+            engine._degraded_windows = sc["degraded_windows"]
+            engine._per_shard = [dict(s) for s in sc["per_shard"]]
+            engine._worker_events = list(sc["worker_events"])
+            engine._worker_event_pos = 0
+            engine._worker_restarts = sc["worker_restarts"]
+            engine._restart_attempts = list(sc["restart_attempts"])
+            engine._resync_left = list(sc["resync_left"])
+            engine._checkpoints = list(sc["checkpoints"])
+            engine._last_ckpt = list(sc["last_ckpt"])
+            engine._dark_prev = frozenset(sc["dark_prev"])
+        except BaseException:
+            # A refused restore must not leak the forked shard workers.
+            engine.close()
+            raise
         return engine
 

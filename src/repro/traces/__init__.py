@@ -28,7 +28,6 @@ from repro.traces.policies import (
     RelaxationRoundingPolicy,
     ReplayPolicy,
     WindowContext,
-    resolve_background,
 )
 from repro.traces.repair import ChurnManager
 from repro.traces.replay import (
@@ -77,7 +76,6 @@ __all__ = [
     "ChurnManager",
     "ReplayPolicy",
     "WindowContext",
-    "resolve_background",
     "TrafficForecaster",
     "LookaheadRelaxationPolicy",
     "GreedyDensityPolicy",

@@ -273,7 +273,7 @@ class LookaheadRelaxationPolicy(RelaxationRoundingPolicy):
         flows onto detours the realized demand never justifies.
     **kwargs:
         Forwarded to :class:`RelaxationRoundingPolicy` (seed, Frank–Wolfe
-        knobs, ``background_mode``, ...).
+        knobs, ``warm_windows``, ``rounding``).
     """
 
     name = "Lookahead+Relax"

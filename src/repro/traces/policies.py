@@ -58,7 +58,6 @@ from repro.traces.repair import DEAD_EDGE_WEIGHT
 
 __all__ = [
     "WindowContext",
-    "resolve_background",
     "ReplayPolicy",
     "GreedyDensityPolicy",
     "PowerOfTwoPolicy",
@@ -81,19 +80,12 @@ class WindowContext:
         The window ``[start, end)`` the flows were released in (their
         spans may extend far beyond ``end``).
     background:
-        Per-edge mean committed rate over the window, indexed by
-        :meth:`Topology.edge_id` — the reservations earlier windows
-        carried across this boundary, window-averaged (the retained
-        reference view).  Computed lazily on first access, so
-        load-oblivious policies never pay for it.
-    background_profile:
-        The same reservations *unaveraged*: a
-        :class:`~repro.routing.background.BackgroundProfile` resolving
-        the committed load per edge as a step function over the window
-        span and beyond — what ``background_mode="interval"`` policies
-        read.  Lazy like ``background``; ``None`` when the engine
-        supplied no profile view (hand-built contexts), in which case
-        interval-mode policies fall back to the mean vector.
+        The reservations earlier windows carried across this boundary:
+        a :class:`~repro.routing.background.BackgroundProfile` resolving
+        the committed load per edge (indexed by
+        :meth:`Topology.edge_id`) as a step function over the window
+        span and beyond.  ``background_fn`` builds it on first access,
+        so load-oblivious policies never pay for it.
     carry:
         One mutable dict per replay run, handed to every window's
         context in order: whatever a policy stashes here in window ``k``
@@ -114,43 +106,13 @@ class WindowContext:
     power: PowerModel
     start: float
     end: float
-    background_fn: Callable[[], np.ndarray] = field(repr=False)
-    profile_fn: Callable[[], BackgroundProfile] | None = field(
-        default=None, repr=False
-    )
+    background_fn: Callable[[], BackgroundProfile] = field(repr=False)
     carry: dict = field(default_factory=dict, repr=False)
     down_edge_ids: frozenset[int] = frozenset()
 
     @cached_property
-    def background(self) -> np.ndarray:
+    def background(self) -> BackgroundProfile:
         return self.background_fn()
-
-    @cached_property
-    def background_profile(self) -> BackgroundProfile | None:
-        return None if self.profile_fn is None else self.profile_fn()
-
-
-def resolve_background(
-    ctx: WindowContext, mode: str
-) -> np.ndarray | BackgroundProfile:
-    """The background view a policy in ``mode`` schedules against.
-
-    ``"interval"`` reads the interval-resolved profile (falling back to
-    the window mean when the context carries none); ``"mean"`` is the
-    retained reference behavior — the window-averaged vector, followed
-    bit for bit.
-    """
-    if mode == "interval":
-        profile = ctx.background_profile
-        if profile is not None:
-            return profile
-    return ctx.background
-
-
-def _validate_background_mode(mode: str) -> str:
-    if mode not in ("interval", "mean"):
-        raise ValidationError(f"unknown background mode {mode!r}")
-    return mode
 
 
 class ReplayPolicy(ABC):
@@ -212,7 +174,7 @@ class _CandidateSetMixin:
     demonstrate.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int = 4) -> None:
         if k < 2:
             raise ValidationError(f"need k >= 2 candidate paths, got {k}")
         self._k = k
@@ -277,29 +239,22 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     paths and takes the one whose bottleneck link carries less committed
     load over the flow's span (first sample wins ties).  Load is read
     from a :class:`~repro.routing.fastpath.LoadLedger` seeded with the
-    engine's carried background — the interval-resolved profile by
-    default, the window-averaged reference under
-    ``background_mode="mean"`` — so choices see both earlier windows and
-    earlier flows of this window.  Deadlines are met by construction.
+    engine's carried background profile, so choices see both earlier
+    windows and earlier flows of this window.  Deadlines are met by
+    construction.
     """
 
     name = "PowerOfTwo"
 
-    def __init__(
-        self, k: int = 4, seed: int = 0, background_mode: str = "interval"
-    ) -> None:
+    def __init__(self, k: int = 4, seed: int = 0) -> None:
         super().__init__(k)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        self._background_mode = _validate_background_mode(background_mode)
 
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        ledger = LoadLedger(
-            ctx.topology,
-            background=resolve_background(ctx, self._background_mode),
-        )
+        ledger = LoadLedger(ctx.topology, background=ctx.background)
         down = ctx.down_edge_ids
         schedules = []
         for flow in flows:
@@ -347,17 +302,10 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
 
     name = "LeastLoaded"
 
-    def __init__(self, k: int = 4, background_mode: str = "interval") -> None:
-        super().__init__(k)
-        self._background_mode = _validate_background_mode(background_mode)
-
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        ledger = LoadLedger(
-            ctx.topology,
-            background=resolve_background(ctx, self._background_mode),
-        )
+        ledger = LoadLedger(ctx.topology, background=ctx.background)
         down = ctx.down_edge_ids
         schedules = []
         for flow in flows:
@@ -392,21 +340,19 @@ class OnlineDensityPolicy(ReplayPolicy):
     while routing goes through a :class:`~repro.routing.fastpath.
     FastRouter` (cached bidirectional CSR Dijkstra).
 
-    Background accounting is interval-resolved by default: the ledger is
-    seeded with the engine's :class:`~repro.routing.background.
+    Background accounting is interval-resolved: the ledger is seeded
+    with the engine's :class:`~repro.routing.background.
     BackgroundProfile`, so each flow's load view charges the committed
     cross-window traffic over *its own* span, exactly like the
-    within-window accounting.  ``background_mode="mean"`` retains the
-    historical window-averaged reference behavior bit for bit.
+    within-window accounting.
 
     Deadlines are met by construction (density rate over the full span).
     """
 
     name = "Online+Density"
 
-    def __init__(self, background_mode: str = "interval") -> None:
+    def __init__(self) -> None:
         self._router: FastRouter | None = None
-        self._background_mode = _validate_background_mode(background_mode)
 
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
@@ -416,10 +362,7 @@ class OnlineDensityPolicy(ReplayPolicy):
         router = self._router
         if router is None or router.topology is not topology:
             router = self._router = FastRouter(topology)
-        ledger = LoadLedger(
-            topology,
-            background=resolve_background(ctx, self._background_mode),
-        )
+        ledger = LoadLedger(topology, background=ctx.background)
         down = ctx.down_edge_ids
         down_idx = np.asarray(sorted(down), dtype=np.int64) if down else None
         schedules = []
@@ -533,14 +476,11 @@ class RelaxationRoundingPolicy(ReplayPolicy):
       are identical, only the caches start cold).
     * **Committed background**: the engine's carried reservations enter
       the relaxation so new flows route around traffic committed by
-      earlier windows.  By default the interval-resolved
+      earlier windows.  The interval-resolved
       :class:`~repro.routing.background.BackgroundProfile` is threaded
       down to :func:`~repro.core.relaxation.solve_relaxation`, which
       charges each elementary interval the profile's exact mean over
-      that interval's own bounds; ``background_mode="mean"`` retains the
-      historical single window-mean vector bit for bit.
-      ``use_background=False`` solves each window in isolation
-      (cross-window stacking is still charged honestly by the engine).
+      that interval's own bounds.
     * **Drift accounting**: :attr:`max_weight_drift` tracks the worst
       pre-normalization deviation of any flow's aggregated ``w_bar``
       from 1 seen this run; the engine surfaces it on
@@ -555,9 +495,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         fw_max_iterations: int = 60,
         fw_gap_tolerance: float = 1e-3,
         warm_windows: bool = True,
-        use_background: bool = True,
         rounding: str = "random",
-        background_mode: str = "interval",
     ) -> None:
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
@@ -566,9 +504,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         self._fw_max_iterations = fw_max_iterations
         self._fw_gap_tolerance = fw_gap_tolerance
         self._warm = warm_windows
-        self._use_background = use_background
         self._rounding = rounding
-        self._background_mode = _validate_background_mode(background_mode)
         self._rng = np.random.default_rng(seed)
         self.max_weight_drift = 0.0
         self.windows_solved = 0
@@ -606,12 +542,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         pipeline = self._pipeline(ctx)
         flow_set = FlowSet(flows)
         solve_set = FlowSet(list(flows) + list(extra)) if extra else flow_set
-        background = (
-            resolve_background(ctx, self._background_mode)
-            if self._use_background
-            else None
-        )
-        relaxation = pipeline.solve(solve_set, background=background)
+        relaxation = pipeline.solve(solve_set, background=ctx.background)
         weights = pipeline.weights(flow_set, relaxation)
         if weights.max_drift > self.max_weight_drift:
             self.max_weight_drift = weights.max_drift
@@ -675,15 +606,9 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         solve_set = (
             FlowSet(list(served) + live_extra) if live_extra else flow_set
         )
-        background = None
-        if self._use_background:
-            view = resolve_background(ctx, self._background_mode)
-            background = (
-                view.restrict(edge_map)
-                if isinstance(view, BackgroundProfile)
-                else view[edge_map]
-            )
-        relaxation = pipeline.solve(solve_set, background=background)
+        relaxation = pipeline.solve(
+            solve_set, background=ctx.background.restrict(edge_map)
+        )
         weights = pipeline.weights(flow_set, relaxation)
         if weights.max_drift > self.max_weight_drift:
             self.max_weight_drift = weights.max_drift

@@ -266,14 +266,15 @@ class WindowAccountant:
 
     Live pieces are stored array-backed: four parallel columns
     ``(start, end, rate, edge id)`` in commit order, materialized into
-    numpy arrays lazily and invalidated on mutation.  :meth:`background`
-    (the window-mean vector) is a single vectorized overlap +
-    :func:`numpy.bincount` pass over those columns, pinned bit-identical
-    to :meth:`background_reference` — the PR-2 per-edge Python loop,
-    retained as the oracle — because both accumulate each edge's
-    ``rate * overlap`` terms in the same (commit) order.
-    :meth:`background_profile` exposes the same pieces *unaveraged*, as
-    a :class:`~repro.routing.background.BackgroundProfile`.
+    numpy arrays lazily and invalidated on mutation.
+    :meth:`background_profile` exposes them as the
+    :class:`~repro.routing.background.BackgroundProfile` every policy
+    schedules against.  :meth:`background` (the mean vector over one
+    span, which greedy fault repair routes on) is a single vectorized
+    overlap + :func:`numpy.bincount` pass over those columns, pinned
+    bit-identical to :meth:`background_reference` — the PR-2 per-edge
+    Python loop, retained as the oracle — because both accumulate each
+    edge's ``rate * overlap`` terms in the same (commit) order.
     """
 
     def __init__(
@@ -534,13 +535,9 @@ class WindowAccountant:
 
         The profile's support extends to the last live piece end (pieces
         outlive their window, and a window's elementary intervals reach
-        past its boundary), and its :meth:`~BackgroundProfile.mean` is
-        the exact :meth:`background` vector — stored, not re-integrated —
-        so the mean path through a profile stays bit-identical to the
-        retained window-averaged reference.
+        past its boundary).
         """
         num_edges = self.topology.num_edges
-        mean = self.background(start, end)
         if self._piece_start:
             starts, ends, rates, eids = self._arrays()
             mask = ends > start
@@ -553,7 +550,6 @@ class WindowAccountant:
                 end,
                 np.array([start, end]),
                 np.zeros((1, num_edges)),
-                mean=mean,
             )
         piece_starts = np.maximum(starts[mask], start)
         piece_ends = ends[mask]
@@ -573,7 +569,7 @@ class WindowAccountant:
         # Cancellation residue from stacked +rate/-rate sums can leave
         # -1e-16-scale noise; the profile contract is loads >= 0.
         np.maximum(loads, 0.0, out=loads)
-        return BackgroundProfile(num_edges, start, end, times, loads, mean=mean)
+        return BackgroundProfile(num_edges, start, end, times, loads)
 
     def next_live_start(self, floor: float) -> float | None:
         """Earliest live-piece start clipped below at ``floor`` (None when
@@ -833,10 +829,9 @@ class WindowLoop:
     def context(
         self, k: int, down: frozenset[int], carry: dict
     ) -> WindowContext:
-        """Window ``k``'s policy view.  Both background views read the
-        live ledger lazily, so they must be read before any of the
-        window's own commits — and a reader pays only for the view it
-        reads."""
+        """Window ``k``'s policy view.  The background profile reads the
+        live ledger lazily, so it must be read before any of the
+        window's own commits — and only a reader pays for it."""
         start, end = self.bounds(k)
         acct = self.acct
         return WindowContext(
@@ -844,8 +839,7 @@ class WindowLoop:
             power=self.power,
             start=start,
             end=end,
-            background_fn=lambda: acct.background(start, end),
-            profile_fn=lambda: acct.background_profile(start, end),
+            background_fn=lambda: acct.background_profile(start, end),
             carry=carry,
             down_edge_ids=down,
         )

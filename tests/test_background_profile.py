@@ -3,17 +3,18 @@
 Three tiers of pins:
 
 * :class:`BackgroundProfile` itself — construction contracts, integral /
-  mean_over / slice / restrict algebra against brute-force piece sums;
+  mean_over / restrict algebra against brute-force piece sums;
 * the :class:`WindowAccountant` views — the vectorized
   :meth:`~repro.traces.replay.WindowAccountant.background` bincount pass
   pinned **bit-identical** to the retained PR-2 reference loop, and
   :meth:`~repro.traces.replay.WindowAccountant.background_profile`
-  integrating back to that exact vector;
-* whole replays — every background-consuming policy in ``mean`` mode,
-  run through an engine whose accountant swaps in the reference loop,
-  must produce the bit-identical report (the
-  :meth:`~repro.traces.replay.ReplayEngine._accountant` seam), and
-  ``use_background=False`` must be blind to the mode knob entirely.
+  integrating back to that vector;
+* whole replays — every background-consuming policy, replayed under link
+  churn (greedy fault repair routes on the accountant's window-mean
+  :meth:`~repro.traces.replay.WindowAccountant.background`) through an
+  engine whose accountant swaps in the reference loop, must produce the
+  bit-identical report (the
+  :meth:`~repro.traces.replay.ReplayEngine._accountant` seam).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.flows import Flow
 from repro.power import PowerModel
 from repro.routing.background import BackgroundProfile
 from repro.scheduling import FlowSchedule, Segment
+from repro.sim.churn import FaultSchedule
 from repro.topology import line
 from repro.traces import (
     GreedyDensityPolicy,
@@ -42,7 +44,6 @@ from repro.traces import (
     lognormal_sizes,
     proportional_slack,
 )
-from repro.traces.policies import WindowContext, resolve_background
 from repro.traces.replay import WindowAccountant
 
 # ----------------------------------------------------------------------
@@ -54,7 +55,7 @@ class TestProfileValidation:
     def test_minimal_profile(self):
         p = BackgroundProfile(2, 0.0, 1.0, [0.0, 1.0], [[1.0, 0.0]])
         assert p.num_pieces == 1
-        assert np.array_equal(p.mean(), [1.0, 0.0])
+        assert np.array_equal(p.mean_over(0.0, 1.0), [1.0, 0.0])
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValidationError):
@@ -76,26 +77,10 @@ class TestProfileValidation:
         with pytest.raises(ValidationError):
             BackgroundProfile(1, 0.0, 1.0, [0.0, 1.0], [[-0.1]])
 
-    def test_mean_shape_checked(self):
-        with pytest.raises(ValidationError):
-            BackgroundProfile(
-                2, 0.0, 1.0, [0.0, 1.0], [[0.0, 0.0]], mean=[1.0]
-            )
-
     def test_degenerate_queries_rejected(self):
         p = BackgroundProfile(1, 0.0, 1.0, [0.0, 1.0], [[2.0]])
         with pytest.raises(ValidationError):
             p.integral(0.5, 0.5)
-        with pytest.raises(ValidationError):
-            p.slice(0.7, 0.2)
-
-    def test_stored_mean_returned_verbatim(self):
-        mean = np.array([3.25, 0.125])
-        p = BackgroundProfile(
-            2, 0.0, 4.0, [0.0, 4.0], [[1.0, 1.0]], mean=mean
-        )
-        assert p.mean() is not None
-        assert np.array_equal(p.mean(), mean)
 
 
 @st.composite
@@ -162,22 +147,6 @@ class TestProfileAlgebra:
             atol=1e-9,
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=step_profiles(), data=st.data())
-    def test_slice_preserves_queries(self, case, data):
-        profile, times, _ = case
-        horizon = float(times[-1])
-        t0 = data.draw(st.floats(0.0, horizon - 0.2))
-        t1 = data.draw(st.floats(t0 + 0.1, horizon + 1.0))
-        sliced = profile.slice(t0, t1)
-        assert sliced.start == t0 and sliced.end == t1
-        a = data.draw(st.floats(t0, t1 - 0.05))
-        b = data.draw(st.floats(a + 0.01, t1))
-        np.testing.assert_allclose(
-            sliced.integral(a, b), profile.integral(a, b),
-            rtol=1e-9, atol=1e-9,
-        )
-
     def test_zero_outside_support(self):
         p = BackgroundProfile(1, 0.0, 2.0, [0.0, 2.0], [[5.0]])
         assert p.integral(2.0, 4.0) == pytest.approx(0.0)
@@ -191,7 +160,9 @@ class TestProfileAlgebra:
         sub = p.restrict([2, 0])
         assert sub.num_edges == 2
         np.testing.assert_array_equal(sub.loads, loads[:, [2, 0]])
-        np.testing.assert_array_equal(sub.mean(), p.mean()[[2, 0]])
+        np.testing.assert_array_equal(
+            sub.mean_over(0.0, 2.0), p.mean_over(0.0, 2.0)[[2, 0]]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -255,12 +226,11 @@ class TestAccountantViews:
         start = data.draw(st.floats(0.0, 12.0))
         end = start + data.draw(st.floats(0.25, 6.0))
         profile = acct.background_profile(start, end)
-        # The stored mean IS the accountant's (reference-pinned) vector.
-        assert np.array_equal(profile.mean(), acct.background(start, end))
-        # And integrating the pieces reproduces it to fp accuracy.
+        # Integrating the pieces reproduces the accountant's
+        # (reference-pinned) window-mean vector to fp accuracy.
         np.testing.assert_allclose(
             profile.mean_over(start, end),
-            profile.mean(),
+            acct.background(start, end),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -288,7 +258,9 @@ class TestAccountantViews:
         )
         profile = acct.background_profile(0.0, 1.0)
         assert profile.num_pieces == 1
-        assert np.array_equal(profile.mean(), np.zeros(LINE4.num_edges))
+        assert np.array_equal(
+            profile.mean_over(0.0, 1.0), np.zeros(LINE4.num_edges)
+        )
 
     def test_profile_support_reaches_last_piece(self):
         acct = WindowAccountant(LINE4, QUAD)
@@ -310,56 +282,13 @@ class TestAccountantViews:
 
 
 # ----------------------------------------------------------------------
-# Context plumbing.
-# ----------------------------------------------------------------------
-
-
-class TestResolveBackground:
-    def _ctx(self, profile=None):
-        vec = np.array([1.0, 2.0, 3.0])
-        return WindowContext(
-            topology=LINE4,
-            power=QUAD,
-            start=0.0,
-            end=1.0,
-            background_fn=lambda: vec,
-            profile_fn=(lambda: profile) if profile is not None else None,
-        ), vec
-
-    def test_mean_mode_reads_the_vector(self):
-        ctx, vec = self._ctx()
-        assert resolve_background(ctx, "mean") is vec
-
-    def test_interval_mode_returns_profile(self):
-        profile = BackgroundProfile(3, 0.0, 1.0, [0.0, 1.0], [[0.0] * 3])
-        ctx, _ = self._ctx(profile=profile)
-        assert resolve_background(ctx, "interval") is profile
-
-    def test_interval_mode_falls_back_to_mean(self):
-        # Hand-built contexts without a profile view stay usable.
-        ctx, vec = self._ctx()
-        assert resolve_background(ctx, "interval") is vec
-
-    def test_unknown_mode_rejected(self):
-        for factory in (
-            lambda: PowerOfTwoPolicy(background_mode="bogus"),
-            lambda: LeastLoadedPolicy(background_mode="bogus"),
-            lambda: OnlineDensityPolicy(background_mode="bogus"),
-            lambda: RelaxationRoundingPolicy(background_mode="bogus"),
-        ):
-            with pytest.raises(ValidationError):
-                factory()
-
-
-# ----------------------------------------------------------------------
 # Whole-replay pins through the accountant seam.
 # ----------------------------------------------------------------------
 
 
 class _ReferenceAccountant(WindowAccountant):
-    """Accountant whose every background read runs the retained loop —
-    including the mean stored on the profile, which it derives from
-    :meth:`background`."""
+    """Accountant whose window-mean :meth:`background` runs the retained
+    loop — the view greedy fault repair routes committed flows on."""
 
     def background(self, start, end):
         return self.background_reference(start, end)
@@ -383,68 +312,50 @@ def _small_trace(topology, seed=7):
     return list(generate_trace(topology, spec))
 
 
-MEAN_POLICIES = [
+SEAM_POLICIES = [
     ("greedy", lambda: GreedyDensityPolicy()),
-    ("p2", lambda: PowerOfTwoPolicy(k=4, seed=0, background_mode="mean")),
-    ("least", lambda: LeastLoadedPolicy(k=4, background_mode="mean")),
-    ("online", lambda: OnlineDensityPolicy(background_mode="mean")),
+    ("p2", lambda: PowerOfTwoPolicy(k=4, seed=0)),
+    ("least", lambda: LeastLoadedPolicy(k=4)),
+    ("online", lambda: OnlineDensityPolicy()),
     (
         "relax-warm",
-        lambda: RelaxationRoundingPolicy(
-            seed=0, fw_max_iterations=25, background_mode="mean"
-        ),
+        lambda: RelaxationRoundingPolicy(seed=0, fw_max_iterations=25),
     ),
     (
         "relax-cold",
         lambda: RelaxationRoundingPolicy(
-            seed=0,
-            fw_max_iterations=25,
-            warm_windows=False,
-            background_mode="mean",
+            seed=0, fw_max_iterations=25, warm_windows=False
         ),
     ),
 ]
 
 
 class TestMeanModeReferencePin:
+    """The accountant's window-mean view, pinned where it is still read:
+    greedy fault repair routes every disrupted flow on
+    :meth:`WindowAccountant.background`."""
+
     @pytest.mark.parametrize(
-        "factory", [f for _, f in MEAN_POLICIES], ids=[n for n, _ in MEAN_POLICIES]
+        "factory",
+        [f for _, f in SEAM_POLICIES],
+        ids=[n for n, _ in SEAM_POLICIES],
     )
     def test_replay_bit_identical_to_reference_loop(
         self, ft4, quadratic, factory
     ):
         flows = _small_trace(ft4)
+        faults = FaultSchedule.generate(
+            ft4, rate=0.3, duration=20.0, mttr=4.0, seed=3
+        )
         fast = ReplayEngine(
-            ft4, quadratic, factory(), window=5.0
+            ft4, quadratic, factory(), window=5.0, faults=faults
         ).run(iter(flows))
         slow = _ReferenceEngine(
-            ft4, quadratic, factory(), window=5.0
+            ft4, quadratic, factory(), window=5.0, faults=faults
         ).run(iter(flows))
-        assert fast.total_energy == slow.total_energy  # bit-identical
-        assert fast.dynamic_energy == slow.dynamic_energy
-        assert fast.flows_served == slow.flows_served
-        assert fast.deadline_misses == slow.deadline_misses
-        assert fast.peak_link_rate == slow.peak_link_rate
-
-    def test_no_background_is_blind_to_mode(self, ft4, quadratic):
-        # use_background=False must short-circuit both views entirely.
-        flows = _small_trace(ft4, seed=11)
-        reports = [
-            ReplayEngine(
-                ft4,
-                quadratic,
-                RelaxationRoundingPolicy(
-                    seed=0,
-                    fw_max_iterations=25,
-                    use_background=False,
-                    background_mode=mode,
-                ),
-                window=5.0,
-            ).run(iter(flows))
-            for mode in ("interval", "mean")
-        ]
-        assert reports[0].total_energy == reports[1].total_energy
-        assert reports[0].flows_served == reports[1].flows_served
+        # Not vacuous: links failed and repair re-routed committed flows.
+        assert fast.link_failures > 0 and fast.flows_rerouted > 0
+        assert fast == slow  # every field bit-identical
 
     def test_interval_mode_serves_and_verifies(self, ft4, quadratic):
         flows = _small_trace(ft4, seed=13)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError, ValidationError
+from repro.routing.background import BackgroundProfile
 from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
 from repro.routing.paths import marginal_route, marginal_route_reference
 from repro.scheduling.timeline import PiecewiseConstant
@@ -275,7 +276,10 @@ class TestLoadLedger:
             commits.append((eids.tolist(), clock, clock + span, rate))
 
     def test_background_is_permanent(self, ft4):
-        background = np.full(ft4.num_edges, 0.25)
+        background = BackgroundProfile(
+            ft4.num_edges, 0.0, 200.0, [0.0, 200.0],
+            np.full((1, ft4.num_edges), 0.25),
+        )
         ledger = LoadLedger(ft4, background=background)
         assert np.allclose(ledger.loads(0.0, 1.0), 0.25)
         assert np.allclose(ledger.loads(100.0, 200.0), 0.25)
@@ -307,7 +311,15 @@ class TestLoadLedger:
 
     def test_wrong_background_shape_rejected(self, ft4):
         with pytest.raises(ValidationError):
-            LoadLedger(ft4, background=np.zeros(3))
+            LoadLedger(
+                ft4,
+                background=BackgroundProfile(
+                    3, 0.0, 1.0, [0.0, 1.0], np.zeros((1, 3))
+                ),
+            )
+        # A flat vector is not a background the ledger accepts.
+        with pytest.raises(ValidationError):
+            LoadLedger(ft4, background=np.zeros(ft4.num_edges))
 
 
 class TestOnlineConsumersAgree:

@@ -17,6 +17,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
 from repro.power import PowerModel
+from repro.routing.background import BackgroundProfile
 from repro.scheduling import Schedule
 from repro.sim.fluid import simulate_fluid
 from repro.traces import (
@@ -159,23 +160,20 @@ class TestCrossWindowSession:
         assert seen[0] is not first_run[0]  # carry never leaks across runs
 
     def test_background_feeds_relaxation(self, ft4, quadratic):
-        """With use_background the policy must still meet every deadline
+        """With the background the policy must still meet every deadline
         and account identically; the background only steers routing."""
         flows = list(generate_trace(ft4, small_spec(seed=2)))
-        for use_background in (True, False):
-            policy = RelaxationRoundingPolicy(
-                seed=0, use_background=use_background
-            )
-            report = ReplayEngine(
-                ft4, quadratic, policy, window=5.0, keep_schedules=True
-            ).run(iter(flows))
-            assert report.deadline_misses == 0
-            breakdown = Schedule(report.schedules).energy(
-                quadratic, horizon=report.horizon
-            )
-            assert report.total_energy == pytest.approx(
-                breakdown.total, rel=1e-9
-            )
+        policy = RelaxationRoundingPolicy(seed=0)
+        report = ReplayEngine(
+            ft4, quadratic, policy, window=5.0, keep_schedules=True
+        ).run(iter(flows))
+        assert report.deadline_misses == 0
+        breakdown = Schedule(report.schedules).energy(
+            quadratic, horizon=report.horizon
+        )
+        assert report.total_energy == pytest.approx(
+            breakdown.total, rel=1e-9
+        )
 
 
 class TestDriftSurfacing:
@@ -214,7 +212,10 @@ class TestValidation:
     def test_window_context_carry_defaults_empty(self, ft4, quadratic):
         ctx = WindowContext(
             topology=ft4, power=quadratic, start=0.0, end=1.0,
-            background_fn=lambda: np.zeros(ft4.num_edges),
+            background_fn=lambda: BackgroundProfile(
+                ft4.num_edges, 0.0, 1.0, [0.0, 1.0],
+                np.zeros((1, ft4.num_edges)),
+            ),
         )
         assert ctx.carry == {}
 

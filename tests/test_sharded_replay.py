@@ -6,7 +6,9 @@ The load-bearing pins:
   :class:`ReplayEngine` driving :class:`GreedyDensityPolicy` — same
   accountant, same verdicts, same float accumulation order;
 * a run that is snapshotted mid-trace and restored into a fresh process
-  produces the *same report* as the uninterrupted run;
+  produces the *same report* as the uninterrupted run; a refused restore
+  leaves no worker process behind, and a checkpoint write that fails
+  leaves the previous checkpoint intact;
 * degrade-under-pressure is recorded honestly (the report says which
   windows fell back to greedy).
 """
@@ -14,11 +16,16 @@ The load-bearing pins:
 from __future__ import annotations
 
 import dataclasses
+import errno
+import multiprocessing as mp
+import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service.api as service_api
 from repro.errors import ValidationError
 from repro.flows import Flow
 from repro.power import PowerModel
@@ -84,6 +91,50 @@ def _normalized(report):
             dataclasses.replace(s, solve_s=0.0) for s in report.shard_stats
         )
     return dataclasses.replace(report, shard_stats=stats)
+
+
+def _live_children() -> set[int]:
+    return {p.pid for p in mp.active_children() if p.is_alive()}
+
+
+def _refuse(topology, state, refusal):
+    """Break a 2-shard engine snapshot the way ``refusal`` names; returns
+    the restore keyword arguments and the error the restore must raise."""
+    if refusal == "partition":
+        return (
+            {"partition": partition_topology(topology, num_shards=4)},
+            ValidationError,
+            "partition yields 4 shards; snapshot had 2",
+        )
+    state["workers"][0] = b"not a pickle"
+    return {}, RuntimeError, "worker 0 failed"
+
+
+class _HalfWriter:
+    """Write handle that stores half of what it is given, then fails
+    with ENOSPC — a disk filling up mid-write."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+
+    def __enter__(self) -> "_HalfWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+    def write(self, data) -> int:
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def _disk_full_open(file, mode="r", *args, **kwargs):
+    handle = open(file, mode, *args, **kwargs)
+    return _HalfWriter(handle) if "w" in mode else handle
 
 
 class TestGreedyBitForBit:
@@ -233,33 +284,9 @@ class TestIntervalProfileExchange:
             fw_max_iterations=12,
             rounding="deterministic",
             pipeline_depth=1,
-            background_mode="interval",
         ) as engine:
             sharded = engine.run(flows)
         assert _pinned(sharded) == _pinned(baseline)
-
-    def test_mean_mode_retained_and_deterministic(self, ft4, quadratic):
-        flows = _trace(ft4, 40, seed=19)
-        reports = []
-        for _ in range(2):
-            with ShardedReplayEngine(
-                ft4,
-                quadratic,
-                window=1.0,
-                mode="relax",
-                seed=3,
-                fw_max_iterations=15,
-                background_mode="mean",
-            ) as engine:
-                reports.append(engine.run(flows))
-        assert _normalized(reports[0]) == _normalized(reports[1])
-        assert reports[0].capacity_violations == 0
-
-    def test_background_mode_validation(self, ft4, quadratic):
-        with pytest.raises(ValidationError):
-            ShardedReplayEngine(
-                ft4, quadratic, window=1.0, background_mode="bogus"
-            )
 
 
 class TestSnapshotRestore:
@@ -320,6 +347,53 @@ class TestSnapshotRestore:
         other = fat_tree(6)
         with pytest.raises(ValidationError):
             ShardedReplayEngine.restore_state(other, quadratic, state)
+
+    @staticmethod
+    def _two_shard_state(ft4, quadratic):
+        with ShardedReplayEngine(
+            ft4, quadratic, window=1.0, num_shards=2, mode="greedy"
+        ) as engine:
+            for flow in _trace(ft4, 10, seed=1):
+                engine.feed(flow)
+            return engine.snapshot_state()
+
+    @pytest.mark.parametrize("refusal", ["partition", "worker-blob"])
+    def test_refused_restore_leaks_no_workers(self, ft4, quadratic, refusal):
+        """A restore refused after the engine forked its workers must
+        close them."""
+        state = self._two_shard_state(ft4, quadratic)
+        kwargs, error, match = _refuse(ft4, state, refusal)
+        before = _live_children()
+        with pytest.raises(error, match=match) as info:
+            ShardedReplayEngine.restore_state(ft4, quadratic, state, **kwargs)
+        # ``info`` keeps the traceback (and its frames) alive: closing
+        # must not rely on garbage collection.
+        assert not _live_children() - before, info
+
+    @pytest.mark.parametrize("refusal", ["partition", "worker-blob"])
+    def test_service_refused_restore_leaks_no_workers(
+        self, ft4, quadratic, refusal
+    ):
+        with ReplayService(
+            ft4, quadratic, window=1.0, num_shards=2, mode="greedy"
+        ) as service:
+            service.submit_many(_trace(ft4, 10, seed=1))
+            payload = pickle.loads(service.snapshot())
+        kwargs, error, match = _refuse(ft4, payload["engine"], refusal)
+        before = _live_children()
+        with pytest.raises(error, match=match) as info:
+            ReplayService.restore(
+                ft4, quadratic, pickle.dumps(payload), **kwargs
+            )
+        assert not _live_children() - before, info
+
+    def test_restore_rejects_old_snapshot_version(self, ft4, quadratic):
+        state = self._two_shard_state(ft4, quadratic)
+        state["version"] = 5
+        with pytest.raises(
+            ValidationError, match="unsupported snapshot version 5"
+        ):
+            ShardedReplayEngine.restore_state(ft4, quadratic, state)
 
 
 class TestRelaxMode:
@@ -469,6 +543,42 @@ class TestReplayService:
         try:
             assert resumed.flows_submitted == 25
             resumed.resume_trace()
+            report = resumed.drain()
+        finally:
+            resumed.close()
+        assert _normalized(report) == _normalized(uninterrupted)
+
+    def test_failed_snapshot_write_keeps_previous_checkpoint(
+        self, ft4, powerdown, tmp_path, monkeypatch
+    ):
+        flows = _trace(ft4, 60, seed=15)
+        with ReplayService(
+            ft4, powerdown, window=1.0, mode="greedy"
+        ) as service:
+            service.submit_many(flows)
+            uninterrupted = service.drain()
+
+        blob_path = str(tmp_path / "service.snap")
+        with ReplayService(
+            ft4, powerdown, window=1.0, mode="greedy"
+        ) as service:
+            service.submit_many(flows[:25])
+            service.snapshot(blob_path)
+            service.submit_many(flows[25:40])
+            # The disk fills up halfway through the next checkpoint.
+            monkeypatch.setattr(
+                service_api, "open", _disk_full_open, raising=False
+            )
+            with pytest.raises(OSError) as info:
+                service.snapshot(blob_path)
+            assert info.value.errno == errno.ENOSPC
+            monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["service.snap"]
+
+        resumed = ReplayService.restore(ft4, powerdown, blob_path)
+        try:
+            assert resumed.flows_submitted == 25
+            resumed.submit_many(flows[25:])
             report = resumed.drain()
         finally:
             resumed.close()
