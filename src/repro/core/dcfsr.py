@@ -229,8 +229,8 @@ class RelaxationPipeline:
     """Relax → aggregate → round, around one persistent solver.
 
     The pipeline owns a :class:`FrankWolfeSolver`, so a caller feeding it
-    consecutive related instances (the sliding-horizon replay policy, the
-    repair path) keeps one path registry, walk cache and shortest-path
+    consecutive related instances (the Relax+Round replay policy, a shard
+    worker) keeps one path registry, walk cache and shortest-path
     scratch across them.  Each instance is one stacked solve over its
     elementary intervals (:func:`~repro.core.relaxation.solve_relaxation`),
     and every hand-off between stages stays in registry-id space:

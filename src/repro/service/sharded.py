@@ -54,6 +54,7 @@ on the report (see :mod:`repro.service.degrade`).
 from __future__ import annotations
 
 import pickle
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
@@ -105,7 +106,9 @@ SNAPSHOT_KIND = "repro-sharded-replay"
 # topology fingerprint moves out of the config, which is now exactly
 # the constructor's keyword arguments.
 # v6: the config drops ``background_mode`` (the window-mean mode is gone).
-SNAPSHOT_VERSION = 6
+# v7: the churn counters lose the relaxation repair tier's two keys; the
+# service state carries ``kills_upto``, the kill schedule's enacted boundary.
+SNAPSHOT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -285,10 +288,10 @@ class ShardedReplayEngine:
         Optional :class:`~repro.sim.churn.FaultSchedule`.  Fabric events
         (link, whole-switch and SRLG outages alike) feed the same
         :class:`~repro.traces.repair.ChurnManager` the single-owner
-        engine uses (greedy repair tier only — it is the deterministic
-        one under snapshot/restore); ``worker_crash`` events kill the
-        named shard worker at the next window dispatch, exercising the
-        recovery machinery below.
+        engine uses, which reroutes displaced flows greedily on the
+        survivor fabric; ``worker_crash`` events kill the named shard
+        worker at the next window dispatch, exercising the recovery
+        machinery below.
     failure_domains:
         Optional :class:`~repro.sim.churn.FailureDomain` iterable seeding
         the churn manager's risk-group registry up front (otherwise
@@ -401,7 +404,6 @@ class ShardedReplayEngine:
             keep_schedules=keep_schedules,
             tol=tol,
             faults=faults,
-            repair="greedy",  # the snapshot-deterministic tier
             domains=self._failure_domains,
             srlg_diverse=srlg_diverse,
         )
@@ -415,13 +417,15 @@ class ShardedReplayEngine:
         self._max_worker_restarts = max_worker_restarts
         self._ckpt_every = checkpoint_every
         self._resync = resync_windows
+        #: Pending ``worker_crash`` events, time-sorted; every event
+        #: before ``_kills_upto`` (the last dispatch boundary) is enacted.
         self._worker_events: list[FaultEvent] = sorted(
             faults.worker_events() if faults is not None else (),
             key=lambda e: e.time,
         )
         for event in self._worker_events:
             self._check_shard(event.shard)
-        self._worker_event_pos = 0
+        self._kills_upto = -np.inf
         shards = partition.shards
         n = len(shards)
         #: Per-shard ledger of submitted-but-uncollected window messages
@@ -491,12 +495,17 @@ class ShardedReplayEngine:
         """Admit one fault event (same nondecreasing-time stream as flows).
 
         Fabric events go to the window loop's churn manager;
-        ``worker_crash`` events join the dispatch-time kill schedule.
+        ``worker_crash`` events join the dispatch-time kill schedule,
+        unless it has already been enacted past them.
         """
         if event.kind == WORKER_CRASH:
             self._check_shard(event.shard)
-            self._worker_events.append(event)
-            self._worker_events.sort(key=lambda e: e.time)
+            if event.time < self._kills_upto:
+                raise ValidationError(
+                    f"worker_crash at t={event.time} arrived after the "
+                    f"kill schedule was enacted through {self._kills_upto}"
+                )
+            insort(self._worker_events, event, key=lambda e: e.time)
         else:
             self._loop.feed_fault(event)
 
@@ -734,12 +743,9 @@ class ShardedReplayEngine:
         collect's heartbeat — the chaos-test variant.)
         """
         events = self._worker_events
-        while (
-            self._worker_event_pos < len(events)
-            and events[self._worker_event_pos].time < start
-        ):
-            event = events[self._worker_event_pos]
-            self._worker_event_pos += 1
+        self._kills_upto = start
+        while events and events[0].time < start:
+            event = events.pop(0)
             self._group.kill(event.shard)
             self._recover_worker(event.shard)
 
@@ -976,9 +982,8 @@ class ShardedReplayEngine:
                 "max_deadline": self._max_deadline,
                 "degraded_windows": self._degraded_windows,
                 "per_shard": [dict(s) for s in self._per_shard],
-                "worker_events": self._worker_events[
-                    self._worker_event_pos:
-                ],
+                "worker_events": list(self._worker_events),
+                "kills_upto": self._kills_upto,
                 "worker_restarts": self._worker_restarts,
                 "restart_attempts": list(self._restart_attempts),
                 "resync_left": list(self._resync_left),
@@ -1043,7 +1048,7 @@ class ShardedReplayEngine:
             engine._degraded_windows = sc["degraded_windows"]
             engine._per_shard = [dict(s) for s in sc["per_shard"]]
             engine._worker_events = list(sc["worker_events"])
-            engine._worker_event_pos = 0
+            engine._kills_upto = sc["kills_upto"]
             engine._worker_restarts = sc["worker_restarts"]
             engine._restart_attempts = list(sc["restart_attempts"])
             engine._resync_left = list(sc["resync_left"])

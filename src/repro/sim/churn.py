@@ -20,7 +20,7 @@ reason about "the fabric minus the currently dead links" shares them:
   it returns the identical route);
 * :func:`survivor_topology` — the induced :class:`Topology` on the
   surviving links plus the edge-id map back to the parent, which is what
-  lets the relaxation repair tier re-solve affected flows on the honest
+  lets the Relax+Round replay policy solve a window on the honest
   survivor fabric.
 """
 

@@ -27,37 +27,28 @@ finalized.  A link-down at ``t``:
 Doomed flows surface as ``misses_attributed_to_failure`` and their lost
 volume is subtracted from delivered; nothing is silently forgiven.
 
-**Repair tiers.**  The greedy tier (always available, and the only tier
-the sharded engine uses — it must stay deterministic under
-snapshot/restore) routes each repair with marginal envelope-cost
-Dijkstra against the currently committed background, dead links clamped
-to an avoid-at-all-costs weight; a returned route still crossing a dead
-link means no survivor path exists.  The relaxation tier
-(``repair="relax"``) batches an event's repairable flows into an F-MCF
-re-solve on the honest survivor topology, reusing one
-:class:`~repro.core.dcfsr.RelaxationPipeline` per outage state (its path
-registry and walk cache carry across consecutive repairs under the same
-dead set), falling back to the greedy tier per flow when the solve is
-infeasible or the optional ``repair_budget_s`` is exhausted.
+**Repair.**  Each repairable flow is re-routed with marginal
+envelope-cost Dijkstra against the currently committed background, dead
+links clamped to an avoid-at-all-costs weight; a returned route still
+crossing a dead link means no survivor path exists.  Repairs commit one
+at a time, most urgent first, so the order decides which flow gets the
+cheapest survivor path.  The repair is deterministic, which keeps the
+sharded engine bit-identical under snapshot/restore.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import replace
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Iterable
 
 import numpy as np
 
-from repro.errors import InfeasibleError, TopologyError, ValidationError
-from repro.flows.flow import Flow, FlowSet
+from repro.errors import TopologyError, ValidationError
+from repro.flows.flow import Flow
 from repro.power.model import PowerModel
 from repro.routing.costs import envelope_cost
 from repro.routing.fastpath import FastRouter
-from repro.routing.mcflow import check_fw_settings
-from repro.routing.rounding import argmax_paths
 from repro.scheduling.schedule import FlowSchedule, Segment
 from repro.sim.churn import (
     DOWN_KINDS,
@@ -66,7 +57,6 @@ from repro.sim.churn import (
     FailureDomain,
     FaultEvent,
     survivor_shortest_path,
-    survivor_topology,
 )
 from repro.topology.base import Topology
 
@@ -83,11 +73,6 @@ DEAD_EDGE_WEIGHT = 1e15
 #: a dead one — a repair placed on a risky link is legal, just last
 #: resort, because the correlated follow-on failure would re-disrupt it.
 SRLG_PENALTY = 1e6
-
-#: Relaxation-repair chunk size under a triage budget: the storm ladder
-#: re-solves this many flows at a time, most-urgent first, so a blown
-#: ``repair_budget_s`` degrades only the overflow to greedy.
-_TRIAGE_CHUNK = 32
 
 
 class _LiveFlow:
@@ -113,7 +98,10 @@ class ChurnManager:
     Built by the window loop (:class:`~repro.traces.replay.WindowLoop`)
     once the first flow fixes the window origin.  With no events it never
     touches accounting, which keeps fault-free runs bit-identical to the
-    pre-churn engines.
+    pre-churn engines.  The registry holds only flows still transmitting
+    past the last settled window: :meth:`apply_upto` drops the rest.
+    Displaced flows are repaired by greedy survivor rerouting, most
+    urgent first (see the module docstring).
     """
 
     def __init__(
@@ -124,27 +112,15 @@ class ChurnManager:
         *,
         origin: float,
         window: float,
-        repair: str = "greedy",
-        repair_budget_s: float | None = None,
-        fw_max_iterations: int = 40,
-        fw_gap_tolerance: float = 1e-3,
         tol: float = 1e-6,
         domains: Iterable[FailureDomain] | None = None,
         srlg_diverse: bool = True,
     ) -> None:
-        if repair not in ("greedy", "relax"):
-            raise ValidationError(f"unknown repair tier {repair!r}")
-        if repair == "relax":
-            check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         self._topology = topology
         self._power = power
         self._acct = acct
         self._origin = origin
         self._window = window
-        self._repair = repair
-        self._budget = repair_budget_s
-        self._fw_iters = fw_max_iterations
-        self._fw_gap = fw_gap_tolerance
         self._tol = tol
         self._cost = envelope_cost(power)
 
@@ -181,11 +157,6 @@ class ChurnManager:
         self._pending_void: list = []  # flow ids committed onto dead links
 
         self._router: FastRouter | None = None
-        # Relaxation tier: one warm pipeline per outage state.
-        self._relax_key: frozenset | None = None
-        self._relax_pipeline = None
-        self._relax_edge_map: np.ndarray | None = None
-        self._relax_ok = True
 
         #: Optional sink for repair commitments (the engine's
         #: ``keep_schedules`` list).
@@ -203,8 +174,6 @@ class ChurnManager:
         self.misses_attributed = 0
         self.extra_misses = 0
         self.delivered_delta = 0.0
-        self.repair_fallbacks = 0
-        self.repairs_triaged = 0
 
     # ------------------------------------------------------------------
     # Event intake.
@@ -302,6 +271,10 @@ class ChurnManager:
             else:
                 self._apply_up(event)
         self._applied_upto = max(self._applied_upto, end)
+        # No later event can reach a flow that completed by ``end``: drop
+        # it, so the registry (and every snapshot) tracks the live set
+        # rather than the whole trace.
+        self._prune(end)
 
     def flush(self) -> None:
         """Apply any events beyond the last settled window (no live
@@ -393,10 +366,12 @@ class ChurnManager:
         ]
         if not affected:
             return
-        # Repair-storm triage order: most urgent first, where urgency is
-        # remaining volume per unit of deadline slack — a huge flow about
-        # to miss outranks a small one with room to spare.  Stable id
-        # tie-break keeps the order deterministic under snapshot/restore.
+        # Repair order: repairs commit one at a time, each against the
+        # background the earlier ones left, so the most urgent flow goes
+        # first and gets the cheapest survivor path.  Urgency is remaining
+        # volume per unit of deadline slack — a huge flow about to miss
+        # outranks a small one with room to spare.  Stable id tie-break
+        # keeps the order deterministic under snapshot/restore.
         def urgency(lf: _LiveFlow) -> tuple[float, str]:
             cut = max(t, lf.flow.release)
             remaining = sum(
@@ -408,26 +383,15 @@ class ChurnManager:
             return (-remaining / slack, str(lf.flow.id))
 
         affected.sort(key=urgency)
-        if self._repair == "relax" and self._relax_ok:
-            self._repair_relax(affected, t, boundary)
-        else:
-            for lf in affected:
-                self._disrupt(lf, cut=max(t, lf.flow.release),
-                              boundary=boundary)
+        for lf in affected:
+            self._disrupt(lf, cut=max(t, lf.flow.release), boundary=boundary)
 
     # ------------------------------------------------------------------
     # Disruption core (truncate + classify + greedy repair).
     # ------------------------------------------------------------------
-    def _disrupt(
-        self,
-        lf: _LiveFlow,
-        cut: float,
-        boundary: float,
-        repair_path: tuple[str, ...] | None = None,
-    ) -> None:
+    def _disrupt(self, lf: _LiveFlow, cut: float, boundary: float) -> None:
         """Truncate ``lf`` at ``cut`` and repair or doom it at
-        ``boundary``.  ``repair_path`` short-circuits route discovery
-        (the relaxation tier passes its solved routes)."""
+        ``boundary``."""
         flow = lf.flow
         removed_volume, removed_energy = self._acct.truncate_commit(
             lf.path, lf.segments, cut
@@ -442,11 +406,14 @@ class ChurnManager:
         if removed_volume <= self._tol * flow.size:
             # Effectively complete: accept the sliver loss, no repair.
             self.delivered_delta -= removed_volume
+            self._live.pop(flow.id, None)
             return
-        path = repair_path
-        if path is None and flow.deadline > boundary + self._tol:
-            path = self._greedy_route(flow, boundary)
-        if path is None or not flow.deadline > boundary + self._tol:
+        path = (
+            self._greedy_route(flow, boundary)
+            if flow.deadline > boundary + self._tol
+            else None
+        )
+        if path is None:
             # Doomed: no survivor route, or no time left to recommit.
             self.delivered_delta -= removed_volume
             if not lf.missed:
@@ -577,109 +544,11 @@ class ChurnManager:
         return verdict
 
     # ------------------------------------------------------------------
-    # Relaxation repair tier.
-    # ------------------------------------------------------------------
-    def _repair_relax(self, affected, t: float, boundary: float) -> None:
-        """Batch an event's repairable flows through F-MCF on the honest
-        survivor topology; greedy fallback per flow on any failure.
-
-        **Repair-storm triage ladder.**  ``affected`` arrives most-urgent
-        first (remaining volume over deadline slack).  With a
-        ``repair_budget_s``, the batch is re-solved in chunks of
-        :data:`_TRIAGE_CHUNK`; once the budget is exhausted the overflow
-        is *triaged* — degraded to the greedy repair tier, counted in
-        ``repairs_triaged`` — so a switch-down dooming hundreds of
-        committed flows still repairs the most urgent ones at relaxation
-        quality inside the budget, and nothing is silently dropped.
-        """
-        from repro.core.dcfsr import RelaxationPipeline
-
-        # Classify with the greedy router first: flows without a survivor
-        # route (or without time) go straight to the doom/sliver path.
-        batch: list[tuple[_LiveFlow, float]] = []
-        for lf in affected:
-            cut = max(t, lf.flow.release)
-            remaining = sum(
-                seg.rate * (seg.end - max(cut, seg.start))
-                for seg in lf.segments
-                if seg.end > cut
-            )
-            if (
-                remaining <= self._tol * lf.flow.size
-                or not lf.flow.deadline > boundary + self._tol
-                or self._greedy_route(lf.flow, boundary) is None
-            ):
-                self._disrupt(lf, cut=cut, boundary=boundary)
-            else:
-                batch.append((lf, remaining))
-        if not batch:
-            return
-        t_solve = perf_counter()
-        paths: dict = {}
-        todo = list(batch)
-        while todo:
-            chunk = (
-                todo[:_TRIAGE_CHUNK] if self._budget is not None else todo
-            )
-            todo = todo[len(chunk):]
-            try:
-                key = self.down_key()
-                if self._relax_key != key or self._relax_pipeline is None:
-                    survivor, edge_map = survivor_topology(
-                        self._topology, key
-                    )
-                    self._relax_key = key
-                    self._relax_edge_map = edge_map
-                    self._relax_pipeline = RelaxationPipeline(
-                        survivor,
-                        self._power,
-                        max_iterations=self._fw_iters,
-                        gap_tolerance=self._fw_gap,
-                    )
-                pipeline = self._relax_pipeline
-                horizon = max(lf.flow.deadline for lf, _r in chunk)
-                profile = self._acct.background_profile(boundary, horizon)
-                commodities = FlowSet(
-                    [
-                        replace(lf.flow, size=remaining, release=boundary)
-                        for lf, remaining in chunk
-                    ]
-                )
-                relaxation = pipeline.solve(
-                    commodities,
-                    background=profile.restrict(self._relax_edge_map),
-                )
-                weights = pipeline.weights(commodities, relaxation)
-                for (lf, _r), path in zip(chunk, argmax_paths(weights)):
-                    paths[lf.flow.id] = path
-            except (ValidationError, InfeasibleError, TopologyError):
-                self.repair_fallbacks += 1
-            if (
-                self._budget is not None
-                and perf_counter() - t_solve > self._budget
-            ):
-                # Budget exhausted: later events repair greedily, and
-                # this storm's overflow is triaged to the greedy tier
-                # (no repair_path below -> greedy route discovery).
-                self._relax_ok = False
-                if todo:
-                    self.repairs_triaged += len(todo)
-                    todo = []
-        for lf, _remaining in batch:
-            self._disrupt(
-                lf,
-                cut=max(t, lf.flow.release),
-                boundary=boundary,
-                repair_path=paths.get(lf.flow.id),
-            )
-
-    # ------------------------------------------------------------------
-    # Snapshot plumbing (sharded service; greedy tier only).
+    # Snapshot plumbing (sharded service).
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Plain-data snapshot (the relaxation tier's warm pipeline is
-        deliberately excluded — the sharded engine repairs greedily, so
-        restored runs stay bit-identical).
+        """Plain-data snapshot (the router and the reachability and
+        risk memos are caches, rebuilt on demand after a restore).
 
         The dead-link state is carried as ``(edge id, multiplicity)``
         pairs — a snapshot taken between a correlated failure and its
@@ -717,8 +586,6 @@ class ChurnManager:
                 "misses_attributed": self.misses_attributed,
                 "extra_misses": self.extra_misses,
                 "delivered_delta": self.delivered_delta,
-                "repair_fallbacks": self.repair_fallbacks,
-                "repairs_triaged": self.repairs_triaged,
             },
         }
 
@@ -758,5 +625,3 @@ class ChurnManager:
         self.misses_attributed = counters["misses_attributed"]
         self.extra_misses = counters["extra_misses"]
         self.delivered_delta = counters["delivered_delta"]
-        self.repair_fallbacks = counters["repair_fallbacks"]
-        self.repairs_triaged = counters["repairs_triaged"]

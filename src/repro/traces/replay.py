@@ -151,8 +151,8 @@ class ReplayReport:
     #: time left), or an arrival no policy could route because the
     #: survivor fabric was partitioned — each attributed exactly once.
     misses_attributed_to_failure: int = 0
-    #: Repair-storm triage: repairs the relaxation tier degraded to the
-    #: greedy tier because ``repair_budget_s`` ran out mid-storm.
+    #: Always 0: repairs are never triaged.  Kept only because the
+    #: end-to-end benchmark (``benchmarks/e2e``) reads it.
     repairs_triaged: int = 0
     #: Shard workers respawned after a crash (sharded service only).
     worker_restarts: int = 0
@@ -214,7 +214,6 @@ class ReplayReport:
                 f"\n  domains: {self.domain_failures} correlated outages "
                 f"({self.domain_recoveries} recovered), total recovery "
                 f"{self.total_recovery_time:.4g}, "
-                f"{self.repairs_triaged} repairs triaged, "
                 f"{self.evacuated_flows} flows evacuated"
             )
         if self.shard_stats is not None:
@@ -685,7 +684,7 @@ class WindowLoop:
         self.tol = tol
         self.kept: list[FlowSchedule] | None = [] if keep_schedules else None
         self._executor = executor
-        #: Repair tier and risk-group settings for the ChurnManager.
+        #: Risk-group settings for the ChurnManager.
         self._churn_options = churn_options
         #: Built once the first flow fixes the window origin; until then
         #: the constructor's events, then inline ones, wait in ``_stash``
@@ -972,7 +971,6 @@ class WindowLoop:
             time_to_recover=churn.time_to_recover,
             total_recovery_time=churn.total_recovery_time,
             misses_attributed_to_failure=churn.misses_attributed,
-            repairs_triaged=churn.repairs_triaged,
             schedules=self.kept,
             **fields,
         )
@@ -1041,19 +1039,12 @@ class ReplayEngine:
         also arrive inline in the trace stream itself
         (``TraceReader(path, include_faults=True)``); both sources merge.
         With no faults from either source the replay output is
-        bit-identical to a fault-free engine.
-    repair:
-        Committed-flow repair tier on link-down: ``"greedy"`` (marginal
-        envelope-cost reroute, the default) or ``"relax"`` (batched F-MCF
-        re-solve on the survivor fabric, greedy fallback).
-    repair_budget_s:
-        With ``repair="relax"``: once a single event's relaxation solve
-        exceeds this wall-clock budget, later events repair greedily —
-        and a single storm's overflow past the budget is triaged to the
-        greedy tier (most-urgent flows keep relaxation quality).
+        bit-identical to a fault-free engine.  Committed flows a link-down
+        displaces are rerouted greedily on the survivor fabric, most
+        urgent first.
     failure_domains:
         Known :class:`~repro.sim.churn.FailureDomain` risk groups, seeded
-        into the repair tier's SRLG registry up front (domains observed
+        into the repair router's SRLG registry up front (domains observed
         in the event stream are learned automatically).
     srlg_diverse:
         Penalize repair routes crossing links that share a risk group
@@ -1070,15 +1061,11 @@ class ReplayEngine:
         keep_schedules: bool = False,
         tol: float = 1e-6,
         faults: FaultSchedule | None = None,
-        repair: str = "greedy",
-        repair_budget_s: float | None = None,
         failure_domains: Iterable | None = None,
         srlg_diverse: bool = True,
     ) -> None:
         if not window > 0:
             raise ValidationError(f"window must be > 0, got {window}")
-        if repair not in ("greedy", "relax"):
-            raise ValidationError(f"unknown repair tier {repair!r}")
         self._topology = topology
         self._power = power
         self._policy = policy
@@ -1086,8 +1073,6 @@ class ReplayEngine:
         self._keep = keep_schedules
         self._tol = tol
         self._faults = faults
-        self._repair = repair
-        self._repair_budget_s = repair_budget_s
         self._failure_domains = (
             tuple(failure_domains) if failure_domains is not None else None
         )
@@ -1119,8 +1104,6 @@ class ReplayEngine:
             keep_schedules=self._keep,
             tol=self._tol,
             faults=self._faults,
-            repair=self._repair,
-            repair_budget_s=self._repair_budget_s,
             domains=self._failure_domains,
             srlg_diverse=self._srlg_diverse,
         )

@@ -4,7 +4,7 @@ Covers the fault subsystem end to end: seeded/scripted
 :class:`~repro.sim.churn.FaultSchedule` construction and its trace-store
 round trip, the :class:`~repro.traces.replay.WindowAccountant`
 truncation primitive, committed-flow repair in the single-owner engine
-(classification, honest accounting, both repair tiers), fault-aware
+(classification, honest accounting, the greedy repair order), fault-aware
 routing in every replay policy, and the sharded service's crash
 tolerance (worker kill -> restart -> resubmit with zero committed flows
 lost, plus snapshot/restore taken *between* a link failure and its
@@ -34,7 +34,7 @@ from repro.sim import (
     survivor_shortest_path,
 )
 from repro.sim.churn import survivor_topology
-from repro.topology import fat_tree, line
+from repro.topology import fat_tree, line, parallel_paths
 from repro.topology.base import path_edges
 from repro.traces import (
     ChurnManager,
@@ -388,26 +388,30 @@ class TestMidReplayRepair:
         # link died at t=1.5 (rate 1 from release 0).
         assert report.volume_delivered == pytest.approx(1.5)
 
-    def test_relax_repair_tier_runs(self, ft4):
-        power = PowerModel.quadratic()
-        flows = _cross_pod_flows(ft4, n=5, slack=8.0)
-        dead = _middle_edge(
-            ft4, ft4.shortest_path(flows[0].src, flows[0].dst)
-        )
-        faults = FaultSchedule.scripted(
-            [(1.6, "down", dead), (6.0, "up", dead)]
-        )
+    def test_repairs_run_most_urgent_first(self):
+        """Displaced flows repair one at a time, most urgent first, so
+        the urgent flow takes the cheapest survivor path and the relaxed
+        one routes around the load it left."""
+        topo = parallel_paths(3)
+        flows = [
+            Flow(id="relaxed", src="src", dst="dst",
+                 size=1.0, release=0.0, deadline=20.0),
+            Flow(id="urgent", src="src", dst="dst",
+                 size=8.0, release=0.1, deadline=4.0),
+        ]
+        faults = FaultSchedule.scripted([(0.5, "down", ("m000", "src"))])
         report = ReplayEngine(
-            ft4,
-            power,
-            GreedyDensityPolicy(),
-            window=1.0,
-            faults=faults,
-            repair="relax",
-        ).run(list(flows))
-        assert report.flows_rerouted > 0
-        assert report.misses_attributed_to_failure == 0
-        assert report.capacity_violations == 0
+            topo, PowerModel.quadratic(), GreedyDensityPolicy(),
+            window=1.0, faults=faults, keep_schedules=True,
+        ).run(flows)
+        assert [fs.path for fs in report.schedules[:2]] == [
+            ("src", "m000", "dst")
+        ] * 2
+        repairs = {fs.flow.id: fs.path for fs in report.schedules[2:]}
+        assert repairs == {
+            "urgent": ("src", "m001", "dst"),
+            "relaxed": ("src", "m002", "dst"),
+        }
 
     def test_inline_events_match_ctor_schedule(self, ft4):
         """FaultEvents interleaved in the trace stream == the same
@@ -436,6 +440,27 @@ class TestMidReplayRepair:
             ft4, power, GreedyDensityPolicy(), window=1.0
         ).run(mixed)
         assert via_ctor == via_stream
+
+    def test_sliver_cut_leaves_registry(self, ft4):
+        """A flow within ``tol`` of done when its link dies is complete,
+        not live: it leaves the registry instead of lingering there."""
+        power = PowerModel.quadratic()
+        acct = WindowAccountant(ft4, power, tol=1e-6)
+        churn = ChurnManager(ft4, power, acct, origin=0.0, window=1.0)
+        h1, h2 = ft4.hosts[0], ft4.hosts[-1]
+        path = ft4.shortest_path(h1, h2)
+        flow = Flow(id="f", src=h1, dst=h2, size=10.0, release=0.0,
+                    deadline=10.0)
+        fs = FlowSchedule(flow, path, (Segment(0.0, 10.0, 1.0),))
+        acct.commit(fs)
+        churn.register(flow, fs, missed=False)
+        churn.add_events((FaultEvent(
+            time=10.0 - 1e-9, kind="link_down", edge=path_edges(path)[0]
+        ),))
+        churn.apply_upto(11.0)
+        assert churn.flows_rerouted == 0
+        assert churn.misses_attributed == 0
+        assert churn.snapshot_state()["live"] == []
 
     def test_late_event_rejected(self, ft4):
         """An event behind the settled frontier is a hard error."""
@@ -795,6 +820,51 @@ class TestShardedChurn:
             p.pid for p in mp.active_children() if p.is_alive()
         } - before
         assert not leaked
+
+    def test_snapshot_registry_holds_only_live_flows(self, ft4, powerdown):
+        """Fault-free, the churn registry drops each flow once its window
+        settles past its completion, so a snapshot grows with the live
+        set, not with the trace."""
+        hosts = ft4.hosts
+        flows = [
+            Flow(id=i, src=hosts[i % 8], dst=hosts[8 + i % 8], size=0.2,
+                 release=0.1 * i, deadline=0.1 * i + 0.5)
+            for i in range(400)
+        ]
+        with ReplayService(
+            ft4, powerdown, 1.0, num_shards=2, mode="greedy"
+        ) as service:
+            service.submit_many(flows)
+            churn = pickle.loads(service.snapshot())["engine"]["loop"][
+                "churn"
+            ]
+        settled = churn["applied_upto"]
+        assert settled > 30.0
+        assert churn["live"]
+        assert all(flow.deadline > settled for flow, *_ in churn["live"])
+
+    def test_late_worker_crash_rejected(self, ft4, powerdown):
+        """A ``worker_crash`` older than the enacted kill schedule is an
+        error, like a late fabric event: it must not re-enact (or skip)
+        an earlier kill."""
+        flows = _poisson_flows(ft4)
+        split = next(i for i, f in enumerate(flows) if f.release > 5.0)
+        faults = FaultSchedule.scripted([(2.5, "crash", 0)])
+        with ShardedReplayEngine(
+            ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
+            faults=faults,
+        ) as engine:
+            for flow in flows[:split]:
+                engine.feed(flow)
+            # The t=2.5 kill of shard 0 is enacted by now.
+            with pytest.raises(ValidationError, match="t=1.0"):
+                engine.feed_fault(
+                    FaultEvent(time=1.0, kind="worker_crash", shard=1)
+                )
+            for flow in flows[split:]:
+                engine.feed(flow)
+            report = engine.finish()
+        assert report.worker_restarts == 1
 
     def test_snapshot_between_failure_and_recovery(self, ft4, powerdown):
         """Satellite: snapshot mid-outage; the restored run finishes

@@ -19,12 +19,7 @@ from repro.routing.background import BackgroundProfile
 from repro.service import ReplayService
 from repro.topology import fat_tree
 from repro.topology.random_graphs import jellyfish
-from repro.traces import (
-    ChurnManager,
-    LookaheadRelaxationPolicy,
-    RelaxationRoundingPolicy,
-    WindowAccountant,
-)
+from repro.traces import LookaheadRelaxationPolicy, RelaxationRoundingPolicy
 
 
 def make_relaxation(topology, flows, power=None, **solver_kwargs):
@@ -336,11 +331,6 @@ _BUILDERS = {
     ),
     "lookahead": lambda it, gap: LookaheadRelaxationPolicy(
         fw_max_iterations=it, fw_gap_tolerance=gap
-    ),
-    "churn": lambda it, gap: ChurnManager(
-        _FT4, _QUADRATIC, WindowAccountant(_FT4, _QUADRATIC),
-        origin=0.0, window=1.0, repair="relax",
-        fw_max_iterations=it, fw_gap_tolerance=gap,
     ),
     "service": lambda it, gap: ReplayService(
         _FT4, _QUADRATIC, 1.0, num_shards=2, mode="relax",
