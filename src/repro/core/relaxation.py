@@ -110,9 +110,10 @@ def solve_relaxation(
     flat vector charges every interval the same loads.  A
     :class:`~repro.routing.background.BackgroundProfile` is resolved
     *per elementary interval*: interval ``[a, b)`` is charged
-    ``profile.mean_over(a, b)`` — its own exact background slice — not
-    the window mean, which is what retires the window-averaged
-    approximation at the relaxation layer.
+    ``profile.mean_over(a, b)`` — its own exact background slice, all
+    intervals read in one :meth:`~repro.routing.background.
+    BackgroundProfile.means` gather — not the window mean, which is what
+    retires the window-averaged approximation at the relaxation layer.
     """
     if grid is None:
         grid = TimeGrid(flows)
@@ -124,7 +125,6 @@ def solve_relaxation(
     profile = background if isinstance(background, BackgroundProfile) else None
     intervals: list[tuple[Interval, tuple]] = []
     blocks: list[list[Commodity]] = []
-    backgrounds = []
     # One Commodity per flow for the whole relaxation: a flow's demand is
     # its density, constant across every interval it is active in, so the
     # per-interval commodity lists share these objects.
@@ -144,11 +144,14 @@ def solve_relaxation(
             commodities.append(commodity)
         intervals.append((interval, tuple(f.id for f in active)))
         blocks.append(commodities)
-        backgrounds.append(
-            profile.mean_over(interval.start, interval.end)
-            if profile is not None
-            else background
+    if profile is not None:
+        # Every interval's own background slice, in one gather.
+        backgrounds = profile.means(
+            [interval.start for interval, _ in intervals],
+            [interval.end for interval, _ in intervals],
         )
+    else:
+        backgrounds = [background] * len(intervals)
     if array_solver:
         solutions = solver.solve_stacked(
             blocks,

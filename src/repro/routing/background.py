@@ -5,12 +5,14 @@ into every later scheduling decision.  A :class:`BackgroundProfile` is
 one window's view of that committed load as an explicit step function
 per edge, built once per window by :meth:`~repro.traces.replay.
 WindowAccountant.background_profile` and threaded through every
-consumer — :class:`~repro.traces.policies.WindowContext`,
-:class:`~repro.routing.fastpath.LoadLedger`, the per-interval relaxation
-sweep in :mod:`repro.core.relaxation` (each elementary interval is
-charged the profile's exact mean over *its own* bounds, never a window
-average), and the sharded service's boundary-load exchange.  It is the
-only form in which a window's committed load reaches a policy.
+consumer — :class:`~repro.traces.policies.WindowContext`, the load-aware
+replay policies (each flow is charged the profile's exact mean over its
+own span), the per-interval relaxation sweep in
+:mod:`repro.core.relaxation` (each elementary interval is charged the
+profile's exact mean over *its own* bounds, never a window average), and
+the sharded service's boundary-load exchange.  Consumers read a window's
+spans in one :meth:`BackgroundProfile.means` gather.  It is the only
+form in which a window's committed load reaches a policy.
 
 The class is plain data (a breakpoint vector plus a dense step matrix),
 picklable as-is — the sharded engine ships shard-restricted profiles
@@ -100,37 +102,51 @@ class BackgroundProfile:
             self._cum = cum
         return cum
 
-    def _value_at(self, t: float) -> np.ndarray:
-        """``F(t)`` — per-edge integral from the profile origin to ``t``
-        (clamped to the support; the profile is zero outside it)."""
+    def _integrals(self, t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
+        """``F(t1s[i]) - F(t0s[i])`` per row, where ``F(t)`` is the
+        per-edge integral from the profile origin to ``t`` (clamped to
+        the support; the profile is zero outside it).  One gather for
+        every query."""
+        if not np.all(t1s > t0s):
+            bad = int(np.flatnonzero(~(t1s > t0s))[0])
+            raise ValidationError(
+                f"query window [{t0s[bad]}, {t1s[bad]}) must have "
+                "positive length"
+            )
         times = self.times
-        t = min(max(t, float(times[0])), float(times[-1]))
-        j = min(
-            int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2
+        t = np.clip(np.concatenate((t0s, t1s)), times[0], times[-1])
+        j = np.minimum(
+            np.searchsorted(times, t, side="right") - 1, len(times) - 2
         )
-        cum = self._cumulative()
-        return cum[j] + (t - times[j]) * self.loads[j]
+        at = self._cumulative()[j] + (t - times[j])[:, None] * self.loads[j]
+        n = len(t0s)
+        return at[n:] - at[:n]
 
     def integral(self, t0: float, t1: float) -> np.ndarray:
         """Per-edge integral of the committed rate over ``[t0, t1)``."""
-        if not t1 > t0:
-            raise ValidationError(
-                f"integral window [{t0}, {t1}) must have positive length"
-            )
-        return self._value_at(t1) - self._value_at(t0)
+        return self._integrals(np.array([t0]), np.array([t1]))[0]
 
-    def mean_over(self, t0: float, t1: float) -> np.ndarray:
-        """Per-edge mean committed rate over ``[t0, t1)``.
+    def means(self, t0s, t1s) -> np.ndarray:
+        """Per-edge mean committed rate over each ``[t0s[i], t1s[i])``:
+        ``float64[n, num_edges]``, row ``i`` bit-identical to
+        ``mean_over(t0s[i], t1s[i])``.
 
-        This is the per-elementary-interval view the relaxation sweep
-        charges: exact for any query, not a window-wide average.  Time
-        outside the support counts as zero load.
+        This is how a window's consumers read their backgrounds: every
+        arriving flow's span, or every elementary interval, in one
+        batched gather.  Time outside the support counts as zero load.
         """
-        out = self.integral(t0, t1) / (t1 - t0)
+        t0s = np.asarray(t0s, dtype=float)
+        t1s = np.asarray(t1s, dtype=float)
+        out = self._integrals(t0s, t1s) / (t1s - t0s)[:, None]
         # Monotone fp accumulation keeps the difference >= 0 up to
         # rounding; clamp so downstream >= 0 validation never trips.
         np.maximum(out, 0.0, out=out)
         return out
+
+    def mean_over(self, t0: float, t1: float) -> np.ndarray:
+        """Per-edge mean committed rate over ``[t0, t1)`` — the one-row
+        case of :meth:`means`."""
+        return self.means((t0,), (t1,))[0]
 
     def restrict(self, edge_map) -> "BackgroundProfile":
         """The profile seen through ``edge_map`` (shard-local edge ids to

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro import kernels
 from repro.errors import TopologyError, ValidationError
-from repro.routing.background import BackgroundProfile
 from repro.topology.base import Topology
 
 __all__ = ["csr_dijkstra", "FastRouter", "LoadLedger"]
@@ -578,12 +577,10 @@ class LoadLedger:
     :func:`numpy.bincount` over the deadline-sorted prefix), and a commit
     ending at or before ``a`` is expired from ``active`` exactly once.
 
-    ``background`` seeds a base load the ledger itself never expires or
-    corrects: a :class:`~repro.routing.background.BackgroundProfile`
-    (the replay engine's exact piecewise-constant cross-window
-    reservations), kept aside so each :meth:`loads` query adds the
-    profile's exact mean over *its own* ``[start, end)``.  Any other
-    ``background`` is rejected.
+    The ledger tracks only its own commits.  Replay policies add the
+    load committed by earlier windows themselves: one
+    :meth:`~repro.routing.background.BackgroundProfile.means` gather
+    per window, row ``i`` added to flow ``i``'s :meth:`loads`.
 
     Representation detail: commits land in a small *pending* list first
     and are merged into the deadline-sorted arrays in sorted blocks every
@@ -593,23 +590,7 @@ class LoadLedger:
 
     _MERGE_AT = 8
 
-    def __init__(
-        self,
-        topology: Topology,
-        background: BackgroundProfile | None = None,
-    ) -> None:
-        if background is not None:
-            if not isinstance(background, BackgroundProfile):
-                raise ValidationError(
-                    f"background must be a BackgroundProfile, got "
-                    f"{type(background).__name__}"
-                )
-            if background.num_edges != topology.num_edges:
-                raise ValidationError(
-                    f"background profile covers {background.num_edges} "
-                    f"edges, topology has {topology.num_edges}"
-                )
-        self._profile = background
+    def __init__(self, topology: Topology) -> None:
         self._active = np.zeros(topology.num_edges)
         self._num_edges = topology.num_edges
         self._ends = np.empty(0)
@@ -721,6 +702,4 @@ class LoadLedger:
                             loads[eid] -= delta
             if len(survivors) != len(pending):
                 self._pending = survivors
-        if self._profile is not None:
-            loads += self._profile.mean_over(start, end)
         return loads

@@ -115,6 +115,14 @@ class WindowContext:
         return self.background_fn()
 
 
+def _span_backgrounds(ctx: WindowContext, flows: Sequence[Flow]) -> np.ndarray:
+    """The committed background's mean over each flow's span, one row per
+    flow: a window's backgrounds in one gather."""
+    return ctx.background.means(
+        [flow.release for flow in flows], [flow.deadline for flow in flows]
+    )
+
+
 class ReplayPolicy(ABC):
     """Schedules one window of arrivals at a time, irrevocably."""
 
@@ -237,11 +245,11 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     The classic randomized load-balancing result as a window policy:
     each flow samples two of its ``k`` precomputed shortest candidate
     paths and takes the one whose bottleneck link carries less committed
-    load over the flow's span (first sample wins ties).  Load is read
-    from a :class:`~repro.routing.fastpath.LoadLedger` seeded with the
-    engine's carried background profile, so choices see both earlier
-    windows and earlier flows of this window.  Deadlines are met by
-    construction.
+    load over the flow's span (first sample wins ties).  Load is the
+    flow's row of the engine's carried background profile (one gather
+    per window) plus a :class:`~repro.routing.fastpath.LoadLedger` of
+    this window's own commits, so choices see both earlier windows and
+    earlier flows of this window.  Deadlines are met by construction.
     """
 
     name = "PowerOfTwo"
@@ -254,10 +262,11 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        ledger = LoadLedger(ctx.topology, background=ctx.background)
+        ledger = LoadLedger(ctx.topology)
+        background = _span_backgrounds(ctx, flows)
         down = ctx.down_edge_ids
         schedules = []
-        for flow in flows:
+        for flow, committed in zip(flows, background):
             if down:
                 candidates = self._survivor_candidates(
                     ctx.topology, down, flow.src, flow.dst
@@ -275,6 +284,7 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
                     len(candidates), size=2, replace=False
                 )
                 loads = ledger.loads(flow.release, flow.deadline)
+                loads += committed
                 pick = (
                     second
                     if loads[candidates[second][1]].max()
@@ -297,7 +307,7 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
     The deterministic endpoint of the choice spectrum: every flow scans
     all ``k`` candidates and takes the one with the smallest bottleneck
     load over its span (ties fall to the shortest, i.e. first, path).
-    Same ledger-seeded load view as :class:`PowerOfTwoPolicy`.
+    Same background-plus-ledger load view as :class:`PowerOfTwoPolicy`.
     """
 
     name = "LeastLoaded"
@@ -305,10 +315,11 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        ledger = LoadLedger(ctx.topology, background=ctx.background)
+        ledger = LoadLedger(ctx.topology)
+        background = _span_backgrounds(ctx, flows)
         down = ctx.down_edge_ids
         schedules = []
-        for flow in flows:
+        for flow, committed in zip(flows, background):
             if down:
                 candidates = self._survivor_candidates(
                     ctx.topology, down, flow.src, flow.dst
@@ -320,6 +331,7 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
                     ctx.topology, flow.src, flow.dst
                 )
             loads = ledger.loads(flow.release, flow.deadline)
+            loads += committed
             path, edge_ids = min(
                 candidates, key=lambda cand: float(loads[cand[1]].max())
             )
@@ -333,18 +345,18 @@ class OnlineDensityPolicy(ReplayPolicy):
 
     The streaming port of :func:`repro.core.online.solve_online_density`
     on the array-native routing core (DESIGN.md §7): within a window, a
-    :class:`~repro.routing.fastpath.LoadLedger` seeded with the engine's
-    background tracks the committed per-edge average load — a commit
-    touches only its own path edges, and each arriving flow's load view
-    is corrected to its individual span window in one vectorized pass —
-    while routing goes through a :class:`~repro.routing.fastpath.
-    FastRouter` (cached bidirectional CSR Dijkstra).
+    :class:`~repro.routing.fastpath.LoadLedger` tracks the window's own
+    committed per-edge average load — a commit touches only its own path
+    edges, and each arriving flow's load view is corrected to its
+    individual span window in one vectorized pass — while routing goes
+    through a :class:`~repro.routing.fastpath.FastRouter` (cached
+    bidirectional CSR Dijkstra).
 
-    Background accounting is interval-resolved: the ledger is seeded
-    with the engine's :class:`~repro.routing.background.
-    BackgroundProfile`, so each flow's load view charges the committed
-    cross-window traffic over *its own* span, exactly like the
-    within-window accounting.
+    Background accounting is interval-resolved: each flow's load view
+    adds the engine's :class:`~repro.routing.background.
+    BackgroundProfile` mean over *its own* span (all of a window's spans
+    read in one :meth:`~repro.routing.background.BackgroundProfile.
+    means` gather), exactly like the within-window accounting.
 
     Deadlines are met by construction (density rate over the full span).
     """
@@ -362,12 +374,15 @@ class OnlineDensityPolicy(ReplayPolicy):
         router = self._router
         if router is None or router.topology is not topology:
             router = self._router = FastRouter(topology)
-        ledger = LoadLedger(topology, background=ctx.background)
+        ledger = LoadLedger(topology)
+        flows = sorted(flows, key=lambda f: (f.release, str(f.id)))
+        background = _span_backgrounds(ctx, flows)
         down = ctx.down_edge_ids
         down_idx = np.asarray(sorted(down), dtype=np.int64) if down else None
         schedules = []
-        for flow in sorted(flows, key=lambda f: (f.release, str(f.id))):
+        for flow, committed in zip(flows, background):
             loads = ledger.loads(flow.release, flow.deadline)
+            loads += committed
             # decreased=True: span corrections shrink as the window slides,
             # so weights may drop anywhere; invalidate conservatively
             # rather than pay a full-vector scan per flow (the bound-seeded

@@ -208,11 +208,28 @@ class ChurnManager:
     # ------------------------------------------------------------------
     # Live-flow registry.
     # ------------------------------------------------------------------
-    def register(self, flow: Flow, fs: FlowSchedule, missed: bool) -> None:
-        """Track one freshly committed schedule for future repair."""
-        eids = frozenset(
-            int(eid) for _e, eid in self._acct.route_edges(fs.path)
-        )
+    def live_until(self, flow: Flow) -> float | None:
+        """Completion time of the registered flow with ``flow``'s id when
+        it is still transmitting at ``flow``'s release (None otherwise):
+        the registry is keyed by id, so that id is not free yet."""
+        lf = self._live.get(flow.id)
+        if lf is not None and lf.completion > flow.release:
+            return lf.completion
+        return None
+
+    def register(
+        self,
+        flow: Flow,
+        fs: FlowSchedule,
+        missed: bool,
+        edge_ids: Iterable[int] | None = None,
+    ) -> None:
+        """Track one freshly committed schedule for repair.  ``edge_ids``
+        is its route as :meth:`~repro.traces.replay.WindowAccountant.
+        commit` returned it (converted from ``fs.path`` when omitted)."""
+        if edge_ids is None:
+            edge_ids = self._acct.edge_ids(fs.path)
+        eids = frozenset(edge_ids)
         lf = _LiveFlow(flow, fs.path, eids, tuple(fs.segments), missed)
         self._live[flow.id] = lf
         heappush(self._completions, (lf.completion, str(flow.id), flow.id))
@@ -428,13 +445,11 @@ class ChurnManager:
             path=path,
             segments=(Segment(boundary, flow.deadline, rate),),
         )
-        self._acct.commit(fs)
+        eids = self._acct.commit(fs)
         if self.kept is not None:
             self.kept.append(fs)
         lf.path = path
-        lf.eids = frozenset(
-            int(eid) for _e, eid in self._acct.route_edges(path)
-        )
+        lf.eids = frozenset(eids)
         lf.segments = tuple(fs.segments)
         heappush(
             self._completions, (lf.completion, str(flow.id), flow.id)

@@ -21,27 +21,26 @@ Accounting is exact and bounded-memory, and lives in
 through it.  Because a flow can only be scheduled in the window containing
 its release, no segment ever starts before its scheduling window — so
 once window ``k`` is scheduled, the link rates on ``[start_k, end_k)``
-are final.  Energy is integrated by a single global event sweep in the
-:mod:`repro.sim.fluid` tradition: each committed segment contributes
-exactly two events (rate up at its start, down at its end) to one
-time-ordered heap, and finalizing window ``k`` drains every event up to
-``end_k``, charging each link ``mu * x^alpha * dt`` between its own
-consecutive events.  (An earlier revision re-clipped and re-sorted every
-live segment in every window it spanned — O(resident) extra work per
-window that the heap removes.)  Finalization then garbage-collects every
-segment that ended inside the window.  Resident state is one window of
-arrivals plus the still-transmitting segments — O(active), never
-O(trace) — which is what lets a 100k-flow trace replay in a few seconds
-of constant memory.  The integration-test suite pins the summed window
-energies against :meth:`repro.scheduling.Schedule.energy` and the
-per-flow deadline verdicts against :func:`repro.sim.fluid.simulate_fluid`
-on materialized traces.
+are final.  Energy is integrated in the :mod:`repro.sim.fluid` tradition,
+charging each link ``mu * x^alpha * dt`` between its own consecutive rate
+events, once per window: a window's commits are buffered as one row per
+segment, expanded into columnar ``(edge, segment)`` pieces and their two
+rate events each, and finalizing window ``k`` settles every event up to
+``end_k`` in one vectorized sweep whose sums are, term for term and in
+order, those of a global time-ordered event heap (DESIGN.md Section 18).
+Finalization then garbage-collects every piece that ended inside the
+window.  Resident state is one window of arrivals plus the
+still-transmitting pieces — O(active), never O(trace) — which is what
+lets a 100k-flow trace replay in a few seconds of constant memory.  The
+integration-test suite pins the summed window energies against
+:meth:`repro.scheduling.Schedule.energy` and the per-flow deadline
+verdicts against :func:`repro.sim.fluid.simulate_fluid` on materialized
+traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Iterable
 
 import numpy as np
@@ -255,26 +254,36 @@ class WindowAccountant:
     """Exact bounded-memory accounting of committed reservations.
 
     Owns everything downstream of a policy's decision: the live-piece
-    ledger, the global two-event-per-segment energy heap, peak rate /
-    capacity tracking, and the per-window background views.  The
-    single-owner :class:`ReplayEngine` and the sharded service engine
+    columns, the pending rate events and the per-window energy sweep,
+    peak rate / capacity tracking, and the per-window background views.
+    The single-owner :class:`ReplayEngine` and the sharded service engine
     both commit through this class, which is what keeps their energy
     accounting bit-identical, and its state is plain data so a service
     can :meth:`snapshot_state` mid-replay and restore an equivalent
     accountant later.
 
-    Live pieces are stored array-backed: four parallel columns
-    ``(start, end, rate, edge id)`` in commit order, materialized into
-    numpy arrays lazily and invalidated on mutation.
-    :meth:`background_profile` exposes them as the
+    Committed load is columnar.  :meth:`commit` appends one buffer row
+    per schedule segment; the buffer is expanded once per window, at the
+    first read or settle point, into ``(edge, segment)`` *pieces* — four
+    parallel columns ``(start, end, rate, edge id)`` in commit order —
+    and into their rate events, two per piece (``+rate`` at its start,
+    ``-rate`` at its end).  :meth:`sweep` settles the events due by a
+    time in one vectorized pass whose arithmetic is, sum for sum, that of
+    a global time-ordered event heap (the retired implementation, kept
+    in the test suite as the oracle): see :meth:`sweep`.
+
+    :meth:`background_profile` exposes the live pieces as the
     :class:`~repro.routing.background.BackgroundProfile` every policy
     schedules against.  :meth:`background` (the mean vector over one
     span, which greedy fault repair routes on) is a single vectorized
-    overlap + :func:`numpy.bincount` pass over those columns, pinned
-    bit-identical to :meth:`background_reference` — the PR-2 per-edge
-    Python loop, retained as the oracle — because both accumulate each
-    edge's ``rate * overlap`` terms in the same (commit) order.
+    overlap + :func:`numpy.bincount` pass over the columns, pinned
+    bit-identical to a per-piece Python loop in the test suite, because
+    both accumulate each edge's ``rate * overlap`` terms in commit order.
     """
+
+    #: Cells one sweep grid may hold before the due events are split at a
+    #: time and swept in two passes (see :meth:`_settle`).
+    _GRID_CELLS = 1 << 16
 
     def __init__(
         self, topology: Topology, power: PowerModel, tol: float = 1e-6
@@ -282,20 +291,24 @@ class WindowAccountant:
         self.topology = topology
         self.power = power
         self.tol = tol
-        # Array-backed live-piece storage (parallel columns, commit order).
-        self._piece_start: list[float] = []
-        self._piece_end: list[float] = []
-        self._piece_rate: list[float] = []
-        self._piece_eid: list[int] = []
-        self._piece_arrays: (
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
-        self.active_links: set[Edge] = set()
-        # Global energy sweep state: one (time, edge_id, rate_delta) heap,
-        # plus each link's current stacked rate and last event time.
-        self.events: list[tuple[float, int, float]] = []
-        self.cur_rate = [0.0] * topology.num_edges
-        self.last_t = [0.0] * topology.num_edges
+        num_edges = topology.num_edges
+        # Live pieces (parallel columns, commit order).
+        self._start = np.empty(0)
+        self._end = np.empty(0)
+        self._rate = np.empty(0)
+        self._eid = np.empty(0, dtype=np.int64)
+        # Pending rate events, in no particular order.
+        self._ev_t = np.empty(0)
+        self._ev_eid = np.empty(0, dtype=np.int64)
+        self._ev_delta = np.empty(0)
+        # Commits not yet expanded: one (start, end, rate, route length)
+        # row per segment, plus the routes' edge ids back to back.
+        self._buffer: list[tuple[float, float, float, int]] = []
+        self._buffer_eids: list[int] = []
+        self._active: set[int] = set()
+        # Each link's current stacked rate and last event time.
+        self.cur_rate = np.zeros(num_edges)
+        self.last_t = np.zeros(num_edges)
         self.dynamic_energy = 0.0
         self.peak_rate = 0.0
         self.capacity_violations = 0
@@ -305,104 +318,158 @@ class WindowAccountant:
         self._mu, self._alpha = power.mu, power.alpha
         self._quadratic = power.alpha == 2.0
         self._cap_limit = power.capacity * (1.0 + tol)
-        # Route memo: node path -> ((edge, edge_id), ...).  Distinct paths
-        # are few; recomputing canonical edges per flow is not.
-        self._route_edges: dict[
-            tuple[str, ...], tuple[tuple[Edge, int], ...]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Commitment.
     # ------------------------------------------------------------------
-    def route_of(self, fs: FlowSchedule) -> tuple[tuple[Edge, int], ...]:
-        return self.route_edges(fs.path)
+    def edge_ids(self, path: tuple[str, ...]) -> tuple[int, ...]:
+        """Dense edge ids along a node path, in path order."""
+        return tuple(map(self._edge_id, path_edges(path)))
 
-    def route_edges(
-        self, path: tuple[str, ...]
-    ) -> tuple[tuple[Edge, int], ...]:
-        edges = self._route_edges.get(path)
-        if edges is None:
-            edges = tuple((e, self._edge_id(e)) for e in path_edges(path))
-            self._route_edges[path] = edges
-        return edges
+    def commit(self, fs: FlowSchedule) -> tuple[int, ...]:
+        """Register one irrevocable schedule and return its route's edge
+        ids.  The schedule is buffered, one row per segment; its pieces
+        and events appear at the next read or settle point."""
+        eids = self.edge_ids(fs.path)
+        self._active.update(eids)
+        buffer, flat = self._buffer, self._buffer_eids
+        n = len(eids)
+        for seg in fs.segments:
+            buffer.append((seg.start, seg.end, seg.rate, n))
+            flat.extend(eids)
+            if seg.end > self.last_segment_end:
+                self.last_segment_end = seg.end
+        return eids
 
-    def commit(self, fs: FlowSchedule) -> None:
-        """Register one irrevocable schedule: pieces, events, activity."""
-        p_start, p_end = self._piece_start, self._piece_end
-        p_rate, p_eid = self._piece_rate, self._piece_eid
-        for edge, eid in self.route_of(fs):
-            self.active_links.add(edge)
-            for seg in fs.segments:
-                p_start.append(seg.start)
-                p_end.append(seg.end)
-                p_rate.append(seg.rate)
-                p_eid.append(eid)
-                heappush(self.events, (seg.start, eid, seg.rate))
-                heappush(self.events, (seg.end, eid, -seg.rate))
-                if seg.end > self.last_segment_end:
-                    self.last_segment_end = seg.end
-        self._piece_arrays = None
+    def _merge(self) -> None:
+        """Expand the commit buffer into pieces and their events: one
+        :func:`numpy.repeat` of the segments over their route lengths."""
+        if not self._buffer:
+            return
+        rows = np.array(self._buffer)
+        lens = rows[:, 3].astype(np.int64)
+        eids = np.array(self._buffer_eids, dtype=np.int64)
+        starts = np.repeat(rows[:, 0], lens)
+        ends = np.repeat(rows[:, 1], lens)
+        rates = np.repeat(rows[:, 2], lens)
+        self._buffer = []
+        self._buffer_eids = []
+        self._start = np.concatenate((self._start, starts))
+        self._end = np.concatenate((self._end, ends))
+        self._rate = np.concatenate((self._rate, rates))
+        self._eid = np.concatenate((self._eid, eids))
+        self._ev_t = np.concatenate((self._ev_t, starts, ends))
+        self._ev_eid = np.concatenate((self._ev_eid, eids, eids))
+        self._ev_delta = np.concatenate((self._ev_delta, rates, -rates))
 
-    def _arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The live pieces as ``(starts, ends, rates, edge ids)`` arrays."""
-        arrays = self._piece_arrays
-        if arrays is None:
-            arrays = (
-                np.asarray(self._piece_start, dtype=float),
-                np.asarray(self._piece_end, dtype=float),
-                np.asarray(self._piece_rate, dtype=float),
-                np.asarray(self._piece_eid, dtype=np.int64),
-            )
-            self._piece_arrays = arrays
-        return arrays
+    @property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The live pieces as ``(starts, ends, rates, edge ids)`` columns
+        in commit order (do not mutate)."""
+        self._merge()
+        return self._start, self._end, self._rate, self._eid
 
     # ------------------------------------------------------------------
     # Energy sweep and garbage collection.
     # ------------------------------------------------------------------
     def sweep(self, upto: float) -> None:
-        """Drain the event heap through ``upto``, charging each link
-        ``mu * rate^alpha * dt`` between its own consecutive events."""
-        events, cur_rate, last_t = self.events, self.cur_rate, self.last_t
-        mu, alpha, quadratic = self._mu, self._alpha, self._quadratic
-        cap_limit = self._cap_limit
-        dynamic_energy = self.dynamic_energy
-        peak_rate = self.peak_rate
-        while events and events[0][0] <= upto:
-            t, eid, delta = heappop(events)
-            rate = cur_rate[eid]
-            if rate > 0.0:
-                dt = t - last_t[eid]
-                if dt > 0.0:
-                    if quadratic:  # rate*rate skips the pow kernel
-                        dynamic_energy += mu * rate * rate * dt
-                    else:
-                        dynamic_energy += mu * rate**alpha * dt
-                    if rate > peak_rate:
-                        peak_rate = rate
-                    if rate > cap_limit:
-                        self.capacity_violations += 1
-            cur_rate[eid] = rate + delta
-            last_t[eid] = t
-        self.dynamic_energy = dynamic_energy
-        self.peak_rate = peak_rate
+        """Settle every pending event at or before ``upto``, charging each
+        link ``mu * rate^alpha * dt`` between its own consecutive events.
+
+        The arithmetic is the event heap's, step for step.  The due
+        events are ordered by (edge, time, delta) — the heap's pop order
+        on each edge — and each edge's rate trajectory is one row-wise
+        :func:`numpy.cumsum` of ``[carried rate, delta_1, delta_2, ...]``,
+        the heap's running sum in the heap's order.  The charges are
+        added to ``dynamic_energy`` with :func:`numpy.add.accumulate` in
+        global (time, edge, delta) order — the heap's global pop order —
+        so the total, peak rate, capacity violations and every link's
+        rate and last event time equal the heap's bit for bit.
+        """
+        self._merge()
+        due = self._ev_t <= upto
+        if not due.any():
+            return
+        columns = (self._ev_t, self._ev_eid, self._ev_delta)
+        later = ~due
+        self._ev_t, self._ev_eid, self._ev_delta = (c[later] for c in columns)
+        self._settle(*(c[due] for c in columns))
+
+    def _settle(
+        self, t: np.ndarray, eid: np.ndarray, delta: np.ndarray
+    ) -> None:
+        """Apply one batch of due events (see :meth:`sweep`)."""
+        n = len(t)
+        order = np.lexsort((delta, t, eid))
+        t, eid, delta = t[order], eid[order], delta[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(eid[1:], eid[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        counts = np.diff(np.append(heads, n))
+        width = int(counts.max()) + 1
+        last = t.max()
+        grid_cells = len(heads) * width
+        if grid_cells > max(self._GRID_CELLS, 8 * n) and t.min() < last:
+            # One busy edge would pad every row to its length: settle the
+            # earlier events first.  Splitting between two distinct times
+            # keeps the heap's order, which is time-major.
+            split = np.partition(t, n // 2)[n // 2]
+            first = t <= split if split < last else t < split
+            self._settle(t[first], eid[first], delta[first])
+            rest = ~first
+            self._settle(t[rest], eid[rest], delta[rest])
+            return
+        edges = eid[heads]
+        row = np.cumsum(head) - 1
+        col = np.arange(n) - heads[row]
+        grid = np.zeros((len(heads), width))
+        grid[:, 0] = self.cur_rate[edges]
+        grid[row, col + 1] = delta
+        grid = np.cumsum(grid, axis=1)
+        rate = grid[row, col]  # each link's rate just before each event
+        before = np.empty(n)
+        before[1:] = t[:-1]
+        before[heads] = self.last_t[edges]
+        dt = t - before
+        self.cur_rate[edges] = grid[np.arange(len(heads)), counts]
+        self.last_t[edges] = t[heads + counts - 1]
+        charged = (rate > 0.0) & (dt > 0.0)
+        if not charged.any():
+            return
+        rate, dt = rate[charged], dt[charged]
+        if self._quadratic:  # rate*rate skips the pow kernel
+            charge = self._mu * rate * rate * dt
+        else:  # Python's pow, exactly as the heap charged it
+            alpha = self._alpha
+            powered = np.array([r**alpha for r in rate.tolist()])
+            charge = self._mu * powered * dt
+        glob = np.lexsort((delta[charged], eid[charged], t[charged]))
+        total = np.empty(len(charge) + 1)
+        total[0] = self.dynamic_energy
+        total[1:] = charge[glob]
+        self.dynamic_energy = float(np.add.accumulate(total)[-1])
+        peak = float(rate.max())
+        if peak > self.peak_rate:
+            self.peak_rate = peak
+        self.capacity_violations += int(
+            np.count_nonzero(rate > self._cap_limit)
+        )
 
     def finalize(self, end: float) -> None:
         """Close a window ending at ``end``: sweep energy, drop dead pieces."""
-        n = len(self._piece_start)
+        self._merge()
+        n = len(self._start)
         if n > self.max_resident:
             self.max_resident = n
         self.sweep(end)
         if n:
-            starts, ends, rates, eids = self._arrays()
-            keep = ends > end
+            keep = self._end > end
             if not keep.all():
-                self._piece_start = starts[keep].tolist()
-                self._piece_end = ends[keep].tolist()
-                self._piece_rate = rates[keep].tolist()
-                self._piece_eid = eids[keep].tolist()
-                self._piece_arrays = None
+                self._start = self._start[keep]
+                self._end = self._end[keep]
+                self._rate = self._rate[keep]
+                self._eid = self._eid[keep]
 
     def drain(self) -> None:
         """Charge any boundary-exact trailing events (end of replay)."""
@@ -422,25 +489,24 @@ class WindowAccountant:
         For every ``(edge, segment)`` piece of the ``(path, segments)``
         commitment whose end lies beyond ``cut``, the live piece is cut
         back to ``cut`` (dropped entirely when it had not started yet)
-        and a compensating event pair is pushed so the energy sweep sees
-        the rate drop at ``cut`` instead of the original end.  ``cut``
-        must lie beyond the last finalized boundary — the engines only
-        truncate inside the window being settled, which guarantees the
-        compensations land ahead of the sweep.
+        and a compensating event pair is appended so the energy sweep
+        sees the rate drop at ``cut`` instead of the original end.
+        ``cut`` must lie beyond the last finalized boundary — the engines
+        only truncate inside the window being settled, which guarantees
+        the compensations land ahead of the sweep.
 
         Returns ``(removed_volume, removed_standalone_energy)``: the
         flow volume no longer delivered and the standalone dynamic
         energy (rate^alpha, per edge) of the voided tail — the honest
         inputs to repair accounting.
         """
-        route = self.route_edges(path)
-        p_start, p_end = self._piece_start, self._piece_end
-        p_rate, p_eid = self._piece_rate, self._piece_eid
+        route = self.edge_ids(path)
+        starts, ends, rates, eids = self.pieces
         mu, alpha = self._mu, self._alpha
         removed_volume = 0.0
         removed_energy = 0.0
-        n_pieces = len(p_start)
         drop: list[int] = []
+        events: list[tuple[float, int, float]] = []
         for seg in segments:
             if seg.end <= cut:
                 continue
@@ -449,36 +515,42 @@ class WindowAccountant:
             removed_energy += (
                 mu * seg.rate**alpha * (seg.end - max(cut, seg.start))
             ) * len(route)
-            for _edge, eid in route:
-                # Find this commitment's live piece for (edge, segment):
-                # scan from the newest pieces (commits are recent).
-                for i in range(n_pieces - 1, -1, -1):
-                    if (
-                        p_eid[i] == eid
-                        and p_start[i] == seg.start
-                        and p_end[i] == seg.end
-                        and p_rate[i] == seg.rate
-                    ):
-                        heappush(
-                            self.events, (max(cut, seg.start), eid, -seg.rate)
-                        )
-                        heappush(self.events, (seg.end, eid, seg.rate))
-                        if cut > seg.start:
-                            p_end[i] = cut
-                        else:
-                            drop.append(i)
-                        break
-                else:
+            same = np.flatnonzero(
+                (starts == seg.start) & (ends == seg.end) & (rates == seg.rate)
+            )
+            for eid in route:
+                # This commitment's live piece for (edge, segment): the
+                # newest match (commits are recent).
+                hits = same[eids[same] == eid]
+                if not len(hits):
                     raise ValidationError(
                         f"truncate_commit: no live piece matches segment "
                         f"[{seg.start}, {seg.end}) @ {seg.rate} on edge "
-                        f"{_edge!r} (already finalized?)"
+                        f"{self.topology.edges[eid]!r} (already finalized?)"
                     )
-        for i in sorted(drop, reverse=True):
-            del p_start[i], p_end[i], p_rate[i], p_eid[i]
-        if removed_volume > 0.0:
-            self._piece_arrays = None
+                i = hits[-1]
+                events.append((max(cut, seg.start), eid, -seg.rate))
+                events.append((seg.end, eid, seg.rate))
+                if cut > seg.start:
+                    ends[i] = cut
+                else:
+                    drop.append(i)
+        if drop:
+            keep = np.ones(len(starts), dtype=bool)
+            keep[drop] = False
+            self._start, self._end = starts[keep], ends[keep]
+            self._rate, self._eid = rates[keep], eids[keep]
+        if events:
+            self._append_events(events)
         return removed_volume, removed_energy
+
+    def _append_events(self, events: list[tuple[float, int, float]]) -> None:
+        t, eid, delta = zip(*events)
+        self._ev_t = np.concatenate((self._ev_t, t))
+        self._ev_eid = np.concatenate(
+            (self._ev_eid, np.array(eid, dtype=np.int64))
+        )
+        self._ev_delta = np.concatenate((self._ev_delta, delta))
 
     # ------------------------------------------------------------------
     # Views.
@@ -487,17 +559,16 @@ class WindowAccountant:
         """Per-edge mean committed rate over ``[start, end)``.
 
         One vectorized overlap computation plus one weighted
-        :func:`numpy.bincount` over the array-backed piece columns.
-        Bincount accumulates weights in row order, which restricted to
-        any one edge is exactly the commit order the retained
-        :meth:`background_reference` loop sums in — the Hypothesis suite
-        pins the two bit-identical.
+        :func:`numpy.bincount` over the piece columns.  Bincount
+        accumulates weights in row order, which restricted to any one
+        edge is exactly the commit order a per-piece loop sums in — the
+        Hypothesis suite pins the two bit-identical.
         """
         num_edges = self.topology.num_edges
         loads = np.zeros(num_edges)
-        if not self._piece_start:
+        starts, ends, rates, eids = self.pieces
+        if not len(starts):
             return loads
-        starts, ends, rates, eids = self._arrays()
         overlap = np.minimum(ends, end) - np.maximum(starts, start)
         mask = overlap > 0.0
         if not mask.any():
@@ -510,24 +581,6 @@ class WindowAccountant:
         loads[covered] = totals[covered] / (end - start)
         return loads
 
-    def background_reference(self, start: float, end: float) -> np.ndarray:
-        """The PR-2 window-averaged background loop, retained verbatim as
-        the pinning oracle for the vectorized :meth:`background`."""
-        loads = np.zeros(self.topology.num_edges)
-        span = end - start
-        totals: dict[int, float] = {}
-        for s, e, r, eid in zip(
-            self._piece_start, self._piece_end,
-            self._piece_rate, self._piece_eid,
-        ):
-            overlap = min(e, end) - max(s, start)
-            if overlap > 0.0:
-                totals[eid] = totals.get(eid, 0.0) + r * overlap
-        for eid, total in totals.items():
-            if total > 0.0:
-                loads[eid] = total / span
-        return loads
-
     def background_profile(self, start: float, end: float) -> BackgroundProfile:
         """The committed load over ``[start, end)`` *unaveraged*: a
         per-edge piecewise-constant :class:`BackgroundProfile`.
@@ -537,12 +590,9 @@ class WindowAccountant:
         past its boundary).
         """
         num_edges = self.topology.num_edges
-        if self._piece_start:
-            starts, ends, rates, eids = self._arrays()
-            mask = ends > start
-        else:
-            mask = None
-        if mask is None or not mask.any():
+        starts, ends, rates, eids = self.pieces
+        mask = ends > start
+        if not mask.any():
             return BackgroundProfile(
                 num_edges,
                 start,
@@ -573,34 +623,48 @@ class WindowAccountant:
     def next_live_start(self, floor: float) -> float | None:
         """Earliest live-piece start clipped below at ``floor`` (None when
         no pieces remain) — the engine's quiet-gap skip primitive."""
-        if not self._piece_start:
+        starts = self.pieces[0]
+        if not len(starts):
             return None
-        starts = self._arrays()[0]
         return float(np.maximum(starts, floor).min())
 
     @property
     def has_live(self) -> bool:
-        return bool(self._piece_start)
+        return len(self.pieces[0]) > 0
+
+    @property
+    def active_links(self) -> set[Edge]:
+        """Every link any commitment has used (powered for the run)."""
+        edges = self.topology.edges
+        return {edges[eid] for eid in self._active}
 
     def idle_energy(self, t0: float, t1: float) -> float:
-        return self.power.sigma * (t1 - t0) * len(self.active_links)
+        return self.power.sigma * (t1 - t0) * len(self._active)
 
     # ------------------------------------------------------------------
     # Snapshot plumbing (service engine).
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         """Plain-data snapshot of all accounting state (picklable)."""
+        starts, ends, rates, eids = self.pieces
+        edges = self.topology.edges
         return {
             "pieces": {
-                "start": list(self._piece_start),
-                "end": list(self._piece_end),
-                "rate": list(self._piece_rate),
-                "edge_id": list(self._piece_eid),
+                "start": starts.tolist(),
+                "end": ends.tolist(),
+                "rate": rates.tolist(),
+                "edge_id": eids.tolist(),
             },
-            "active_links": sorted(self.active_links),
-            "events": list(self.events),
-            "cur_rate": list(self.cur_rate),
-            "last_t": list(self.last_t),
+            "active_links": [edges[eid] for eid in sorted(self._active)],
+            "events": list(
+                zip(
+                    self._ev_t.tolist(),
+                    self._ev_eid.tolist(),
+                    self._ev_delta.tolist(),
+                )
+            ),
+            "cur_rate": self.cur_rate.tolist(),
+            "last_t": self.last_t.tolist(),
             "dynamic_energy": self.dynamic_energy,
             "peak_rate": self.peak_rate,
             "capacity_violations": self.capacity_violations,
@@ -611,16 +675,20 @@ class WindowAccountant:
     def restore_state(self, state: dict) -> None:
         """Adopt a :meth:`snapshot_state` payload (same topology/power)."""
         pieces = state["pieces"]
-        self._piece_start = list(pieces["start"])
-        self._piece_end = list(pieces["end"])
-        self._piece_rate = list(pieces["rate"])
-        self._piece_eid = list(pieces["edge_id"])
-        self._piece_arrays = None
-        self.active_links = {tuple(e) for e in state["active_links"]}
-        self.events = [tuple(e) for e in state["events"]]
-        self.events.sort()  # heap invariant (sorted list is a valid heap)
-        self.cur_rate = list(state["cur_rate"])
-        self.last_t = list(state["last_t"])
+        self._buffer = []
+        self._buffer_eids = []
+        self._start = np.array(pieces["start"], dtype=float)
+        self._end = np.array(pieces["end"], dtype=float)
+        self._rate = np.array(pieces["rate"], dtype=float)
+        self._eid = np.array(pieces["edge_id"], dtype=np.int64)
+        self._active = {self._edge_id(tuple(e)) for e in state["active_links"]}
+        self._ev_t = np.empty(0)
+        self._ev_eid = np.empty(0, dtype=np.int64)
+        self._ev_delta = np.empty(0)
+        if state["events"]:
+            self._append_events([tuple(e) for e in state["events"]])
+        self.cur_rate = np.array(state["cur_rate"], dtype=float)
+        self.last_t = np.array(state["last_t"], dtype=float)
         self.dynamic_energy = state["dynamic_energy"]
         self.peak_rate = state["peak_rate"]
         self.capacity_violations = state["capacity_violations"]
@@ -881,13 +949,18 @@ class WindowLoop:
                     f"{source}: flow {fs.flow.id!r} scheduled outside "
                     "its span"
                 )
+            busy_until = churn.live_until(flow)
+            if busy_until is not None:
+                raise ValidationError(
+                    f"flow id {flow.id!r} released at {flow.release} is "
+                    f"still in use by a flow transmitting until {busy_until}"
+                )
             served_ids.add(fs.flow.id)
             self.flows_served += 1
             self.volume_delivered += delivered
             if missed:
                 self.misses += 1
-            acct.commit(fs)
-            churn.register(flow, fs, missed)
+            churn.register(flow, fs, missed, acct.commit(fs))
             if kept is not None:
                 kept.append(fs)
             committed.append((fs, missed))
@@ -1080,7 +1153,7 @@ class ReplayEngine:
 
     def _accountant(self) -> WindowAccountant:
         """Accountant factory — a seam the reference-pin suite overrides
-        (swapping :meth:`WindowAccountant.background` for the retained
+        (swapping :meth:`WindowAccountant.background` for a per-piece
         loop) to pin whole replays against the pre-vectorization path."""
         return WindowAccountant(self._topology, self._power, tol=self._tol)
 

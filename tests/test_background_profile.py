@@ -3,10 +3,12 @@
 Three tiers of pins:
 
 * :class:`BackgroundProfile` itself — construction contracts, integral /
-  mean_over / restrict algebra against brute-force piece sums;
+  mean_over / restrict algebra against brute-force piece sums, and the
+  batched :meth:`~repro.routing.background.BackgroundProfile.means`
+  pinned **bit-identical** to the scalar query it replaced;
 * the :class:`WindowAccountant` views — the vectorized
   :meth:`~repro.traces.replay.WindowAccountant.background` bincount pass
-  pinned **bit-identical** to the retained PR-2 reference loop, and
+  pinned **bit-identical** to a per-piece reference loop, and
   :meth:`~repro.traces.replay.WindowAccountant.background_profile`
   integrating back to that vector;
 * whole replays — every background-consuming policy, replayed under link
@@ -165,10 +167,91 @@ class TestProfileAlgebra:
         )
 
 
+def mean_over_reference(profile, t0, t1):
+    """The original scalar query: ``(F(t1) - F(t0)) / (t1 - t0)`` with
+    each ``F`` read by its own :func:`numpy.searchsorted` — the pinning
+    oracle for the batched :meth:`BackgroundProfile.means`."""
+    times, loads = profile.times, profile.loads
+    cum = np.zeros((len(times), profile.num_edges))
+    np.cumsum(loads * np.diff(times)[:, None], axis=0, out=cum[1:])
+
+    def value_at(t):
+        t = min(max(t, float(times[0])), float(times[-1]))
+        j = min(
+            int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2
+        )
+        return cum[j] + (t - times[j]) * loads[j]
+
+    out = (value_at(t1) - value_at(t0)) / (t1 - t0)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+class TestBatchedMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_profiles(), data=st.data())
+    def test_rows_bit_identical_to_mean_over(self, case, data):
+        profile, times, _ = case
+        horizon = float(times[-1])
+        # Queries start before the support, inside it and past it, and
+        # may reach far beyond the horizon.
+        t0s = data.draw(
+            st.lists(st.floats(-3.0, horizon + 2.0), min_size=1, max_size=8)
+        )
+        t1s = [
+            t0 + data.draw(st.floats(1e-3, horizon + 4.0)) for t0 in t0s
+        ]
+        rows = profile.means(t0s, t1s)
+        assert rows.shape == (len(t0s), profile.num_edges)
+        for row, t0, t1 in zip(rows, t0s, t1s):
+            assert np.array_equal(row, profile.mean_over(t0, t1))
+            assert np.array_equal(row, mean_over_reference(profile, t0, t1))
+
+    def test_one_piece_profile(self):
+        p = BackgroundProfile(2, 0.0, 1.0, [0.0, 1.0], [[2.0, 3.0]])
+        queries = [(-2.0, -1.0), (-1.0, 0.5), (0.25, 0.75), (0.5, 3.0),
+                   (1.0, 2.0), (2.0, 5.0)]
+        rows = p.means(*zip(*queries))
+        for row, (t0, t1) in zip(rows, queries):
+            assert np.array_equal(row, p.mean_over(t0, t1))
+            assert np.array_equal(row, mean_over_reference(p, t0, t1))
+        np.testing.assert_array_equal(rows[0], [0.0, 0.0])
+        np.testing.assert_array_equal(rows[2], [2.0, 3.0])
+        np.testing.assert_array_equal(rows[5], [0.0, 0.0])
+
+    def test_empty_batch(self):
+        p = BackgroundProfile(3, 0.0, 1.0, [0.0, 1.0], [[1.0, 2.0, 3.0]])
+        assert p.means([], []).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [(0.5, 0.5), (0.75, 0.25)])
+    def test_degenerate_span_rejected(self, bad):
+        p = BackgroundProfile(1, 0.0, 1.0, [0.0, 1.0], [[2.0]])
+        with pytest.raises(ValidationError, match="positive length"):
+            p.means([0.0, bad[0]], [1.0, bad[1]])
+
+
 # ----------------------------------------------------------------------
-# WindowAccountant views: bincount pinned to the retained loop,
+# WindowAccountant views: bincount pinned to the reference loop,
 # profile pinned to integrate back to the mean vector.
 # ----------------------------------------------------------------------
+
+
+def background_reference(acct, start, end):
+    """The original window-averaged background loop over the accountant's
+    live pieces: the pinning oracle for the vectorized
+    :meth:`WindowAccountant.background`."""
+    loads = np.zeros(acct.topology.num_edges)
+    span = end - start
+    totals: dict[int, float] = {}
+    for s, e, r, eid in zip(*(column.tolist() for column in acct.pieces)):
+        overlap = min(e, end) - max(s, start)
+        if overlap > 0.0:
+            totals[eid] = totals.get(eid, 0.0) + r * overlap
+    for eid, total in totals.items():
+        if total > 0.0:
+            loads[eid] = total / span
+    return loads
+
 
 LINE4 = line(4)
 QUAD = PowerModel.quadratic()
@@ -217,7 +300,7 @@ class TestAccountantViews:
         start = data.draw(st.floats(0.0, 12.0))
         end = start + data.draw(st.floats(0.25, 6.0))
         fast = acct.background(start, end)
-        slow = acct.background_reference(start, end)
+        slow = background_reference(acct, start, end)
         assert np.array_equal(fast, slow)  # bit-identical, not approx
 
     @settings(max_examples=60, deadline=None)
@@ -246,7 +329,7 @@ class TestAccountantViews:
         # Oracle: the reference loop over an arbitrary query window.
         np.testing.assert_allclose(
             profile.mean_over(a, b),
-            acct.background_reference(a, b),
+            background_reference(acct, a, b),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -291,7 +374,7 @@ class _ReferenceAccountant(WindowAccountant):
     loop — the view greedy fault repair routes committed flows on."""
 
     def background(self, start, end):
-        return self.background_reference(start, end)
+        return background_reference(self, start, end)
 
 
 class _ReferenceEngine(ReplayEngine):

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError, ValidationError
-from repro.routing.background import BackgroundProfile
 from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
 from repro.routing.paths import marginal_route, marginal_route_reference
 from repro.scheduling.timeline import PiecewiseConstant
@@ -275,15 +274,6 @@ class TestLoadLedger:
             ledger.commit(eids, clock, clock + span, rate)
             commits.append((eids.tolist(), clock, clock + span, rate))
 
-    def test_background_is_permanent(self, ft4):
-        background = BackgroundProfile(
-            ft4.num_edges, 0.0, 200.0, [0.0, 200.0],
-            np.full((1, ft4.num_edges), 0.25),
-        )
-        ledger = LoadLedger(ft4, background=background)
-        assert np.allclose(ledger.loads(0.0, 1.0), 0.25)
-        assert np.allclose(ledger.loads(100.0, 200.0), 0.25)
-
     def test_release_order_enforced(self, ft4):
         ledger = LoadLedger(ft4)
         ledger.loads(5.0, 6.0)
@@ -308,18 +298,6 @@ class TestLoadLedger:
             ledger.loads(1.0, 1.0)
         with pytest.raises(ValidationError):
             ledger.commit([0], 2.0, 2.0, 1.0)
-
-    def test_wrong_background_shape_rejected(self, ft4):
-        with pytest.raises(ValidationError):
-            LoadLedger(
-                ft4,
-                background=BackgroundProfile(
-                    3, 0.0, 1.0, [0.0, 1.0], np.zeros((1, 3))
-                ),
-            )
-        # A flat vector is not a background the ledger accepts.
-        with pytest.raises(ValidationError):
-            LoadLedger(ft4, background=np.zeros(ft4.num_edges))
 
 
 class TestOnlineConsumersAgree:

@@ -10,6 +10,7 @@ spans cross several window boundaries.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tests.conftest import dyadic_ft4_flows
@@ -17,6 +18,7 @@ from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
 from repro.power import PowerModel
 from repro.scheduling import FlowSchedule, Schedule, Segment
+from repro.sim.churn import FaultEvent, FaultSchedule
 from repro.sim.fluid import simulate_fluid
 from repro.traces import (
     EpochDcfsPolicy,
@@ -236,7 +238,82 @@ class TestEngineValidation:
             engine.run(iter([flow]))
 
 
+    @staticmethod
+    def _reuse_case(line3, quadratic, second_id):
+        """Flow ``a`` on n0->n2 over [0, 10] and a second flow over
+        [2.5, 4]; the link under ``a`` dies at t=5."""
+        flows = [
+            Flow(id="a", src="n0", dst="n2", size=10.0,
+                 release=0.0, deadline=10.0),
+            Flow(id=second_id, src="n1", dst="n2", size=1.0,
+                 release=2.5, deadline=4.0),
+        ]
+        faults = FaultSchedule(
+            [FaultEvent(time=5.0, kind="link_down", edge=("n0", "n1"))]
+        )
+        engine = ReplayEngine(
+            line3, quadratic, GreedyDensityPolicy(), window=1.0,
+            faults=faults,
+        )
+        return engine.run(iter(flows))
+
+    def test_live_flow_id_reuse_rejected(self, line3, quadratic):
+        """The churn registry is keyed by flow id: a flow reusing the id
+        of one still transmitting would overwrite its entry and exempt it
+        from fault repair, so bytes would cross the dead link unseen."""
+        with pytest.raises(ValidationError, match="'a'"):
+            self._reuse_case(line3, quadratic, "a")
+        # The same trace with distinct ids: the failure dooms flow a.
+        report = self._reuse_case(line3, quadratic, "b")
+        assert report.deadline_misses == 1
+        assert report.misses_attributed_to_failure == 1
+        assert report.volume_delivered == pytest.approx(6.0)
+
+    def test_id_reuse_after_completion_allowed(self, line3, quadratic):
+        flows = [
+            Flow(id="a", src="n0", dst="n2", size=2.0,
+                 release=0.0, deadline=2.0),
+            Flow(id="a", src="n1", dst="n2", size=1.0,
+                 release=2.0, deadline=4.0),
+        ]
+        report = ReplayEngine(
+            line3, quadratic, GreedyDensityPolicy(), window=1.0
+        ).run(iter(flows))
+        assert report.flows_served == 2
+        assert report.deadline_misses == 0
+
+
+class _CapturingEngine(ReplayEngine):
+    """Keeps the accountant of its last run."""
+
+    def _accountant(self):
+        self.acct = super()._accountant()
+        return self.acct
+
+
 class TestStreamingBehavior:
+    def test_accountant_holds_no_per_trace_state(self, ft4, quadratic):
+        """Accountant memory follows the live set, never the trace: once
+        a replay touching most host pairs has settled, no container it
+        holds is longer than the fabric's edge count."""
+        spec = TraceSpec(
+            arrivals=PoissonProcess(20.0),
+            duration=60.0,
+            size_sampler=lognormal_sizes(1.0, 0.6),
+            slack_model=proportional_slack(3.0, 1.0),
+            seed=5,
+        )
+        engine = _CapturingEngine(
+            ft4, quadratic, GreedyDensityPolicy(), window=1.0
+        )
+        report = engine.run(generate_trace(ft4, spec))
+        assert report.flows_seen > 1000
+        acct = engine.acct
+        assert not acct.has_live  # every piece settled: per-edge state only
+        for name, value in vars(acct).items():
+            if isinstance(value, (list, tuple, dict, set, np.ndarray)):
+                assert len(value) <= ft4.num_edges, name
+
     def test_memory_stays_bounded(self, ft4, quadratic):
         """Resident segments track the active set, not the trace length."""
         spec = TraceSpec(

@@ -504,6 +504,23 @@ class TestIngestValidation:
 
 
 class TestReplayService:
+    def test_live_flow_id_reuse_rejected(self, ft4, quadratic):
+        """A flow reusing the id of one still transmitting is rejected
+        when its window commits, after the pipeline lag, as inline."""
+        h = ft4.hosts
+        flows = [
+            Flow(id="a", src=h[0], dst=h[-1], size=10.0,
+                 release=0.0, deadline=10.0),
+            Flow(id="a", src=h[1], dst=h[-1], size=1.0,
+                 release=2.5, deadline=4.0),
+        ]
+        with ReplayService(
+            ft4, quadratic, window=1.0, num_shards=2, mode="greedy"
+        ) as service:
+            with pytest.raises(ValidationError, match="'a'"):
+                service.submit_many(flows)
+                service.drain()
+
     def test_submit_poll_drain(self, ft4, quadratic):
         flows = _trace(ft4, 50, seed=8)
         with ReplayService(
