@@ -1,8 +1,9 @@
 """Benchmark PERF-FW: Frank-Wolfe F-MCF solver, cold vs warm start.
 
 The interval sweep inside Random-Schedule re-solves near-identical F-MCF
-instances hundreds of times; the warm-start path is what makes the full
-Figure 2 tractable, and this benchmark quantifies the gap.  The array
+instances hundreds of times; the warm start (a ``RelaxationSession``
+carrying the previous solve's flow rows) is what makes the full Figure 2
+tractable, and this benchmark quantifies the gap.  The array
 engine (PR 4) is additionally pinned against the retained
 ``FrankWolfeSolverReference`` on the 120-commodity cold solve — the
 headline speedup lands in ``BENCH_mcflow.json`` (target: >= 5x; the
@@ -17,7 +18,12 @@ import pytest
 
 from record import record_bench
 from repro.power import PowerModel
-from repro.routing import Commodity, FrankWolfeSolver, envelope_cost
+from repro.routing import (
+    Commodity,
+    FrankWolfeSolver,
+    RelaxationSession,
+    envelope_cost,
+)
 from repro.routing.mcflow import FrankWolfeSolverReference
 from repro.topology import fat_tree
 
@@ -32,13 +38,12 @@ def _commodities(n: int):
     ]
 
 
-def _solver(variant: str = "pairwise"):
+def _solver():
     return FrankWolfeSolver(
         TOPOLOGY,
         envelope_cost(PowerModel.quadratic()),
         max_iterations=60,
         gap_tolerance=1e-3,
-        variant=variant,
     )
 
 
@@ -66,13 +71,21 @@ def test_cold_solve(benchmark, num_commodities):
 def test_warm_resolve(benchmark):
     solver = _solver()
     commodities = _commodities(60)
-    base = solver.solve(commodities)
     # Perturb one commodity (as an interval boundary does) and re-solve.
     changed = list(commodities)
     changed[0] = Commodity("new", TOPOLOGY.hosts[3], TOPOLOGY.hosts[90], 1.0)
 
+    def first_solve():
+        # Untimed: the session's first solve, which the re-solve diffs.
+        session = RelaxationSession(solver)
+        session.solve(commodities)
+        return (session,), {}
+
     solution = benchmark.pedantic(
-        lambda: solver.solve(changed, warm_start=base), rounds=5, iterations=1
+        lambda session: session.solve(changed),
+        setup=first_solve,
+        rounds=5,
+        iterations=1,
     )
     assert solution.iterations <= 60
 

@@ -26,12 +26,10 @@ The rounding loop is array-native end to end (DESIGN.md Section 10): the
 per-interval :class:`~repro.routing.mcflow.ArrayPathFlows` rows feed
 :func:`~repro.routing.rounding.aggregate_path_weights_array` once, and
 every subsequent draw is one batched
-:func:`~repro.routing.rounding.sample_paths` pass.  Solutions produced by
-the dict reference solver (no array view) fall back to the retained
-:func:`round_schedule_reference` loop.  :class:`RelaxationPipeline`
-packages the whole relax → aggregate → draw chain around one persistent
-solver for callers that feed it a *sequence* of related instances (the
-streaming replay policy).
+:func:`~repro.routing.rounding.sample_paths` pass.
+:class:`RelaxationPipeline` packages the relax → aggregate chain around
+one persistent solver for callers that feed it a *sequence* of related
+instances (the streaming replay policy).
 """
 
 from __future__ import annotations
@@ -124,18 +122,12 @@ class DcfsrResult:
 
 def relaxation_weights(
     flows: Sequence[Flow], relaxation: RelaxationResult
-) -> ArrayPathWeights | None:
-    """Aggregate every flow's ``w_bar`` straight from the solver rows.
-
-    Returns None when any interval solution lacks the array view (dict
-    reference solver) — callers then take the nested-dict path.
-    """
-    contributions = []
-    for iv in relaxation.intervals:
-        arrays = iv.solution.arrays
-        if arrays is None:
-            return None
-        contributions.append((iv.interval.length, arrays))
+) -> ArrayPathWeights:
+    """Aggregate every flow's ``w_bar`` straight from the solver rows."""
+    contributions = [
+        (iv.interval.length, iv.solution.arrays)
+        for iv in relaxation.intervals
+    ]
     return aggregate_path_weights_array(list(flows), contributions)
 
 
@@ -152,8 +144,6 @@ def round_schedule(
     flow order) as :func:`round_schedule_reference`.
     """
     weights = relaxation_weights(list(flows), relaxation)
-    if weights is None:
-        return round_schedule_reference(flows, relaxation, rng)
     paths = sample_paths(weights, rng)
     return (
         Schedule(
@@ -177,8 +167,6 @@ def round_schedule_deterministic(
     the trade-off against random draws.
     """
     weights = relaxation_weights(list(flows), relaxation)
-    if weights is None:
-        return round_schedule_deterministic_reference(flows, relaxation)
     paths = argmax_paths(weights)
     return (
         Schedule(
@@ -226,7 +214,7 @@ def round_schedule_deterministic_reference(
 
 
 class RelaxationPipeline:
-    """Relax → aggregate → round, around one persistent solver.
+    """Relax → aggregate, around one persistent solver.
 
     The pipeline owns a :class:`FrankWolfeSolver`, so a caller feeding it
     consecutive related instances (the Relax+Round replay policy, a shard
@@ -235,7 +223,7 @@ class RelaxationPipeline:
     elementary intervals (:func:`~repro.core.relaxation.solve_relaxation`),
     and every hand-off between stages stays in registry-id space:
     interval rows aggregate via :func:`aggregate_path_weights_array`,
-    draws run through batched :func:`sample_paths`.
+    and the caller draws from them with batched :func:`sample_paths`.
     """
 
     def __init__(
@@ -277,20 +265,7 @@ class RelaxationPipeline:
         self, flows: FlowSet, relaxation: RelaxationResult
     ) -> ArrayPathWeights:
         """Aggregated ``w_bar`` distributions for ``flows`` (array rows)."""
-        weights = relaxation_weights(list(flows), relaxation)
-        if weights is None:
-            raise ValidationError(
-                "relaxation has no array path flows (reference-solver "
-                "output?); RelaxationPipeline requires solutions from the "
-                "array-native FrankWolfeSolver"
-            )
-        return weights
-
-    def draw(
-        self, weights: ArrayPathWeights, rng: np.random.Generator
-    ) -> list[Path]:
-        """One batched randomized-rounding draw (one route per flow)."""
-        return sample_paths(weights, rng)
+        return relaxation_weights(list(flows), relaxation)
 
 
 def solve_dcfsr(
@@ -342,7 +317,6 @@ def solve_dcfsr(
     # The aggregation is draw-independent: build the w_bar rows once and
     # let every retry pay only its batched sampling pass.
     weights = relaxation_weights(list(flows), relaxation)
-    assert weights is not None  # the array solver always yields rows
 
     horizon = grid.horizon
     best: tuple[bool, EnergyBreakdown, Schedule] | None = None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
 from repro.flows.flow import FlowSet
 from repro.flows.intervals import Interval, TimeGrid
 from repro.power.model import PowerModel
@@ -96,18 +95,16 @@ def solve_relaxation(
 ) -> RelaxationResult:
     """Solve every elementary interval's F-MCF problem.
 
-    With the array-native :class:`FrankWolfeSolver` all intervals are
-    solved together, as the blocks of one
+    All intervals are solved together, as the blocks of one
     :meth:`~repro.routing.mcflow.FrankWolfeSolver.solve_stacked` call
     weighted by the interval lengths: the solve stops once
     ``objective - lower_bound <= gap_tolerance * objective`` for the
     returned :class:`RelaxationResult` as a whole, while each interval
-    keeps its own certified dual bound.  The retained reference solver
-    sweeps the intervals left to right with dict warm starts.
+    keeps its own certified dual bound.
 
     ``background`` fixes per-edge committed loads every interval routes
-    around (array solvers only; see :meth:`FrankWolfeSolver.solve`).  A
-    flat vector charges every interval the same loads.  A
+    around (see :meth:`FrankWolfeSolver.solve`).  A flat vector charges
+    every interval the same loads.  A
     :class:`~repro.routing.background.BackgroundProfile` is resolved
     *per elementary interval*: interval ``[a, b)`` is charged
     ``profile.mean_over(a, b)`` — its own exact background slice, all
@@ -117,11 +114,6 @@ def solve_relaxation(
     """
     if grid is None:
         grid = TimeGrid(flows)
-    array_solver = isinstance(solver, FrankWolfeSolver)
-    if background is not None and not array_solver:
-        raise ValidationError(
-            "background loads require the array-native FrankWolfeSolver"
-        )
     profile = background if isinstance(background, BackgroundProfile) else None
     intervals: list[tuple[Interval, tuple]] = []
     blocks: list[list[Commodity]] = []
@@ -152,18 +144,11 @@ def solve_relaxation(
         )
     else:
         backgrounds = [background] * len(intervals)
-    if array_solver:
-        solutions = solver.solve_stacked(
-            blocks,
-            backgrounds,
-            block_weights=[interval.length for interval, _ in intervals],
-        )
-    else:
-        solutions = []
-        previous: MCFSolution | None = None
-        for commodities in blocks:
-            previous = solver.solve(commodities, warm_start=previous)
-            solutions.append(previous)
+    solutions = solver.solve_stacked(
+        blocks,
+        backgrounds,
+        block_weights=[interval.length for interval, _ in intervals],
+    )
     return RelaxationResult(
         grid=grid,
         intervals=tuple(

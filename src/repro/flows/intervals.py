@@ -14,7 +14,7 @@ multi-commodity flow problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import ValidationError
 from repro.flows.flow import Flow, FlowSet
@@ -133,9 +133,3 @@ class TimeGrid:
             f"TimeGrid(K={self.num_intervals}, horizon={self.horizon}, "
             f"lambda={self.lam:.3g})"
         )
-
-
-def total_active_length(grid: TimeGrid, intervals: Sequence[Interval]) -> float:
-    """Sum of interval lengths — small helper used by tests and the rounding
-    weight computation."""
-    return sum(iv.length for iv in intervals)

@@ -595,7 +595,7 @@ def pairwise_delta(
     Fuses the array tier's gather/reduceat path costs, the
     curvature-weighted per-commodity ``lambda``, the clipped Newton
     move with rebalanced outflow, and the direction scatter
-    (``FrankWolfeSolver._pairwise_step``) into one pass.  Scatter
+    (``FrankWolfeSolver._pairwise_direction``) into one pass.  Scatter
     accumulation mirrors ``np.bincount`` (row order, then within-row
     edge order); row cost sums run left to right, which can differ
     from ``np.add.reduceat``'s blocked order in the last ulp, so the

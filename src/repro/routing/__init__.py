@@ -26,10 +26,8 @@ from repro.routing.rounding import (
     ArrayPathWeights,
     aggregate_path_weights,
     aggregate_path_weights_array,
-    aggregate_path_weights_reference,
     argmax_paths,
     sample_path,
-    sample_path_reference,
     sample_paths,
 )
 
@@ -49,10 +47,8 @@ __all__ = [
     "ArrayPathWeights",
     "aggregate_path_weights",
     "aggregate_path_weights_array",
-    "aggregate_path_weights_reference",
     "argmax_paths",
     "sample_path",
-    "sample_path_reference",
     "sample_paths",
     "k_shortest_paths",
     "ecmp_paths",

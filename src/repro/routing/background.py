@@ -43,10 +43,11 @@ class BackgroundProfile:
         ``[times[0], times[-1])`` with ``times[0] == start`` and
         ``times[-1] >= end``.  Queries outside the support read zero.
     times:
-        Strictly increasing breakpoints, ``float64[K + 1]``.
+        Finite, strictly increasing breakpoints, ``float64[K + 1]``.
     loads:
-        ``float64[K, num_edges]``; ``loads[k]`` is the per-edge committed
-        rate on ``[times[k], times[k + 1])``.
+        ``float64[K, num_edges]``, each entry >= 0 (NaN is rejected);
+        ``loads[k]`` is the per-edge committed rate on
+        ``[times[k], times[k + 1])``.
     """
 
     __slots__ = ("num_edges", "start", "end", "times", "loads", "_cum")
@@ -67,6 +68,8 @@ class BackgroundProfile:
             )
         if times.ndim != 1 or len(times) < 2:
             raise ValidationError("profile needs at least two breakpoints")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("profile breakpoints must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValidationError("profile breakpoints must strictly increase")
         if times[0] != start or times[-1] < end:
@@ -79,8 +82,9 @@ class BackgroundProfile:
                 f"loads must have shape ({len(times) - 1}, {num_edges}), "
                 f"got {loads.shape}"
             )
-        if np.any(loads < 0.0):
-            raise ValidationError("profile loads must be >= 0")
+        # One comparison pass over the K x E matrix: NaN fails it too.
+        if not np.all(loads >= 0.0):
+            raise ValidationError("profile loads must be >= 0 and not NaN")
         self.num_edges = num_edges
         self.start = float(start)
         self.end = float(end)

@@ -110,7 +110,7 @@ class EdgeCost:
     def curvature(self, loads: np.ndarray) -> np.ndarray:
         """Per-edge second derivative of the cost (vectorized).
 
-        Used by the Frank–Wolfe pairwise variant to Newton-size the mass
+        Used by the Frank–Wolfe pairwise sweeps to Newton-size the mass
         shifted between two paths.  On the envelope's linear segment (below
         the optimal operating rate) the curvature is 0; callers must guard
         against division by a vanishing curvature sum.

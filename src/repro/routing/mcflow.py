@@ -28,30 +28,31 @@ Two implementations live here (DESIGN.md Section 9):
   a :class:`PathRegistry` (interned path id -> CSR edge-id row) plus flat
   ``(flow, owner, path id)`` row arrays, so the per-iteration rescaling,
   load scatters and final pruning are single vectorized operations; the
-  exact line search bisects over the direction's nonzero support only; and
-  a **pairwise (away-step) variant** — the default — follows each classic
-  step with Newton-sized sweeps that drain every commodity's worst active
-  path into its cheapest one (normally the freshly added all-or-nothing
-  path), cutting iteration counts on ill-conditioned envelope costs while
-  still emitting the certified Frank–Wolfe dual bound each iteration.
+  exact line search bisects over the direction's nonzero support only;
+  and every classic step is followed by Newton-sized pairwise (away-step)
+  sweeps that drain every commodity's worst active path into its cheapest
+  one (normally the freshly added all-or-nothing path), cutting iteration
+  counts on ill-conditioned envelope costs while still emitting the
+  certified Frank–Wolfe dual bound each iteration.
 * :class:`FrankWolfeSolverReference` — the dict-of-paths predecessor,
   retained verbatim as the pinning oracle (``tests/test_fw_engine.py``).
 
-:meth:`FrankWolfeSolver.solve_stacked` solves *many independent* F-MCF
-instances (Random-Schedule's elementary intervals) as one block problem
-(DESIGN.md Section 16): blocks start from the path splits of
-time-averaged union problems, loads live in an interval-offset edge space,
-one shortest-path batch per round covers every (block, source) pair, the
-line search runs once per block, and the stop rule is a weighted
-certificate over all blocks.  Solving a window's intervals together
-trades the per-interval warm start for a few dozen numpy calls per round
-instead of a few dozen per interval.
+The array engine has one Frank–Wolfe loop, the block loop of
+:meth:`FrankWolfeSolver.solve_stacked` (DESIGN.md Sections 16 and 19).
+It solves *many independent* F-MCF instances (Random-Schedule's
+elementary intervals) as one block problem: blocks start from the path
+splits of time-averaged union problems, loads live in an
+interval-offset edge space, one shortest-path batch per round covers
+every (block, source) pair, the line search runs once per block, and
+the stop rule is a weighted certificate over all blocks.  A single
+instance (:meth:`FrankWolfeSolver.solve`) is the one-block stack,
+seeded all-or-nothing.
 
 :class:`RelaxationSession` carries the registry, CSR scratch and flow rows
 across *consecutive* F-MCF solves and applies commodity-set diffs —
-enter/leave/rescale — instead of rebuilding per-interval dictionaries.
-It was the interval sweep's engine before the stacked solve and is kept
-as its sequential reference.
+enter/leave/rescale — before running the same one-block loop on the
+carried rows.  It was the interval sweep's engine before the stacked
+solve and is kept as its sequential reference.
 
 Shortest paths are batched per distinct source through
 :func:`scipy.sparse.csgraph.dijkstra` (C speed) over a CSR matrix whose
@@ -97,45 +98,21 @@ _PRUNE_FRACTION = 1e-9
 #: Line-search steps at or below this are treated as a numerical stall.
 _STALL_STEP = 1e-12
 
-#: Cap on the pairwise (away-step) equilibration sweeps appended to each
-#: classic iteration when the solver runs its default ``"pairwise"``
-#: variant.  Sweeps are cheap relative to the shortest-path batch, and
-#: deep equilibration keeps iteration counts stable on fabrics with heavy
-#: equal-cost path degeneracy; sweeping stops early once a sweep improves
-#: the objective by less than ``_PAIRWISE_STOP`` relatively.
-_PAIRWISE_ROUNDS = 8
-# Pre-certification corrective sweep budget after a background shift
-# (RelaxationSession): two projected-Newton rounds capture most of the
-# reallocation a shifted background asks for; further rounds cost more
-# than the Frank-Wolfe iteration they occasionally save.
-_PRESWEEP_ROUNDS = 2
+#: A pairwise sweep that improves a block's objective by less than this,
+#: relatively, ends that block's sweeping for the round.
 _PAIRWISE_STOP = 1e-7
-# Stacked solves (solve_stacked) sweep in lock step, so every sweep costs
-# the slowest block's; three per round measured fastest end to end on the
-# Relax+Round replay (DESIGN.md Section 16), and the certification-tail
-# trim earned nothing there, so stacked solves do not run it.
+# Pairwise sweeps per round.  Blocks sweep in lock step, so every sweep
+# costs the slowest block's; three per round measured fastest end to end
+# on the Relax+Round replay (DESIGN.md Section 16), where a cap of eight
+# cost ~10% more CPU.
 _STACKED_SWEEPS = 3
 # Blocks per group of the stacked solve's seed: each run of this many
 # consecutive blocks starts from one union problem, and the groups'
-# unions are themselves solved stacked (recursively, down to one group).
+# unions are themselves solved stacked (recursively, down to one block).
 # 8 measured fastest on the 200-interval windows of bench_relax_replay
 # (32: 13% slower, one union for all: 95% slower) and made no measurable
 # difference on the ~25-interval windows of the end-to-end benchmark.
 _SEED_GROUP = 8
-
-#: Certification-tail trim budget: while the stale certified bound says
-#: the gap is still more than 4x the target, a dual-bound recompute (a
-#: full shortest-path batch) cannot certify — the Frank–Wolfe bound
-#: needs roughly ``(gap/2)^2`` primal accuracy on degenerate fabrics —
-#: so the solver runs up to this many *fully-corrective* cycles instead:
-#: re-stepping toward the cached all-or-nothing point (still a feasible
-#: vertex; the sweeps in between move the loads, so the stale direction
-#: keeps descending) followed by pairwise sweeps, all without a batch.
-#: Cycles continue only while each closes at least ``_TRIM_GAIN`` of the
-#: remaining stale gap; a plateau falls through to the next real batch
-#: and its certified bound.
-_TRIM_ROUNDS = 64
-_TRIM_GAIN = 0.05
 
 #: Entry budget of one stacked shortest-path call: a chunk of blocks is
 #: searched as one block-diagonal graph, and scipy allocates a (sources x
@@ -195,9 +172,8 @@ class PathRegistry:
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
-        self._index: dict[tuple[str, ...], int] = {}
         self._paths: list[tuple[str, ...] | None] = []
-        self._id_paths: list[tuple[int, ...] | None] = []
+        self._id_paths: list[tuple[int, ...]] = []
         self._eids = np.empty(1024, dtype=np.int64)
         self._indptr = np.zeros(257, dtype=np.int64)
         self._n_paths = 0
@@ -211,23 +187,16 @@ class PathRegistry:
         """The node path of a registered id (named lazily, then cached)."""
         path = self._paths[pid]
         if path is None:
-            node_at = self._topology.node_at
-            ids = self._id_paths[pid]
-            assert ids is not None
-            path = tuple(map(node_at, ids))
+            path = tuple(map(self._topology.node_at, self._id_paths[pid]))
             self._paths[pid] = path
         return path
 
-    def edge_ids(self, pid: int) -> np.ndarray:
-        """Edge-id row of one path (a read-only view)."""
-        return self._eids[self._indptr[pid] : self._indptr[pid + 1]]
+    def intern_ids(self, ids: tuple[int, ...], eids: np.ndarray) -> int:
+        """Register a node-id path without building its name tuple.
 
-    def _append(
-        self,
-        path: tuple[str, ...] | None,
-        ids: tuple[int, ...] | None,
-        eids: np.ndarray,
-    ) -> int:
+        Callers are expected to dedupe (the solver keys reconstructed
+        walks by their bytes); names materialize on first :meth:`path`.
+        """
         pid = self._n_paths
         k = eids.size
         if self._n_paths + 1 >= self._indptr.size:
@@ -238,40 +207,9 @@ class PathRegistry:
         self._n_eids += k
         self._indptr[pid + 1] = self._n_eids
         self._n_paths = pid + 1
-        self._paths.append(path)
+        self._paths.append(None)
         self._id_paths.append(ids)
         return pid
-
-    def intern(
-        self, path: tuple[str, ...], eids: np.ndarray | None = None
-    ) -> int:
-        """Return the id of ``path``, registering it on first sight.
-
-        Name-keyed interning can duplicate a path first registered via
-        :meth:`intern_ids` (whose names are lazy); consumers accumulate
-        per-path amounts, so duplicate ids are benign.
-        """
-        pid = self._index.get(path)
-        if pid is not None:
-            return pid
-        if eids is None:
-            topo = self._topology
-            eids = np.fromiter(
-                (topo.edge_id(e) for e in path_edges(path)),
-                dtype=np.int64,
-                count=len(path) - 1,
-            )
-        pid = self._append(path, None, eids)
-        self._index[path] = pid
-        return pid
-
-    def intern_ids(self, ids: tuple[int, ...], eids: np.ndarray) -> int:
-        """Register a node-id path without building its name tuple.
-
-        Callers are expected to dedupe (the solver keys reconstructed
-        walks by their bytes); names materialize on first :meth:`path`.
-        """
-        return self._append(None, ids, eids)
 
     def gather(
         self, pids: np.ndarray
@@ -482,7 +420,7 @@ class _FlowState:
 
     __slots__ = (
         "registry", "n", "owner", "pid", "flow",
-        "m", "eids", "lens", "starts", "row_of", "owner_offset",
+        "m", "eids", "lens", "starts", "owner_offset",
         "_keys_sorted", "_rows_sorted", "_index_dirty",
     )
 
@@ -499,47 +437,8 @@ class _FlowState:
         self.eids = np.empty(256, dtype=np.int64)
         self.lens = np.empty(64, dtype=np.int64)
         self.starts = np.empty(64, dtype=np.int64)
-        self.row_of: dict[tuple[int, int], int] | None = {}
         self._keys_sorted = np.empty(0, dtype=np.int64)
         self._rows_sorted = np.empty(0, dtype=np.int64)
-        self._index_dirty = True
-
-    def add(self, owner: int, pid: int, amount: float) -> None:
-        """Add ``amount`` to row ``(owner, pid)``, appending it if new."""
-        if self.row_of is None:
-            self.row_of = {
-                (o, p): i
-                for i, (o, p) in enumerate(
-                    zip(self.owner[: self.n].tolist(),
-                        self.pid[: self.n].tolist())
-                )
-            }
-        row = self.row_of.get((owner, pid))
-        if row is not None:
-            self.flow[row] += amount
-            return
-        n = self.n
-        if n == self.owner.size:
-            self.owner = np.resize(self.owner, n * 2)
-            self.pid = np.resize(self.pid, n * 2)
-            self.flow = np.resize(self.flow, n * 2)
-            self.lens = np.resize(self.lens, n * 2)
-            self.starts = np.resize(self.starts, n * 2)
-        eids = self.registry.edge_ids(pid)
-        if self.owner_offset is not None:
-            eids = eids + self.owner_offset[owner]
-        k = eids.size
-        while self.m + k > self.eids.size:
-            self.eids = np.resize(self.eids, self.eids.size * 2)
-        self.eids[self.m : self.m + k] = eids
-        self.owner[n] = owner
-        self.pid[n] = pid
-        self.flow[n] = amount
-        self.starts[n] = self.m
-        self.lens[n] = k
-        self.m += k
-        self.n = n + 1
-        self.row_of[(owner, pid)] = n
         self._index_dirty = True
 
     def _row_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -559,7 +458,7 @@ class _FlowState:
 
         The (owner, pid) pairs must be distinct within one call.  Existing
         rows update in one vectorized scatter; only genuinely new rows
-        fall back to the append path.
+        are appended.
         """
         keys, rows = self._row_index()
         queries = (owners << 32) | pids
@@ -602,10 +501,6 @@ class _FlowState:
         self.flow[n:need] = amounts
         self.m += flat.size
         self.n = need
-        row_of = self.row_of
-        if row_of is not None:
-            for i, (o, p) in enumerate(zip(owners.tolist(), pids.tolist())):
-                row_of[(o, p)] = n + i
         self._index_dirty = True
 
     def _gather(
@@ -616,9 +511,6 @@ class _FlowState:
         if self.owner_offset is not None and flat.size:
             flat = flat + np.repeat(self.owner_offset[owners], lens)
         return flat, lens, starts
-
-    def scale(self, factor: float) -> None:
-        self.flow[: self.n] *= factor
 
     def loads(self, num_edges: int) -> np.ndarray:
         """Aggregate per-edge loads of all rows."""
@@ -678,8 +570,6 @@ class _FlowState:
         self.lens[:k] = lens
         self.starts[:k] = starts
         self.m = flat.size
-        # Rebuilt lazily by add(); the batched paths never consult it.
-        self.row_of = None
         self._index_dirty = True
 
 
@@ -691,31 +581,20 @@ class FrankWolfeSolver:
     instances (as Random-Schedule's interval sweep does) is much faster
     than constructing fresh solvers.
 
+    Every solve runs one loop (:class:`_StackedRun`): per round, one
+    shortest-path batch and the certified dual bound, a classic step
+    toward the all-or-nothing point, then up to ``_STACKED_SWEEPS``
+    pairwise (away-step) sweeps — per commodity, mass moves from the
+    worst active path to the cheapest active one (normally the
+    all-or-nothing path the step just brought in), Newton-sized from the
+    cost curvature and scaled by one exact line search per block.
+
     Parameters
     ----------
     topology, cost:
         The network and the convex per-edge cost.
     max_iterations, gap_tolerance:
         Stopping criteria (iteration budget / relative duality gap).
-    variant:
-        ``"pairwise"`` (default) follows every classic Frank–Wolfe step
-        with up to ``_PAIRWISE_ROUNDS`` pairwise (away-step) sweeps: per
-        commodity, mass moves from the worst active path to the cheapest
-        active one (normally the all-or-nothing path the step just
-        brought in), Newton-sized from the cost curvature and scaled by
-        one joint exact line search.  ``"classic"`` takes only the
-        textbook step toward the all-or-nothing point.  Both variants
-        emit the identical certified dual lower bound each iteration.
-    tail_trim:
-        Certification-tail trim (pairwise variant only, default on):
-        while the stale certified bound still reports a gap above 4x the
-        target, skip returning to the dual-bound recompute — the bound
-        needs ~``(gap/2)^2`` primal accuracy on equal-cost-degenerate
-        fabrics, so a recompute that far out cannot certify — and keep
-        running cheap pairwise sweeps (up to ``_TRIM_ROUNDS``) instead.
-        Termination is unchanged: the gap check only ever passes on a
-        genuinely recomputed certified bound, so the solver always
-        re-certifies before stopping.
     """
 
     def __init__(
@@ -724,18 +603,12 @@ class FrankWolfeSolver:
         cost: EdgeCost,
         max_iterations: int = 60,
         gap_tolerance: float = 1e-3,
-        variant: str = "pairwise",
-        tail_trim: bool = True,
     ) -> None:
         check_fw_settings(max_iterations, gap_tolerance)
-        if variant not in ("classic", "pairwise"):
-            raise ValidationError(f"unknown Frank-Wolfe variant {variant!r}")
         self._topology = topology
         self._cost = cost
         self._max_iterations = max_iterations
         self._gap_tolerance = gap_tolerance
-        self._variant = variant
-        self._tail_trim = tail_trim
         self._poly_degree = cost.polynomial_degree
         # Fixed per-edge background loads of the active solve (committed
         # traffic the commodities route around); None outside a solve.
@@ -821,10 +694,6 @@ class FrankWolfeSolver:
         """The solver's path registry (shared by its sessions)."""
         return self._registry
 
-    @property
-    def variant(self) -> str:
-        return self._variant
-
     def _point(self, loads: np.ndarray) -> np.ndarray:
         """Total per-edge loads the cost sees: commodity flow plus the
         fixed background of the active solve (identity when none)."""
@@ -842,6 +711,13 @@ class FrankWolfeSolver:
             raise ValidationError(
                 f"background must have one entry per edge "
                 f"({self._topology.num_edges}), got shape {background.shape}"
+            )
+        finite = np.isfinite(background)
+        if not finite.all():
+            edge = int(np.flatnonzero(~finite)[0])
+            raise ValidationError(
+                f"background load of edge {edge} is not finite: "
+                f"{background[edge]}"
             )
         if np.any(background < 0.0):
             raise ValidationError("background loads must be >= 0")
@@ -1196,12 +1072,7 @@ class FrankWolfeSolver:
     # Exact line search: bisection on the convex directional derivative,
     # restricted to the direction's nonzero support.
     # ------------------------------------------------------------------
-    def _line_search(
-        self, loads: np.ndarray, direction: np.ndarray, tol: float = 1e-6
-    ) -> float:
-        return float(self._block_line_search(loads, direction, 1, tol)[0])
-
-    def _block_line_search(
+    def _exact_steps(
         self,
         point: np.ndarray,
         direction: np.ndarray,
@@ -1254,15 +1125,14 @@ class FrankWolfeSolver:
         )
 
     # ------------------------------------------------------------------
-    # Steps.
+    # Pairwise sweep direction.
     # ------------------------------------------------------------------
-    def _pairwise_step(
-        self,
-        state: _FlowState,
-        loads: np.ndarray,
-        prep: _Prep,
-    ) -> tuple[np.ndarray, bool]:
-        """One pairwise (away-step) equilibration sweep over all rows.
+    def _pairwise_direction(
+        self, state: _FlowState, loads: np.ndarray, prep: _Prep
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """One pairwise (away-step) equilibration sweep over all rows,
+        before its line search: ``(point, per-row delta, per-edge
+        direction)``, None when no commodity can move.
 
         A batched generalization of pairwise Frank–Wolfe: within each
         commodity, mass drains out of expensive active paths (the away
@@ -1273,26 +1143,9 @@ class FrankWolfeSolver:
         commodity's active set (so moves sum to zero per commodity),
         clipped at zero flow (an uncapped negative move is a drop step
         that empties its atom) with the clipped deficit rebalanced onto
-        the receiving paths, and one joint exact line search scales the
-        whole sweep.  Every endpoint is an existing row, so the sweep is
-        pure array arithmetic; returns ``(new_loads, stepped)``.
-        """
-        move = self._pairwise_direction(state, loads, prep)
-        if move is None:
-            return loads, False
-        point, delta, direction = move
-        gamma = self._line_search(point, direction, tol=1e-4)
-        if gamma <= _STALL_STEP:
-            return loads, False
-        state.flow[: state.n] += gamma * delta
-        return loads + gamma * direction, True
-
-    def _pairwise_direction(
-        self, state: _FlowState, loads: np.ndarray, prep: _Prep
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The sweep of :meth:`_pairwise_step` before its line search:
-        ``(point, per-row delta, per-edge direction)``, None when no
-        commodity can move."""
+        the receiving paths.  Every endpoint is an existing row, so the
+        sweep is pure array arithmetic; :meth:`_StackedRun.sweeps` scales
+        it with one exact line search per block."""
         n = state.n
         k = prep.demands.size
         point = self._point(loads)
@@ -1379,80 +1232,16 @@ class FrankWolfeSolver:
             )
         return point, delta, direction
 
-    def _sweep_rounds(
-        self,
-        state: _FlowState,
-        prep: _Prep,
-        loads: np.ndarray,
-        objective: float,
-        rounds: int = _PAIRWISE_ROUNDS,
-        best_lower: float = -np.inf,
-    ) -> tuple[np.ndarray, float]:
-        """Up to ``rounds`` pairwise sweeps with the relative improvement
-        stop; returns the updated loads and objective.
-
-        ``best_lower`` (a certified dual bound for the *current* problem)
-        turns the sweep gap-aware: once the stale gap against it clears
-        the solver tolerance the loop top will certify without another
-        shortest-path batch, so any further polishing is wasted — the
-        sweep stops there.  The bound never exceeds the optimum, so the
-        stale gap over-estimates the true gap and the early stop cannot
-        under-certify.
-        """
-        cost = self._cost
-        tolerance = self._gap_tolerance
-        for _ in range(rounds):
-            if objective - best_lower <= tolerance * max(
-                abs(objective), 1e-30
-            ):
-                break
-            previous = objective
-            loads, moved = self._pairwise_step(state, loads, prep)
-            if not moved:
-                break
-            objective = cost.total(self._point(loads))
-            if previous - objective < _PAIRWISE_STOP * abs(objective):
-                break
-        return loads, objective
-
-    def _classic_step(
-        self,
-        state: _FlowState,
-        loads: np.ndarray,
-        aon_loads: np.ndarray,
-        aon_pids: np.ndarray,
-        prep: _Prep,
-    ) -> tuple[np.ndarray, bool]:
-        """Textbook Frank–Wolfe step toward the all-or-nothing point."""
-        direction = aon_loads - loads
-        gamma = self._line_search(self._point(loads), direction)
-        if gamma <= _STALL_STEP:
-            return loads, False
-        state.scale(1.0 - gamma)
-        state.add_batch(
-            np.arange(prep.demands.size, dtype=np.int64),
-            aon_pids,
-            gamma * prep.demands,
-        )
-        return loads + gamma * direction, True
-
     # ------------------------------------------------------------------
     # Main solve.
     # ------------------------------------------------------------------
     def solve(
         self,
         commodities: Sequence[Commodity],
-        warm_start: MCFSolution | None = None,
         background: np.ndarray | None = None,
     ) -> MCFSolution:
-        """Solve the F-MCF instance to the configured duality gap.
-
-        ``warm_start`` reuses a previous solution's path flows for the
-        commodities that persist (rescaled if demands changed) — across
-        consecutive intervals of Random-Schedule most flows persist, which
-        cuts iterations dramatically.  (The interval sweep itself should
-        prefer :class:`RelaxationSession`, which diffs commodity sets
-        without round-tripping through the dict representation.)
+        """Solve the F-MCF instance to the configured duality gap: the
+        one-block :meth:`solve_stacked`, seeded all-or-nothing.
 
         ``background`` fixes additional per-edge loads (committed traffic
         the commodities must route *around*, e.g. reservations carried
@@ -1463,178 +1252,12 @@ class FrankWolfeSolver:
         :class:`~repro.routing.background.BackgroundProfile` is resolved
         one layer up, in :func:`repro.core.relaxation.solve_relaxation`,
         which hands each elementary interval its own ``mean_over`` slice.
+
+        Consecutive related instances warm-start through
+        :class:`RelaxationSession`, which diffs commodity sets and keeps
+        the flow rows of the previous solve.
         """
-        _validate_commodities(commodities)
-        prep = self._prep(commodities)
-        state = _FlowState(self._registry)
-        num_edges = self._topology.num_edges
-
-        self._set_background(background)
-        try:
-            fresh = list(range(len(commodities)))
-            if warm_start is not None:
-                fresh = []
-                registry = self._registry
-                for slot, commodity in enumerate(commodities):
-                    prior = warm_start.path_flows.get(commodity.id)
-                    if not prior:
-                        fresh.append(slot)
-                        continue
-                    total = sum(prior.values())
-                    scale = commodity.demand / total
-                    for path, amount in prior.items():
-                        state.add(slot, registry.intern(path), amount * scale)
-            loads = state.loads(num_edges)
-            self._seed_fresh(state, commodities, prep, fresh, loads)
-            return self._run(state, commodities, prep, state.loads(num_edges))
-        finally:
-            self._background = None
-
-    def _seed_fresh(
-        self,
-        state: _FlowState,
-        commodities: Sequence[Commodity],
-        prep: _Prep,
-        fresh: list[int],
-        loads: np.ndarray,
-    ) -> None:
-        """All-or-nothing seed for commodities without prior flows."""
-        if not fresh:
-            return
-        sub_prep = self._prep([commodities[s] for s in fresh])
-        pids = self._aon_pids(
-            sub_prep, self._cost.derivative(self._point(loads))
-        )
-        fresh_arr = np.array(fresh, dtype=np.int64)
-        state.add_batch(fresh_arr, pids, prep.demands[fresh_arr])
-
-    def _run(
-        self,
-        state: _FlowState,
-        commodities: Sequence[Commodity],
-        prep: _Prep,
-        loads: np.ndarray,
-    ) -> MCFSolution:
-        cost = self._cost
-        objective = cost.total(self._point(loads))
-        best_lower = -np.inf
-        gap = np.inf
-        iteration = 1
-        pairwise = self._variant == "pairwise"
-        num_edges = loads.size
-
-        while iteration < self._max_iterations:
-            # The steps only lower the objective, so the previous
-            # iteration's certified bound may already close the gap —
-            # checked first, before paying another shortest-path batch.
-            if np.isfinite(best_lower):
-                gap = (objective - best_lower) / max(abs(objective), 1e-30)
-                if gap <= self._gap_tolerance:
-                    break
-            weights = cost.derivative(self._point(loads))
-            aon_pids = self._aon_pids(prep, weights)
-            aon_loads = self._registry.scatter(
-                aon_pids, prep.demands, num_edges
-            )
-
-            # Dual bound from the linearization:
-            # f(x) + f'(x)·(y - x) <= f(y) for all feasible y, minimized at
-            # the all-or-nothing point, so this is a valid lower bound.
-            slack = float(weights @ (loads - aon_loads))
-            best_lower = max(best_lower, objective - slack)
-            gap = (objective - best_lower) / max(abs(objective), 1e-30)
-            if gap <= self._gap_tolerance:
-                break
-
-            loads, stepped = self._classic_step(
-                state, loads, aon_loads, aon_pids, prep
-            )
-            if not stepped:
-                # Numerical stall: the gap bound says we are not optimal
-                # but no step can move; accept the current point.
-                break
-            objective = cost.total(self._point(loads))
-            if pairwise:
-                loads, objective = self._sweep_rounds(
-                    state, prep, loads, objective, best_lower=best_lower
-                )
-                if self._tail_trim:
-                    # Certification-tail trim: a fresh certified bound
-                    # needs ~(gap/2)^2 primal accuracy, so while the
-                    # stale bound still reports more than 4x the target
-                    # gap, skip the dual-bound recompute (the next
-                    # shortest-path batch) and run fully-corrective
-                    # cycles on the atoms already in hand.  The loop top
-                    # re-certifies before termination either way.
-                    threshold = 4.0 * self._gap_tolerance
-                    for _ in range(_TRIM_ROUNDS):
-                        gap_stale = (objective - best_lower) / max(
-                            abs(objective), 1e-30
-                        )
-                        if gap_stale <= threshold:
-                            break
-                        previous = objective
-                        loads, stepped = self._classic_step(
-                            state, loads, aon_loads, aon_pids, prep
-                        )
-                        if stepped:
-                            objective = cost.total(self._point(loads))
-                        loads, objective = self._sweep_rounds(
-                            state,
-                            prep,
-                            loads,
-                            objective,
-                            rounds=2,
-                            best_lower=best_lower,
-                        )
-                        if previous - objective < _TRIM_GAIN * (
-                            previous - best_lower
-                        ):
-                            break
-            iteration += 1
-
-        # Prune vanishing path-flow entries once, after convergence.
-        n = state.n
-        keep = state.flow[:n] >= (
-            _PRUNE_FRACTION * prep.demands[state.owner[:n]]
-        )
-        if not keep.all():
-            state.compact(keep)
-
-        if not np.isfinite(best_lower):
-            # Zero iterations of the dual bound (max_iterations == 1).
-            best_lower = 0.0
-        return self._finish(
-            state, commodities, loads, objective, best_lower, gap, iteration
-        )
-
-    def _finish(
-        self,
-        state: _FlowState,
-        commodities: Sequence[Commodity],
-        loads: np.ndarray,
-        objective: float,
-        best_lower: float,
-        gap: float,
-        iteration: int,
-    ) -> MCFSolution:
-        n = state.n
-        arrays = ArrayPathFlows(
-            registry=self._registry,
-            path_ids=state.pid[:n].copy(),
-            amounts=state.flow[:n].copy(),
-            owner_slots=state.owner[:n].copy(),
-            commodity_ids=tuple(c.id for c in commodities),
-        )
-        return MCFSolution(
-            objective=objective,
-            lower_bound=min(best_lower, objective),
-            link_loads=loads,
-            path_flows=_LazyPathFlows(arrays),
-            relative_gap=float(max(gap, 0.0)) if np.isfinite(gap) else 1.0,
-            iterations=iteration,
-            arrays=arrays,
-        )
+        return self.solve_stacked([commodities], [background])[0]
 
     # ------------------------------------------------------------------
     # Stacked solve.
@@ -1716,11 +1339,14 @@ class FrankWolfeSolver:
 
 
 class _StackedRun:
-    """The state of one :meth:`FrankWolfeSolver.solve_stacked` call.
+    """The Frank–Wolfe loop of the array engine: the state of one
+    :meth:`FrankWolfeSolver.solve_stacked` call or one
+    :class:`RelaxationSession` solve.
 
     ``slot_block[s]`` is the block of stacked commodity slot ``s`` (slots
     are grouped by block); per-block quantities are length-``blocks``
     vectors, and a boolean block mask selects which blocks a step moves.
+    ``state`` (a session's carried rows) defaults to an empty row set.
     """
 
     def __init__(
@@ -1730,6 +1356,7 @@ class _StackedRun:
         slot_block: np.ndarray,
         blocks: int,
         lengths: np.ndarray,
+        state: _FlowState | None = None,
     ) -> None:
         self.solver = solver
         self.commodities = commodities
@@ -1739,7 +1366,9 @@ class _StackedRun:
         self.num_edges = solver._topology.num_edges
         self.tolerance = solver._gap_tolerance
         self.prep = solver._prep(commodities, slot_block)
-        self.state = _FlowState(solver._registry, slot_block * self.num_edges)
+        if state is None:
+            state = _FlowState(solver._registry, slot_block * self.num_edges)
+        self.state = state
         self._view_key: bytes | None = None
         self._view: tuple[_Prep, np.ndarray] | None = None
 
@@ -1811,7 +1440,7 @@ class _StackedRun:
         solver = self.solver
         direction = aon_loads - loads
         direction.reshape(self.blocks, -1)[~mask] = 0.0
-        gamma = solver._block_line_search(
+        gamma = solver._exact_steps(
             solver._point(loads), direction, self.blocks
         )
         stepped = mask & (gamma > _STALL_STEP)
@@ -1834,10 +1463,19 @@ class _StackedRun:
         lower: np.ndarray,
         mask: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`FrankWolfeSolver._sweep_rounds` per block, up to
-        ``_STACKED_SWEEPS`` rounds: a block leaves the sweep once it
-        stalls, improves by less than ``_PAIRWISE_STOP``, or its stale gap
-        certifies, and all stop once the stale window gap does."""
+        """Up to ``_STACKED_SWEEPS`` pairwise sweeps
+        (:meth:`FrankWolfeSolver._pairwise_direction`) of ``mask``'s
+        blocks, each scaled by one exact line search per block; returns
+        the updated loads and objectives.
+
+        A block leaves the sweep once it stalls, improves by less than
+        ``_PAIRWISE_STOP`` relatively, or its stale gap against
+        ``lower`` (a certified bound, or -inf) certifies, and all stop
+        once the stale window gap does: the next round top would certify
+        without another shortest-path batch, so further polishing is
+        wasted.  A bound never exceeds the optimum, so the stale gap
+        over-estimates the true gap and the early stop cannot
+        under-certify."""
         solver = self.solver
         sweeping = mask & ~self.certified(f, lower)
         for _ in range(_STACKED_SWEEPS):
@@ -1848,7 +1486,7 @@ class _StackedRun:
                 break
             point, delta, direction = move
             direction.reshape(self.blocks, -1)[~sweeping] = 0.0
-            gamma = solver._block_line_search(
+            gamma = solver._exact_steps(
                 point, direction, self.blocks, tol=1e-4
             )
             moved = sweeping & (gamma > _STALL_STEP)
@@ -1867,18 +1505,36 @@ class _StackedRun:
         return loads, f
 
     # --- solve loop ---------------------------------------------------------
+    def seed(self, slots: np.ndarray) -> None:
+        """All-or-nothing seed: route each of ``slots`` whole on its
+        shortest path at the current loads, each block at its own
+        background."""
+        solver = self.solver
+        prep = self.prep
+        if slots.size < self.slot_block.size:
+            prep = solver._subset_prep(prep, slots, self.slot_block[slots])
+        loads = self.state.loads(self.blocks * self.num_edges)
+        pids = solver._aon_pids(
+            prep, solver._cost.derivative(solver._point(loads))
+        )
+        self.state.add_batch(slots, pids, self.prep.demands[slots])
+
     def union_seed(self) -> None:
-        """Seed every slot with its commodity's path split in its group's
-        union problem.
+        """Seed every slot of an empty row set: a lone block
+        all-or-nothing, a larger stack with each commodity's path split in
+        its group's union problem.
 
         Blocks are grouped in runs of ``_SEED_GROUP``.  A group's union
         holds each of its distinct commodities at the weight-averaged
         demand over the group, on the weight-averaged background; all
-        groups' unions are solved together by a nested stacked solve (a
-        single group by one plain solve).  Consecutive intervals share
+        groups' unions are solved together by one nested stacked solve,
+        which recurses down to one block.  Consecutive intervals share
         most of their commodities, so a union's split is close to each of
         its blocks' optima: it already holds the equal-cost paths a cold
         block would otherwise spend a round apiece discovering."""
+        if self.blocks == 1:
+            self.seed(np.arange(self.slot_block.size))
+            return
         solver = self.solver
         num_edges = self.num_edges
         group = np.arange(self.blocks) // _SEED_GROUP
@@ -1922,26 +1578,14 @@ class _StackedRun:
             mean_bg = sums / np.maximum(group_total, 1e-300)[:, None]
         group_start = np.searchsorted(union_group, np.arange(groups + 1))
         try:
-            if groups == 1:
-                prep = solver._prep(union)
-                state = _FlowState(solver._registry)
-                solver._background = None if mean_bg is None else mean_bg[0]
-                solver._seed_fresh(
-                    state, union, prep, list(range(count)),
-                    np.zeros(num_edges),
-                )
-                parts = [
-                    solver._run(state, union, prep, state.loads(num_edges))
-                ]
-            else:
-                parts = solver.solve_stacked(
-                    [
-                        union[group_start[g] : group_start[g + 1]]
-                        for g in range(groups)
-                    ],
-                    None if mean_bg is None else list(mean_bg),
-                    group_total,
-                )
+            parts = solver.solve_stacked(
+                [
+                    union[group_start[g] : group_start[g + 1]]
+                    for g in range(groups)
+                ],
+                None if mean_bg is None else list(mean_bg),
+                group_total,
+            )
         finally:
             # The nested solve resets the solver's background on exit.
             solver._background = stacked_bg
@@ -1969,15 +1613,16 @@ class _StackedRun:
     def solve(
         self, blocks: Sequence[Sequence[Commodity]]
     ) -> list[MCFSolution]:
+        """Run rounds from the current rows (union-seeded when there are
+        none) until the certificate holds or ``max_iterations`` caps."""
         solver = self.solver
-        size = self.blocks * self.num_edges
+        if self.state.n == 0:
+            self.union_seed()
+        loads = self.state.loads(self.blocks * self.num_edges)
         open_ = np.ones(self.blocks, dtype=bool)
-        self.union_seed()
-        loads = self.state.loads(size)
         f = self.objectives(loads)
         lower = np.full(self.blocks, -np.inf)
         iterations = np.ones(self.blocks, dtype=np.int64)
-        pairwise = solver._variant == "pairwise"
         rounds = 1
         while rounds < solver._max_iterations:
             # Stale bounds first: the steps only lower f, so last round's
@@ -1986,7 +1631,9 @@ class _StackedRun:
             if not open_.any() or self.window_certified(f, lower):
                 break
             weights, batch = self.aon(open_, loads)
-            # Per-block dual bound of the linearization (see _run).
+            # Per-block dual bound of the linearization:
+            # f(x) + f'(x)·(y - x) <= f(y) for all feasible y, minimized
+            # at the all-or-nothing point, so f - slack <= OPT.
             slack = (weights * (loads - batch[0])).reshape(
                 self.blocks, -1
             ).sum(axis=1)
@@ -1997,21 +1644,22 @@ class _StackedRun:
             loads, open_ = self.classic(loads, batch, open_)
             iterations += open_
             f = self.objectives(loads)
-            if pairwise:
-                loads, f = self.sweeps(loads, f, lower, open_)
+            loads, f = self.sweeps(loads, f, lower, open_)
             rounds += 1
         return self.finish(blocks, loads, f, lower, iterations)
 
     def finish(self, blocks, loads, f, lower, iterations) -> list[MCFSolution]:
-        """Split the stacked rows into one pruned solution per block."""
+        """Prune vanishing rows from the state, then split it into one
+        solution per block."""
         state = self.state
+        keep = state.flow[: state.n] >= (
+            _PRUNE_FRACTION * self.prep.demands[state.owner[: state.n]]
+        )
+        if not keep.all():
+            state.compact(keep)
         n = state.n
         owner = state.owner[:n]
-        keep = np.flatnonzero(
-            state.flow[:n] >= _PRUNE_FRACTION * self.prep.demands[owner]
-        )
-        row_block = self.slot_block[owner[keep]]
-        order = keep[np.argsort(row_block, kind="stable")]
+        order = np.argsort(self.slot_block[owner], kind="stable")
         owner = owner[order]
         pid = state.pid[:n][order]
         flow = state.flow[:n][order]
@@ -2021,7 +1669,7 @@ class _StackedRun:
         slot_start = np.searchsorted(
             self.slot_block, np.arange(self.blocks)
         ).tolist()
-        # A cap of one round never certified: report 0 (see _run).
+        # A cap of one round never certified: report a bound of 0.
         lower = np.where(np.isfinite(lower), lower, 0.0)
         gap = (f - lower) / np.maximum(np.abs(f), 1e-30)
         per_block = loads.reshape(self.blocks, -1)
@@ -2068,8 +1716,9 @@ class RelaxationSession:
     applies the commodity-set *diff* per interval — departing commodities
     drop their rows, persisting ones rescale to their new demand in one
     vectorized multiply, and only entering commodities pay an
-    all-or-nothing seed — instead of round-tripping the previous solution
-    through its nested-dict representation.
+    all-or-nothing seed — then runs the solver's one Frank–Wolfe loop
+    (one block) on the carried rows.  A solve with nothing carried is
+    exactly :meth:`FrankWolfeSolver.solve`.
     """
 
     def __init__(self, solver: FrankWolfeSolver) -> None:
@@ -2130,64 +1779,61 @@ class RelaxationSession:
         background: np.ndarray | None,
     ) -> MCFSolution:
         solver = self._solver
-        prep = solver._prep(commodities)
-        num_edges = solver._topology.num_edges
         ids = [c.id for c in commodities]
-
+        k = len(ids)
         state = self._state
         if state is None:
             state = _FlowState(solver._registry)
-            fresh = list(range(len(commodities)))
         else:
             new_slot = {cid: i for i, cid in enumerate(ids)}
             remap = np.array(
                 [new_slot.get(cid, -1) for cid in self._ids], dtype=np.int64
             )
-            n = state.n
-            state.compact(remap[state.owner[:n]] >= 0, new_owner=remap)
-            k = len(ids)
-            totals = np.bincount(
-                state.owner[: state.n],
-                weights=state.flow[: state.n],
-                minlength=k,
-            )
-            persisting = totals > 0.0
-            scale = np.ones(k)
-            scale[persisting] = prep.demands[persisting] / totals[persisting]
-            state.flow[: state.n] *= scale[state.owner[: state.n]]
-            fresh = np.flatnonzero(~persisting).tolist()
+            state.compact(remap[state.owner[: state.n]] >= 0, new_owner=remap)
+        run = _StackedRun(
+            solver, list(commodities), np.zeros(k, dtype=np.int64), 1,
+            np.ones(1), state,
+        )
+        prep = run.prep
+        totals = np.bincount(
+            state.owner[: state.n], weights=state.flow[: state.n], minlength=k
+        )
+        persisting = totals > 0.0
+        scale = np.ones(k)
+        scale[persisting] = prep.demands[persisting] / totals[persisting]
+        state.flow[: state.n] *= scale[state.owner[: state.n]]
+        fresh = np.flatnonzero(~persisting)
 
         solver._set_background(background)
         resolved = solver._background
-        carried = len(fresh) < len(ids)
         shifted = not _same_background(self._last_background, resolved)
         self._last_background = None if resolved is None else resolved.copy()
         try:
-            solver._seed_fresh(
-                state, commodities, prep, fresh, state.loads(num_edges)
-            )
-            loads = state.loads(num_edges)
-            if carried and shifted and solver._variant == "pairwise":
-                # A background shift (the per-interval profile sweep)
-                # moves the optimum mostly by reallocating flow among
-                # paths already in hand — plus the occasional detour the
-                # session has seen before.  Re-pricing the path pool and
-                # running a corrective sweep *before* the first dual
-                # certification usually brings the carried point back
-                # inside tolerance, so the first shortest-path batch
-                # certifies instead of opening a full Frank-Wolfe
-                # iteration.  Seeded-fresh commodities hold their
-                # current shortest path already, so this is a no-op on
-                # cold starts and certification in ``_run`` stays exact
-                # either way.
-                weights = solver._cost.derivative(solver._point(loads))
-                self._price_pool(state, prep, fresh, weights)
-                objective = solver._cost.total(solver._point(loads))
-                loads, _ = solver._sweep_rounds(
-                    state, prep, loads, objective, rounds=_PRESWEEP_ROUNDS
-                )
-                loads = state.loads(num_edges)
-            solution = solver._run(state, commodities, prep, loads)
+            if persisting.any():
+                # Entering commodities take the all-or-nothing step at
+                # the carried loads; an empty row set is seeded by the
+                # run itself, exactly as a cold FrankWolfeSolver.solve.
+                if fresh.size:
+                    run.seed(fresh)
+                if shifted:
+                    # A background shift (the per-interval profile sweep)
+                    # moves the optimum mostly by reallocating flow among
+                    # paths already in hand — plus the occasional detour
+                    # the session has seen before.  Re-pricing the path
+                    # pool and running a corrective sweep *before* the
+                    # first dual certification usually brings the
+                    # carried point back inside tolerance, so the first
+                    # shortest-path batch certifies instead of opening a
+                    # full Frank-Wolfe iteration.  The round loop's
+                    # certification stays exact either way.
+                    loads = state.loads(solver._topology.num_edges)
+                    weights = solver._cost.derivative(solver._point(loads))
+                    self._price_pool(state, prep, fresh.tolist(), weights)
+                    run.sweeps(
+                        loads, run.objectives(loads), np.full(1, -np.inf),
+                        np.ones(1, dtype=bool),
+                    )
+            solution = run.solve([commodities])[0]
         finally:
             solver._background = None
         self._state = state

@@ -22,9 +22,8 @@ Two implementations live here (DESIGN.md Section 10):
   from the generator in flow order, so the stream matches the per-flow
   reference draws exactly);
 * the **dict reference**: :func:`aggregate_path_weights` /
-  :func:`sample_path` (also exported as ``*_reference``), the per-flow
-  nested-dict implementations the array engine is pinned against in
-  ``tests/test_rounding.py``.
+  :func:`sample_path`, the per-flow nested-dict implementations the
+  array engine is pinned against in ``tests/test_rounding.py``.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ __all__ = [
     "ArrayPathWeights",
     "aggregate_path_weights",
     "aggregate_path_weights_array",
-    "aggregate_path_weights_reference",
     "sample_path",
-    "sample_path_reference",
     "sample_paths",
     "argmax_paths",
 ]
@@ -138,12 +135,6 @@ def sample_path(
     probs = probs / probs.sum()
     choice = int(rng.choice(len(paths), p=probs))
     return paths[choice]
-
-
-#: The dict implementations double as the pinning references for the
-#: registry-id-space engine below (repo convention for every fast path).
-aggregate_path_weights_reference = aggregate_path_weights
-sample_path_reference = sample_path
 
 
 class ArrayPathWeights(MappingABC):

@@ -79,6 +79,22 @@ class TestProfileValidation:
         with pytest.raises(ValidationError):
             BackgroundProfile(1, 0.0, 1.0, [0.0, 1.0], [[-0.1]])
 
+    def test_nan_loads_rejected(self):
+        """NaN passed the sign check (``NaN < 0`` is false), and every
+        later mean over the profile read NaN."""
+        with pytest.raises(ValidationError, match="not NaN"):
+            BackgroundProfile(
+                2, 0.0, 2.0, [0.0, 1.0, 2.0], [[0.5, 0.5], [np.nan, 0.5]]
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_breakpoints_rejected(self, bad):
+        """``[0, nan, 2]`` passed the strictly-increasing check, because
+        every comparison with NaN is false."""
+        times = [0.0, bad, 2.0] if np.isnan(bad) else [0.0, 1.0, bad]
+        with pytest.raises(ValidationError, match="finite"):
+            BackgroundProfile(1, 0.0, 1.0, times, [[0.0], [0.0]])
+
     def test_degenerate_queries_rejected(self):
         p = BackgroundProfile(1, 0.0, 1.0, [0.0, 1.0], [[2.0]])
         with pytest.raises(ValidationError):

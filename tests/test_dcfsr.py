@@ -215,27 +215,6 @@ class TestArrayRoundingPinned:
         )
         assert array_schedule.paths() == ref_schedule.paths()
 
-    def test_reference_solver_falls_back_to_dict_loop(self):
-        """Solutions without array views still round via the dict path."""
-        import numpy as np
-
-        from repro.core import round_schedule
-        from repro.core.relaxation import default_cost, solve_relaxation
-        from repro.flows import paper_workload
-        from repro.routing import FrankWolfeSolverReference
-
-        topo = fat_tree(4)
-        power = PowerModel.quadratic()
-        flows = paper_workload(topo, 8, seed=2)
-        reference = FrankWolfeSolverReference(topo, default_cost(power))
-        relaxation = solve_relaxation(flows, reference)
-        schedule, weights = round_schedule(
-            flows, relaxation, np.random.default_rng(0)
-        )
-        assert len(list(schedule)) == len(flows)
-        for fid, w_bar in weights.items():
-            assert sum(w_bar.values()) == pytest.approx(1.0)
-
 
 class TestQualitativeShape:
     def test_rs_beats_sp_mcf_on_paper_workload(self, quadratic):

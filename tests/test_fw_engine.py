@@ -1,15 +1,18 @@
 """Pinning suite for the array-native Frank–Wolfe engine (DESIGN.md §9).
 
 The array engine (`FrankWolfeSolver`: path registry + flat flow rows +
-pairwise/away-step equilibration) keeps its dict-of-paths predecessor as
+pairwise/away-step equilibration, one loop for every entry point —
+DESIGN.md §19) keeps its dict-of-paths predecessor as
 ``FrankWolfeSolverReference``; this suite proves the pair interchangeable
-across random jellyfish/fat-tree instances, cold and warm, classic and
-pairwise variants:
+across random jellyfish/fat-tree instances, cold and warm:
 
+* ``solve``, a one-block ``solve_stacked`` and a cold
+  :class:`RelaxationSession` solve are bit-identical;
 * objectives agree within the shared gap tolerance and the engine's
   certified ``lower_bound`` never exceeds the reference's objective;
 * path flows sum to each commodity's demand and rebuild ``link_loads``;
-* infeasible instances raise the identical ``SolverError``;
+* infeasible instances raise the identical ``SolverError``, and a
+  non-finite background is a ``ValidationError`` at every entry point;
 * the :class:`RelaxationSession` interval sweep (commodity-set diffs)
   matches the reference's dict warm-start chain;
 * the array path-flow consumers (``ArrayPathFlows``,
@@ -60,10 +63,10 @@ def make_commodities(topology, n: int, seed: int, id_offset: int = 0):
     return out
 
 
-def make_pair(topology, power, variant):
+def make_pair(topology, power):
     cost = envelope_cost(power)
     new = FrankWolfeSolver(
-        topology, cost, max_iterations=500, gap_tolerance=GAP, variant=variant
+        topology, cost, max_iterations=500, gap_tolerance=GAP
     )
     ref = FrankWolfeSolverReference(
         topology, cost, max_iterations=500, gap_tolerance=GAP
@@ -99,26 +102,26 @@ def assert_solution_consistent(solution, commodities, topology):
     )
 
 
-@pytest.mark.parametrize("variant", ["classic", "pairwise"])
 @pytest.mark.parametrize(
     "kind,seed", [("fat_tree", 0), ("fat_tree", 1), ("jellyfish", 2),
                   ("jellyfish", 3)]
 )
 class TestColdAgainstReference:
-    def test_cold_solve_matches(self, variant, kind, seed):
+    def test_cold_solve_matches(self, kind, seed):
         topology = make_topology(kind, seed)
-        new, ref = make_pair(topology, PowerModel.quadratic(), variant)
+        new, ref = make_pair(topology, PowerModel.quadratic())
         commodities = make_commodities(topology, 8, seed)
         a = new.solve(commodities)
         b = ref.solve(commodities)
         assert_objectives_agree(a, b)
         assert_solution_consistent(a, commodities, topology)
 
-    def test_warm_solve_matches(self, variant, kind, seed):
+    def test_warm_solve_matches(self, kind, seed):
         topology = make_topology(kind, seed)
-        new, ref = make_pair(topology, PowerModel.quadratic(), variant)
+        new, ref = make_pair(topology, PowerModel.quadratic())
+        session = RelaxationSession(new)
         base = make_commodities(topology, 8, seed)
-        cold_new = new.solve(base)
+        session.solve(base)
         cold_ref = ref.solve(base)
         # Perturb: drop one commodity, rescale another, add a fresh one.
         changed = base[1:]
@@ -128,27 +131,26 @@ class TestColdAgainstReference:
         )
         changed.append(make_commodities(topology, 1, seed + 77,
                                         id_offset=1000)[0])
-        a = new.solve(changed, warm_start=cold_new)
+        a = session.solve(changed)
         b = ref.solve(changed, warm_start=cold_ref)
         assert_objectives_agree(a, b)
         assert_solution_consistent(a, changed, topology)
 
 
-@pytest.mark.parametrize("variant", ["classic", "pairwise"])
 class TestPowerdownEnvelope:
     """sigma > 0 exercises the piecewise envelope (bisection line search)."""
 
-    def test_envelope_cost_matches(self, variant):
+    def test_envelope_cost_matches(self):
         topology = make_topology("jellyfish", 5)
         power = PowerModel(sigma=2.0, mu=1.0, alpha=2.0)
-        new, ref = make_pair(topology, power, variant)
+        new, ref = make_pair(topology, power)
         commodities = make_commodities(topology, 6, 5)
         a = new.solve(commodities)
         b = ref.solve(commodities)
         assert_objectives_agree(a, b)
         assert_solution_consistent(a, commodities, topology)
 
-    def test_powerdown_sweep_conserves_demand(self, variant):
+    def test_powerdown_sweep_conserves_demand(self):
         """Regression: on the envelope's zero-curvature segment the
         pairwise sweep once leaked commodity mass (clipped negative moves
         with no receiving row), draining flows to zero over the interval
@@ -157,8 +159,7 @@ class TestPowerdownEnvelope:
         power = PowerModel(sigma=1.0, mu=1.0, alpha=2.0)
         cost = envelope_cost(power)
         solver = FrankWolfeSolver(
-            topology, cost, max_iterations=40, gap_tolerance=3e-3,
-            variant=variant,
+            topology, cost, max_iterations=40, gap_tolerance=3e-3
         )
         session = RelaxationSession(solver)
         commodities = make_commodities(topology, 20, 31)
@@ -169,9 +170,9 @@ class TestPowerdownEnvelope:
                     solution.path_flows[commodity.id].values()
                 ) == pytest.approx(commodity.demand)
 
-    def test_quartic_cost_matches(self, variant):
+    def test_quartic_cost_matches(self):
         topology = make_topology("fat_tree", 0)
-        new, ref = make_pair(topology, PowerModel.quartic(), variant)
+        new, ref = make_pair(topology, PowerModel.quartic())
         commodities = make_commodities(topology, 6, 9)
         a = new.solve(commodities)
         b = ref.solve(commodities)
@@ -179,13 +180,12 @@ class TestPowerdownEnvelope:
         assert_solution_consistent(a, commodities, topology)
 
 
-@pytest.mark.parametrize("variant", ["classic", "pairwise"])
 class TestSessionSweep:
     """Session diffs (enter/leave/rescale) vs the dict warm-start chain."""
 
-    def test_interval_sweep_matches_reference_chain(self, variant):
+    def test_interval_sweep_matches_reference_chain(self):
         topology = make_topology("jellyfish", 11)
-        new, ref = make_pair(topology, PowerModel.quadratic(), variant)
+        new, ref = make_pair(topology, PowerModel.quadratic())
         session = RelaxationSession(new)
         base = make_commodities(topology, 8, 11)
         fresh = make_commodities(topology, 3, 12, id_offset=100)
@@ -204,9 +204,9 @@ class TestSessionSweep:
             assert_objectives_agree(a, b)
             assert_solution_consistent(a, commodities, topology)
 
-    def test_session_reset_forgets_state(self, variant):
+    def test_session_reset_forgets_state(self):
         topology = make_topology("fat_tree", 0)
-        new, _ = make_pair(topology, PowerModel.quadratic(), variant)
+        new, _ = make_pair(topology, PowerModel.quadratic())
         session = RelaxationSession(new)
         commodities = make_commodities(topology, 5, 3)
         first = session.solve(commodities)
@@ -214,9 +214,9 @@ class TestSessionSweep:
         cold = session.solve(commodities)
         assert cold.objective == pytest.approx(first.objective, rel=4 * GAP)
 
-    def test_session_requires_array_solver(self, variant):
+    def test_session_requires_array_solver(self):
         topology = make_topology("fat_tree", 0)
-        _, ref = make_pair(topology, PowerModel.quadratic(), variant)
+        _, ref = make_pair(topology, PowerModel.quadratic())
         with pytest.raises(ValidationError):
             RelaxationSession(ref)
 
@@ -233,10 +233,9 @@ class TestInfeasibility:
             solver.solve(commodities)
         return str(excinfo.value)
 
-    @pytest.mark.parametrize("variant", ["classic", "pairwise"])
-    def test_identical_infeasibility_errors(self, variant):
+    def test_identical_infeasibility_errors(self):
         cost = envelope_cost(PowerModel.quadratic())
-        new = FrankWolfeSolver(self.topology, cost, variant=variant)
+        new = FrankWolfeSolver(self.topology, cost)
         ref = FrankWolfeSolverReference(self.topology, cost)
         bad = [Commodity(0, "a", "c", 1.0)]
         assert self._message(new, bad) == self._message(ref, bad)
@@ -268,14 +267,12 @@ class TestInfeasibility:
             with pytest.raises(ValidationError):
                 solve([Commodity(0, "a", "b", 1.0),
                        Commodity(0, "a", "c", 1.0)])
-        with pytest.raises(ValidationError):
-            FrankWolfeSolver(self.topology, cost, variant="bogus")
 
 
 class TestArrayConsumers:
     def test_decompose_solution_array_and_dict_agree(self):
         topology = make_topology("fat_tree", 0)
-        new, ref = make_pair(topology, PowerModel.quadratic(), "pairwise")
+        new, ref = make_pair(topology, PowerModel.quadratic())
         commodities = make_commodities(topology, 5, 21)
         a = new.solve(commodities)
         b = ref.solve(commodities)
@@ -293,7 +290,7 @@ class TestArrayConsumers:
 
     def test_rows_for_and_path_fractions(self):
         topology = make_topology("jellyfish", 4)
-        new, _ = make_pair(topology, PowerModel.quadratic(), "pairwise")
+        new, _ = make_pair(topology, PowerModel.quadratic())
         commodities = make_commodities(topology, 4, 4)
         solution = new.solve(commodities)
         arrays = solution.arrays
@@ -307,7 +304,7 @@ class TestArrayConsumers:
 
     def test_lazy_path_flows_mapping_protocol(self):
         topology = make_topology("fat_tree", 0)
-        new, _ = make_pair(topology, PowerModel.quadratic(), "pairwise")
+        new, _ = make_pair(topology, PowerModel.quadratic())
         commodities = make_commodities(topology, 3, 8)
         solution = new.solve(commodities)
         mapping = solution.path_flows
@@ -420,6 +417,44 @@ class TestBackgroundLoads:
                 commodities, background=np.full(topology.num_edges, -1.0)
             )
 
+    @pytest.mark.parametrize("bad", ["nan-edge", "all-inf"])
+    def test_non_finite_background_rejected(self, bad):
+        """NaN and inf passed the sign check (``NaN < 0`` is false) and
+        surfaced as "no path" routing failures; every entry point must
+        reject them up front, naming the first bad edge."""
+        from repro.core.relaxation import solve_relaxation
+        from repro.flows.workloads import paper_workload
+
+        topology = fat_tree(4)
+        hosts = topology.hosts
+        commodities = [
+            Commodity(i, hosts[i], hosts[i + 8], 1.0) for i in range(4)
+        ]
+        if bad == "nan-edge":
+            background = np.full(topology.num_edges, 0.5)
+            background[3] = np.nan
+            edge = 3
+        else:
+            background = np.full(topology.num_edges, np.inf)
+            edge = 0
+        solver = FrankWolfeSolver(
+            topology, envelope_cost(PowerModel.quadratic())
+        )
+        flows = paper_workload(topology, 6, seed=0)
+        calls = [
+            lambda: solver.solve(commodities, background=background),
+            lambda: solver.solve_stacked([commodities], [background]),
+            lambda: RelaxationSession(solver).solve(
+                commodities, background=background
+            ),
+            lambda: solve_relaxation(flows, solver, background=background),
+        ]
+        for call in calls:
+            with pytest.raises(
+                ValidationError, match=f"edge {edge} is not finite"
+            ):
+                call()
+
     def test_session_certified_under_shifting_backgrounds(self):
         """A warm session chased by a different background every solve
         (the per-interval profile sweep's access pattern) must stay
@@ -428,7 +463,7 @@ class TestBackgroundLoads:
         This drives the pre-certification corrective sweep and the
         path-pool pricing: by the later solves the pool holds every
         detour the chain discovered, so injections fire, yet the dual
-        certificate in ``_run`` keeps every answer exact.
+        certificate of the round loop keeps every answer exact.
         """
         topology = fat_tree(4)
         cost = envelope_cost(PowerModel.quadratic())
@@ -486,59 +521,49 @@ class TestBackgroundLoads:
             ]
             assert costs[row] < min(costs[r] for r in old_rows)
 
-    def test_reference_solver_rejects_background_in_sweep(self):
-        from repro.core.relaxation import solve_relaxation
-        from repro.flows.workloads import paper_workload
 
-        topology = fat_tree(4)
-        flows = paper_workload(topology, 6, seed=0)
-        reference = FrankWolfeSolverReference(
-            topology, envelope_cost(PowerModel.quadratic())
-        )
-        with pytest.raises(ValidationError):
-            solve_relaxation(
-                flows, reference, background=np.zeros(topology.num_edges)
-            )
-
-
-class TestCertificationTailTrim:
-    """The tail trim must change batch counts, not certified answers."""
+class TestOneLoop:
+    """``solve``, a one-block ``solve_stacked`` and a cold
+    ``RelaxationSession`` solve run one Frank–Wolfe loop from one
+    all-or-nothing seed, so their results agree bit for bit."""
 
     @pytest.mark.parametrize(
-        "kind,seed", [("fat_tree", 0), ("jellyfish", 2)]
+        "power",
+        [
+            PowerModel.quadratic(),
+            PowerModel.quartic(),
+            PowerModel(sigma=2.0, mu=1.0, alpha=2.0),
+            PowerModel(sigma=0.0, mu=2.0, alpha=3.0, capacity=5.0),
+        ],
+        ids=["quadratic", "quartic", "envelope", "capacity"],
     )
-    def test_same_certified_bound(self, kind, seed):
-        topology = make_topology(kind, seed)
-        commodities = make_commodities(topology, 20, seed=seed)
-        cost = envelope_cost(PowerModel.quadratic())
-        trimmed = FrankWolfeSolver(
-            topology, cost, max_iterations=500, gap_tolerance=1e-3,
-            tail_trim=True,
-        ).solve(commodities)
-        plain = FrankWolfeSolver(
-            topology, cost, max_iterations=500, gap_tolerance=1e-3,
-            tail_trim=False,
-        ).solve(commodities)
-        # Both certify the configured gap, and the certified bounds agree
-        # within it (the trim only reorders primal work between batches).
-        assert trimmed.relative_gap <= 1e-3 + 1e-12
-        assert plain.relative_gap <= 1e-3 + 1e-12
-        assert trimmed.lower_bound == pytest.approx(
-            plain.lower_bound, rel=1e-3
-        )
-        assert trimmed.lower_bound <= plain.objective + 1e-9
-        assert plain.lower_bound <= trimmed.objective + 1e-9
-
-    def test_trim_matches_reference_solver(self):
+    def test_entry_points_bit_identical(self, power):
         topology = fat_tree(4)
-        commodities = make_commodities(topology, 16, seed=4)
-        cost = envelope_cost(PowerModel.quadratic())
-        trimmed = FrankWolfeSolver(
-            topology, cost, max_iterations=500, gap_tolerance=GAP,
-            tail_trim=True,
-        ).solve(commodities)
-        reference = FrankWolfeSolverReference(
-            topology, cost, max_iterations=500, gap_tolerance=GAP
-        ).solve(commodities)
-        assert_objectives_agree(trimmed, reference)
-        assert_solution_consistent(trimmed, commodities, topology)
+        cost = envelope_cost(power)
+        commodities = make_commodities(topology, 10, seed=13)
+        background = np.random.default_rng(17).uniform(
+            0.0, 2.0, topology.num_edges
+        )
+
+        def fresh():
+            return FrankWolfeSolver(
+                topology, cost, max_iterations=200, gap_tolerance=GAP
+            )
+
+        first, *others = [
+            fresh().solve(commodities, background=background),
+            fresh().solve_stacked([commodities], [background])[0],
+            RelaxationSession(fresh()).solve(
+                commodities, background=background
+            ),
+        ]
+        for other in others:
+            assert other.objective == first.objective
+            assert other.lower_bound == first.lower_bound
+            assert other.iterations == first.iterations
+            assert np.array_equal(other.link_loads, first.link_loads)
+            assert np.array_equal(other.arrays.path_ids, first.arrays.path_ids)
+            assert np.array_equal(other.arrays.amounts, first.arrays.amounts)
+            assert np.array_equal(
+                other.arrays.owner_slots, first.arrays.owner_slots
+            )

@@ -449,7 +449,7 @@ class TestPricingKernels:
     @pytest.mark.parametrize("cap_at_demand", [False, True])
     def test_pairwise_delta_matches_numpy_replica(self, cap_at_demand):
         """The fused kernel reproduces the numpy expressions of
-        ``FrankWolfeSolver._pairwise_step`` bit for bit when the row
+        ``FrankWolfeSolver._pairwise_direction`` bit for bit when the row
         costs are summed sequentially (reduceat's blocked order is the
         only divergence, checked separately in the row_costs test)."""
         rng = np.random.default_rng(37 + cap_at_demand)
@@ -491,9 +491,9 @@ class TestPricingKernels:
     @staticmethod
     def _pairwise_replica(eids, lens, starts, owner, flow, weights,
                           inv_h, demands, cap_at_demand, num_edges):
-        # The numpy branch of _pairwise_step with the one substitution
-        # of sequential row sums for reduceat (see module docstring of
-        # repro.kernels._impl for why).
+        # The numpy branch of _pairwise_direction with the one
+        # substitution of sequential row sums for reduceat (see module
+        # docstring of repro.kernels._impl for why).
         k = demands.size
         costs = _sequential_row_costs(eids, starts, lens, weights)
         lam_den = np.bincount(owner, weights=inv_h, minlength=k)
@@ -524,20 +524,17 @@ class TestPricingKernels:
 # ----------------------------------------------------------------------
 class TestSolverAcrossBackends:
     @pytest.mark.parametrize("kind", ["fat_tree", "jellyfish"])
-    @pytest.mark.parametrize("variant", ["classic", "pairwise"])
-    def test_solve_certified_python_vs_kernel(self, kind, variant):
+    def test_solve_certified_python_vs_kernel(self, kind):
         topology = make_topology(kind, seed=21)
         commodities = make_commodities(topology, 8, seed=22)
         cost = envelope_cost(PowerModel.quadratic())
         kernels.set_backend("python")
         a = FrankWolfeSolver(
-            topology, cost, max_iterations=500, gap_tolerance=GAP,
-            variant=variant,
+            topology, cost, max_iterations=500, gap_tolerance=GAP
         ).solve(commodities)
         kernels.set_backend("interpreted")
         b = FrankWolfeSolver(
-            topology, cost, max_iterations=500, gap_tolerance=GAP,
-            variant=variant,
+            topology, cost, max_iterations=500, gap_tolerance=GAP
         ).solve(commodities)
         assert_objectives_agree(a, b)
 

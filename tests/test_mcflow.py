@@ -8,7 +8,12 @@ import pytest
 from repro.analysis import solve_fmcf_reference
 from repro.errors import SolverError, ValidationError
 from repro.power import PowerModel
-from repro.routing import Commodity, FrankWolfeSolver, envelope_cost
+from repro.routing import (
+    Commodity,
+    FrankWolfeSolver,
+    RelaxationSession,
+    envelope_cost,
+)
 from repro.topology import build_topology, dumbbell, fat_tree, line, star
 
 
@@ -120,30 +125,32 @@ class TestSolutionStructure:
 
 
 class TestWarmStart:
+    """Warm re-solves run through a RelaxationSession, which carries the
+    previous solve's flow rows into the next."""
+
     def test_warm_start_converges_fast(self):
         topo = fat_tree(4)
-        fw = make_solver(topo, gap_tolerance=1e-4)
+        session = RelaxationSession(make_solver(topo, gap_tolerance=1e-4))
         h = topo.hosts
         comms = [Commodity(i, h[i], h[i + 8], 1.0) for i in range(6)]
-        cold = fw.solve(comms)
-        warm = fw.solve(comms, warm_start=cold)
+        cold = session.solve(comms)
+        warm = session.solve(comms)
         assert warm.iterations <= 2
         assert warm.objective == pytest.approx(cold.objective, rel=1e-3)
 
     def test_warm_start_rescales_changed_demand(self):
         topo = dumbbell(1, 1)
-        fw = make_solver(topo)
-        base = fw.solve([Commodity(0, "l0", "r0", 1.0)])
-        scaled = fw.solve([Commodity(0, "l0", "r0", 3.0)], warm_start=base)
+        session = RelaxationSession(make_solver(topo))
+        session.solve([Commodity(0, "l0", "r0", 1.0)])
+        scaled = session.solve([Commodity(0, "l0", "r0", 3.0)])
         assert sum(scaled.path_flows[0].values()) == pytest.approx(3.0)
 
     def test_warm_start_with_new_commodity(self):
         topo = star(4)
-        fw = make_solver(topo)
-        first = fw.solve([Commodity(0, "h0", "h1", 1.0)])
-        both = fw.solve(
-            [Commodity(0, "h0", "h1", 1.0), Commodity(1, "h2", "h3", 2.0)],
-            warm_start=first,
+        session = RelaxationSession(make_solver(topo))
+        session.solve([Commodity(0, "h0", "h1", 1.0)])
+        both = session.solve(
+            [Commodity(0, "h0", "h1", 1.0), Commodity(1, "h2", "h3", 2.0)]
         )
         assert sum(both.path_flows[1].values()) == pytest.approx(2.0)
 
