@@ -5,18 +5,28 @@ engine — the networkx reference (per-edge Python weight callback), the
 early-terminating CSR heap Dijkstra behind :func:`marginal_route`, and
 the :class:`FastRouter` hot path (bidirectional search + candidate
 cache) — plus the :class:`LoadLedger` loads/commit cycle at a realistic
-resident-ledger size.  Guards the ~10x routing-core speedup the
-Online+Density replay throughput depends on (see ``bench_traces.py``).
+resident-ledger size, and one replay window's committed-load view: the
+ledger seeded with the live pieces earlier windows left, next to the
+background-profile build and per-flow gather it replaced (DESIGN.md
+§20).  Guards the ~10x routing-core speedup the Online+Density replay
+throughput depends on (see ``bench_traces.py``).
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from record import record_bench
+from repro.flows import Flow
+from repro.power import PowerModel
 from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
 from repro.routing.paths import marginal_route_reference
+from repro.scheduling.schedule import density_schedule
 from repro.topology import fat_tree
+from repro.traces.replay import WindowAccountant
 
 TOPOLOGY = fat_tree(8)
 RNG = np.random.default_rng(7)
@@ -79,3 +89,80 @@ def test_ledger_loads_commit_cycle(benchmark):
             ledger.commit(eids, start, end, 0.3)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+#: One replay window of the seeded-ledger case: its start, the flows
+#: earlier windows left live across it, and the arrivals it prices.
+WINDOW_START = 100.0
+LIVE_FLOWS = 560
+WINDOW_ARRIVALS = 100
+
+
+def _live_window():
+    """An accountant holding the ~3k live pieces an ``online-burst``
+    window inherits (``LIVE_FLOWS`` density schedules that began by
+    ``WINDOW_START`` and end after it), and the window's release-ordered
+    ``(release, deadline)`` spans."""
+    rng = np.random.default_rng(11)
+    hosts = TOPOLOGY.hosts
+    acct = WindowAccountant(TOPOLOGY, PowerModel.quadratic())
+    for i in range(LIVE_FLOWS):
+        src, dst = (hosts[int(j)] for j in rng.choice(len(hosts), 2, False))
+        flow = Flow(
+            id=i, src=src, dst=dst, size=float(rng.uniform(0.5, 5.0)),
+            release=WINDOW_START - float(rng.uniform(0.0, 10.0)),
+            deadline=WINDOW_START + float(rng.uniform(0.1, 10.0)),
+        )
+        acct.commit(density_schedule(flow, TOPOLOGY.shortest_path(src, dst)))
+    releases = np.sort(WINDOW_START + rng.uniform(0.0, 1.0, WINDOW_ARRIVALS))
+    deadlines = releases + rng.uniform(0.5, 10.0, WINDOW_ARRIVALS)
+    return acct, list(zip(releases.tolist(), deadlines.tolist()))
+
+
+def _seeded_rows(acct, spans):
+    """The seeded ledger's view: one seed, then one ``loads`` per span."""
+    ledger = LoadLedger(TOPOLOGY)
+    ledger.seed(*acct.pieces)
+    return np.array([ledger.loads(r, d) for r, d in spans])
+
+
+def _profile_rows(acct, spans):
+    """The view it replaced: one profile build, one ``means`` gather."""
+    profile = acct.background_profile(WINDOW_START, WINDOW_START + 1.0)
+    releases, deadlines = zip(*spans)
+    return profile.means(releases, deadlines)
+
+
+@pytest.mark.benchmark(group="fastpath-ledger")
+def test_ledger_seeded_window(benchmark):
+    """One window's committed-load view through the seeded ledger, with
+    the profile build plus gather it replaced timed beside it; both
+    must agree on every flow's row."""
+    acct, spans = _live_window()
+    seeded = benchmark.pedantic(
+        _seeded_rows, args=(acct, spans), rounds=5, iterations=1
+    )
+
+    def best_of(view, repeats=5):
+        elapsed = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            view(acct, spans)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed
+
+    seeded_s, profile_s = best_of(_seeded_rows), best_of(_profile_rows)
+    record_bench(
+        "fastpath_ledger",
+        wall_clock_s=seeded_s,
+        topology=TOPOLOGY.name,
+        extra={
+            "live_pieces": len(acct.pieces[0]),
+            "queries": len(spans),
+            "profile_gather_s": profile_s,
+            "speedup_vs_profile_gather": profile_s / seeded_s,
+        },
+    )
+    np.testing.assert_allclose(
+        seeded, _profile_rows(acct, spans), rtol=1e-9, atol=1e-12
+    )

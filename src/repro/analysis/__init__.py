@@ -1,11 +1,11 @@
-"""Analysis utilities: reference convex solvers, metrics, reporting."""
+"""Analysis utilities: metrics, reporting and validation.
 
-from repro.analysis.convex import (
-    FmcfReference,
-    P1Solution,
-    solve_fmcf_reference,
-    solve_p1_reference,
-)
+The scipy reference solvers live in :mod:`repro.analysis.convex` and are
+imported from there, so that importing this package (which every replay
+process does, through :mod:`repro.analysis.reporting`) never loads
+:mod:`scipy.optimize`.
+"""
+
 from repro.analysis.gantt import render_gantt, render_link_sparklines
 from repro.analysis.metrics import ScheduleMetrics, compute_metrics, jain_index
 from repro.analysis.reporting import Table, ascii_bar
@@ -16,10 +16,6 @@ __all__ = [
     "render_link_sparklines",
     "ValidationOutcome",
     "validate_result",
-    "P1Solution",
-    "solve_p1_reference",
-    "FmcfReference",
-    "solve_fmcf_reference",
     "ScheduleMetrics",
     "compute_metrics",
     "jain_index",

@@ -3,16 +3,21 @@
 The streaming replay carries reservations committed by earlier windows
 into every later scheduling decision.  A :class:`BackgroundProfile` is
 one window's view of that committed load as an explicit step function
-per edge, built once per window by :meth:`~repro.traces.replay.
-WindowAccountant.background_profile` and threaded through every
-consumer — :class:`~repro.traces.policies.WindowContext`, the load-aware
-replay policies (each flow is charged the profile's exact mean over its
-own span), the per-interval relaxation sweep in
-:mod:`repro.core.relaxation` (each elementary interval is charged the
-profile's exact mean over *its own* bounds, never a window average), and
-the sharded service's boundary-load exchange.  Consumers read a window's
-spans in one :meth:`BackgroundProfile.means` gather.  It is the only
-form in which a window's committed load reaches a policy.
+per edge, built on demand by :meth:`~repro.traces.replay.
+WindowAccountant.background_profile` and read through
+:attr:`~repro.traces.policies.WindowContext.background` by the
+per-interval relaxation sweep in :mod:`repro.core.relaxation` (each
+elementary interval is charged the profile's exact mean over *its own*
+bounds, never a window average) and by the sharded service's
+boundary-load exchange.  Consumers read a window's spans in one
+:meth:`BackgroundProfile.means` gather.
+
+The profile is one of two forms in which a window's committed load
+reaches a policy.  The load-aware streaming policies (Online+Density,
+PowerOfTwo, LeastLoaded) take the other: the raw live pieces of
+:attr:`~repro.traces.policies.WindowContext.pieces`, seeded into their
+:class:`~repro.routing.fastpath.LoadLedger`, which prices each flow's
+span without building a profile (DESIGN.md §20).
 
 The class is plain data (a breakpoint vector plus a dense step matrix),
 picklable as-is — the sharded engine ships shard-restricted profiles

@@ -24,8 +24,9 @@ integer-array machinery on the topology's cached CSR adjacency
   fat_tree(8));
 * :class:`LoadLedger` — a deadline-sorted commit ledger that maintains
   the per-edge average-load vector incrementally: a commit touches only
-  its own path edges, and the span-window correction for each arriving
-  flow is one vectorized pass over the commits ending inside its window.
+  its own path edges, a bulk seed loads the load earlier windows left
+  live, and the span-window correction for each arriving flow is one
+  vectorized pass over the commits ending inside its window.
 
 The networkx implementation survives as
 :func:`repro.routing.paths.marginal_route_reference`; the property suite
@@ -577,10 +578,11 @@ class LoadLedger:
     :func:`numpy.bincount` over the deadline-sorted prefix), and a commit
     ending at or before ``a`` is expired from ``active`` exactly once.
 
-    The ledger tracks only its own commits.  Replay policies add the
-    load committed by earlier windows themselves: one
-    :meth:`~repro.routing.background.BackgroundProfile.means` gather
-    per window, row ``i`` added to flow ``i``'s :meth:`loads`.
+    Replay policies :meth:`seed` the ledger with the pieces earlier
+    windows left live before their first query (DESIGN.md §20).  Those
+    pieces began before the window did, so they cover every query's left
+    edge like the window's own commits, and :meth:`loads` returns the
+    committed load and the window's own in the same pass.
 
     Representation detail: commits land in a small *pending* list first
     and are merged into the deadline-sorted arrays in sorted blocks every
@@ -604,13 +606,19 @@ class LoadLedger:
     def _merge_pending(self) -> None:
         pending = self._pending
         pending.sort(key=lambda c: c[0])
-        block_ends = np.concatenate(
-            [np.full(len(c[2]), c[0]) for c in pending]
+        self._merge(
+            np.concatenate([np.full(len(c[2]), c[0]) for c in pending]),
+            np.concatenate([c[2] for c in pending]),
+            np.concatenate([np.full(len(c[2]), c[1]) for c in pending]),
         )
-        block_eids = np.concatenate([c[2] for c in pending])
-        block_rates = np.concatenate(
-            [np.full(len(c[2]), c[1]) for c in pending]
-        )
+        pending.clear()
+
+    def _merge(
+        self, block_ends: np.ndarray, block_eids: np.ndarray,
+        block_rates: np.ndarray,
+    ) -> None:
+        """Merge one end-sorted block into the deadline-sorted arrays
+        (one :func:`numpy.searchsorted` placement)."""
         pos = np.searchsorted(self._ends, block_ends)
         n, k = len(self._ends), len(block_ends)
         target = pos + np.arange(k)
@@ -626,7 +634,44 @@ class LoadLedger:
         eids[keep] = self._eids
         rates[keep] = self._rates
         self._ends, self._eids, self._rates = ends, eids, rates
-        pending.clear()
+
+    def seed(self, starts, ends, rates, edge_ids) -> None:
+        """Commit a batch of single-edge pieces: piece ``j`` reserves
+        ``rates[j]`` on edge ``edge_ids[j]`` over ``[starts[j], ends[j])``.
+
+        The bulk form of :meth:`commit`, under its rules: no piece may
+        begin before the latest query start, and the clock advances to
+        the latest piece start, so a later query opening before it
+        raises.  Replay policies seed a window's ledger with the pieces
+        earlier windows left live (:attr:`~repro.traces.policies.
+        WindowContext.pieces`).  One argsort by end and one merge into
+        the deadline-sorted arrays.
+        """
+        starts = np.asarray(starts, dtype=float)
+        ends = np.asarray(ends, dtype=float)
+        rates = np.asarray(rates, dtype=float)
+        eids = np.asarray(edge_ids, dtype=np.int64)
+        if not starts.shape == ends.shape == rates.shape == eids.shape:
+            raise ValidationError(
+                "seed columns must have equal lengths, got "
+                f"{len(starts)}, {len(ends)}, {len(rates)}, {len(eids)}"
+            )
+        if not len(starts):
+            return
+        if not np.all(ends > starts):
+            raise ValidationError("seeded pieces must have positive length")
+        if starts.min() < self._clock:
+            raise ValidationError(
+                f"seeded piece at {starts.min()} precedes the latest "
+                f"query start {self._clock}; the ledger requires release "
+                "order"
+            )
+        self._active += np.bincount(
+            eids, weights=rates, minlength=self._num_edges
+        )
+        self._clock = float(starts.max())
+        order = np.argsort(ends, kind="stable")
+        self._merge(ends[order], eids[order], rates[order])
 
     def commit(self, edge_ids, start: float, end: float, rate: float) -> None:
         """Reserve ``rate`` on every edge of ``edge_ids`` over

@@ -9,7 +9,10 @@ degraded window is counted on the report
 (:attr:`~repro.traces.replay.ReplayReport.degraded_windows`), per shard
 in the breakdown, and flagged on the per-window stats the service's
 ``poll()`` returns, so a cheap run can never masquerade as a Relax+Round
-run.
+run.  That holds whatever made a shard solve greedily — this budget, or
+the resync and resubmission of a worker's recovery, which the
+controller does not pace — because the count reads the worker's own
+result bit.
 
 Two triggers, both optional:
 

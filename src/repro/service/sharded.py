@@ -46,9 +46,11 @@ run bit for bit: a snapshot drains worker *results* into the in-flight
 entries without committing them, so a restored engine replays the same
 dispatch/collect schedule with the same lagged views.
 
-**Degradation** is decided per window by a
-:class:`~repro.service.degrade.DegradeController` and recorded honestly
-on the report (see :mod:`repro.service.degrade`).
+**Degradation** to greedy is decided per window by a
+:class:`~repro.service.degrade.DegradeController` (the solve budget) or
+per shard by recovery (resync windows, crash resubmissions), and every
+degraded window is recorded honestly on the report (see
+:mod:`repro.service.degrade`).
 """
 
 from __future__ import annotations
@@ -317,7 +319,8 @@ class ShardedReplayEngine:
         flows live in the parent accountant, never in a worker.
     resync_windows:
         Windows a freshly restarted shard solves greedily (deterministic,
-        cheap) while its relaxation state re-warms.
+        cheap) while its relaxation state re-warms; a dark shard coming
+        back resyncs the same way.  Each counts as a degraded window.
     """
 
     def __init__(
@@ -602,15 +605,14 @@ class ShardedReplayEngine:
         relax = self._mode == "relax"
         if relax and per_shard:
             relax = not self._controller.should_degrade(len(self._inflight))
-            if not relax:
-                self._degraded_windows += 1
         # The dead-link view a window dispatches against changes only at
         # collect boundaries (settle applies events before finalize), so
         # it is structurally lagged like the background — a function of
         # the dispatch/collect schedule, never of worker timing.
         down = loop.down_view()
-        # One lazily built context: the shard slices and the cross-shard
-        # policy read the same background, built at most once.
+        # One lazily built context: the shard slices read its background
+        # profile (built at most once) and the cross-shard policy its
+        # live pieces, both from the same accountant state.
         ctx = loop.context(k, down, {})
         shard_ids = tuple(sorted(per_shard))
         for shard_idx in shard_ids:
@@ -806,16 +808,23 @@ class ShardedReplayEngine:
         self._inflight.popleft()
         path_of: dict = {}
         window_solve = 0.0
+        # Degraded when any shard solved greedily, whatever the reason
+        # (budget, resync, crash resubmission): the worker's result bit
+        # says what actually ran.
+        window_degraded = False
         for shard_idx in entry.shard_ids:
             pairs, solve_s, degraded = results[shard_idx]
             stats = self._per_shard[shard_idx]
             stats["solve_s"] += solve_s
             if degraded and self._mode == "relax":
                 stats["degraded_windows"] += 1
+                window_degraded = True
             if solve_s > window_solve:
                 window_solve = solve_s
             for flow_id, path in pairs:
                 path_of[flow_id] = path
+        if window_degraded:
+            self._degraded_windows += 1
 
         # Commit in arrival order regardless of which shard answered:
         # the exact float-accumulation order of the single-owner engine.
@@ -841,6 +850,7 @@ class ShardedReplayEngine:
                 misses += 1
         loop.settle(entry.index)
         if entry.shard_ids and self._mode == "relax":
+            # Budget degrades only: the controller paces its own budget.
             self._controller.observe(window_solve, not entry.relax)
         start, end = loop.bounds(entry.index)
         self.window_log.append(
@@ -852,7 +862,7 @@ class ShardedReplayEngine:
                 served=len(committed),
                 misses=misses,
                 cross_flows=len(entry.cross),
-                degraded=not entry.relax,
+                degraded=window_degraded,
                 solve_s=window_solve,
             )
         )

@@ -67,6 +67,10 @@ __all__ = [
     "RelaxationRoundingPolicy",
 ]
 
+#: Live committed pieces as parallel ``(starts, ends, rates, edge ids)``
+#: columns (see :attr:`repro.traces.replay.WindowAccountant.pieces`).
+Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class WindowContext:
@@ -84,8 +88,17 @@ class WindowContext:
         a :class:`~repro.routing.background.BackgroundProfile` resolving
         the committed load per edge (indexed by
         :meth:`Topology.edge_id`) as a step function over the window
-        span and beyond.  ``background_fn`` builds it on first access,
-        so load-oblivious policies never pay for it.
+        span and beyond — the view Relax+Round charges each elementary
+        interval.  ``background_fn`` builds it on first access, so
+        policies that never read it never pay for it.
+    pieces:
+        The same reservations as raw ``(starts, ends, rates, edge ids)``
+        columns: the accountant's live pieces that end after ``start``.
+        Each began no later than ``start``, which is what lets a
+        :class:`~repro.routing.fastpath.LoadLedger` :meth:`~repro.
+        routing.fastpath.LoadLedger.seed` with them — the load-aware
+        streaming policies price committed load this way (DESIGN.md
+        §20).  ``pieces_fn`` reads them on first access.
     carry:
         One mutable dict per replay run, handed to every window's
         context in order: whatever a policy stashes here in window ``k``
@@ -107,6 +120,7 @@ class WindowContext:
     start: float
     end: float
     background_fn: Callable[[], BackgroundProfile] = field(repr=False)
+    pieces_fn: Callable[[], Pieces] = field(repr=False)
     carry: dict = field(default_factory=dict, repr=False)
     down_edge_ids: frozenset[int] = frozenset()
 
@@ -114,13 +128,20 @@ class WindowContext:
     def background(self) -> BackgroundProfile:
         return self.background_fn()
 
+    @cached_property
+    def pieces(self) -> Pieces:
+        starts, ends, rates, eids = self.pieces_fn()
+        live = ends > self.start
+        return starts[live], ends[live], rates[live], eids[live]
 
-def _span_backgrounds(ctx: WindowContext, flows: Sequence[Flow]) -> np.ndarray:
-    """The committed background's mean over each flow's span, one row per
-    flow: a window's backgrounds in one gather."""
-    return ctx.background.means(
-        [flow.release for flow in flows], [flow.deadline for flow in flows]
-    )
+
+def _seeded_ledger(ctx: WindowContext) -> LoadLedger:
+    """A window's load ledger, seeded with the pieces earlier windows
+    left live: its :meth:`~repro.routing.fastpath.LoadLedger.loads`
+    price their load and the window's own commits in one pass."""
+    ledger = LoadLedger(ctx.topology)
+    ledger.seed(*ctx.pieces)
+    return ledger
 
 
 class ReplayPolicy(ABC):
@@ -245,11 +266,11 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     The classic randomized load-balancing result as a window policy:
     each flow samples two of its ``k`` precomputed shortest candidate
     paths and takes the one whose bottleneck link carries less committed
-    load over the flow's span (first sample wins ties).  Load is the
-    flow's row of the engine's carried background profile (one gather
-    per window) plus a :class:`~repro.routing.fastpath.LoadLedger` of
-    this window's own commits, so choices see both earlier windows and
-    earlier flows of this window.  Deadlines are met by construction.
+    load over the flow's span (first sample wins ties).  Load comes from
+    one :class:`~repro.routing.fastpath.LoadLedger` seeded with the
+    pieces earlier windows left live and fed this window's own commits,
+    so choices see both earlier windows and earlier flows of this
+    window.  Deadlines are met by construction.
     """
 
     name = "PowerOfTwo"
@@ -262,11 +283,10 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        ledger = LoadLedger(ctx.topology)
-        background = _span_backgrounds(ctx, flows)
+        ledger = _seeded_ledger(ctx)
         down = ctx.down_edge_ids
         schedules = []
-        for flow, committed in zip(flows, background):
+        for flow in flows:
             if down:
                 candidates = self._survivor_candidates(
                     ctx.topology, down, flow.src, flow.dst
@@ -284,7 +304,6 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
                     len(candidates), size=2, replace=False
                 )
                 loads = ledger.loads(flow.release, flow.deadline)
-                loads += committed
                 pick = (
                     second
                     if loads[candidates[second][1]].max()
@@ -315,11 +334,10 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        ledger = LoadLedger(ctx.topology)
-        background = _span_backgrounds(ctx, flows)
+        ledger = _seeded_ledger(ctx)
         down = ctx.down_edge_ids
         schedules = []
-        for flow, committed in zip(flows, background):
+        for flow in flows:
             if down:
                 candidates = self._survivor_candidates(
                     ctx.topology, down, flow.src, flow.dst
@@ -331,7 +349,6 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
                     ctx.topology, flow.src, flow.dst
                 )
             loads = ledger.loads(flow.release, flow.deadline)
-            loads += committed
             path, edge_ids = min(
                 candidates, key=lambda cand: float(loads[cand[1]].max())
             )
@@ -344,19 +361,18 @@ class OnlineDensityPolicy(ReplayPolicy):
     """Marginal-cost routing against committed load, density rates.
 
     The streaming port of :func:`repro.core.online.solve_online_density`
-    on the array-native routing core (DESIGN.md §7): within a window, a
-    :class:`~repro.routing.fastpath.LoadLedger` tracks the window's own
-    committed per-edge average load — a commit touches only its own path
-    edges, and each arriving flow's load view is corrected to its
-    individual span window in one vectorized pass — while routing goes
-    through a :class:`~repro.routing.fastpath.FastRouter` (cached
-    bidirectional CSR Dijkstra).
+    on the array-native routing core (DESIGN.md §7): a
+    :class:`~repro.routing.fastpath.LoadLedger` tracks the committed
+    per-edge average load — a commit touches only its own path edges,
+    and each arriving flow's load view is corrected to its individual
+    span window in one vectorized pass — while routing goes through a
+    :class:`~repro.routing.fastpath.FastRouter` (cached bidirectional
+    CSR Dijkstra).
 
-    Background accounting is interval-resolved: each flow's load view
-    adds the engine's :class:`~repro.routing.background.
-    BackgroundProfile` mean over *its own* span (all of a window's spans
-    read in one :meth:`~repro.routing.background.BackgroundProfile.
-    means` gather), exactly like the within-window accounting.
+    The ledger is seeded with :attr:`WindowContext.pieces`, the
+    reservations earlier windows left live, so each flow's load view is
+    their mean over *its own* span plus the window's own commits, read
+    in the one pass (DESIGN.md §20).
 
     Deadlines are met by construction (density rate over the full span).
     """
@@ -374,15 +390,13 @@ class OnlineDensityPolicy(ReplayPolicy):
         router = self._router
         if router is None or router.topology is not topology:
             router = self._router = FastRouter(topology)
-        ledger = LoadLedger(topology)
+        ledger = _seeded_ledger(ctx)
         flows = sorted(flows, key=lambda f: (f.release, str(f.id)))
-        background = _span_backgrounds(ctx, flows)
         down = ctx.down_edge_ids
         down_idx = np.asarray(sorted(down), dtype=np.int64) if down else None
         schedules = []
-        for flow, committed in zip(flows, background):
+        for flow in flows:
             loads = ledger.loads(flow.release, flow.deadline)
-            loads += committed
             # decreased=True: span corrections shrink as the window slides,
             # so weights may drop anywhere; invalidate conservatively
             # rather than pay a full-vector scan per flow (the bound-seeded

@@ -119,8 +119,11 @@ class ReplayReport:
     #: Worst pre-normalization deviation of any flow's aggregated rounding
     #: distribution from 1 (relaxation policies only; 0.0 otherwise).
     max_weight_drift: float = 0.0
-    #: Windows whose relaxation was skipped for the greedy fallback
-    #: because the solve budget was exhausted (sharded service only).
+    #: Windows that at least one shard solved with the greedy fallback
+    #: instead of the relaxation, counted once each whatever the reason:
+    #: an exhausted solve budget, a resync after a worker restart or a
+    #: dark->lit shard transition, or a crash resubmission (sharded
+    #: service only).
     degraded_windows: int = 0
     #: Disruption accounting (mid-replay fault injection; see
     #: :mod:`repro.traces.repair`).  All zero on fault-free runs.
@@ -272,9 +275,14 @@ class WindowAccountant:
     a global time-ordered event heap (the retired implementation, kept
     in the test suite as the oracle): see :meth:`sweep`.
 
-    :meth:`background_profile` exposes the live pieces as the
-    :class:`~repro.routing.background.BackgroundProfile` every policy
-    schedules against.  :meth:`background` (the mean vector over one
+    Policies read committed load in one of two forms.  :attr:`pieces`
+    hands over the live pieces themselves, which the load-aware
+    streaming policies seed their
+    :class:`~repro.routing.fastpath.LoadLedger` with;
+    :meth:`background_profile` resolves them into the
+    :class:`~repro.routing.background.BackgroundProfile` that
+    Relax+Round and the sharded service's shards schedule against.
+    :meth:`background` (the mean vector over one
     span, which greedy fault repair routes on) is a single vectorized
     overlap + :func:`numpy.bincount` pass over the columns, pinned
     bit-identical to a per-piece Python loop in the test suite, because
@@ -896,9 +904,10 @@ class WindowLoop:
     def context(
         self, k: int, down: frozenset[int], carry: dict
     ) -> WindowContext:
-        """Window ``k``'s policy view.  The background profile reads the
-        live ledger lazily, so it must be read before any of the
-        window's own commits — and only a reader pays for it."""
+        """Window ``k``'s policy view.  The background profile and the
+        live pieces read the accountant lazily, so they must be read
+        before any of the window's own commits — and only a reader pays
+        for them."""
         start, end = self.bounds(k)
         acct = self.acct
         return WindowContext(
@@ -907,6 +916,7 @@ class WindowLoop:
             start=start,
             end=end,
             background_fn=lambda: acct.background_profile(start, end),
+            pieces_fn=lambda: acct.pieces,
             carry=carry,
             down_edge_ids=down,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import solve_fmcf_reference, solve_p1_reference
+from repro.analysis.convex import solve_fmcf_reference, solve_p1_reference
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
 from repro.power import PowerModel

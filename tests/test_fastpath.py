@@ -10,7 +10,10 @@ Two load-bearing pins:
 * ledger exactness — :class:`LoadLedger` must reproduce, bit-for-bit up
   to float tolerance, the from-scratch load rebuild via per-edge
   :class:`PiecewiseConstant` profiles that :mod:`repro.core.online` used
-  before the ledger existed.
+  before the ledger existed; seeded with an accountant's live pieces,
+  it must equal both a per-piece overlap sum and the composition it
+  replaced in the replay policies (its own loads plus a
+  :class:`~repro.routing.background.BackgroundProfile` mean).
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError, ValidationError
+from repro.flows import Flow
+from repro.power import PowerModel
 from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
 from repro.routing.paths import marginal_route, marginal_route_reference
+from repro.scheduling import FlowSchedule, Segment
 from repro.scheduling.timeline import PiecewiseConstant
 from repro.topology import build_topology, fat_tree
 from repro.topology.base import path_edges
 from repro.topology.random_graphs import jellyfish
+from repro.traces.replay import WindowAccountant
 
 # Topologies are module-level so Hypothesis examples only pay for them once.
 TOPOLOGIES = [
@@ -298,6 +305,110 @@ class TestLoadLedger:
             ledger.loads(1.0, 1.0)
         with pytest.raises(ValidationError):
             ledger.commit([0], 2.0, 2.0, 1.0)
+
+
+def overlap_reference(num_edges, pieces, start, end):
+    """Per-piece overlap sum over ``[start, end)``: each edge's
+    ``rate * overlap`` over ``(start, end, rate, edge id)`` pieces,
+    divided by the span — the loop ``background_reference`` runs over
+    an accountant's columns."""
+    loads = np.zeros(num_edges)
+    for p_start, p_end, rate, eid in pieces:
+        overlap = min(p_end, end) - max(p_start, start)
+        if overlap > 0.0:
+            loads[eid] += rate * overlap
+    return loads / (end - start)
+
+
+def live_accountant(topology, rng, num_pieces, window_start):
+    """An accountant holding ``num_pieces`` one-hop reservations that
+    began by ``window_start`` and end after it: the live pieces a replay
+    window inherits from earlier windows."""
+    acct = WindowAccountant(topology, PowerModel.quadratic())
+    for j in range(num_pieces):
+        u, v = topology.edges[int(rng.integers(topology.num_edges))]
+        start = window_start - float(rng.uniform(0.0, 8.0))
+        end = window_start + float(rng.uniform(0.05, 12.0))
+        rate = float(rng.uniform(0.1, 3.0))
+        flow = Flow(
+            id=j, src=u, dst=v, size=rate * (end - start),
+            release=start, deadline=end,
+        )
+        acct.commit(
+            FlowSchedule(
+                flow=flow, path=(u, v),
+                segments=(Segment(start=start, end=end, rate=rate),),
+            )
+        )
+    return acct
+
+
+class TestSeededLedger:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        num_pieces=st.integers(0, 40),
+        num_flows=st.integers(1, 30),
+        merge_at=st.sampled_from([1, 8, 64]),
+    )
+    def test_seeded_loads_match_references(
+        self, seed, num_pieces, num_flows, merge_at
+    ):
+        """Seeded with the live pieces, ``loads`` equals the per-piece
+        overlap sum over those pieces and the window's own commits, and
+        the composition the replay policies used before: the unseeded
+        ledger's loads plus the background profile's mean."""
+        topology = TOPOLOGIES[0]
+        rng = np.random.default_rng(seed)
+        window_start = 10.0
+        acct = live_accountant(topology, rng, num_pieces, window_start)
+        pieces = acct.pieces
+        profile = acct.background_profile(window_start, window_start + 1.0)
+        seeded = LoadLedger(topology)
+        seeded.seed(*pieces)
+        own = LoadLedger(topology)
+        seeded._MERGE_AT = own._MERGE_AT = merge_at
+        every = list(zip(*(column.tolist() for column in pieces)))
+        clock = window_start
+        for _ in range(num_flows):
+            clock += float(rng.exponential(0.3))
+            end = clock + float(rng.uniform(0.2, 6.0))
+            loads = seeded.loads(clock, end)
+            np.testing.assert_allclose(
+                loads,
+                overlap_reference(topology.num_edges, every, clock, end),
+                rtol=1e-9,
+                atol=1e-12,
+            )
+            composed = own.loads(clock, end) + profile.means([clock], [end])[0]
+            np.testing.assert_allclose(loads, composed, rtol=1e-9, atol=1e-12)
+            k = int(rng.integers(1, 5))
+            eids = rng.choice(topology.num_edges, size=k, replace=False)
+            rate = float(rng.uniform(0.1, 3.0))
+            seeded.commit(eids, clock, end, rate)
+            own.commit(eids, clock, end, rate)
+            every.extend((clock, end, rate, int(eid)) for eid in eids)
+
+    def test_piece_starting_after_query_start_rejected(self, ft4):
+        """The correction math needs every live piece to cover each
+        query's left edge; a seeded piece opening later must raise
+        rather than return a silently wrong vector."""
+        ledger = LoadLedger(ft4)
+        ledger.seed([0.0, 4.0], [10.0, 12.0], [1.0, 2.0], [0, 1])
+        with pytest.raises(ValidationError):
+            ledger.loads(2.0, 8.0)
+
+    def test_seed_obeys_the_commit_rules(self, ft4):
+        ledger = LoadLedger(ft4)
+        with pytest.raises(ValidationError):
+            ledger.seed([0.0], [10.0, 11.0], [1.0], [0])
+        with pytest.raises(ValidationError):
+            ledger.seed([5.0], [5.0], [1.0], [0])
+        ledger.loads(3.0, 6.0)
+        with pytest.raises(ValidationError):
+            ledger.seed([2.0], [10.0], [1.0], [0])
+        ledger.seed([], [], [], [])  # an empty seed is a no-op
+        assert np.array_equal(ledger.loads(3.0, 6.0), np.zeros(ft4.num_edges))
 
 
 class TestOnlineConsumersAgree:

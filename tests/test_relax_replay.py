@@ -216,6 +216,7 @@ class TestValidation:
                 ft4.num_edges, 0.0, 1.0, [0.0, 1.0],
                 np.zeros((1, ft4.num_edges)),
             ),
+            pieces_fn=lambda: (np.empty(0),) * 4,
         )
         assert ctx.carry == {}
 

@@ -457,6 +457,33 @@ class TestDegrade:
             report = engine.run(flows)
         assert report.degraded_windows > 0
 
+    def test_resync_windows_reach_the_report(self, ft4, quadratic):
+        """A restarted worker solves its resubmitted and next
+        ``resync_windows`` windows greedily, with no budget involved:
+        each such window is counted once on the report and flagged in
+        the per-window stats."""
+        flows = _trace(ft4, 60, seed=17)
+        engine = ShardedReplayEngine(
+            ft4,
+            quadratic,
+            window=1.0,
+            mode="relax",
+            fw_max_iterations=15,
+            resync_windows=2,
+        )
+        with engine:
+            for i, flow in enumerate(flows):
+                engine.feed(flow)
+                if i == len(flows) // 2:
+                    engine.inject_worker_crash(0)
+            report = engine.finish()
+            flagged = sum(stats.degraded for stats in engine.window_log)
+        assert report.worker_restarts == 1
+        assert report.degraded_windows == flagged >= 2
+        # Once per window: never more than the per-shard tallies.
+        assert flagged <= sum(s.degraded_windows for s in report.shard_stats)
+        assert "degraded to greedy" in report.summary()
+
     def test_unlimited_budget_never_degrades(self, ft4, quadratic):
         flows = _trace(ft4, 30, seed=17)
         with ShardedReplayEngine(
