@@ -43,19 +43,15 @@ from repro.power.model import PowerModel
 from repro.routing.mcflow import FrankWolfeSolver
 from repro.topology.base import Topology
 from repro.traces import (
-    DiurnalProcess,
     EpochDcfsPolicy,
     GreedyDensityPolicy,
     LeastLoadedPolicy,
-    LookaheadRelaxationPolicy,
-    MarkovModulatedProcess,
     OnlineDensityPolicy,
     PoissonProcess,
     PowerOfTwoPolicy,
     RelaxationRoundingPolicy,
     ReplayEngine,
     TraceSpec,
-    TrafficForecaster,
     generate_trace,
     lognormal_sizes,
     proportional_slack,
@@ -64,7 +60,6 @@ from repro.topology.bcube import bcube
 from repro.topology.fattree import fat_tree
 from repro.topology.leafspine import leaf_spine
 from repro.topology.random_graphs import jellyfish
-from repro.topology.simple import pod_mesh
 from repro.topology.vl2 import vl2
 
 __all__ = [
@@ -77,7 +72,6 @@ __all__ = [
     "online_ablation",
     "trace_ablation",
     "relax_replay_ablation",
-    "lookahead_ablation",
     "churn_ablation",
     "churn_correlated_ablation",
 ]
@@ -499,149 +493,6 @@ def topology_ablation(
             mean(r["SP+MCF"] for r in chunk),
             mean(r["Greedy+MCF"] for r in chunk),
         )
-    return table
-
-
-def _lookahead_trace(
-    topology: Topology,
-    process,
-    duration: float,
-    seed: int,
-    hot_frac: float = 0.7,
-) -> list[Flow]:
-    """The ABL-LOOKAHEAD two-class workload on a :func:`pod_mesh` fabric.
-
-    A fixed hotspot pair set (pod 2 -> pod 1, the learnable spatial
-    signal) receives ``hot_frac`` of arrivals as tight-slack mice whose
-    aggregate density spikes with the arrival process; the rest are
-    uniform-pair elephants with ~1.5-window spans and unit-scale density
-    — the cross-boundary population whose routing the lookahead hedge
-    can actually steer.  Mice at slack factor 0.5 stack high densities
-    on the hotspot routes, so a window that leaves elephants parked
-    there pays the quadratic cross term when the next burst lands.
-    """
-    rng = np.random.default_rng(seed)
-    hot_pairs = (("p2h0", "p1h0"), ("p2h1", "p1h1"), ("p2h0", "p1h1"))
-    hosts = list(topology.hosts)
-    flows: list[Flow] = []
-    for i, t in enumerate(process.times(rng, duration)):
-        if rng.random() < hot_frac:
-            src, dst = hot_pairs[int(rng.integers(len(hot_pairs)))]
-            size = float(rng.lognormal(np.log(1.2), 0.4))
-            slack = 0.5 * size
-        else:
-            a, b = rng.choice(len(hosts), size=2, replace=False)
-            src, dst = hosts[int(a)], hosts[int(b)]
-            size = float(rng.lognormal(np.log(6.0), 0.4))
-            slack = 1.1 * size
-        flows.append(
-            Flow(
-                id=i, src=src, dst=dst, size=size, release=t,
-                deadline=t + slack,
-            )
-        )
-    return flows
-
-
-def lookahead_ablation(
-    duration: float = 48.0,
-    window: float = 4.0,
-    num_pods: int = 4,
-    rounding_seeds: int = 4,
-    trace_seed: int = 1,
-    jobs: int = 1,
-) -> Table:
-    """ABL-LOOKAHEAD: model-predictive replay vs reactive vs oracle.
-
-    One diurnal and one MMPP two-class trace (hotspot mice + long-span
-    elephants, :func:`_lookahead_trace`) on a :func:`pod_mesh` fabric,
-    replayed under the reactive relaxation+rounding policy and
-    :class:`~repro.traces.forecast.LookaheadRelaxationPolicy` at three
-    forecast-error levels: *oracle-rate* (the generating process's
-    closed-form ``forecast``, the low-error end), *estimated* (the online
-    EW estimator, realistic error), and *bias 4x* (the estimator's volume
-    forecast quadrupled, the high-error end — the graceful-degradation
-    probe).  The *offline* row solves the whole trace as one window —
-    DCFS-R run clairvoyantly, the energy floor the lookahead hedge chases.
-    Energies are means over ``rounding_seeds`` independent rounding draws;
-    ``delta`` is each row's energy relative to its lane's reactive row.
-
-    The mechanism being measured: phantoms only share elementary
-    intervals with flows whose spans cross the window boundary, so the
-    hedge sharpens exactly those flows' rounding distributions away from
-    the routes the next burst will stack — symmetric Clos fabrics
-    self-balance and show ~0 here, which is why the testbed is the
-    asymmetric-overlap pod mesh (see :func:`pod_mesh`).
-    """
-    topology = pod_mesh(num_pods, 2)
-    power = PowerModel.quadratic()
-    lanes = (
-        ("diurnal", DiurnalProcess(0.4, 9.0, 16.0)),
-        ("mmpp", MarkovModulatedProcess((0.3, 12.0), (9.0, 2.5))),
-    )
-
-    def policy_for(kind: str, process, seed: int):
-        if kind == "reactive" or kind == "offline":
-            return RelaxationRoundingPolicy(seed=seed)
-        if kind == "look-oracle":
-            forecaster = TrafficForecaster(process=process)
-        elif kind == "look-est":
-            forecaster = TrafficForecaster()
-        elif kind == "look-bias4":
-            forecaster = TrafficForecaster(bias=4.0)
-        else:  # pragma: no cover - registry and kinds list stay in sync
-            raise ValidationError(f"unknown policy kind {kind!r}")
-        return LookaheadRelaxationPolicy(seed=seed, forecaster=forecaster)
-
-    kinds = ("reactive", "look-oracle", "look-est", "look-bias4", "offline")
-    tasks = [
-        (lane_index, kind, seed)
-        for lane_index in range(len(lanes))
-        for kind in kinds
-        for seed in range(rounding_seeds)
-    ]
-
-    def one(index: int):
-        lane_index, kind, seed = tasks[index]
-        name, process = lanes[lane_index]
-        flows = _lookahead_trace(
-            topology, process, duration, trace_seed + lane_index
-        )
-        horizon = duration if kind == "offline" else window
-        report = ReplayEngine(
-            topology, power, policy_for(kind, process, seed), window=horizon
-        ).run(iter(flows))
-        return report.flows_seen, report.miss_rate, report.total_energy
-
-    results = parallel_map(one, range(len(tasks)), jobs=jobs)
-    table = Table(
-        title="ABL-LOOKAHEAD: predictive lookahead replay on pod_mesh",
-        columns=(
-            "trace", "policy", "flows", "miss rate", "energy", "delta",
-        ),
-    )
-    cursor = 0
-    for name, _process in lanes:
-        lane_energy: dict[str, float] = {}
-        lane_rows = []
-        for kind in kinds:
-            chunk = results[cursor : cursor + rounding_seeds]
-            cursor += rounding_seeds
-            flows_seen = chunk[0][0]
-            miss = mean(r[1] for r in chunk)
-            energy = mean(r[2] for r in chunk)
-            lane_energy[kind] = energy
-            lane_rows.append((kind, flows_seen, miss, energy))
-        reactive = lane_energy["reactive"]
-        for kind, flows_seen, miss, energy in lane_rows:
-            table.add_row(
-                name,
-                kind,
-                flows_seen,
-                miss,
-                energy,
-                (energy - reactive) / reactive,
-            )
     return table
 
 

@@ -35,7 +35,6 @@ from repro.experiments.ablations import (
     failure_ablation,
     online_ablation,
     lambda_ablation,
-    lookahead_ablation,
     relax_replay_ablation,
     rounding_ablation,
     rounding_mode_ablation,
@@ -56,7 +55,6 @@ ABLATIONS: dict[str, Callable[..., Table]] = {
     "online": online_ablation,
     "traces": trace_ablation,
     "relax-replay": relax_replay_ablation,
-    "lookahead": lookahead_ablation,
     "churn": churn_ablation,
     "churn-correlated": churn_correlated_ablation,
 }

@@ -43,7 +43,8 @@ class SolveBudget:
     max_in_flight: int | None = None
 
     def __post_init__(self) -> None:
-        if self.per_window_s is not None and self.per_window_s < 0:
+        # NaN fails ``>= 0``: a NaN budget would never trigger.
+        if self.per_window_s is not None and not self.per_window_s >= 0:
             raise ValidationError(
                 f"per_window_s must be >= 0, got {self.per_window_s}"
             )

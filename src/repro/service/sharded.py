@@ -303,20 +303,21 @@ class ShardedReplayEngine:
         domain (see :data:`~repro.traces.repair.SRLG_PENALTY`).  With no
         domains down the replay is bit-identical either way.
     heartbeat_s:
-        Bound on each worker collect; a worker silent for this long is
-        declared crashed and restarted.  ``None`` waits forever (crashes
-        are still detected via pipe EOF).
+        Bound on each worker collect, finite and > 0; a worker silent for
+        this long is declared crashed and restarted.  ``None`` waits
+        forever (crashes are still detected via pipe EOF).
     max_worker_restarts:
         Consecutive failed recoveries of one shard before giving up
         (successful collects reset the count).
     checkpoint_every:
         Opportunistically snapshot each shard worker's state every this
-        many windows (only while the shard is quiescent, i.e. has no
-        results in flight); a restarted worker restores the latest
-        checkpoint before uncollected windows are resubmitted.  ``None``
-        disables checkpoints — recovery then resubmits against fresh
-        (cold) worker state, which is slower but loses nothing: committed
-        flows live in the parent accountant, never in a worker.
+        many windows, an integer >= 1 (only while the shard is
+        quiescent, i.e. has no results in flight); a restarted worker
+        restores the latest checkpoint before uncollected windows are
+        resubmitted.  ``None`` disables checkpoints — recovery then
+        resubmits against fresh (cold) worker state, which is slower but
+        loses nothing: committed flows live in the parent accountant,
+        never in a worker.
     resync_windows:
         Windows a freshly restarted shard solves greedily (deterministic,
         cheap) while its relaxation state re-warms; a dark shard coming
@@ -374,6 +375,21 @@ class ShardedReplayEngine:
         if resync_windows < 0:
             raise ValidationError(
                 f"resync_windows must be >= 0, got {resync_windows}"
+            )
+        if heartbeat_s is not None and not 0.0 < heartbeat_s < float("inf"):
+            # NaN fails the comparison too; zero or a negative bound would
+            # declare a live worker dead whenever its result is not
+            # already in the pipe.
+            raise ValidationError(
+                f"heartbeat_s must be finite and > 0, got {heartbeat_s!r}"
+            )
+        if checkpoint_every is not None and not (
+            isinstance(checkpoint_every, (int, np.integer))
+            and checkpoint_every >= 1
+        ):
+            raise ValidationError(
+                "checkpoint_every must be an integer >= 1, got "
+                f"{checkpoint_every!r}"
             )
         self._topology = topology
         self._power = power

@@ -16,7 +16,6 @@ from repro.topology.simple import (
     dumbbell,
     line,
     parallel_paths,
-    pod_mesh,
     star,
 )
 from repro.topology.vl2 import vl2
@@ -36,6 +35,5 @@ __all__ = [
     "star",
     "dumbbell",
     "parallel_paths",
-    "pod_mesh",
     "LINKS_PER_PARALLEL_PATH",
 ]

@@ -22,7 +22,7 @@ import networkx as nx
 from repro.errors import TopologyError
 from repro.topology.base import HOST, SWITCH, Topology
 
-__all__ = ["line", "star", "dumbbell", "parallel_paths", "pod_mesh"]
+__all__ = ["line", "star", "dumbbell", "parallel_paths"]
 
 
 def line(num_nodes: int = 3, name: str | None = None) -> Topology:
@@ -92,42 +92,6 @@ def parallel_paths(num_paths: int, name: str | None = None) -> Topology:
         graph.add_edge("src", relay)
         graph.add_edge(relay, "dst")
     return Topology(graph, name=name or f"parallel-{num_paths}")
-
-
-def pod_mesh(
-    num_pods: int = 4, hosts_per_pod: int = 2, name: str | None = None
-) -> Topology:
-    """A full mesh of pod switches, ``hosts_per_pod`` hosts under each.
-
-    The spineless inter-pod mesh of small private WANs: every pod pair has
-    one direct inter-switch link plus two-hop detours through every other
-    pod.  Unlike Clos fabrics, route overlap between pod pairs is
-    *asymmetric* — pair ``(A, B)``'s detour through ``C`` shares links with
-    pair ``(C, B)``'s direct route — which is what gives sequential
-    (window-greedy) routing a real regret against clairvoyant routing and
-    makes this the ABL-LOOKAHEAD testbed.
-    """
-    if num_pods < 3:
-        raise TopologyError(f"pod mesh needs >= 3 pods, got {num_pods}")
-    if hosts_per_pod < 1:
-        raise TopologyError(
-            f"pod mesh needs >= 1 host per pod, got {hosts_per_pod}"
-        )
-    graph = nx.Graph()
-    switches = [f"sw{p}" for p in range(num_pods)]
-    for sw in switches:
-        graph.add_node(sw, kind=SWITCH)
-    for i in range(num_pods):
-        for j in range(i + 1, num_pods):
-            graph.add_edge(switches[i], switches[j])
-    for p in range(num_pods):
-        for h in range(hosts_per_pod):
-            host = f"p{p}h{h}"
-            graph.add_node(host, kind=HOST)
-            graph.add_edge(host, switches[p])
-    return Topology(
-        graph, name=name or f"pod_mesh-{num_pods}x{hosts_per_pod}"
-    )
 
 
 #: Number of physical links on each relay path of :func:`parallel_paths`;

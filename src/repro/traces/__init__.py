@@ -14,10 +14,6 @@ from repro.traces.arrivals import (
     MarkovModulatedProcess,
     PoissonProcess,
 )
-from repro.traces.forecast import (
-    LookaheadRelaxationPolicy,
-    TrafficForecaster,
-)
 from repro.traces.generator import TraceSpec, generate_trace, materialize
 from repro.traces.policies import (
     EpochDcfsPolicy,
@@ -76,8 +72,6 @@ __all__ = [
     "ChurnManager",
     "ReplayPolicy",
     "WindowContext",
-    "TrafficForecaster",
-    "LookaheadRelaxationPolicy",
     "GreedyDensityPolicy",
     "PowerOfTwoPolicy",
     "LeastLoadedPolicy",

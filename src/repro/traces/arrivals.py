@@ -54,29 +54,6 @@ class ArrivalProcess(ABC):
         """Long-run arrival intensity (flows per unit time)."""
         raise NotImplementedError  # pragma: no cover - overridden below
 
-    def rate_at(self, t: float) -> float:
-        """Expected instantaneous intensity at time ``t``.
-
-        The shared interface the lookahead forecaster and the oracle
-        consume (:mod:`repro.traces.forecast`).  The default is the
-        stationary answer — the long-run mean — which is exact for
-        time-homogeneous processes; time-varying processes override it.
-        """
-        return self.mean_rate()
-
-    def forecast(self, t0: float, t1: float) -> float:
-        """Expected number of arrivals in ``[t0, t1)``.
-
-        Default: stationary intensity times the window length.  Processes
-        with closed-form time structure override this with the exact
-        integral of ``rate_at``.
-        """
-        if not t1 > t0:
-            raise ValidationError(
-                f"forecast window [{t0}, {t1}) must have positive length"
-            )
-        return self.mean_rate() * (t1 - t0)
-
 
 @dataclass(frozen=True)
 class PoissonProcess(ArrivalProcess):
@@ -90,18 +67,6 @@ class PoissonProcess(ArrivalProcess):
 
     def mean_rate(self) -> float:
         return self.rate
-
-    def rate_at(self, t: float) -> float:
-        """Memoryless: the intensity is ``rate`` at every ``t``."""
-        return self.rate
-
-    def forecast(self, t0: float, t1: float) -> float:
-        """Exact: ``rate * (t1 - t0)`` (stationary increments)."""
-        if not t1 > t0:
-            raise ValidationError(
-                f"forecast window [{t0}, {t1}) must have positive length"
-            )
-        return self.rate * (t1 - t0)
 
     def times(
         self, rng: np.random.Generator, duration: float
@@ -147,27 +112,6 @@ class MarkovModulatedProcess(ArrivalProcess):
     def mean_rate(self) -> float:
         weight = sum(self.mean_dwell)
         return sum(r * d for r, d in zip(self.rates, self.mean_dwell)) / weight
-
-    def rate_at(self, t: float) -> float:
-        """Cycle-stationary marginal intensity.
-
-        The modulating state at a fixed future ``t`` is not observable
-        from the process parameters alone (it depends on the realized
-        dwell sequence), so the best state-free prediction is the
-        dwell-weighted marginal — the same value for every ``t``.  An
-        online estimator tracking the *realized* recent rate (see
-        :class:`~repro.traces.forecast.TrafficForecaster`) beats this
-        inside a burst; this is the honest parametric answer.
-        """
-        return self.mean_rate()
-
-    def forecast(self, t0: float, t1: float) -> float:
-        """Expected arrivals under the cycle-stationary marginal rate."""
-        if not t1 > t0:
-            raise ValidationError(
-                f"forecast window [{t0}, {t1}) must have positive length"
-            )
-        return self.mean_rate() * (t1 - t0)
 
     def times(
         self, rng: np.random.Generator, duration: float
@@ -228,26 +172,6 @@ class DiurnalProcess(ArrivalProcess):
 
     def mean_rate(self) -> float:
         return (self.base_rate + self.peak_rate) / 2.0
-
-    def forecast(self, t0: float, t1: float) -> float:
-        """Exact expected arrivals in ``[t0, t1)`` (closed form).
-
-        Integrating ``rate_at`` with ``theta = 2 pi (t - phase) / period``:
-
-        ``(base + swing/2)(t1 - t0)
-        - (swing/2)(period / 2 pi)(sin theta_1 - sin theta_0)``
-        """
-        if not t1 > t0:
-            raise ValidationError(
-                f"forecast window [{t0}, {t1}) must have positive length"
-            )
-        swing = self.peak_rate - self.base_rate
-        omega = 2.0 * math.pi / self.period
-        theta0 = omega * (t0 - self.phase)
-        theta1 = omega * (t1 - self.phase)
-        return (self.base_rate + swing / 2.0) * (t1 - t0) - (
-            swing / 2.0
-        ) / omega * (math.sin(theta1) - math.sin(theta0))
 
     def times(
         self, rng: np.random.Generator, duration: float

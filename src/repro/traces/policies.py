@@ -558,20 +558,14 @@ class RelaxationRoundingPolicy(ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        return self._schedule(flows, ctx, extra=())
-
-    def _schedule(
-        self, flows: Sequence[Flow], ctx: WindowContext, extra: Sequence[Flow]
-    ) -> list[FlowSchedule]:
-        """Relax + round ``flows``, optionally co-relaxing ``extra``
-        commodities (the lookahead policy's forecast phantoms) that shape
-        the fractional routing but are never rounded or committed."""
         if ctx.down_edge_ids:
-            return self._schedule_survivor(flows, ctx, extra)
-        pipeline = self._pipeline(ctx)
+            pipeline, background, flows = self._survivor(flows, ctx)
+            if not flows:
+                return []
+        else:
+            pipeline, background = self._pipeline(ctx), ctx.background
         flow_set = FlowSet(flows)
-        solve_set = FlowSet(list(flows) + list(extra)) if extra else flow_set
-        relaxation = pipeline.solve(solve_set, background=ctx.background)
+        relaxation = pipeline.solve(flow_set, background=background)
         weights = pipeline.weights(flow_set, relaxation)
         if weights.max_drift > self.max_weight_drift:
             self.max_weight_drift = weights.max_drift
@@ -584,16 +578,18 @@ class RelaxationRoundingPolicy(ReplayPolicy):
             density_schedule(flow, path) for flow, path in zip(flows, paths)
         ]
 
-    def _schedule_survivor(
-        self, flows: Sequence[Flow], ctx: WindowContext, extra: Sequence[Flow]
-    ) -> list[FlowSchedule]:
-        """The dead-link branch: relax + round on the survivor fabric.
+    def _survivor(
+        self, flows: Sequence[Flow], ctx: WindowContext
+    ) -> tuple[RelaxationPipeline, BackgroundProfile | None, list[Flow]]:
+        """The dead-link window: survivor pipeline, background, flows.
 
         A survivor :class:`~repro.core.dcfsr.RelaxationPipeline` (its own
         topology, registry and caches) is carried under a separate
         key, rebuilt whenever the dead-link set changes; survivor node
         paths are valid parent paths verbatim, so commits need no
-        translation.  Flows with no surviving route are left unserved.
+        translation.  Flows with no surviving route are dropped (left
+        unserved); when none survives the background is never built and
+        comes back ``None``.
         """
         down = ctx.down_edge_ids
         entry = ctx.carry.get(_RELAXATION_DOWN_CARRY) if self._warm else None
@@ -617,8 +613,6 @@ class RelaxationRoundingPolicy(ReplayPolicy):
             }
             if self._warm:
                 ctx.carry[_RELAXATION_DOWN_CARRY] = entry
-        pipeline = entry["pipeline"]
-        edge_map = entry["edge_map"]
 
         def routable(flow: Flow) -> bool:
             try:
@@ -628,27 +622,10 @@ class RelaxationRoundingPolicy(ReplayPolicy):
             return True
 
         served = [flow for flow in flows if routable(flow)]
-        if not served:
-            return []
-        live_extra = [flow for flow in extra if routable(flow)]
-        flow_set = FlowSet(served)
-        solve_set = (
-            FlowSet(list(served) + live_extra) if live_extra else flow_set
+        background = (
+            ctx.background.restrict(entry["edge_map"]) if served else None
         )
-        relaxation = pipeline.solve(
-            solve_set, background=ctx.background.restrict(edge_map)
-        )
-        weights = pipeline.weights(flow_set, relaxation)
-        if weights.max_drift > self.max_weight_drift:
-            self.max_weight_drift = weights.max_drift
-        if self._rounding == "deterministic":
-            paths = argmax_paths(weights)
-        else:
-            paths = sample_paths(weights, self._rng)
-        self.windows_solved += 1
-        return [
-            density_schedule(flow, path) for flow, path in zip(served, paths)
-        ]
+        return entry["pipeline"], background, served
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)

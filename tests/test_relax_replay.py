@@ -6,7 +6,7 @@ accounting pinned to :meth:`Schedule.energy` and deadline verdicts to
 :func:`repro.sim.fluid.simulate_fluid` — plus the cross-window property:
 a relaxation pipeline carried across windows must produce the same
 committed schedule (hence identical total energy) as a fresh pipeline
-per window under the same seed.
+per window under the same seed, with or without link outages.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.flows import Flow, FlowSet
 from repro.power import PowerModel
 from repro.routing.background import BackgroundProfile
 from repro.scheduling import Schedule
+from repro.sim.churn import FaultSchedule
 from repro.sim.fluid import simulate_fluid
 from repro.traces import (
     PoissonProcess,
@@ -112,32 +113,61 @@ class TestCrossWindowSession:
         ]
         return sorted([elephant, *mice], key=lambda f: (f.release, str(f.id)))
 
-    def test_warm_equals_forced_cold(self, ft4, quadratic):
-        """A flow spanning >= 3 windows: a carried pipeline vs a fresh
-        pipeline per window must commit identical schedules (same seed),
-        hence identical total energy — carried caches never change a
-        route."""
-        trace = self._elephant_and_mice()
-        reports = {}
-        for warm in (True, False):
-            policy = RelaxationRoundingPolicy(seed=5, warm_windows=warm)
-            engine = ReplayEngine(
-                ft4, quadratic, policy, window=2.0, keep_schedules=True
+    def _overlapping_outages(self, ft4):
+        """A Poisson trace under two overlapping pod-2 link outages: the
+        down set moves {a} -> {a, b} -> {b} -> {} across its 5-unit
+        windows, so the survivor pipeline is rebuilt, carried and
+        dropped."""
+        a = ("sw_a_p02_0", "sw_c_00_01")
+        b = ("sw_a_p02_1", "sw_e_p02_1")
+        faults = FaultSchedule.scripted(
+            [(4.0, "down", a), (9.0, "down", b), (17.0, "up", a),
+             (22.0, "up", b)]
+        )
+        return list(generate_trace(ft4, small_spec(seed=7))), faults
+
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["no-faults", "overlapping-outages"])
+    def test_warm_equals_forced_cold(self, ft4, quadratic, faulted):
+        """A carried pipeline vs a fresh pipeline per window must commit
+        identical schedules (same seed), hence identical total energy —
+        carried caches never change a route.  Fault-free, a flow spans
+        >= 3 windows; under link outages the carried survivor pipeline
+        must match one rebuilt every window."""
+        if faulted:
+            trace, faults = self._overlapping_outages(ft4)
+            window, seeds = 5.0, range(4)
+        else:
+            trace, faults = self._elephant_and_mice(), None
+            window, seeds = 2.0, (5,)
+        for seed in seeds:
+            reports = {}
+            for warm in (True, False):
+                policy = RelaxationRoundingPolicy(
+                    seed=seed, warm_windows=warm
+                )
+                engine = ReplayEngine(
+                    ft4, quadratic, policy, window=window,
+                    keep_schedules=True, faults=faults,
+                )
+                reports[warm] = engine.run(iter(trace))
+            warm_report, cold_report = reports[True], reports[False]
+            assert warm_report.windows >= 5
+            assert [fs.path for fs in warm_report.schedules] == [
+                fs.path for fs in cold_report.schedules
+            ]
+            assert warm_report.total_energy == cold_report.total_energy
+            if faulted:
+                assert warm_report.flows_rerouted > 0
+                continue
+            # And the windowed accounting still matches the offline
+            # integral.
+            breakdown = Schedule(warm_report.schedules).energy(
+                quadratic, horizon=warm_report.horizon
             )
-            reports[warm] = engine.run(iter(trace))
-        warm_report, cold_report = reports[True], reports[False]
-        assert warm_report.windows >= 5
-        assert [fs.path for fs in warm_report.schedules] == [
-            fs.path for fs in cold_report.schedules
-        ]
-        assert warm_report.total_energy == cold_report.total_energy
-        # And the windowed accounting still matches the offline integral.
-        breakdown = Schedule(warm_report.schedules).energy(
-            quadratic, horizon=warm_report.horizon
-        )
-        assert warm_report.total_energy == pytest.approx(
-            breakdown.total, rel=1e-12
-        )
+            assert warm_report.total_energy == pytest.approx(
+                breakdown.total, rel=1e-12
+            )
 
     def test_pipeline_persists_across_windows_not_runs(self, ft4, quadratic):
         seen: list[object] = []

@@ -19,7 +19,7 @@ from repro.routing.background import BackgroundProfile
 from repro.service import ReplayService
 from repro.topology import fat_tree
 from repro.topology.random_graphs import jellyfish
-from repro.traces import LookaheadRelaxationPolicy, RelaxationRoundingPolicy
+from repro.traces import RelaxationRoundingPolicy
 
 
 def make_relaxation(topology, flows, power=None, **solver_kwargs):
@@ -327,9 +327,6 @@ _BUILDERS = {
         _FT4, default_cost(_QUADRATIC), max_iterations=it, gap_tolerance=gap
     ),
     "policy": lambda it, gap: RelaxationRoundingPolicy(
-        fw_max_iterations=it, fw_gap_tolerance=gap
-    ),
-    "lookahead": lambda it, gap: LookaheadRelaxationPolicy(
         fw_max_iterations=it, fw_gap_tolerance=gap
     ),
     "service": lambda it, gap: ReplayService(

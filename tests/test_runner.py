@@ -38,8 +38,8 @@ class TestRunnerCli:
     def test_registry_complete(self):
         assert set(ABLATIONS) == {
             "sigma", "lambda", "rounding", "rounding-mode", "topology",
-            "failures", "online", "traces", "relax-replay", "lookahead",
-            "churn", "churn-correlated",
+            "failures", "online", "traces", "relax-replay", "churn",
+            "churn-correlated",
         }
 
     def test_single_ablation_runs(self, capsys, monkeypatch, tmp_path):

@@ -499,6 +499,38 @@ class TestDegrade:
             SolveBudget(max_in_flight=-3)
 
 
+# Crash-tolerance and budget settings a healthy run cannot honour: a
+# zero or negative heartbeat declares live workers dead, NaN breaks the
+# collect timeout, a checkpoint period below one window is meaningless
+# and a NaN budget never triggers.
+_BAD_SERVICE_SETTINGS = {
+    "heartbeat-zero": {"heartbeat_s": 0.0},
+    "heartbeat-negative": {"heartbeat_s": -1.0},
+    "heartbeat-nan": {"heartbeat_s": float("nan")},
+    "heartbeat-inf": {"heartbeat_s": float("inf")},
+    "checkpoint-zero": {"checkpoint_every": 0},
+    "checkpoint-negative": {"checkpoint_every": -2},
+    "checkpoint-fractional": {"checkpoint_every": 1.5},
+    "budget-nan": {"per_window_s": float("nan")},
+}
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize("case", sorted(_BAD_SERVICE_SETTINGS))
+    def test_bad_settings_fail_before_workers_fork(
+        self, ft4, quadratic, case
+    ):
+        kwargs = dict(_BAD_SERVICE_SETTINGS[case])
+        before = _live_children()
+        with pytest.raises(ValidationError):
+            if "per_window_s" in kwargs:
+                kwargs = {"budget": SolveBudget(**kwargs)}
+            ReplayService(
+                ft4, quadratic, window=1.0, num_shards=2, **kwargs
+            ).close()
+        assert not _live_children() - before
+
+
 def _ingest_case(topology, case):
     h0, h1 = topology.hosts[0], topology.hosts[1]
     releases, ids = {
