@@ -1,8 +1,7 @@
 """Benchmark PERF-FASTPATH: the array-native routing core in isolation.
 
 Times one marginal-cost route on the paper's k=8 fat-tree through each
-engine — the networkx reference (per-edge Python weight callback), the
-early-terminating CSR heap Dijkstra behind :func:`marginal_route`, and
+engine — the networkx reference (per-edge Python weight callback) and
 the :class:`FastRouter` hot path (bidirectional search + candidate
 cache) — plus the :class:`LoadLedger` loads/commit cycle at a realistic
 resident-ledger size, and one replay window's committed-load view: the
@@ -22,7 +21,7 @@ import pytest
 from record import record_bench
 from repro.flows import Flow
 from repro.power import PowerModel
-from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
+from repro.routing.fastpath import FastRouter, LoadLedger
 from repro.routing.paths import marginal_route_reference
 from repro.scheduling.schedule import density_schedule
 from repro.topology import fat_tree
@@ -44,15 +43,6 @@ def test_route_reference_networkx(benchmark):
             marginal_route_reference(TOPOLOGY, src, dst, MARGINAL)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="fastpath-route")
-def test_route_csr_dijkstra(benchmark):
-    def run():
-        for src, dst in PAIRS:
-            csr_dijkstra(TOPOLOGY, src, dst, MARGINAL)
-
-    benchmark.pedantic(run, rounds=3, iterations=5)
 
 
 @pytest.mark.benchmark(group="fastpath-route")

@@ -6,13 +6,12 @@ process does, through :mod:`repro.analysis.reporting`) never loads
 :mod:`scipy.optimize`.
 """
 
-from repro.analysis.gantt import render_gantt, render_link_sparklines
+from repro.analysis.gantt import render_link_sparklines
 from repro.analysis.metrics import ScheduleMetrics, compute_metrics, jain_index
 from repro.analysis.reporting import Table, ascii_bar
 from repro.analysis.validation import ValidationOutcome, validate_result
 
 __all__ = [
-    "render_gantt",
     "render_link_sparklines",
     "ValidationOutcome",
     "validate_result",

@@ -1,10 +1,8 @@
-"""ASCII schedule visualization: per-flow Gantt chart and link sparklines.
+"""ASCII schedule visualization: link sparklines.
 
 No plotting stack exists offline, so the examples render schedules as
-text.  Each flow row shows its span (``.``), its active transmission
-segments (``#``), release (``[``) and deadline (``]``).  Link sparklines
-quantize the piecewise-constant rate profile into height glyphs, giving a
-quick visual of load balance across links.
+text.  Link sparklines quantize the piecewise-constant rate profile into
+height glyphs, giving a quick visual of load balance across links.
 """
 
 from __future__ import annotations
@@ -15,56 +13,9 @@ from repro.errors import ValidationError
 from repro.scheduling.schedule import Schedule
 from repro.topology.base import Edge
 
-__all__ = ["render_gantt", "render_link_sparklines"]
+__all__ = ["render_link_sparklines"]
 
 _SPARK_GLYPHS = " .:-=+*#%@"
-
-
-def _column(t: float, t0: float, t1: float, width: int) -> int:
-    """Map time ``t`` to a character column in ``[0, width - 1]``."""
-    frac = (t - t0) / (t1 - t0)
-    return max(0, min(width - 1, int(frac * width)))
-
-
-def render_gantt(
-    schedule: Schedule,
-    horizon: tuple[float, float] | None = None,
-    width: int = 72,
-) -> str:
-    """Render the per-flow transmission timeline as text.
-
-    Rows are sorted by release time; the header carries the time axis.
-    """
-    if width < 16:
-        raise ValidationError(f"width must be >= 16, got {width}")
-    if horizon is None:
-        starts = [fs.flow.release for fs in schedule]
-        ends = [fs.flow.deadline for fs in schedule]
-        horizon = (min(starts), max(ends))
-    t0, t1 = horizon
-    if not t1 > t0:
-        raise ValidationError(f"bad horizon {horizon!r}")
-
-    label_width = max(len(str(fs.flow.id)) for fs in schedule) + 2
-    out = io.StringIO()
-    axis = f"{'':{label_width}}t = {t0:g}{' ' * (width - 12)}t = {t1:g}"
-    out.write(axis.rstrip() + "\n")
-
-    for fs in sorted(schedule, key=lambda f: (f.flow.release, str(f.flow.id))):
-        row = [" "] * width
-        a = _column(fs.flow.release, t0, t1, width)
-        b = _column(fs.flow.deadline, t0, t1, width)
-        for i in range(a, b + 1):
-            row[i] = "."
-        for seg in fs.segments:
-            lo = _column(seg.start, t0, t1, width)
-            hi = _column(seg.end, t0, t1, width)
-            for i in range(lo, max(hi, lo + 1)):
-                row[i] = "#"
-        row[a] = "["
-        row[b] = "]"
-        out.write(f"{str(fs.flow.id):>{label_width - 1}} " + "".join(row) + "\n")
-    return out.getvalue()
 
 
 def render_link_sparklines(

@@ -2,8 +2,6 @@
 
 from repro.core.baselines import (
     BaselineResult,
-    ecmp_mcf,
-    full_rate_sp,
     greedy_marginal_routing,
     sp_mcf,
 )
@@ -13,8 +11,6 @@ from repro.core.dcfsr import (
     RelaxationPipeline,
     relaxation_weights,
     round_schedule,
-    round_schedule_deterministic,
-    round_schedule_deterministic_reference,
     round_schedule_reference,
     solve_dcfsr,
 )
@@ -40,16 +36,12 @@ __all__ = [
     "solve_dcfsr",
     "relaxation_weights",
     "round_schedule",
-    "round_schedule_deterministic",
     "round_schedule_reference",
-    "round_schedule_deterministic_reference",
     "fractional_lower_bound",
     "solve_online_density",
     "BaselineResult",
     "sp_mcf",
-    "ecmp_mcf",
     "greedy_marginal_routing",
-    "full_rate_sp",
     "ExactResult",
     "solve_dcfsr_exact",
     "exact_parallel_assignment_energy",

@@ -10,39 +10,26 @@
   under the marginal envelope cost of the density loads placed so far,
   then run Most-Critical-First.  Used in the ablation benchmarks to locate
   Random-Schedule between "oblivious" and "clairvoyant" routing.
-* :func:`full_rate_sp` — the no-speed-scaling strawman: shortest paths,
-  every flow blasts at link capacity as early as possible.  Quantifies how
-  much energy speed scaling itself saves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro.core.dcfs import DcfsResult, solve_dcfs
-from repro.errors import ValidationError
 from repro.flows.flow import FlowSet
 from repro.power.model import PowerModel
 from repro.routing.costs import envelope_cost
-from repro.scheduling.edf import EdfJob, edf_schedule
-from repro.scheduling.schedule import (
-    EnergyBreakdown,
-    FlowSchedule,
-    Schedule,
-    Segment,
-)
-from repro.topology.base import Topology, path_edges
+from repro.scheduling.schedule import EnergyBreakdown, Schedule
+from repro.topology.base import Topology
 
 __all__ = [
     "BaselineResult",
     "sp_mcf",
-    "ecmp_mcf",
     "greedy_marginal_routing",
-    "full_rate_sp",
 ]
 
 Path = tuple[str, ...]
@@ -89,23 +76,6 @@ def sp_mcf(
     return _routed_mcf("SP+MCF", flows, topology, power, paths)
 
 
-def ecmp_mcf(
-    flows: FlowSet, topology: Topology, power: PowerModel, seed: int = 0
-) -> BaselineResult:
-    """Per-flow ECMP routing + optimal Most-Critical-First scheduling.
-
-    The production-realistic middle ground between oblivious shortest
-    paths and the relaxation-guided routing of Random-Schedule: flows hash
-    uniformly over their equal-cost shortest-path group, then rates are
-    chosen optimally.
-    """
-    from repro.routing.paths import ecmp_route
-
-    flows.validate_against(topology)
-    paths = ecmp_route(flows, topology, seed=seed)
-    return _routed_mcf("ECMP+MCF", flows, topology, power, paths)
-
-
 def greedy_marginal_routing(
     flows: FlowSet, topology: Topology, power: PowerModel
 ) -> BaselineResult:
@@ -136,73 +106,3 @@ def greedy_marginal_routing(
             edge_ids, np.maximum(cost.derivative(loads[edge_ids]), 1e-12)
         )
     return _routed_mcf("Greedy+MCF", flows, topology, power, paths)
-
-
-def full_rate_sp(
-    flows: FlowSet, topology: Topology, power: PowerModel
-) -> BaselineResult:
-    """No speed scaling: shortest paths, transmit at capacity, EDF order.
-
-    Each link forwards its flows one at a time at full rate ``C`` (the
-    classic race-to-idle), ordered by EDF on each flow's *bottleneck* link
-    serialization.  We approximate the multi-link contention by EDF-packing
-    each flow's transmission window on its most-loaded link and reusing the
-    same window on the whole path — consistent with the virtual-circuit
-    accounting used everywhere else.
-
-    Raises :class:`ValidationError` when the power model has no finite
-    capacity (full rate would be unbounded).
-    """
-    if not math.isfinite(power.capacity):
-        raise ValidationError("full_rate_sp requires a finite link capacity")
-    flows.validate_against(topology)
-    paths = {
-        flow.id: topology.shortest_path(flow.src, flow.dst) for flow in flows
-    }
-    # Serialize per most-loaded link: greedily EDF-pack all flows on a
-    # single virtual resource per link, then each flow occupies its path
-    # during its window.  A simple global EDF pass per link is enough for a
-    # strawman; genuinely infeasible packings surface as InfeasibleError.
-    link_jobs: dict = {}
-    for flow in flows:
-        duration = flow.size / power.capacity
-        if duration > flow.span_length * (1.0 + 1e-9):
-            raise ValidationError(
-                f"flow {flow.id!r} cannot finish even at full rate"
-            )
-        for edge in path_edges(paths[flow.id]):
-            link_jobs.setdefault(edge, []).append(
-                EdfJob(
-                    id=flow.id,
-                    release=flow.release,
-                    deadline=flow.deadline,
-                    duration=duration,
-                )
-            )
-    # Pick each flow's window on its most contended link.
-    contention = {edge: sum(j.duration for j in jobs) for edge, jobs in link_jobs.items()}
-    windows: dict[int | str, list[tuple[float, float]]] = {}
-    for flow in flows:
-        edges = path_edges(paths[flow.id])
-        bottleneck = max(edges, key=lambda e: (contention[e], e))
-        placed = edf_schedule(link_jobs[bottleneck])
-        windows[flow.id] = placed[flow.id]
-
-    flow_schedules = []
-    for flow in flows:
-        segments = tuple(
-            Segment(start=s, end=e, rate=power.capacity)
-            for s, e in windows[flow.id]
-        )
-        flow_schedules.append(
-            FlowSchedule(flow=flow, path=paths[flow.id], segments=segments)
-        )
-    schedule = Schedule(flow_schedules)
-    t0 = min(f.release for f in flows)
-    t1 = max(f.deadline for f in flows)
-    return BaselineResult(
-        name="FullRate-SP",
-        schedule=schedule,
-        energy=schedule.energy(power, horizon=(t0, t1)),
-        paths=paths,
-    )

@@ -73,9 +73,7 @@ __all__ = [
     "solve_dcfsr",
     "relaxation_weights",
     "round_schedule",
-    "round_schedule_deterministic",
     "round_schedule_reference",
-    "round_schedule_deterministic_reference",
 ]
 
 Path = tuple[str, ...]
@@ -154,29 +152,6 @@ def round_schedule(
     )
 
 
-def round_schedule_deterministic(
-    flows: FlowSet,
-    relaxation: RelaxationResult,
-) -> tuple[Schedule, Mapping[int | str, Mapping[Path, float]]]:
-    """Derandomized rounding: every flow takes its maximum-``w_bar`` path.
-
-    A cheap stand-in for the method of conditional expectations: instead of
-    sampling the ``w_bar`` distribution, commit to its mode.  Removes all
-    run-to-run variance at the cost of occasionally over-concentrating
-    correlated flows on a popular path; the rounding ablation quantifies
-    the trade-off against random draws.
-    """
-    weights = relaxation_weights(list(flows), relaxation)
-    paths = argmax_paths(weights)
-    return (
-        Schedule(
-            density_schedule(flow, path)
-            for flow, path in zip(flows, paths)
-        ),
-        weights,
-    )
-
-
 def round_schedule_reference(
     flows: FlowSet,
     relaxation: RelaxationResult,
@@ -194,22 +169,6 @@ def round_schedule_reference(
         flow_schedules.append(
             density_schedule(flow, sample_path(w_bar, rng))
         )
-    return Schedule(flow_schedules), weights
-
-
-def round_schedule_deterministic_reference(
-    flows: FlowSet,
-    relaxation: RelaxationResult,
-) -> tuple[Schedule, dict[int | str, dict[Path, float]]]:
-    """Dict-loop derandomized rounding (argmax of each ``w_bar``)."""
-    weights: dict[int | str, dict[Path, float]] = {}
-    flow_schedules = []
-    for flow in flows:
-        fractions = relaxation.fractions_for_flow(flow.id)
-        w_bar = aggregate_path_weights(flow, fractions)
-        weights[flow.id] = w_bar
-        path = max(sorted(w_bar), key=lambda p: w_bar[p])
-        flow_schedules.append(density_schedule(flow, path))
     return Schedule(flow_schedules), weights
 
 

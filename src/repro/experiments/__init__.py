@@ -18,12 +18,11 @@ from repro.experiments.figure2 import (
     figure2_table,
     run_figure2,
 )
-from repro.experiments.harness import ComparisonPoint, run_comparison, single_run
+from repro.experiments.harness import ComparisonPoint, single_run
 from repro.experiments.parallel import available_parallelism, parallel_map
 
 __all__ = [
     "ComparisonPoint",
-    "run_comparison",
     "single_run",
     "parallel_map",
     "available_parallelism",

@@ -1,17 +1,14 @@
-"""Experiment harness: run algorithm suites over seeded workloads.
+"""Experiment harness: one seeded repetition of the Figure-2 protocol.
 
 Every experiment in this library boils down to: draw a workload, run some
 algorithms, normalize energies by the fractional lower bound, aggregate
-over repetitions.  :func:`run_comparison` packages that protocol (the
-paper's Figure 2 protocol) once, so the figure and the ablations stay
-consistent.
-
-Runs are independent and deterministically seeded, so the harness fans
-them out over a process pool (:mod:`repro.experiments.parallel`) when
-``jobs > 1`` — results are identical to the serial sweep, just faster.
-:func:`single_run` is the unit of work; sweeps that want cross-point
-parallelism (e.g. Figure 2) flatten their (point, run) grid onto it
-directly.
+over repetitions.  :func:`single_run` is the unit of work — one
+repetition, fully determined by its seed — and :class:`ComparisonPoint`
+aggregates the runs at one sweep point.  Sweeps (Figure 2 and the
+ablations) flatten their (point, run) grid onto :func:`single_run` and fan
+it out over a process pool with
+:func:`repro.experiments.parallel.grouped_map` when ``jobs > 1`` — results
+are identical to the serial sweep, just faster.
 """
 
 from __future__ import annotations
@@ -24,13 +21,11 @@ import numpy as np
 
 from repro.core.baselines import sp_mcf
 from repro.core.dcfsr import solve_dcfsr
-from repro.errors import ValidationError
-from repro.experiments.parallel import parallel_map
 from repro.flows.flow import FlowSet
 from repro.power.model import PowerModel
 from repro.topology.base import Topology
 
-__all__ = ["ComparisonPoint", "run_comparison", "single_run"]
+__all__ = ["ComparisonPoint", "single_run"]
 
 
 @dataclass(frozen=True)
@@ -83,56 +78,3 @@ def single_run(
     for name, fn in (algorithms or {}).items():
         ratios[name] = fn(flows, topology, power) / lb
     return ratios
-
-
-def run_comparison(
-    topology: Topology,
-    power: PowerModel,
-    workload_factory: Callable[[int], FlowSet],
-    label: str,
-    runs: int = 10,
-    base_seed: int = 0,
-    algorithms: Mapping[str, Callable] | None = None,
-    fw_max_iterations: int = 40,
-    fw_gap_tolerance: float = 3e-3,
-    jobs: int = 1,
-) -> ComparisonPoint:
-    """Run the Figure-2 protocol at one sweep point.
-
-    Parameters
-    ----------
-    workload_factory:
-        ``seed -> FlowSet``; invoked once per run with distinct seeds.
-    algorithms:
-        Extra algorithms beyond the default {RS, SP+MCF}: name ->
-        ``fn(flows, topology, power) -> total energy``.  RS is always run
-        (it supplies the lower bound).
-    jobs:
-        Worker processes to spread the runs over (1 = serial; results are
-        identical either way).
-    """
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
-    extra = dict(algorithms or {})
-
-    def one(run: int) -> dict[str, float]:
-        return single_run(
-            topology,
-            power,
-            workload_factory,
-            seed=base_seed + 1000 * run,
-            algorithms=extra,
-            fw_max_iterations=fw_max_iterations,
-            fw_gap_tolerance=fw_gap_tolerance,
-        )
-
-    per_run = parallel_map(one, range(runs), jobs=jobs)
-
-    names = ["RS", "SP+MCF", *extra]
-    return ComparisonPoint(
-        label=label,
-        runs=runs,
-        ratios={
-            name: tuple(r[name] for r in per_run) for name in names
-        },
-    )

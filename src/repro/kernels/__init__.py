@@ -201,21 +201,13 @@ def warmup() -> None:
     _warmed = True
     if ns is None:
         return
-    # 2-node, 2-arc ring: 0 -> 1 -> 0 with one edge id each.
+    # 2-node, 2-arc ring: 0 -> 1 -> 0.
     indptr = np.array([0, 1, 2], dtype=np.int64)
     neighbors = np.array([1, 0], dtype=np.int64)
-    edge_ids = np.array([0, 0], dtype=np.int64)
     weights = np.array([1.0])
-    leaf = np.zeros(2, dtype=np.bool_)
     dist = np.zeros(2)
-    parent = np.full(2, -1, dtype=np.int64)
-    stamp = np.zeros(2, dtype=np.int64)
     heap_key = np.empty(8)
     heap_node = np.empty(8, dtype=np.int64)
-    ns.csr_dijkstra_fill(
-        indptr, neighbors, edge_ids, weights, 0, 1, leaf,
-        dist, parent, stamp, 1, heap_key, heap_node,
-    )
     warc = np.array([1.0, 1.0])
     pred = np.full(2, -1, dtype=np.int64)
     parc = np.full(2, -1, dtype=np.int64)

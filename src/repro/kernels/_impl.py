@@ -30,113 +30,12 @@ import numpy as np
 
 #: Kernel names exported to the backend registry (order = warm-up order).
 KERNEL_NAMES = (
-    "csr_dijkstra_fill",
     "spt_tree",
     "spt_repair",
     "edf_sweep",
     "row_costs",
     "pairwise_delta",
 )
-
-
-# ----------------------------------------------------------------------
-# Early-terminating heap Dijkstra (fastpath.csr_dijkstra's inner loop).
-# ----------------------------------------------------------------------
-def csr_dijkstra_fill(
-    indptr,
-    neighbors,
-    edge_ids,
-    weights,
-    src_id,
-    dst_id,
-    leaf,
-    dist,
-    parent,
-    stamp,
-    epoch,
-    heap_key,
-    heap_node,
-):
-    """Fill ``parent`` with the cheapest ``src -> dst`` tree fragment.
-
-    Bit-identical mirror of the pure-Python loop in
-    :func:`repro.routing.fastpath.csr_dijkstra`: the manual binary heap
-    orders entries by ``(distance, node id)`` exactly like the
-    ``heapq`` tuples there, so the settle order — and therefore the
-    returned path — matches the Python tier on ties as well.  Returns 1
-    when ``dst`` was settled, 0 when the pair is disconnected.
-    """
-    dist[src_id] = 0.0
-    stamp[src_id] = epoch
-    parent[src_id] = -1
-    heap_key[0] = 0.0
-    heap_node[0] = src_id
-    hn = 1
-    best_dst = np.inf
-    while hn > 0:
-        d = heap_key[0]
-        u = heap_node[0]
-        # Pop-min with (key, node) tie-break.
-        hn -= 1
-        lk = heap_key[hn]
-        ln = heap_node[hn]
-        i = 0
-        while True:
-            c = 2 * i + 1
-            if c >= hn:
-                break
-            r = c + 1
-            if r < hn and (
-                heap_key[r] < heap_key[c]
-                or (heap_key[r] == heap_key[c] and heap_node[r] < heap_node[c])
-            ):
-                c = r
-            if heap_key[c] < lk or (
-                heap_key[c] == lk and heap_node[c] < ln
-            ):
-                heap_key[i] = heap_key[c]
-                heap_node[i] = heap_node[c]
-                i = c
-            else:
-                break
-        heap_key[i] = lk
-        heap_node[i] = ln
-
-        if u == dst_id:
-            return 1
-        if d > dist[u]:
-            continue  # stale heap entry
-        for a in range(indptr[u], indptr[u + 1]):
-            v = neighbors[a]
-            if leaf[v] and v != dst_id:
-                continue
-            nd = d + weights[edge_ids[a]]
-            if nd >= best_dst:
-                continue  # cannot improve the path to dst
-            if stamp[v] != epoch:
-                stamp[v] = epoch
-            elif nd >= dist[v]:
-                continue
-            dist[v] = nd
-            parent[v] = u
-            # Push (nd, v) with the same tie-break.
-            i = hn
-            hn += 1
-            while i > 0:
-                p = (i - 1) // 2
-                if heap_key[p] > nd or (
-                    heap_key[p] == nd and heap_node[p] > v
-                ):
-                    heap_key[i] = heap_key[p]
-                    heap_node[i] = heap_node[p]
-                    i = p
-                else:
-                    break
-            heap_key[i] = nd
-            heap_node[i] = v
-            if v == dst_id:
-                best_dst = nd
-    return 0
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Routing: fractional MCF (array-native Frank–Wolfe engine + retained
-reference), path decomposition, randomized rounding, and the array-native
-fast path (CSR Dijkstra + load ledger)."""
+reference), randomized rounding, and the array-native fast path (cached
+marginal-cost router + load ledger)."""
 
 from repro.routing.background import BackgroundProfile
 from repro.routing.costs import EdgeCost, envelope_cost
-from repro.routing.decomposition import decompose_flow, decompose_solution
-from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
+from repro.routing.fastpath import FastRouter, LoadLedger
 from repro.routing.mcflow import (
     ArrayPathFlows,
     Commodity,
@@ -15,13 +14,7 @@ from repro.routing.mcflow import (
     PathRegistry,
     RelaxationSession,
 )
-from repro.routing.paths import (
-    ecmp_paths,
-    ecmp_route,
-    k_shortest_paths,
-    marginal_route,
-    marginal_route_reference,
-)
+from repro.routing.paths import k_shortest_paths, marginal_route_reference
 from repro.routing.rounding import (
     ArrayPathWeights,
     aggregate_path_weights,
@@ -42,8 +35,6 @@ __all__ = [
     "MCFSolution",
     "PathRegistry",
     "RelaxationSession",
-    "decompose_flow",
-    "decompose_solution",
     "ArrayPathWeights",
     "aggregate_path_weights",
     "aggregate_path_weights_array",
@@ -51,11 +42,7 @@ __all__ = [
     "sample_path",
     "sample_paths",
     "k_shortest_paths",
-    "ecmp_paths",
-    "ecmp_route",
-    "marginal_route",
     "marginal_route_reference",
-    "csr_dijkstra",
     "FastRouter",
     "LoadLedger",
 ]

@@ -1,11 +1,12 @@
-"""Array-native routing core: CSR Dijkstra, cached fast router, and
-incremental load accounting.
+"""Array-native routing core: cached fast router and incremental load
+accounting.
 
 Finding the cheapest path under the power envelope's per-edge marginal
 cost is the inner loop of every online consumer in this library — the
 online density scheduler (:mod:`repro.core.online`), the greedy
-marginal-routing baseline (:mod:`repro.core.baselines`) and the
-trace-replay policies (:mod:`repro.traces.policies`).  Routing through
+marginal-routing baseline (:mod:`repro.core.baselines`), the
+trace-replay policies (:mod:`repro.traces.policies`) and fault repair
+(:mod:`repro.traces.repair`).  Routing through
 :func:`networkx.dijkstra_path` with a per-edge Python weight callback
 costs ~0.5 ms per flow on a k=8 fat-tree; rebuilding the committed-load
 vector from per-edge :class:`~repro.scheduling.timeline.PiecewiseConstant`
@@ -13,15 +14,11 @@ profiles adds O(E x segments) more.  This module replaces both with
 integer-array machinery on the topology's cached CSR adjacency
 (:attr:`repro.topology.base.Topology.csr_adjacency`):
 
-* :func:`csr_dijkstra` — binary-heap Dijkstra over integer node ids
-  reading edge weights straight from the marginal-cost ndarray, with
-  early termination at ``dst`` and a reusable epoch-stamped
-  distance/parent scratch buffer (no O(V) reset per query);
 * :class:`FastRouter` — a stateful router holding the marginal vector, a
   ``(src, dst)`` candidate-path cache with staleness stamps, and a
-  *bidirectional* variant of the same CSR search whose pruning bound is
-  seeded with the cached candidate's current cost (~40 us per miss on
-  fat_tree(8));
+  bidirectional early-terminating Dijkstra over the CSR adjacency whose
+  pruning bound is seeded with the cached candidate's current cost
+  (~40 us per miss on fat_tree(8));
 * :class:`LoadLedger` — a deadline-sorted commit ledger that maintains
   the per-edge average-load vector incrementally: a commit touches only
   its own path edges, a bulk seed loads the load earlier windows left
@@ -30,88 +27,23 @@ integer-array machinery on the topology's cached CSR adjacency
 
 The networkx implementation survives as
 :func:`repro.routing.paths.marginal_route_reference`; the property suite
-in ``tests/test_fastpath.py`` pins all engines to equal path costs.
+in ``tests/test_fastpath.py`` pins :meth:`FastRouter.route` to it at
+equal path cost.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import inf
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import TopologyError, ValidationError
 from repro.topology.base import Topology
 
-__all__ = ["csr_dijkstra", "FastRouter", "LoadLedger"]
+__all__ = ["FastRouter", "LoadLedger"]
 
 Path = tuple[str, ...]
-
-
-# ----------------------------------------------------------------------
-# Early-terminating heap Dijkstra on the CSR adjacency.
-# ----------------------------------------------------------------------
-class _DijkstraScratch:
-    """Reusable per-topology Dijkstra buffers.
-
-    ``stamp[v] == epoch`` marks ``dist``/``parent`` entries as belonging
-    to the current query, so repeated queries reset in O(1) instead of
-    O(V).  ``leaf`` flags degree-1 nodes: they can never be interior to a
-    simple path, so arcs into them are skipped unless they are ``dst``.
-    """
-
-    __slots__ = ("dist", "parent", "stamp", "epoch", "leaf")
-
-    def __init__(self, topology: Topology) -> None:
-        n = len(topology.nodes)
-        self.dist = [0.0] * n
-        self.parent = [-1] * n
-        self.stamp = [0] * n
-        self.epoch = 0
-        self.leaf = topology.leaf_mask
-
-
-_SCRATCH: "WeakKeyDictionary[Topology, _DijkstraScratch]" = WeakKeyDictionary()
-
-
-def _scratch_for(topology: Topology) -> _DijkstraScratch:
-    scratch = _SCRATCH.get(topology)
-    if scratch is None:
-        scratch = _DijkstraScratch(topology)
-        _SCRATCH[topology] = scratch
-    return scratch
-
-
-class _KernelScratch:
-    """ndarray twin of :class:`_DijkstraScratch` for the compiled tier."""
-
-    __slots__ = ("dist", "parent", "stamp", "epoch", "leaf",
-                 "heap_key", "heap_node")
-
-    def __init__(self, topology: Topology) -> None:
-        n = len(topology.nodes)
-        num_arcs = int(topology.csr_adjacency[0][-1])
-        self.dist = np.zeros(n)
-        self.parent = np.full(n, -1, dtype=np.int64)
-        self.stamp = np.zeros(n, dtype=np.int64)
-        self.epoch = 0
-        self.leaf = np.array(topology.leaf_mask, dtype=np.bool_)
-        # Each arc pushes at most once (strict-improvement relaxations).
-        self.heap_key = np.empty(num_arcs + 2)
-        self.heap_node = np.empty(num_arcs + 2, dtype=np.int64)
-
-
-_KSCRATCH: "WeakKeyDictionary[Topology, _KernelScratch]" = WeakKeyDictionary()
-
-
-def _kernel_scratch_for(topology: Topology) -> _KernelScratch:
-    scratch = _KSCRATCH.get(topology)
-    if scratch is None:
-        scratch = _KernelScratch(topology)
-        _KSCRATCH[topology] = scratch
-    return scratch
 
 
 def _check_endpoints(topology: Topology, src: str, dst: str) -> tuple[int, int]:
@@ -126,128 +58,6 @@ def _check_marginal(topology: Topology, marginal: np.ndarray) -> None:
             f"marginal must have {topology.num_edges} entries, "
             f"got {len(marginal)}"
         )
-
-
-def csr_dijkstra(
-    topology: Topology, src: str, dst: str, marginal: np.ndarray
-) -> Path:
-    """Cheapest ``src -> dst`` path under per-edge marginal costs.
-
-    A binary-heap Dijkstra over the topology's integer CSR adjacency:
-    weights are read directly from ``marginal`` (indexed by
-    :meth:`Topology.edge_id`; entries must be nonnegative — clamp with
-    ``np.maximum(..., 1e-12)`` upstream), the search terminates as soon
-    as ``dst`` is settled, and distance/parent state lives in a reusable
-    per-topology scratch buffer.  Ties between equal-cost paths are
-    broken by node id, so results are deterministic but may differ from
-    :func:`repro.routing.paths.marginal_route_reference` — always at
-    equal cost (pinned by the property suite).
-
-    Raises :class:`TopologyError` for unknown or equal endpoints and for
-    disconnected pairs.
-
-    When the compiled kernel tier is active (:mod:`repro.kernels`) the
-    heap loop runs as the :func:`repro.kernels._impl.csr_dijkstra_fill`
-    kernel over the ndarray CSR adjacency — bit-identical settle order
-    and tie-breaks, so the returned path matches this Python loop
-    exactly (pinned in ``tests/test_kernels.py``).
-    """
-    src_id, dst_id = _check_endpoints(topology, src, dst)
-    _check_marginal(topology, marginal)
-    kn = kernels.active()
-    if kn is not None:
-        return _csr_dijkstra_kernel(topology, src, dst, src_id, dst_id,
-                                    marginal, kn)
-    weights = (
-        marginal.tolist()
-        if isinstance(marginal, np.ndarray)
-        else [float(w) for w in marginal]
-    )
-    if weights and min(weights) < 0.0:
-        raise ValidationError("marginal weights must be nonnegative")
-    scratch = _scratch_for(topology)
-    indptr, neighbors, edge_ids = topology.csr_adjacency_lists
-
-    dist = scratch.dist
-    parent = scratch.parent
-    stamp = scratch.stamp
-    leaf = scratch.leaf
-    scratch.epoch += 1
-    epoch = scratch.epoch
-
-    dist[src_id] = 0.0
-    stamp[src_id] = epoch
-    parent[src_id] = -1
-    heap = [(0.0, src_id)]
-    push, pop = heappush, heappop
-    best_dst = inf
-    found = False
-    while heap:
-        d, u = pop(heap)
-        if u == dst_id:
-            found = True
-            break
-        if d > dist[u]:
-            continue  # stale heap entry
-        for i in range(indptr[u], indptr[u + 1]):
-            v = neighbors[i]
-            if leaf[v] and v != dst_id:
-                continue
-            nd = d + weights[edge_ids[i]]
-            if nd >= best_dst:
-                continue  # cannot improve the path to dst
-            if stamp[v] != epoch:
-                stamp[v] = epoch
-            elif nd >= dist[v]:
-                continue
-            dist[v] = nd
-            parent[v] = u
-            push(heap, (nd, v))
-            if v == dst_id:
-                best_dst = nd
-    if not found:
-        raise TopologyError(f"no path between {src!r} and {dst!r}")
-
-    nodes = topology.nodes
-    path = [nodes[dst_id]]
-    v = dst_id
-    while v != src_id:
-        v = parent[v]
-        path.append(nodes[v])
-    return tuple(reversed(path))
-
-
-def _csr_dijkstra_kernel(
-    topology: Topology,
-    src: str,
-    dst: str,
-    src_id: int,
-    dst_id: int,
-    marginal: np.ndarray,
-    kn,
-) -> Path:
-    """Compiled-tier body of :func:`csr_dijkstra` (same contract)."""
-    weights = np.ascontiguousarray(marginal, dtype=float)
-    if weights.size and weights.min() < 0.0:
-        raise ValidationError("marginal weights must be nonnegative")
-    scratch = _kernel_scratch_for(topology)
-    indptr, neighbors, edge_ids = topology.csr_adjacency
-    scratch.epoch += 1
-    found = kn.csr_dijkstra_fill(
-        indptr, neighbors, edge_ids, weights, src_id, dst_id,
-        scratch.leaf, scratch.dist, scratch.parent, scratch.stamp,
-        scratch.epoch, scratch.heap_key, scratch.heap_node,
-    )
-    if not found:
-        raise TopologyError(f"no path between {src!r} and {dst!r}")
-    parent = scratch.parent
-    nodes = topology.nodes
-    path = [nodes[dst_id]]
-    v = dst_id
-    while v != src_id:
-        v = int(parent[v])
-        path.append(nodes[v])
-    return tuple(reversed(path))
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,8 @@ Frank–Wolfe (the classical traffic-assignment algorithm) fits perfectly:
   bound uses, so looser stopping tolerances never invalidate Figure 2's
   normalization; and crucially
 * the iterates are built from explicit paths, so the per-flow **path
-  decomposition** Algorithm 2 needs (step 4) falls out for free (the
-  Raghavan–Tompson extraction in :mod:`repro.routing.decomposition` is
-  kept for edge-flow inputs and for cross-checking).
+  decomposition** Algorithm 2 needs (step 4) falls out for free, with no
+  Raghavan–Tompson extraction from edge flows.
 
 Two implementations live here (DESIGN.md Section 9):
 
@@ -253,8 +252,8 @@ class ArrayPathFlows:
 
     ``registry`` maps ``path_ids`` rows back to node paths and edge ids;
     ``owner_slots[i]`` indexes ``commodity_ids``.  Consumers that stay in
-    id space (decomposition cross-checks, per-commodity load rebuilds)
-    avoid the nested-dict representation entirely.
+    id space (per-commodity load rebuilds) avoid the nested-dict
+    representation entirely.
     """
 
     registry: PathRegistry

@@ -1,20 +1,18 @@
-"""Path enumeration utilities: k-shortest paths, ECMP path sets, and
-marginal-cost routing.
+"""Path utilities: k-shortest paths and the networkx marginal-cost
+router.
 
-Random-Schedule derives its candidate paths from the fractional relaxation,
-but baselines and ablations need classical path machinery:
+Random-Schedule derives its candidate paths from the fractional relaxation
+and every marginal-cost consumer routes through
+:class:`repro.routing.fastpath.FastRouter`; this module keeps the classical
+path machinery beside them:
 
 * :func:`k_shortest_paths` — the first ``k`` simple paths by hop count
-  (Yen's algorithm via :func:`networkx.shortest_simple_paths`);
-* :func:`ecmp_paths` — all minimum-hop paths, the set ECMP hashes over;
-* :func:`ecmp_route` — a deterministic per-flow ECMP choice (seeded hash),
-  the routing layer of the ECMP+MCF baseline;
-* :func:`marginal_route` — the cheapest path under per-edge marginal costs,
-  the routing step shared by the online scheduler, the greedy baseline, and
-  the trace-replay policies; dispatches to the array-native
-  :func:`repro.routing.fastpath.csr_dijkstra`, with the original networkx
-  implementation kept as :func:`marginal_route_reference` for
-  cross-checking.
+  (Yen's algorithm via :func:`networkx.shortest_simple_paths`), the
+  candidate sets of the PowerOfTwo and LeastLoaded replay policies;
+* :func:`marginal_route_reference` — the cheapest path under per-edge
+  marginal costs via networkx, the oracle that
+  :meth:`FastRouter.route <repro.routing.fastpath.FastRouter.route>` is
+  pinned against.
 """
 
 from __future__ import annotations
@@ -23,43 +21,24 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import TopologyError, ValidationError
-from repro.flows.flow import FlowSet
-from repro.routing.fastpath import csr_dijkstra
 from repro.topology.base import Topology, canonical_edge
 
 __all__ = [
     "k_shortest_paths",
-    "ecmp_paths",
-    "ecmp_route",
-    "marginal_route",
     "marginal_route_reference",
 ]
 
 Path = tuple[str, ...]
 
 
-def marginal_route(
-    topology: Topology, src: str, dst: str, marginal: np.ndarray
-) -> Path:
-    """Cheapest ``src -> dst`` path under per-edge marginal costs.
-
-    ``marginal`` is indexed by :meth:`Topology.edge_id`; every entry must be
-    strictly positive (clamp with ``np.maximum(..., 1e-12)`` upstream so
-    Dijkstra's nonnegativity requirement holds and zero-cost cycles cannot
-    appear).  Dispatches to :func:`repro.routing.fastpath.csr_dijkstra`
-    (equal-cost ties may resolve differently than the networkx reference,
-    always at identical cost).
-    """
-    return csr_dijkstra(topology, src, dst, marginal)
-
-
 def marginal_route_reference(
     topology: Topology, src: str, dst: str, marginal: np.ndarray
 ) -> Path:
-    """Reference implementation of :func:`marginal_route` via
+    """Cheapest ``src -> dst`` path under per-edge marginal costs, via
     :func:`networkx.dijkstra_path` with a per-edge Python weight callback.
 
-    ~10x slower than the CSR fast path; kept for cross-checking in the
+    The reference for :meth:`repro.routing.fastpath.FastRouter.route`:
+    ~10x slower than the CSR fast path, kept for cross-checking in the
     routing-equivalence property suite.
     """
     if src == dst:
@@ -110,40 +89,3 @@ def k_shortest_paths(
             f"no path between {src!r} and {dst!r} within {max_hops} hops"
         )
     return paths
-
-
-def ecmp_paths(topology: Topology, src: str, dst: str) -> list[Path]:
-    """All minimum-hop ``src -> dst`` paths, sorted deterministically."""
-    shortest = len(topology.shortest_path(src, dst)) - 1
-    return sorted(
-        tuple(p)
-        for p in nx.all_shortest_paths(topology.graph, src, dst)
-        if len(p) - 1 == shortest
-    )
-
-
-def ecmp_route(
-    flows: FlowSet, topology: Topology, seed: int = 0
-) -> dict[int | str, Path]:
-    """Pick one equal-cost shortest path per flow, seeded-uniformly.
-
-    Models per-flow ECMP hashing: the same seed always maps the same flow
-    to the same path, and distinct flows spread across the ECMP group.
-    Singleton groups consume no RNG draw, so adding a single-path flow to
-    a flow set never reshuffles the choices of the flows after it.
-    """
-    flows.validate_against(topology)
-    rng = np.random.default_rng(seed)
-    group_cache: dict[tuple[str, str], list[Path]] = {}
-    routes: dict[int | str, Path] = {}
-    for flow in flows:
-        key = (flow.src, flow.dst)
-        group = group_cache.get(key)
-        if group is None:
-            group = ecmp_paths(topology, flow.src, flow.dst)
-            group_cache[key] = group
-        if len(group) == 1:
-            routes[flow.id] = group[0]
-        else:
-            routes[flow.id] = group[int(rng.integers(len(group)))]
-    return routes

@@ -21,14 +21,17 @@ Two triggers, both optional:
   window is fast, so the next window tries the relaxation again; a
   persistently slow fabric therefore alternates solve/degrade instead of
   drifting unboundedly behind the arrival stream.
-* ``max_in_flight`` — more than this many windows are already dispatched
-  and uncollected (the pipeline is backing up).  ``0`` degrades every
-  window: the deterministic "greedy only" stance used by tests.
+* ``max_in_flight`` — more than this many windows (an integer) are
+  already dispatched and uncollected (the pipeline is backing up).  ``0``
+  degrades every window: the deterministic "greedy only" stance used by
+  tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ValidationError
 
@@ -48,9 +51,15 @@ class SolveBudget:
             raise ValidationError(
                 f"per_window_s must be >= 0, got {self.per_window_s}"
             )
-        if self.max_in_flight is not None and self.max_in_flight < 0:
+        # NaN or 1.5 would be compared against a whole queue depth, and
+        # ``depth > nan`` never triggers.
+        if self.max_in_flight is not None and not (
+            isinstance(self.max_in_flight, (int, np.integer))
+            and self.max_in_flight >= 0
+        ):
             raise ValidationError(
-                f"max_in_flight must be >= 0, got {self.max_in_flight}"
+                "max_in_flight must be an integer >= 0, got "
+                f"{self.max_in_flight!r}"
             )
 
 

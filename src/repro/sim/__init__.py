@@ -1,4 +1,8 @@
-"""Simulators: fluid replay, packet validation, and fault injection."""
+"""Simulators: fluid replay and fault injection.
+
+The store-and-forward packet validator is a test oracle and lives in
+``tests/oracles/packet.py``.
+"""
 
 from repro.sim.churn import (
     FailureDomain,
@@ -15,15 +19,12 @@ from repro.sim.fluid import (
     simulate_fluid,
     simulate_fluid_reference,
 )
-from repro.sim.packet import PacketReport, simulate_packets
 
 __all__ = [
     "LinkStats",
     "SimulationReport",
     "simulate_fluid",
     "simulate_fluid_reference",
-    "PacketReport",
-    "simulate_packets",
     "fail_links",
     "FailureDomain",
     "FaultEvent",

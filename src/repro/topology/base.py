@@ -240,8 +240,8 @@ class Topology:
     def csr_adjacency_lists(self) -> tuple[list[int], list[int], list[int]]:
         """The CSR adjacency as plain Python int lists (cached).
 
-        Pure-Python shortest-path kernels (:func:`repro.routing.fastpath.
-        csr_dijkstra`) iterate these ~2x faster than numpy scalars.
+        Pure-Python shortest-path searches (:class:`repro.routing.fastpath.
+        FastRouter`) iterate these ~2x faster than numpy scalars.
         """
         if self._csr_lists is None:
             indptr, neighbors, edge_ids = self._compile_csr()

@@ -21,6 +21,9 @@ packetization:
 Store-and-forward necessarily adds up to ``(hops - 1) * packet_time`` of
 pipeline fill latency over the fluid finish time, so the report exposes a
 per-flow *lateness bound* against which tests assert.
+
+No replay, experiment or benchmark runs it, so it lives beside the tests
+as an oracle; they import it as ``tests.oracles.packet``.
 """
 
 from __future__ import annotations

@@ -1,18 +1,13 @@
-"""Tests for the baseline algorithms (SP+MCF and extras)."""
+"""Tests for the baseline algorithms (SP+MCF and greedy marginal routing)."""
 
 from __future__ import annotations
-
-import pytest
 
 from tests.conftest import random_flows_on
 from repro.core import (
     fractional_lower_bound,
-    full_rate_sp,
     greedy_marginal_routing,
     sp_mcf,
 )
-from repro.errors import ValidationError
-from repro.power import PowerModel
 
 
 class TestSpMcf:
@@ -73,39 +68,3 @@ class TestGreedyMarginal:
         # The shared host-access links bottleneck both routings equally
         # under EDF serialization, so spreading can only tie or win.
         assert greedy.energy.total <= sp.energy.total * (1 + 1e-9)
-
-
-class TestFullRate:
-    def test_requires_finite_capacity(self, ft4, quadratic):
-        flows = random_flows_on(ft4, 4, seed=6)
-        with pytest.raises(ValidationError):
-            full_rate_sp(flows, ft4, quadratic)
-
-    def test_costs_more_than_speed_scaling(self, ft4):
-        power = PowerModel.quadratic(capacity=20.0)
-        flows = random_flows_on(ft4, 6, seed=7)
-        race = full_rate_sp(flows, ft4, power)
-        scaled = sp_mcf(flows, ft4, power)
-        # Race-to-idle at rate C always burns more dynamic energy than the
-        # minimum-rate schedule under a superadditive power function.
-        assert race.energy.dynamic > scaled.energy.dynamic
-
-    def test_volumes_delivered(self, ft4):
-        power = PowerModel.quadratic(capacity=20.0)
-        flows = random_flows_on(ft4, 6, seed=8)
-        race = full_rate_sp(flows, ft4, power)
-        for flow in flows:
-            assert race.schedule[flow.id].transmitted == pytest.approx(
-                flow.size, rel=1e-6
-            )
-
-    def test_impossible_deadline_rejected(self, ft4):
-        from repro.flows import Flow, FlowSet
-
-        power = PowerModel.quadratic(capacity=1.0)
-        h = ft4.hosts
-        flows = FlowSet(
-            [Flow(id=1, src=h[0], dst=h[1], size=10.0, release=0, deadline=1)]
-        )
-        with pytest.raises(ValidationError):
-            full_rate_sp(flows, ft4, power)

@@ -202,19 +202,6 @@ class TestArrayRoundingPinned:
                         value, abs=1e-12
                     )
 
-    def test_deterministic_mode_identical(self, relaxed):
-        from repro.core import (
-            round_schedule_deterministic,
-            round_schedule_deterministic_reference,
-        )
-
-        flows, relaxation = relaxed
-        array_schedule, _ = round_schedule_deterministic(flows, relaxation)
-        ref_schedule, _ = round_schedule_deterministic_reference(
-            flows, relaxation
-        )
-        assert array_schedule.paths() == ref_schedule.paths()
-
 
 class TestQualitativeShape:
     def test_rs_beats_sp_mcf_on_paper_workload(self, quadratic):

@@ -14,59 +14,11 @@ from repro.experiments import (
     figure2_table,
     lambda_ablation,
     rounding_ablation,
-    run_comparison,
     run_figure2,
     sigma_ablation,
     topology_ablation,
 )
-from repro.flows import paper_workload
 from repro.power import PowerModel
-
-
-class TestRunComparison:
-    def test_point_structure(self, ft4, quadratic):
-        point = run_comparison(
-            ft4,
-            quadratic,
-            workload_factory=lambda seed: paper_workload(
-                ft4, 10, horizon=(0.0, 20.0), seed=seed
-            ),
-            label="10",
-            runs=2,
-        )
-        assert point.runs == 2
-        assert len(point.ratios["RS"]) == 2
-        assert len(point.ratios["SP+MCF"]) == 2
-        assert point.mean_ratio("RS") >= 1.0 - 1e-9
-        assert point.std_ratio("RS") >= 0.0
-
-    def test_extra_algorithms(self, ft4, quadratic):
-        from repro.core import greedy_marginal_routing
-
-        point = run_comparison(
-            ft4,
-            quadratic,
-            workload_factory=lambda seed: paper_workload(
-                ft4, 8, horizon=(0.0, 20.0), seed=seed
-            ),
-            label="8",
-            runs=1,
-            algorithms={
-                "Greedy": lambda f, t, p: greedy_marginal_routing(
-                    f, t, p
-                ).energy.total
-            },
-        )
-        assert "Greedy" in point.ratios
-        assert point.mean_ratio("Greedy") >= 1.0 - 1e-9
-
-    def test_runs_validated(self, ft4, quadratic):
-        with pytest.raises(ValidationError):
-            run_comparison(
-                ft4, quadratic,
-                workload_factory=lambda seed: paper_workload(ft4, 4, seed=seed),
-                label="x", runs=0,
-            )
 
 
 class TestFigure2:
@@ -88,6 +40,10 @@ class TestFigure2:
         sp = result.series("SP+MCF")
         assert all(r >= 1.0 - 1e-9 for r in rs)
         assert all(s >= 1.0 - 1e-9 for s in sp)
+
+    def test_runs_validated(self):
+        with pytest.raises(ValidationError):
+            run_figure2(flow_counts=(4,), runs=0, fat_tree_k=4)
 
     def test_table_rendering(self):
         result = run_figure2(

@@ -2,11 +2,11 @@
 
 Two load-bearing pins:
 
-* routing equivalence — :func:`csr_dijkstra` (the early-terminating heap
-  kernel behind :func:`marginal_route`) and :class:`FastRouter` (the
-  bidirectional, cache-seeded hot path) must return paths of *equal cost*
-  to the :func:`networkx.dijkstra_path` reference on random
-  jellyfish/fat-tree topologies under random positive marginals;
+* routing equivalence — :class:`FastRouter` (the bidirectional,
+  cache-seeded router every marginal-cost consumer uses) must return
+  paths of *equal cost* to :func:`marginal_route_reference` (the
+  :func:`networkx.dijkstra_path` oracle) on random jellyfish/fat-tree
+  topologies under random positive marginals;
 * ledger exactness — :class:`LoadLedger` must reproduce, bit-for-bit up
   to float tolerance, the from-scratch load rebuild via per-edge
   :class:`PiecewiseConstant` profiles that :mod:`repro.core.online` used
@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from repro.errors import TopologyError, ValidationError
 from repro.flows import Flow
 from repro.power import PowerModel
-from repro.routing.fastpath import FastRouter, LoadLedger, csr_dijkstra
-from repro.routing.paths import marginal_route, marginal_route_reference
+from repro.routing.fastpath import FastRouter, LoadLedger
+from repro.routing.paths import marginal_route_reference
 from repro.scheduling import FlowSchedule, Segment
 from repro.scheduling.timeline import PiecewiseConstant
 from repro.topology import build_topology, fat_tree
@@ -48,64 +48,6 @@ def path_cost(topology, path, marginal) -> float:
     return float(
         sum(marginal[topology.edge_id(e)] for e in path_edges(path))
     )
-
-
-class TestCsrDijkstraEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        topo_index=st.integers(0, len(TOPOLOGIES) - 1),
-        weight_seed=st.integers(0, 2**31 - 1),
-        pair_seed=st.integers(0, 2**31 - 1),
-    )
-    def test_equal_cost_to_networkx(self, topo_index, weight_seed, pair_seed):
-        topology = TOPOLOGIES[topo_index]
-        rng = np.random.default_rng(weight_seed)
-        marginal = rng.uniform(1e-3, 10.0, topology.num_edges)
-        hosts = topology.hosts
-        pick = np.random.default_rng(pair_seed)
-        src_i, dst_i = pick.choice(len(hosts), size=2, replace=False)
-        src, dst = hosts[int(src_i)], hosts[int(dst_i)]
-
-        fast = csr_dijkstra(topology, src, dst, marginal)
-        reference = marginal_route_reference(topology, src, dst, marginal)
-        topology.validate_path(fast, src, dst)
-        assert path_cost(topology, fast, marginal) == pytest.approx(
-            path_cost(topology, reference, marginal), rel=1e-9
-        )
-
-    def test_marginal_route_dispatches_to_csr(self, ft4):
-        h = ft4.hosts
-        marginal = np.full(ft4.num_edges, 1.0)
-        assert marginal_route(ft4, h[0], h[-1], marginal) == csr_dijkstra(
-            ft4, h[0], h[-1], marginal
-        )
-
-    def test_equal_endpoints_rejected(self, ft4):
-        marginal = np.ones(ft4.num_edges)
-        with pytest.raises(TopologyError):
-            csr_dijkstra(ft4, ft4.hosts[0], ft4.hosts[0], marginal)
-
-    def test_unknown_endpoint_rejected(self, ft4):
-        with pytest.raises(TopologyError):
-            csr_dijkstra(ft4, ft4.hosts[0], "nope", np.ones(ft4.num_edges))
-
-    def test_wrong_marginal_shape_rejected(self, ft4):
-        h = ft4.hosts
-        with pytest.raises(ValidationError):
-            csr_dijkstra(ft4, h[0], h[1], np.ones(3))
-
-    def test_disconnected_raises(self):
-        topo = build_topology(
-            [("a", "b"), ("c", "d")], hosts=["a", "b", "c", "d"]
-        )
-        with pytest.raises(TopologyError, match="no path"):
-            csr_dijkstra(topo, "a", "c", np.ones(topo.num_edges))
-
-    def test_routes_through_degree2_hosts(self, line3):
-        # Hosts with degree > 1 are legitimate transit nodes (the leaf
-        # skip must only prune degree-1 nodes).
-        marginal = np.ones(line3.num_edges)
-        assert csr_dijkstra(line3, "n0", "n2", marginal) == ("n0", "n1", "n2")
 
 
 class TestFastRouterEquivalence:
@@ -235,6 +177,31 @@ class TestFastRouterEquivalence:
         router.set_marginal(np.ones(topo.num_edges))
         with pytest.raises(TopologyError, match="no path"):
             router.route("a", "c")
+
+    def test_equal_endpoints_rejected(self, ft4):
+        router = FastRouter(ft4)
+        router.set_marginal(np.ones(ft4.num_edges))
+        with pytest.raises(TopologyError):
+            router.route(ft4.hosts[0], ft4.hosts[0])
+
+    def test_unknown_endpoint_rejected(self, ft4):
+        router = FastRouter(ft4)
+        router.set_marginal(np.ones(ft4.num_edges))
+        with pytest.raises(TopologyError):
+            router.route(ft4.hosts[0], "nope")
+
+    def test_wrong_marginal_shape_rejected(self, ft4):
+        router = FastRouter(ft4)
+        with pytest.raises(ValidationError):
+            router.set_marginal(np.ones(3))
+
+    def test_routes_through_degree2_hosts(self, line3):
+        # Hosts with degree > 1 are legitimate transit nodes (the leaf
+        # skip must only prune degree-1 nodes).
+        router = FastRouter(line3)
+        router.set_marginal(np.ones(line3.num_edges))
+        path, _ = router.route("n0", "n2")
+        assert path == ("n0", "n1", "n2")
 
 
 def ledger_reference(topology, commits, start, end):

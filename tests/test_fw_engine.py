@@ -15,8 +15,8 @@ across random jellyfish/fat-tree instances, cold and warm:
   non-finite background is a ``ValidationError`` at every entry point;
 * the :class:`RelaxationSession` interval sweep (commodity-set diffs)
   matches the reference's dict warm-start chain;
-* the array path-flow consumers (``ArrayPathFlows``,
-  ``decompose_solution``) agree with the nested-dict representation.
+* the array path-flow view (``ArrayPathFlows``) agrees with the
+  nested-dict representation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.routing import (
     FrankWolfeSolver,
     FrankWolfeSolverReference,
     RelaxationSession,
-    decompose_solution,
     envelope_cost,
 )
 from repro.topology import build_topology, fat_tree
@@ -270,24 +269,6 @@ class TestInfeasibility:
 
 
 class TestArrayConsumers:
-    def test_decompose_solution_array_and_dict_agree(self):
-        topology = make_topology("fat_tree", 0)
-        new, ref = make_pair(topology, PowerModel.quadratic())
-        commodities = make_commodities(topology, 5, 21)
-        a = new.solve(commodities)
-        b = ref.solve(commodities)
-        for commodity in commodities:
-            array_paths = decompose_solution(a, commodity.id)
-            dict_paths = decompose_solution(b, commodity.id)
-            assert sum(w for _, w in array_paths) == pytest.approx(
-                commodity.demand
-            )
-            assert sum(w for _, w in dict_paths) == pytest.approx(
-                commodity.demand
-            )
-            for path, _ in array_paths:
-                topology.validate_path(path, commodity.src, commodity.dst)
-
     def test_rows_for_and_path_fractions(self):
         topology = make_topology("jellyfish", 4)
         new, _ = make_pair(topology, PowerModel.quadratic())

@@ -1,11 +1,11 @@
-"""Tests for the ASCII Gantt and sparkline renderers."""
+"""Tests for the ASCII link-sparkline renderer."""
 
 from __future__ import annotations
 
 import pytest
 
 from tests.conftest import random_flows_on
-from repro.analysis import render_gantt, render_link_sparklines
+from repro.analysis import render_link_sparklines
 from repro.core import sp_mcf
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
@@ -21,39 +21,6 @@ def simple_schedule():
             )
         ]
     )
-
-
-class TestGantt:
-    def test_contains_flow_rows(self):
-        text = render_gantt(simple_schedule(), horizon=(0, 6), width=60)
-        assert "f " in text or " f" in text
-        assert "[" in text and "]" in text and "#" in text
-
-    def test_segment_marks_inside_span(self):
-        text = render_gantt(simple_schedule(), horizon=(0, 6), width=60)
-        row = [l for l in text.splitlines() if "#" in l][0]
-        first_hash = row.index("#")
-        bracket = row.index("[")
-        assert first_hash >= bracket
-
-    def test_default_horizon(self):
-        text = render_gantt(simple_schedule())
-        assert "#" in text
-
-    def test_real_schedule_renders_all_flows(self, ft4, quadratic):
-        flows = random_flows_on(ft4, 6, seed=0)
-        result = sp_mcf(flows, ft4, quadratic)
-        text = render_gantt(result.schedule, horizon=flows.horizon)
-        # One axis line + one row per flow.
-        assert len(text.splitlines()) == len(flows) + 1
-
-    def test_width_validated(self):
-        with pytest.raises(ValidationError):
-            render_gantt(simple_schedule(), width=5)
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValidationError):
-            render_gantt(simple_schedule(), horizon=(3, 3))
 
 
 class TestSparklines:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import random_flows_on
+from tests.oracles.packet import simulate_packets
 from repro.core import solve_dcfsr, sp_mcf
 from repro.flows import incast, paper_workload, shuffle
 from repro.power import PowerModel
-from repro.sim import simulate_fluid, simulate_packets
+from repro.sim import simulate_fluid
 from repro.topology import bcube, fat_tree, jellyfish, leaf_spine, vl2
 
 

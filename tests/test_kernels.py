@@ -10,8 +10,6 @@ too, on machines without numba.  This suite covers:
 * the registry: resolution order, env var, explicit override, the
   single :class:`KernelFallbackWarning` when ``compiled`` is requested
   without numba, and identical results on the fallback path;
-* ``csr_dijkstra``: kernel paths bit-identical to the Python heap loop
-  on tie-heavy fixed instances and under a Hypothesis sweep;
 * the incremental shortest-path tree: ``spt_repair`` after weight
   perturbations equals a cold ``spt_tree`` recompute exactly, and the
   repaired tree stays internally consistent;
@@ -49,7 +47,6 @@ from repro.routing import (
     RelaxationSession,
     envelope_cost,
 )
-from repro.routing.fastpath import csr_dijkstra
 from repro.scheduling import EdfJob, edf_schedule
 from repro.scheduling.edf import (
     edf_schedule_arrays,
@@ -172,72 +169,8 @@ class TestRegistry:
             EdfJob(f"j{i}", i % 7, 40.0 + i, 0.5) for i in range(60)
         ]
         fallback_schedule = edf_schedule(jobs)
-        topology = fat_tree(4)
-        hosts = topology.hosts
-        marginal = np.linspace(0.5, 1.5, topology.num_edges)
-        fallback_path = csr_dijkstra(topology, hosts[0], hosts[-1], marginal)
         kernels.set_backend("python")
         assert edf_schedule(jobs) == fallback_schedule
-        assert csr_dijkstra(topology, hosts[0], hosts[-1], marginal) == (
-            fallback_path
-        )
-
-
-# ----------------------------------------------------------------------
-# Dijkstra kernel
-# ----------------------------------------------------------------------
-class TestDijkstraKernel:
-    def _pairs(self, topology, n, seed):
-        rng = np.random.default_rng(seed)
-        hosts = topology.hosts
-        out = []
-        for _ in range(n):
-            a, b = rng.choice(len(hosts), size=2, replace=False)
-            out.append((hosts[int(a)], hosts[int(b)]))
-        return out
-
-    @pytest.mark.parametrize("kind", ["fat_tree", "jellyfish"])
-    def test_tieheavy_paths_bit_identical(self, kind):
-        """Quantized weights force many equal-cost paths; the kernel's
-        heap tie-breaks must reproduce the Python loop's exactly."""
-        topology = make_topology(kind, seed=3)
-        rng = np.random.default_rng(9)
-        marginal = rng.integers(1, 5, topology.num_edges) / 4.0
-        pairs = self._pairs(topology, 12, seed=4)
-        kernels.set_backend("python")
-        want = [csr_dijkstra(topology, s, d, marginal) for s, d in pairs]
-        kernels.set_backend("interpreted")
-        got = [csr_dijkstra(topology, s, d, marginal) for s, d in pairs]
-        assert got == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_hypothesis_pin(self, data):
-        topology = _HYPO_TOPOLOGY
-        ne = topology.num_edges
-        marginal = (
-            np.array(
-                data.draw(
-                    st.lists(
-                        st.integers(0, 32), min_size=ne, max_size=ne
-                    )
-                )
-            )
-            / 8.0
-        )
-        hosts = topology.hosts
-        a = data.draw(st.integers(0, len(hosts) - 1))
-        b = data.draw(st.integers(0, len(hosts) - 2))
-        if b >= a:
-            b += 1
-        kernels.set_backend("python")
-        want = csr_dijkstra(topology, hosts[a], hosts[b], marginal)
-        kernels.set_backend("interpreted")
-        assert csr_dijkstra(topology, hosts[a], hosts[b], marginal) == want
-        kernels.reset_backend()
-
-
-_HYPO_TOPOLOGY = jellyfish(10, 3, hosts_per_switch=2, seed=1)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""Tests for path enumeration utilities (k-shortest, ECMP)."""
+"""Tests for path enumeration utilities (k-shortest paths)."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
-from tests.conftest import random_flows_on
 from repro.errors import TopologyError, ValidationError
-from repro.routing import ecmp_paths, ecmp_route, k_shortest_paths
-from repro.topology import build_topology, fat_tree, line
+from repro.routing import k_shortest_paths
+from repro.topology import build_topology
 
 
 class TestKShortest:
@@ -68,87 +67,3 @@ class TestKShortest:
         h = ft4.hosts
         with pytest.raises(TopologyError, match="within 1 hops"):
             k_shortest_paths(ft4, h[0], h[-1], k=3, max_hops=1)
-
-
-class TestEcmp:
-    def test_group_is_all_min_hop_paths(self, ft4):
-        h = ft4.hosts
-        group = ecmp_paths(ft4, h[0], h[-1])
-        assert len(group) == 4  # inter-pod: k^2/4 core routes
-        hops = {len(p) - 1 for p in group}
-        assert hops == {6}
-
-    def test_same_rack_single_path(self, ft4):
-        h = ft4.hosts
-        group = ecmp_paths(ft4, h[0], h[1])  # same edge switch
-        assert len(group) == 1
-
-    def test_route_spreads_flows(self, ft4):
-        flows = random_flows_on(ft4, 30, seed=1)
-        routes = ecmp_route(flows, ft4, seed=1)
-        assert set(routes) == {f.id for f in flows}
-        for flow in flows:
-            ft4.validate_path(routes[flow.id], flow.src, flow.dst)
-
-    def test_route_deterministic(self, ft4):
-        flows = random_flows_on(ft4, 10, seed=2)
-        assert ecmp_route(flows, ft4, seed=5) == ecmp_route(flows, ft4, seed=5)
-
-    def test_different_seeds_differ(self, ft4):
-        from repro.flows import Flow, FlowSet
-
-        h = ft4.hosts
-        flows = FlowSet(
-            Flow(id=i, src=h[0], dst=h[-1], size=1.0, release=0, deadline=1)
-            for i in range(16)
-        )
-        a = ecmp_route(flows, ft4, seed=1)
-        b = ecmp_route(flows, ft4, seed=2)
-        assert a != b
-
-    def test_singleton_groups_consume_no_rng_draw(self, ft4):
-        """Adding a single-path (same-rack) flow ahead of multipath flows
-        must not reshuffle the multipath flows' choices — singleton ECMP
-        groups have nothing to draw for."""
-        from repro.flows import Flow, FlowSet
-
-        h = ft4.hosts
-        multi = [
-            Flow(id=i, src=h[0], dst=h[-1], size=1.0, release=0, deadline=1)
-            for i in range(1, 9)
-        ]
-        single = Flow(id=0, src=h[0], dst=h[1], size=1.0, release=0, deadline=1)
-        base = ecmp_route(FlowSet(multi), ft4, seed=9)
-        grown = ecmp_route(FlowSet([single] + multi), ft4, seed=9)
-        assert len(ecmp_paths(ft4, h[0], h[1])) == 1  # same-rack: one path
-        for flow in multi:
-            assert grown[flow.id] == base[flow.id]
-
-
-class TestEcmpMcfBaseline:
-    def test_feasible_and_bounded(self, ft4, quadratic):
-        from repro.core import ecmp_mcf, fractional_lower_bound
-
-        flows = random_flows_on(ft4, 10, seed=3)
-        result = ecmp_mcf(flows, ft4, quadratic, seed=3)
-        assert result.name == "ECMP+MCF"
-        assert result.schedule.verify(flows, ft4, quadratic).deadline_feasible
-        lb = fractional_lower_bound(flows, ft4, quadratic)
-        assert result.energy.total >= lb * (1 - 1e-9)
-
-    def test_usually_beats_sp_on_hotspot(self, quadratic):
-        """Many same-pair flows: hashing across the ECMP group must beat
-        stacking them all on the single deterministic shortest path."""
-        from repro.core import ecmp_mcf, sp_mcf
-        from repro.flows import Flow, FlowSet
-
-        topo = fat_tree(4)
-        h = topo.hosts
-        flows = FlowSet(
-            Flow(id=i, src=h[0], dst=h[-1], size=5.0, release=float(i),
-                 deadline=float(i) + 2.0)
-            for i in range(8)
-        )
-        ecmp = ecmp_mcf(flows, topo, quadratic, seed=0)
-        sp = sp_mcf(flows, topo, quadratic)
-        assert ecmp.energy.total <= sp.energy.total * (1 + 1e-9)

@@ -34,10 +34,9 @@ from hypothesis import strategies as st
 from tests.conftest import dyadic_ft4_flows, random_flows_on
 from repro.core import solve_dcfs, solve_dcfs_reference, solve_dcfsr, sp_mcf
 from repro.errors import InfeasibleError, ValidationError
-from repro.experiments.harness import run_comparison
+from repro.experiments.figure2 import run_figure2
 from repro.experiments.parallel import parallel_map
 from repro.flows import FlowSet
-from repro.flows.workloads import paper_workload
 from repro.power import PowerModel
 from repro.scheduling import (
     PiecewiseConstant,
@@ -467,14 +466,13 @@ class TestParallelHarness:
         with pytest.raises(ValidationError):
             parallel_map(lambda x: x, [1], jobs=0)
 
-    def test_run_comparison_parallel_is_deterministic(self, ft4, quadratic):
-        def factory(seed):
-            return paper_workload(ft4, 8, seed=seed)
+    def test_figure2_parallel_is_deterministic(self):
+        """Figure 2 and the ablations fan their (point, run) grid out with
+        ``grouped_map``; the pool must regroup it to the serial result."""
+        def panel(jobs):
+            return run_figure2(
+                alpha=2.0, flow_counts=(8, 12), runs=2, fat_tree_k=4,
+                jobs=jobs,
+            )
 
-        serial = run_comparison(
-            ft4, quadratic, factory, label="p", runs=2, jobs=1
-        )
-        parallel = run_comparison(
-            ft4, quadratic, factory, label="p", runs=2, jobs=2
-        )
-        assert serial.ratios == parallel.ratios
+        assert panel(jobs=2) == panel(jobs=1)

@@ -512,6 +512,8 @@ _BAD_SERVICE_SETTINGS = {
     "checkpoint-negative": {"checkpoint_every": -2},
     "checkpoint-fractional": {"checkpoint_every": 1.5},
     "budget-nan": {"per_window_s": float("nan")},
+    "in-flight-nan": {"max_in_flight": float("nan")},
+    "in-flight-fractional": {"max_in_flight": 1.5},
 }
 
 
@@ -523,7 +525,7 @@ class TestSettingsValidation:
         kwargs = dict(_BAD_SERVICE_SETTINGS[case])
         before = _live_children()
         with pytest.raises(ValidationError):
-            if "per_window_s" in kwargs:
+            if kwargs.keys() & {"per_window_s", "max_in_flight"}:
                 kwargs = {"budget": SolveBudget(**kwargs)}
             ReplayService(
                 ft4, quadratic, window=1.0, num_shards=2, **kwargs

@@ -7,11 +7,11 @@ import math
 import pytest
 
 from tests.conftest import random_flows_on
+from tests.oracles.packet import simulate_packets
 from repro.core import solve_dcfsr, sp_mcf
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
 from repro.scheduling import FlowSchedule, Schedule, Segment
-from repro.sim import simulate_packets
 
 
 def single_flow_schedule(size=4.0, rate=2.0, hops=2):
