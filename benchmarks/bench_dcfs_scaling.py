@@ -2,14 +2,15 @@
 
 Times the DCFS solver (the paper bounds it by O(n^2 |V|)) on the paper's
 fat-tree with shortest-path routing at increasing flow counts.  The
-incremental engine (DESIGN.md Sections 8 and 17) makes the 400- and
+incremental engine (DESIGN.md Sections 8, 17 and 22) makes the 400- and
 800-flow sizes routine; the speedup test pins it against the retained
 pure-Python ``solve_dcfs_reference`` on the largest instance, times route
 construction on its own (``paths_s``), and records both in
-``BENCH_dcfs_scaling.json``.  The cutoff test measures where the
-critical-interval list enumeration stops beating the NumPy grid, on the
-link scores of Epoch-DCFS replay windows — the measurement
-``repro.scheduling.yds._SCALAR_CUTOFF`` is set from.
+``BENCH_dcfs_scaling.json``.  The cutoff test measures where scoring a
+batch of links one by one with the critical-interval list enumeration
+stops beating one batched NumPy grid pass, on the batches Epoch-DCFS
+replay windows re-score together: the measurement
+``repro.scheduling.yds._BATCH_WORK_CUTOFF`` is set from.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import repro.core.dcfs as dcfs_module
 import repro.scheduling.yds as yds_module
 from record import record_bench
 from repro.core import solve_dcfs, solve_dcfs_reference
-from repro.errors import InfeasibleError
 from repro.flows import FlowSet, paper_workload
 from repro.power import PowerModel
 from repro.scheduling.timeline import BlockedTimeline
@@ -106,34 +106,34 @@ def test_speedup_vs_reference_and_record(capsys):
         assert speedup >= 3.0
 
 
-def _replay_link_scores(windows: int = 40, seed: int = 2):
-    """Every critical-interval call Epoch-DCFS makes on ``windows`` windows
-    of the replay benchmark's ``dcfs-epoch`` trace, grouped by job count.
+def _replay_batches(windows: int = 40, seed: int = 2):
+    """Every batch of links Epoch-DCFS scores on ``windows`` windows of
+    the replay benchmark's ``dcfs-epoch`` trace: each window's first
+    batch (every link) and each round's re-scored links.
 
     Epoch-DCFS solves each 0.5 s window as a fresh instance (blind to the
     committed background), so solving the windows directly makes exactly
-    the replay's calls.  Each entry is ``(release, deadline, work,
-    blocked)`` with the timeline copied as it stood at the call.
+    the replay's calls.  Each batch is a list of ``(release, deadline,
+    work, blocked)`` tuples with the timelines copied as they stood.
     """
     spec = TraceSpec(
         arrivals=PoissonProcess(200.0), duration=windows * 0.5, seed=seed
     )
     flows = list(generate_trace(TOPOLOGY, spec))
-    calls: dict[int, list] = defaultdict(list)
-    score = dcfs_module.critical_interval_arrays
+    batches = []
+    score = dcfs_module.critical_interval_batch
 
-    def capture(release, deadline, work, blocked=None):
-        copied = None
-        if blocked is not None:
-            copied = BlockedTimeline()
-            copied.add_many(blocked.segments())
-        calls[len(deadline)].append(
-            (list(release), list(deadline), list(work), copied)
-        )
-        return score(release, deadline, work, blocked)
+    def capture(links):
+        copied = []
+        for release, deadline, work, blocked in links:
+            timeline = BlockedTimeline()
+            timeline.add_many(blocked.segments())
+            copied.append((list(release), list(deadline), list(work), timeline))
+        batches.append(copied)
+        return score(links)
 
     t0 = flows[0].release
-    dcfs_module.critical_interval_arrays = capture
+    dcfs_module.critical_interval_batch = capture
     try:
         for k in range(windows):
             lo, hi = t0 + 0.5 * k, t0 + 0.5 * (k + 1)
@@ -145,77 +145,92 @@ def _replay_link_scores(windows: int = 40, seed: int = 2):
                 }
                 solve_dcfs(window_set, TOPOLOGY, paths, POWER)
     finally:
-        dcfs_module.critical_interval_arrays = score
-    return calls
+        dcfs_module.critical_interval_batch = score
+    return batches
 
 
-def _time_per_call(calls, cutoff: int, repeats: int = 5) -> float:
-    """Best-of-``repeats`` mean seconds per call with the given cutoff."""
-    saved = yds_module._SCALAR_CUTOFF
-    yds_module._SCALAR_CUTOFF = cutoff
-    try:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for release, deadline, work, blocked in calls:
-                try:
-                    yds_module.critical_interval_arrays(
-                        release, deadline, work, blocked
-                    )
-                except InfeasibleError:  # overlap-mode inputs
-                    pass
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        yds_module._SCALAR_CUTOFF = saved
-    return best / len(calls)
+def _batch_work(batch) -> int:
+    return sum(len(deadline) ** 2 for _, deadline, _, _ in batch)
 
 
-def test_scalar_cutoff_crossover(capsys):
-    """List enumeration vs NumPy grid per job count, on replay link scores.
+def _time_per_batch(batches, cutoffs, repeats: int = 7) -> list[float]:
+    """Best-of-``repeats`` mean seconds per ``critical_interval_batch``
+    call under each work cutoff (0 forces the batched grid, a huge one
+    the list enumeration).
 
-    Records, per job count, the mean call time of each path and their
-    ratio, and the largest job count up to which the lists win at every
-    size (the cutoff's measured value).  Informational: host noise makes
-    a timing gate flaky, so nothing is asserted about the ratios.
+    The cutoffs take turns within every repeat, so a host that changes
+    speed mid-run slows both alike.
     """
-    calls = _replay_link_scores()
-    total = sum(len(group) for group in calls.values())
+    saved = yds_module._BATCH_WORK_CUTOFF
+    best = [float("inf")] * len(cutoffs)
+    try:
+        for _ in range(repeats):
+            for k, cutoff in enumerate(cutoffs):
+                yds_module._BATCH_WORK_CUTOFF = cutoff
+                t0 = time.perf_counter()
+                for batch in batches:
+                    yds_module.critical_interval_batch(batch)
+                best[k] = min(best[k], time.perf_counter() - t0)
+    finally:
+        yds_module._BATCH_WORK_CUTOFF = saved
+    return [b / len(batches) for b in best]
+
+
+def test_batch_cutoff_crossover(capsys):
+    """List enumeration vs one batched grid pass, by batch work.
+
+    Groups the captured batches by their work (summed squared job
+    counts) into power-of-two bins and records, per bin, the mean time
+    of scoring a batch link by link with the lists and in the batched
+    grid (its largest links alone where padding to them would not pay),
+    and the smallest bin bound from which the grid wins in every larger
+    bin (the measurement ``repro.scheduling.yds._BATCH_WORK_CUTOFF`` is
+    set from).  Informational: host noise makes a timing gate flaky, so
+    nothing is asserted about the ratios.
+    """
+    batches = _replay_batches()
+    bins: dict[int, list] = defaultdict(list)
+    for batch in batches:
+        bins[1 << max(0, (_batch_work(batch) - 1).bit_length())].append(batch)
     rows = {}
-    crossover = 1
-    for n in range(2, 21):
-        group = calls.get(n, [])[:150]
+    for bound in sorted(bins):
+        group = bins[bound][:150]
         if len(group) < 5:
             continue
-        lists = _time_per_call(group, 10**6)
-        grid = _time_per_call(group, 0)
-        rows[n] = {"lists_us": lists * 1e6, "grid_us": grid * 1e6}
-        if lists < grid and crossover == n - 1:
-            crossover = n
-    histogram = {n: len(group) / total for n, group in sorted(calls.items())}
+        lists, grid = _time_per_batch(group, (10**9, 0))
+        rows[bound] = {
+            "batches": len(bins[bound]),
+            "links_per_batch": sum(map(len, group)) / len(group),
+            "lists_us": lists * 1e6,
+            "grid_us": grid * 1e6,
+        }
+    crossover = None
+    for bound, row in sorted(rows.items(), reverse=True):
+        if row["lists_us"] < row["grid_us"]:
+            break
+        crossover = bound // 2 + 1
     path = record_bench(
-        "dcfs_scalar_cutoff",
+        "dcfs_batch_cutoff",
         seed=2,
         topology="fat_tree(8)",
         extra={
-            "scores": total,
-            "share_single_job": histogram.get(1, 0.0),
-            "share_at_most_12": sum(
-                share for n, share in histogram.items() if n <= 12
-            ),
-            "per_size": rows,
+            "batches": len(batches),
+            "per_work_bin": rows,
             "measured_crossover": crossover,
-            "configured_cutoff": yds_module._SCALAR_CUTOFF,
+            "configured_cutoff": yds_module._BATCH_WORK_CUTOFF,
         },
     )
     with capsys.disabled():
         print()
-        for n, row in rows.items():
+        for bound, row in rows.items():
             print(
-                f"n={n:2d}: lists {row['lists_us']:6.1f} us, "
-                f"grid {row['grid_us']:6.1f} us "
+                f"work <= {bound:5d} ({row['batches']:3d} batches, "
+                f"{row['links_per_batch']:5.1f} links): "
+                f"lists {row['lists_us']:7.1f} us, "
+                f"grid {row['grid_us']:7.1f} us "
                 f"({row['lists_us'] / row['grid_us']:.2f}x)"
             )
         print(
-            f"lists win up to n={crossover} "
-            f"(_SCALAR_CUTOFF={yds_module._SCALAR_CUTOFF}) -> {path}"
+            f"grid wins from work {crossover} "
+            f"(_BATCH_WORK_CUTOFF={yds_module._BATCH_WORK_CUTOFF}) -> {path}"
         )

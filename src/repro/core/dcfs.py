@@ -48,7 +48,9 @@ from repro.scheduling.schedule import FlowSchedule, Schedule, Segment
 from repro.scheduling.timeline import BlockedTimeline
 from repro.scheduling.yds import (
     YdsJob,
+    contained_indices,
     critical_interval_arrays,
+    critical_interval_batch,
     critical_interval_reference,
 )
 from repro.topology.base import Edge, Topology, path_edges
@@ -145,16 +147,17 @@ def solve_dcfs(
 ) -> DcfsResult:
     """Run Most-Critical-First on a routed instance.
 
-    This is the incremental engine (DESIGN.md Sections 8 and 17): each
-    link keeps its queued flows as parallel Python lists that shrink in
-    place as flows are scheduled, candidate critical intervals live in a
-    lazy max-heap with version-stamp invalidation, each round merges the
-    union of its EDF segments into every touched link's reservations
-    once, and only those links are re-scored (with
-    :func:`repro.scheduling.yds.critical_interval_arrays`, which takes
-    the lists as they are).  Output — rates, rounds, segments,
-    tie-breaking included — is identical to :func:`solve_dcfs_reference`,
-    which ``tests/test_perf_kernels.py`` pins.
+    This is the incremental engine (DESIGN.md Sections 8, 17 and 22):
+    each link keeps its queued flows as parallel Python lists that shrink
+    in place as flows are scheduled, candidate critical intervals live in
+    a lazy max-heap with version-stamp invalidation, each round merges
+    the union of its EDF segments into every touched link's reservations
+    once, and only those links are re-scored, all in one
+    :func:`repro.scheduling.yds.critical_interval_batch` call that takes
+    the lists as they are.  The contained flows are listed only for the
+    link a round selects.  Output — rates, rounds, segments, tie-breaking
+    included — is identical to :func:`solve_dcfs_reference`, which
+    ``tests/test_perf_kernels.py`` pins.
 
     Parameters
     ----------
@@ -203,22 +206,10 @@ def solve_dcfs(
             [virtual[f] for f in fids],
         )
 
-    # Candidate = (a, b, delta, contained_fids, overlap_mode).
-    Candidate = tuple[float, float, float, list[int | str], bool]
-
-    def link_candidate(edge: Edge) -> Candidate:
-        fids, rel, dl, wk = queue[edge]
-        try:
-            a, b, delta, contained = critical_interval_arrays(
-                rel, dl, wk, blocked[edge]
-            )
-            mode = False
-        except InfeasibleError:
-            # Cross-link reservations exhausted some span on this link;
-            # fall back to raw-time accounting (overlap mode).
-            a, b, delta, contained = critical_interval_arrays(rel, dl, wk, None)
-            mode = True
-        return (a, b, delta, [fids[i] for i in contained], mode)
+    # Candidate = (a, b, delta, count, overlap_mode): the link's critical
+    # interval [a, b] holds the first ``count`` queued flows that
+    # ``contained_indices`` lists, built only for the link a round picks.
+    Candidate = tuple[float, float, float, int, bool]
 
     # Lazy max-heap of candidates: entries are (-delta, rank, version,
     # edge); an entry is stale once the edge's version moved past the one
@@ -228,11 +219,32 @@ def solve_dcfs(
     cand: dict[Edge, Candidate] = {}
     version: dict[Edge, int] = {edge: 0 for edge in sorted_edges}
     heap: list[tuple[float, int, int, Edge]] = []
-    for edge in sorted_edges:
-        candidate = link_candidate(edge)
-        cand[edge] = candidate
-        heap.append((-candidate[2], rank[edge], 0, edge))
-    heapq.heapify(heap)
+
+    def score(edges: list[Edge]) -> None:
+        """Score ``edges`` in one batched pass and push their candidates."""
+        columns = [queue[edge] for edge in edges]
+        scores = critical_interval_batch(
+            [
+                (rel, dl, wk, blocked[edge])
+                for edge, (_fids, rel, dl, wk) in zip(edges, columns)
+            ]
+        )
+        for edge, (_fids, rel, dl, wk), scored in zip(edges, columns, scores):
+            if scored is None:
+                # Cross-link reservations exhausted some span on this
+                # link; fall back to raw-time accounting (overlap mode).
+                a, b, delta, contained = critical_interval_arrays(
+                    rel, dl, wk, None
+                )
+                candidate = (a, b, delta, len(contained), True)
+            else:
+                candidate = (*scored, False)
+            cand[edge] = candidate
+            heapq.heappush(
+                heap, (-candidate[2], rank[edge], version[edge], edge)
+            )
+
+    score(sorted_edges)
 
     rates: dict[int | str, float] = {}
     segments: dict[int | str, list[tuple[float, float]]] = {}
@@ -278,7 +290,9 @@ def solve_dcfs(
             if entry[3] != best_edge:
                 heapq.heappush(heap, entry)
 
-        a, b, delta, crit_fids, overlap_mode = best
+        a, b, delta, count, overlap_mode = best
+        fids, rel, dl, _wk = queue[best_edge]
+        crit_fids = [fids[i] for i in contained_indices(rel, dl, a, count)]
         edf_jobs = []
         for fid in crit_fids:
             rate = delta / len(flow_edges[fid]) ** (1.0 / alpha)
@@ -321,17 +335,16 @@ def solve_dcfs(
         # Invalidate and eagerly re-score touched links (re-scoring must be
         # eager: added reservations can *raise* a link's best intensity, so
         # a purely pop-time refresh would under-estimate the heap top).
+        dirty = []
         for edge, blocks in new_blocks.items():
             blocked[edge].add_many(blocks)
             version[edge] += 1
             if queue[edge][0]:
-                candidate = link_candidate(edge)
-                cand[edge] = candidate
-                heapq.heappush(
-                    heap, (-candidate[2], rank[edge], version[edge], edge)
-                )
+                dirty.append(edge)
             else:
                 cand.pop(edge, None)
+        if dirty:
+            score(dirty)
 
     flow_schedules = []
     for flow in flows:

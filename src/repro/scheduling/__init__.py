@@ -21,8 +21,10 @@ from repro.scheduling.timeline import (
 from repro.scheduling.yds import (
     YdsJob,
     YdsResult,
+    contained_indices,
     critical_interval,
     critical_interval_arrays,
+    critical_interval_batch,
     critical_interval_reference,
     yds_schedule,
 )
@@ -43,7 +45,9 @@ __all__ = [
     "YdsJob",
     "YdsResult",
     "yds_schedule",
+    "contained_indices",
     "critical_interval",
     "critical_interval_arrays",
+    "critical_interval_batch",
     "critical_interval_reference",
 ]

@@ -441,14 +441,16 @@ def _next_free_time(
     """Skip ``t`` past any blocked segment containing it.
 
     ``cursor`` is a monotone index into the sorted ``blocked`` list so the
-    sweep stays linear overall.
+    sweep stays linear overall.  Containment is exact, as in
+    :meth:`BlockedTimeline.overlap`: free time before a block is used
+    however short it is, and time inside one never is.
     """
     while cursor < len(blocked):
         start, end = blocked[cursor]
-        if end <= t + _EPS:
+        if end <= t:
             cursor += 1
             continue
-        if start <= t + _EPS:
+        if start <= t:
             return end, cursor + 1
         break
     return t, cursor
@@ -463,7 +465,7 @@ def _next_block_start(t: float, block_starts: Sequence[float]) -> float:
     ``yds_schedule`` bottleneck on single-link instances with thousands
     of jobs.
     """
-    index = bisect_right(block_starts, t + _EPS)
+    index = bisect_right(block_starts, t)
     if index < len(block_starts):
         return block_starts[index]
     return float("inf")
@@ -534,15 +536,16 @@ def edf_schedule_reference(
             releases[release_idx] if release_idx < num_pending else inf,
         )
         run_end = min(t + left, boundary)
-        if run_end <= t + _EPS:
-            # Zero-length slice (boundary coincides with t): advance past it.
-            t = boundary
-            continue
-
-        segments[job.id].append((t, run_end))
-        left -= run_end - t
-        remaining[job.id] = left
-        t = run_end
+        if run_end > t:
+            segments[job.id].append((t, run_end))
+            left -= run_end - t
+            remaining[job.id] = left
+            t = run_end
+        else:
+            # The clock cannot advance by ``left`` (below half an ulp of
+            # ``t``; the boundary always lies after ``t``): what remains is
+            # float dust, so the job is done.
+            left = 0.0
 
         if left <= _EPS:
             heappop(ready)

@@ -11,8 +11,8 @@ energy ``\\int f(x_e(t)) dt`` is computed without numerical quadrature.
 run as NumPy breakpoint/prefix-sum operations (see DESIGN.md Section 8),
 while per-slot accumulation uses unbuffered ``np.add.at`` in segment order
 so the compiled values are bit-identical to the historical per-slot Python
-loop.  :class:`BlockedTimeline` answers its scalar measure queries from
-Python lists and builds NumPy copies only for its grid query.
+loop.  :class:`BlockedTimeline` answers its measure queries from Python
+lists.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class BlockedTimeline:
 
     Used by the YDS-family algorithms to mark time already committed to
     earlier critical intervals.  Supports O(log n) overlap-measure queries
-    via prefix sums, kept as plain Python lists: the scalar queries that
-    dominate Most-Critical-First run on them directly, and the NumPy
-    copies :meth:`overlap_grid` needs are built only when it asks.
+    via prefix sums, kept as plain Python lists: the scalar queries run on
+    them directly, and the batched critical-interval grid flattens them
+    through :meth:`columns`.
     Insertion is a batched merge: only the incoming blocks are sorted,
     and :func:`merge_segments` then coalesces the two pre-sorted runs
     (timsort detects them, so the pass is O(existing + new) rather than a
@@ -95,7 +95,6 @@ class BlockedTimeline:
         self._starts: list[float] = []
         self._ends: list[float] = []
         self._prefix: list[float] = [0.0]
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def add_many(
         self, segments: Iterable[tuple[float, float]], tol: float = 1e-12
@@ -111,7 +110,6 @@ class BlockedTimeline:
         # A strictly sequential running sum, the historical loop's float
         # additions in its order.
         self._prefix = list(accumulate((e - s for s, e in merged), initial=0.0))
-        self._arrays = None
 
     def columns(self) -> tuple[list[float], list[float], list[float]]:
         """``(starts, ends, prefix)``: the merged segments' starts and ends
@@ -119,7 +117,8 @@ class BlockedTimeline:
         segments ``0..i-1``).
 
         These are the inputs of :meth:`overlap`, exposed for scorers that
-        hoist its per-``a`` half out of a loop over ``b``.  Do not mutate.
+        hoist its per-``a`` half out of a loop over ``b`` or repeat it over
+        a whole grid.  Do not mutate.
         """
         return self._starts, self._ends, self._prefix
 
@@ -139,48 +138,6 @@ class BlockedTimeline:
             total += self._prefix[hi - 1] - self._prefix[lo]
             total += max(0.0, min(ends[hi - 1], b) - max(starts[hi - 1], a))
         return total
-
-    def overlap_grid(self, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
-        """Blocked measure for every ``(a, b)`` pair of two sorted axes.
-
-        Returns a ``len(a_vals) x len(b_vals)`` matrix whose ``[i, j]``
-        entry equals ``overlap(a_vals[i], b_vals[j])`` bit for bit for
-        every pair with ``b > a`` (entries with ``b <= a`` are not
-        meaningful and must be masked by the caller).  This is the
-        availability kernel of the vectorized critical-interval search.
-        """
-        a_vals = np.asarray(a_vals, dtype=float)
-        b_vals = np.asarray(b_vals, dtype=float)
-        if not self._segments:
-            return np.zeros((a_vals.size, b_vals.size))
-        if self._arrays is None:
-            self._arrays = (
-                np.array(self._starts, dtype=float),
-                np.array(self._ends, dtype=float),
-                np.array(self._prefix, dtype=float),
-            )
-        starts, ends, prefix = self._arrays
-        lo = np.searchsorted(starts, a_vals, side="left")
-        prev = np.maximum(lo, 1) - 1
-        head = np.where(
-            (lo > 0)[:, None],
-            np.maximum(
-                0.0,
-                np.minimum(ends[prev][:, None], b_vals[None, :])
-                - np.maximum(starts[prev], a_vals)[:, None],
-            ),
-            0.0,
-        )
-        his = np.searchsorted(starts, b_vals, side="left")
-        inside = his[None, :] > lo[:, None]
-        last = np.maximum(his, 1) - 1
-        bulk = prefix[last][None, :] - prefix[lo][:, None]
-        tail = np.maximum(
-            0.0,
-            np.minimum(ends[last][None, :], b_vals[None, :])
-            - np.maximum(starts[last][None, :], a_vals[:, None]),
-        )
-        return np.where(inside, (head + bulk) + tail, head)
 
     def available(self, a: float, b: float) -> float:
         """Non-blocked measure of ``[a, b]`` (the paper's ``a ~ b``)."""

@@ -76,6 +76,18 @@ class TestBasics:
         with pytest.raises(ValidationError):
             EdfJob("a", 0, 5, 0)
 
+    def test_sub_eps_gap_before_a_block_is_used(self):
+        """A free gap of 1e-9 s before a reservation is available time,
+        as the critical-interval scorer counts it.  Skipping it left
+        ~1e-9 of work that could follow no block, and the scalar engine
+        then looped forever instead of finishing."""
+        blocked = [(2e-09, 3.3311739721768316), (8.320253573934155, 12.0)]
+        job = EdfJob(3, 1e-09, 8.807427728371055, 4.989079602757323)
+        out = edf_schedule_reference([job], blocked=blocked)
+        assert out[3] == [(1e-09, 2e-09), (3.3311739721768316, out[3][1][1])]
+        assert out[3][1][1] <= 8.320253573934155
+        assert total(out[3]) == pytest.approx(job.duration, abs=1e-9)
+
 
 class TestInfeasibility:
     def test_overfull_window(self):

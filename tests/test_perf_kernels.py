@@ -4,10 +4,11 @@ Every fast path introduced by the array-native offline core keeps its
 pure-Python predecessor as a ``*_reference`` sibling; these tests prove
 the pairs interchangeable:
 
-* ``critical_interval`` (grid + scalar cutoff) vs the brute-force
+* ``critical_interval`` (grid + list enumeration) vs the brute-force
   enumeration ``critical_interval_reference``, including infeasibility
-  behavior, on Hypothesis-generated job sets with random blocked time;
-* ``BlockedTimeline.overlap_grid`` vs the scalar ``overlap``;
+  behavior, on Hypothesis-generated job sets with random blocked time,
+  and ``critical_interval_batch`` vs the reference link by link on
+  Hypothesis-generated batches of links;
 * the ``np.add.at`` compile of ``PiecewiseConstant`` vs a per-slot
   Python reference, and ``integrate_power`` vs
   ``integrate(dynamic_power)``;
@@ -26,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +41,9 @@ from repro.power import PowerModel
 from repro.scheduling import (
     PiecewiseConstant,
     YdsJob,
+    contained_indices,
     critical_interval,
+    critical_interval_batch,
     critical_interval_reference,
 )
 from repro.scheduling.timeline import BlockedTimeline
@@ -94,19 +96,25 @@ def _outcome(fn, *args):
 
 
 @contextmanager
-def _kernel_tuning(scalar_cutoff=None, chunk_cells=None):
-    """Temporarily retune the vectorized kernel's dispatch thresholds."""
+def _kernel_tuning(work_cutoff=None, chunk_cells=None, pad_limit=None):
+    """Temporarily retune the vectorized kernel's dispatch thresholds.
+
+    ``work_cutoff=0`` sends every batch of links (and every single job
+    set) to the batched NumPy grid; a huge one sends every link to the
+    list enumeration.
+    """
     import repro.scheduling.yds as yds_module
 
-    saved = (yds_module._SCALAR_CUTOFF, yds_module._GRID_CHUNK_CELLS)
+    names = ("_BATCH_WORK_CUTOFF", "_GRID_CHUNK_CELLS", "_PAD_LIMIT")
+    saved = [getattr(yds_module, name) for name in names]
     try:
-        if scalar_cutoff is not None:
-            yds_module._SCALAR_CUTOFF = scalar_cutoff
-        if chunk_cells is not None:
-            yds_module._GRID_CHUNK_CELLS = chunk_cells
+        for name, value in zip(names, (work_cutoff, chunk_cells, pad_limit)):
+            if value is not None:
+                setattr(yds_module, name, value)
         yield
     finally:
-        yds_module._SCALAR_CUTOFF, yds_module._GRID_CHUNK_CELLS = saved
+        for name, value in zip(names, saved):
+            setattr(yds_module, name, value)
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +135,8 @@ class TestCriticalIntervalPinning:
     @settings(max_examples=40, deadline=None)
     @given(job_sets(max_jobs=8), blocked_timelines())
     def test_grid_path_matches_on_small_inputs(self, jobs, blocked):
-        """Force the 2D grid kernel (bypassing the scalar cutoff)."""
-        with _kernel_tuning(scalar_cutoff=0):
+        """Force the 2D grid kernel (bypassing the work cutoff)."""
+        with _kernel_tuning(work_cutoff=0):
             ref, ref_exc = _outcome(critical_interval_reference, jobs, blocked)
             fast, fast_exc = _outcome(critical_interval, jobs, blocked)
         assert ref_exc == fast_exc
@@ -140,7 +148,7 @@ class TestCriticalIntervalPinning:
     @given(job_sets(max_jobs=10), blocked_timelines())
     def test_chunked_grid_matches(self, jobs, blocked):
         """Tiny chunk budget exercises the cross-chunk tie-breaking."""
-        with _kernel_tuning(scalar_cutoff=0, chunk_cells=4):
+        with _kernel_tuning(work_cutoff=0, chunk_cells=4):
             ref, ref_exc = _outcome(critical_interval_reference, jobs, blocked)
             fast, fast_exc = _outcome(critical_interval, jobs, blocked)
         assert ref_exc == fast_exc
@@ -149,7 +157,7 @@ class TestCriticalIntervalPinning:
             assert [j.id for j in ref[3]] == [j.id for j in fast[3]]
 
     @settings(max_examples=40, deadline=None)
-    @given(job_sets(max_jobs=10), blocked_timelines(), st.sampled_from([0, 10**6]))
+    @given(job_sets(max_jobs=10), blocked_timelines(), st.sampled_from([0, 10**9]))
     def test_matches_reference_far_from_origin(self, jobs, blocked, cutoff):
         """Grid and list paths both count a deadline equal to ``b``."""
         jobs = [
@@ -160,7 +168,7 @@ class TestCriticalIntervalPinning:
             shifted = BlockedTimeline()
             shifted.add_many([(s + FAR, e + FAR) for s, e in blocked.segments()])
             blocked = shifted
-        with _kernel_tuning(scalar_cutoff=cutoff):
+        with _kernel_tuning(work_cutoff=cutoff):
             ref, ref_exc = _outcome(critical_interval_reference, jobs, blocked)
             fast, fast_exc = _outcome(critical_interval, jobs, blocked)
         assert ref_exc == fast_exc
@@ -174,29 +182,132 @@ class TestCriticalIntervalPinning:
 
 
 # ----------------------------------------------------------------------
-# BlockedTimeline: vectorized measure queries vs the scalar one.
+# critical_interval_batch: many links in one pass vs the reference.
 # ----------------------------------------------------------------------
-class TestBlockedTimelineVectorized:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 20, allow_nan=False), st.floats(0.1, 5)),
-            min_size=1,
-            max_size=8,
-        ),
-        st.lists(st.floats(0, 18, allow_nan=False), min_size=1, max_size=4),
-        st.lists(st.floats(0.05, 8, allow_nan=False), min_size=1, max_size=4),
+@st.composite
+def link_batches(draw):
+    """A batch of ``(jobs, timeline)`` links for the batched scorer.
+
+    Each link draws either dyadic jobs, whose intensities tie often
+    (float64 holds every sum exactly), or arbitrary ones.  Its timeline
+    is None, empty, its own, or shared with another link of the batch;
+    segments may cover a job's whole span, so the link must fall back to
+    overlap mode.  The whole batch may sit 2^15 s from the origin.
+    """
+    shift = draw(st.sampled_from([0.0, FAR]))
+    shared = None
+    links = []
+    for _ in range(draw(st.integers(1, 6))):
+        dyadic = draw(st.booleans())
+        jobs = []
+        for i in range(draw(st.integers(1, 12))):
+            if dyadic:
+                r = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
+                length = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+                w = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            else:
+                r = draw(st.floats(0, 10, allow_nan=False))
+                length = draw(st.floats(0.3, 5, allow_nan=False))
+                w = draw(st.floats(0.1, 10, allow_nan=False))
+            jobs.append(YdsJob(i, r + shift, r + length + shift, w))
+        kind = draw(st.sampled_from(["none", "empty", "own", "shared"]))
+        if kind == "none":
+            timeline = None
+        elif kind == "empty":
+            timeline = BlockedTimeline()
+        elif kind == "shared" and shared is not None:
+            timeline = shared
+        else:
+            segments = draw(
+                st.lists(
+                    st.one_of(
+                        st.tuples(
+                            st.floats(0, 11, allow_nan=False),
+                            st.floats(0.05, 3.0),
+                        ).map(lambda p: (p[0] + shift, p[0] + p[1] + shift)),
+                        st.sampled_from(jobs).map(lambda j: (j.release, j.deadline)),
+                    ),
+                    max_size=6,
+                )
+            )
+            timeline = BlockedTimeline()
+            timeline.add_many(segments)
+            if kind == "shared":
+                shared = timeline
+        links.append((jobs, timeline))
+    return links
+
+
+def _columns(jobs, timeline):
+    return (
+        [j.release for j in jobs],
+        [j.deadline for j in jobs],
+        [j.work for j in jobs],
+        timeline,
     )
-    def test_overlap_grid_bitwise(self, raw, starts, lengths):
-        timeline = BlockedTimeline()
-        timeline.add_many([(s, s + l) for s, l in raw])
-        a_vals = np.array(sorted(set(starts)))
-        b_vals = np.array(sorted({a + l for a in starts for l in lengths}))
-        grid = timeline.overlap_grid(a_vals, b_vals)
-        for i, a in enumerate(a_vals.tolist()):
-            for j, b in enumerate(b_vals.tolist()):
-                if b > a:
-                    assert grid[i, j] == timeline.overlap(a, b)
+
+
+class TestBatchPinning:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        link_batches(),
+        st.sampled_from([0, 10**9, None]),
+        st.sampled_from([0, 10**9, None]),
+        st.sampled_from([4, None]),
+    )
+    def test_batch_matches_reference_link_by_link(
+        self, links, work_cutoff, pad_limit, chunk_cells
+    ):
+        """Each link's score equals the reference's, whichever scorer the
+        batch takes (lists, one grid pass, heavy links alone, tiny row
+        chunks), and a link the reference finds exhausted reads None and
+        scores in overlap mode as the reference does without blocks."""
+        columns = [_columns(jobs, timeline) for jobs, timeline in links]
+        with _kernel_tuning(
+            work_cutoff=work_cutoff, pad_limit=pad_limit, chunk_cells=chunk_cells
+        ):
+            scores = critical_interval_batch(columns)
+            overlap = critical_interval_batch(
+                [(r, d, w, None) for r, d, w, _ in columns]
+            )
+        assert len(scores) == len(links)
+        for (jobs, timeline), column, score, raw in zip(
+            links, columns, scores, overlap
+        ):
+            ref, _ = _outcome(critical_interval_reference, jobs, timeline)
+            if ref is None:
+                assert score is None
+                score = raw
+                ref, _ = _outcome(critical_interval_reference, jobs, None)
+            a, b, intensity, count = score
+            assert (a, b, intensity) == ref[:3]
+            assert contained_indices(column[0], column[1], a, count) == [
+                j.id for j in ref[3]
+            ]
+
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["grid", "lists"])
+    def test_ties_shared_timeline_and_overlap_mode(self, cutoff):
+        """Two links with equal jobs on one shared timeline tie exactly;
+        a third, whose timeline covers a job's span, reads None."""
+        shared = BlockedTimeline()
+        shared.add_many([(0.5, 1.0)])
+        covered = BlockedTimeline()
+        covered.add_many([(2.0, 3.0)])
+        jobs = [YdsJob(0, 0.0, 1.0, 1.0), YdsJob(1, 0.0, 2.0, 1.0)]
+        late = [YdsJob(0, 2.0, 3.0, 1.0), YdsJob(1, 0.0, 4.0, 1.0)]
+        links = [(jobs, shared), (jobs, shared), (late, covered)]
+        with _kernel_tuning(work_cutoff=cutoff):
+            scores = critical_interval_batch(
+                [_columns(j, t) for j, t in links]
+            )
+        ref = critical_interval_reference(jobs, shared)
+        assert ref[:3] == (0.0, 1.0, 2.0)
+        assert scores[0] == scores[1] == (*ref[:3], 1)
+        assert scores[2] is None
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValidationError):
+            critical_interval_batch([([0.0], [1.0, 2.0], [1.0, 1.0], None)])
 
 
 # ----------------------------------------------------------------------
@@ -288,17 +399,18 @@ def epoch_window(request):
 
 
 class TestSolveDcfsPinning:
-    @pytest.mark.parametrize("cutoff", [0, 10**6], ids=["grid", "lists"])
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["grid", "lists"])
     def test_identical_on_replay_shaped_windows(self, epoch_window, cutoff):
-        """Every link scored by the NumPy grid, then every link by the
-        list enumeration: both reproduce the reference bit for bit."""
+        """Every round's links scored in one batched NumPy grid pass,
+        then every link by the list enumeration: both reproduce the
+        reference bit for bit."""
         flows, topology, paths, power, ref = epoch_window
         assert len(flows) == 100
-        with _kernel_tuning(scalar_cutoff=cutoff):
+        with _kernel_tuning(work_cutoff=cutoff):
             fast = solve_dcfs(flows, topology, paths, power)
         _assert_identical(fast, ref)
 
-    @pytest.mark.parametrize("cutoff", [0, 10**6], ids=["grid", "lists"])
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["grid", "lists"])
     @pytest.mark.parametrize("seed", range(3))
     def test_identical_far_from_origin(self, ft4, quadratic, seed, cutoff):
         flows = FlowSet(
@@ -307,7 +419,7 @@ class TestSolveDcfsPinning:
         )
         paths = _routed(flows, ft4)
         ref = solve_dcfs_reference(flows, ft4, paths, quadratic)
-        with _kernel_tuning(scalar_cutoff=cutoff):
+        with _kernel_tuning(work_cutoff=cutoff):
             fast = solve_dcfs(flows, ft4, paths, quadratic)
         _assert_identical(fast, ref)
 

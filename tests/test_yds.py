@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.scheduling import YdsJob, critical_interval, yds_schedule
+from repro.scheduling import (
+    YdsJob,
+    critical_interval,
+    critical_interval_arrays,
+    yds_schedule,
+)
 from repro.scheduling.timeline import BlockedTimeline
 
 
@@ -134,6 +139,45 @@ class TestCriticalInterval:
         with pytest.raises(ValidationError):
             critical_interval([])
 
+    @pytest.mark.parametrize(
+        "releases, deadlines, works",
+        [
+            (12, 10, 10),  # NumPy grid path
+            (5, 4, 4),  # list enumeration path
+            (4, 4, 3),  # short work column
+        ],
+        ids=["grid", "lists", "short-work"],
+    )
+    def test_unequal_columns_rejected(self, releases, deadlines, works):
+        """Columns of unequal length are a ValidationError on either
+        scorer; the grid used to answer with jobs that do not exist."""
+        with pytest.raises(ValidationError, match="differ in length"):
+            critical_interval_arrays(
+                [0.5 * i for i in range(releases)],
+                [0.5 * i + 2.0 for i in range(deadlines)],
+                [1.0] * works,
+            )
+
+
+#: Job 5's span ends a hair (1e-9 s) before job 6's critical interval
+#: starts blocking, so a later interval opens on a free gap of 1e-9 s
+#: before a reservation.  EDF used to skip that gap, which the scorer
+#: counts, and job 1 spilled past the next reservation to 7.40945.
+_GAP_BEFORE_RESERVATION = [
+    YdsJob(i, r, d, w)
+    for i, (r, d, w) in enumerate(
+        [
+            (2.439957881284394, 3.439947881284394, 5.364338294295042),
+            (2.580962091993844, 7.254512934097163, 4.914016563209232),
+            (1.401298464324817e-45, 3.9152097334710447, 5.26145389639381),
+            (7.073046013687071, 9.07013021077789, 5.236873789546344),
+            (5.060802749000718, 7.409448107017308, 8.610450294594862),
+            (1e-09, 0.800000001, 2.34864535801659),
+            (0.001, 1.1874893931243733, 8.59063840647268),
+        ]
+    )
+]
+
 
 @st.composite
 def job_sets(draw):
@@ -150,6 +194,7 @@ def job_sets(draw):
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(job_sets())
+    @example(jobs=_GAP_BEFORE_RESERVATION)
     def test_schedule_valid_and_complete(self, jobs):
         res = yds_schedule(jobs)
         all_segs = []
