@@ -3,10 +3,10 @@
 Times the DCFS solver (the paper bounds it by O(n^2 |V|)) on the paper's
 fat-tree with shortest-path routing at increasing flow counts.  The
 incremental engine (DESIGN.md Sections 8, 17 and 22) makes the 400- and
-800-flow sizes routine; the speedup test pins it against the retained
-pure-Python ``solve_dcfs_reference`` on the largest instance, times route
-construction on its own (``paths_s``), and records both in
-``BENCH_dcfs_scaling.json``.  The cutoff test measures where scoring a
+800-flow sizes routine; the speedup test pins it against the
+pure-Python oracle ``solve_dcfs_reference`` (``tests/oracles/dcfs.py``)
+on the largest instance, times route construction on its own
+(``paths_s``), and records both in ``BENCH_dcfs_scaling.json``.  The cutoff test measures where scoring a
 batch of links one by one with the critical-interval list enumeration
 stops beating one batched NumPy grid pass, on the batches Epoch-DCFS
 replay windows re-score together: the measurement
@@ -24,7 +24,8 @@ import pytest
 import repro.core.dcfs as dcfs_module
 import repro.scheduling.yds as yds_module
 from record import record_bench
-from repro.core import solve_dcfs, solve_dcfs_reference
+from tests.oracles.dcfs import solve_dcfs_reference
+from repro.core import solve_dcfs
 from repro.flows import FlowSet, paper_workload
 from repro.power import PowerModel
 from repro.scheduling.timeline import BlockedTimeline

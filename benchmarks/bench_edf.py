@@ -12,8 +12,9 @@ Two instance shapes on one link, both feasible by construction:
   is heap-bound in both engines, so this is the honesty check that the
   array engine does not regress the easy case.
 
-Results land in ``BENCH_edf_<shape>.json`` with the reference ratio per
-shape and the compiled-engine time (``repro.kernels``; which backend
+Results land in ``BENCH_edf_<shape>.json`` with the ratio to the scalar
+engine (``edf_schedule_scalar``, recorded under the historical
+``reference_s`` keys) per shape and the compiled-engine time (``repro.kernels``; which backend
 actually ran is recorded in the payload's ``kernels`` blob).  When the
 compiled backend is active a third case pushes the flat-array heap
 sweep to ``BENCH_EDF_LARGE_JOBS`` jobs (default 10^6, the tentpole
@@ -34,7 +35,7 @@ from repro.scheduling.edf import (
     EdfJob,
     edf_schedule_arrays,
     edf_schedule_compiled,
-    edf_schedule_reference,
+    edf_schedule_scalar,
 )
 
 NUM_JOBS = 30_000
@@ -104,7 +105,7 @@ def test_edf_event_sweep(benchmark, shape):
         edf_schedule_arrays(jobs, blocked)
     arrays_s = time.perf_counter() - start
     start = time.perf_counter()
-    reference = edf_schedule_reference(jobs, blocked)
+    reference = edf_schedule_scalar(jobs, blocked)
     reference_s = time.perf_counter() - start
     for jid, segments in placed.items():
         assert len(segments) == len(reference[jid])

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from record import record_bench
+from tests.oracles.paths import marginal_route_reference
 from repro.flows import Flow
 from repro.power import PowerModel
 from repro.routing.fastpath import FastRouter, LoadLedger
-from repro.routing.paths import marginal_route_reference
 from repro.scheduling.schedule import density_schedule
 from repro.topology import fat_tree
 from repro.traces.replay import WindowAccountant

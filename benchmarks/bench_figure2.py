@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import PAPER_FLOW_COUNTS, figure2_table, run_figure2
+from repro.experiments.figure2 import (
+    PAPER_FLOW_COUNTS,
+    figure2_table,
+    run_figure2,
+)
 
 RUNS = 2
 

@@ -3,10 +3,10 @@
 Replays a 10k-flow single-rate schedule (the shape Random-Schedule
 produces) on the paper's k = 8 fat-tree with the event-diff
 :func:`simulate_fluid`, cross-checks its energy against the analytical
-``Schedule.energy``, and pins the speedup over the retained global-epoch
-``simulate_fluid_reference`` on a 2k-flow instance (the reference is
-O(epochs x flows x path), so 10k flows would dominate the whole CI
-budget).  Headline numbers land in ``BENCH_fluid_replay.json``.
+``Schedule.energy``, and pins the speedup over the global-epoch oracle
+``simulate_fluid_reference`` (``tests/oracles/fluid.py``) on a 2k-flow
+instance (the reference is O(epochs x flows x path), so 10k flows would
+dominate the whole CI budget).  Headline numbers land in ``BENCH_fluid_replay.json``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import time
 import pytest
 
 from record import record_bench
+from tests.oracles.fluid import simulate_fluid_reference
 from repro.flows import paper_workload
 from repro.power import PowerModel
 from repro.scheduling import FlowSchedule, Schedule, Segment
-from repro.sim import simulate_fluid, simulate_fluid_reference
+from repro.sim import simulate_fluid
 from repro.topology import fat_tree
 
 TOPOLOGY = fat_tree(8)

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from record import record_bench
+from tests.oracles.mcflow import FrankWolfeSolverReference
 from repro.power import PowerModel
 from repro.routing import (
     Commodity,
@@ -24,7 +25,6 @@ from repro.routing import (
     RelaxationSession,
     envelope_cost,
 )
-from repro.routing.mcflow import FrankWolfeSolverReference
 from repro.topology import fat_tree
 
 TOPOLOGY = fat_tree(8)

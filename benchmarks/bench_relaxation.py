@@ -3,10 +3,11 @@
 Random-Schedule's relaxation stage solves one F-MCF per elementary
 interval over the paper's k = 8 fat-tree.  The stacked solve
 (``solve_relaxation`` with the array-native solver: every interval one
-block of a single Frank–Wolfe problem) is measured against the retained
-reference solver driven through the legacy dict warm-start chain, one
-interval after another — the relaxation Figure 2, the lower bound, and
-every sigma/lambda ablation run.  Headline numbers land in
+block of a single Frank–Wolfe problem) is measured against the oracle
+``FrankWolfeSolverReference`` (``tests/oracles/mcflow.py``) driven
+through the legacy dict warm-start chain, one interval after another —
+the relaxation Figure 2, the lower bound, and every sigma/lambda
+ablation run.  Headline numbers land in
 ``BENCH_relaxation.json`` (target: >= 10x; the assert uses a
 conservative floor so loaded CI machines stay green).
 
@@ -14,13 +15,9 @@ conservative floor so loaded CI machines stay green).
 Figure 2's largest sweep point; the array engine's advantage widens with
 scale, ~4.4x at 120 flows vs ~7x at 200 on an idle machine).
 
-The sweep honours the active ``repro.kernels`` backend: under
-``REPRO_KERNELS=compiled`` the stacked run uses the numba Dijkstra
-batch with incremental shortest-path trees and the fused pairwise
-kernel, and the record's ``kernels`` blob says which backend actually
-ran, so the trend table separates the tiers.  The floor assert stays
-on the pure-Python comparison target (compiled numbers are recorded,
-not gated — JIT-equipped CI legs vary too much for a hard ratio).
+F-MCF has no compiled kernel: scipy's Dijkstra batch and the numpy
+pricing are its only engines, so every ``repro.kernels`` backend runs
+the same code here (DESIGN.md Section 15).
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import os
 import time
 
 from record import record_bench
+from tests.oracles.mcflow import FrankWolfeSolverReference
 from repro.core.relaxation import (
     IntervalSolution,
     RelaxationResult,
@@ -39,7 +37,6 @@ from repro.flows import paper_workload
 from repro.flows.intervals import TimeGrid
 from repro.power import PowerModel
 from repro.routing import Commodity, FrankWolfeSolver
-from repro.routing.mcflow import FrankWolfeSolverReference
 from repro.topology import fat_tree
 
 TOPOLOGY = fat_tree(8)

@@ -26,9 +26,8 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy", "scipy", "networkx"],
     extras_require={
-        # Compiled kernel tier (repro.kernels): numba JIT backends for
-        # the Dijkstra batch, the EDF event sweep and the relaxation
-        # pricing loop.  Everything runs without it (pure-Python
+        # Compiled kernel tier (repro.kernels): a numba JIT backend for
+        # the EDF sweep.  Everything runs without it (pure-Python
         # fallback); install with `pip install .[kernels]`.
         "kernels": ["numba"],
     },

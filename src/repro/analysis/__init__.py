@@ -1,9 +1,8 @@
 """Analysis utilities: metrics, reporting and validation.
 
-The scipy reference solvers live in :mod:`repro.analysis.convex` and are
-imported from there, so that importing this package (which every replay
-process does, through :mod:`repro.analysis.reporting`) never loads
-:mod:`scipy.optimize`.
+The scipy reference solvers of programs (P1) and F-MCF are test oracles
+and live in ``tests/oracles/convex.py``, so nothing under ``repro``
+loads :mod:`scipy.optimize`.
 """
 
 from repro.analysis.gantt import render_link_sparklines

@@ -5,13 +5,12 @@ from repro.core.baselines import (
     greedy_marginal_routing,
     sp_mcf,
 )
-from repro.core.dcfs import DcfsResult, solve_dcfs, solve_dcfs_reference
+from repro.core.dcfs import DcfsResult, solve_dcfs
 from repro.core.dcfsr import (
     DcfsrResult,
     RelaxationPipeline,
     relaxation_weights,
     round_schedule,
-    round_schedule_reference,
     solve_dcfsr,
 )
 from repro.core.exact import (
@@ -30,13 +29,11 @@ from repro.core.relaxation import (
 __all__ = [
     "DcfsResult",
     "solve_dcfs",
-    "solve_dcfs_reference",
     "DcfsrResult",
     "RelaxationPipeline",
     "solve_dcfsr",
     "relaxation_weights",
     "round_schedule",
-    "round_schedule_reference",
     "fractional_lower_bound",
     "solve_online_density",
     "BaselineResult",

@@ -47,18 +47,17 @@ from repro.scheduling.edf import EdfJob, edf_schedule
 from repro.scheduling.schedule import FlowSchedule, Schedule, Segment
 from repro.scheduling.timeline import BlockedTimeline
 from repro.scheduling.yds import (
-    YdsJob,
     contained_indices,
     critical_interval_arrays,
     critical_interval_batch,
-    critical_interval_reference,
 )
 from repro.topology.base import Edge, Topology, path_edges
 
-__all__ = ["DcfsResult", "solve_dcfs", "solve_dcfs_reference"]
+__all__ = ["DcfsResult", "solve_dcfs"]
 
-#: The reference implementation's strictly-greater-by tolerance when a
-#: later link challenges the current most-critical candidate.
+#: Strictly-greater-by tolerance when a later link challenges the current
+#: most-critical candidate: the sequential challenge scan of the reference
+#: Most-Critical-First (``tests/oracles/dcfs.py``).
 _TIE_TOL = 1e-15
 
 
@@ -156,7 +155,8 @@ def solve_dcfs(
     :func:`repro.scheduling.yds.critical_interval_batch` call that takes
     the lists as they are.  The contained flows are listed only for the
     link a round selects.  Output — rates, rounds, segments, tie-breaking
-    included — is identical to :func:`solve_dcfs_reference`, which
+    included — is identical to the pure-Python oracle
+    ``solve_dcfs_reference`` in ``tests/oracles/dcfs.py``, which
     ``tests/test_perf_kernels.py`` pins.
 
     Parameters
@@ -345,132 +345,6 @@ def solve_dcfs(
                 cand.pop(edge, None)
         if dirty:
             score(dirty)
-
-    flow_schedules = []
-    for flow in flows:
-        fs_segments = tuple(
-            Segment(start=s, end=e, rate=rates[flow.id])
-            for s, e in segments[flow.id]
-        )
-        flow_schedules.append(
-            FlowSchedule(flow=flow, path=flow_paths[flow.id], segments=fs_segments)
-        )
-    return DcfsResult(
-        schedule=Schedule(flow_schedules), rates=rates, rounds=rounds
-    )
-
-
-def solve_dcfs_reference(
-    flows: FlowSet,
-    topology: Topology,
-    paths: Mapping[int | str, Sequence[str]],
-    power: PowerModel,
-) -> DcfsResult:
-    """Pure-Python Most-Critical-First, retained as the pinning reference.
-
-    Re-scores every queued link's critical interval with the brute-force
-    :func:`critical_interval_reference` whenever its cache entry was
-    invalidated and selects the winner with a sequential challenge scan.
-    ``solve_dcfs`` must produce identical output.
-    """
-    flows.validate_against(topology)
-    alpha = power.alpha
-    flow_paths, flow_edges, virtual, link_flows = _prepare_instance(
-        flows, topology, paths, alpha
-    )
-
-    blocked: dict[Edge, BlockedTimeline] = {
-        edge: BlockedTimeline() for edge in link_flows
-    }
-    # Cached most-critical interval per link; None = needs recomputation.
-    # The boolean marks overlap mode (see the module docstring).
-    Candidate = tuple[float, float, float, list[YdsJob], bool]
-    cache: dict[Edge, Candidate | None] = {edge: None for edge in link_flows}
-
-    def link_candidate(edge: Edge) -> Candidate:
-        jobs = [
-            YdsJob(
-                id=fid,
-                release=flows[fid].release,
-                deadline=flows[fid].deadline,
-                work=virtual[fid],
-            )
-            for fid in sorted(link_flows[edge], key=str)
-        ]
-        try:
-            a, b, delta, contained = critical_interval_reference(
-                jobs, blocked[edge]
-            )
-            return (a, b, delta, contained, False)
-        except InfeasibleError:
-            # Cross-link reservations exhausted some span on this link;
-            # fall back to raw-time accounting (overlap mode).
-            a, b, delta, contained = critical_interval_reference(jobs, None)
-            return (a, b, delta, contained, True)
-
-    rates: dict[int | str, float] = {}
-    segments: dict[int | str, list[tuple[float, float]]] = {}
-    remaining = {flow.id for flow in flows}
-    rounds = 0
-
-    while remaining:
-        rounds += 1
-        best_edge: Edge | None = None
-        best: Candidate | None = None
-        for edge in sorted(link_flows):
-            if not link_flows[edge]:
-                continue
-            if cache[edge] is None:
-                cache[edge] = link_candidate(edge)
-            candidate = cache[edge]
-            assert candidate is not None
-            if best is None or candidate[2] > best[2] + 1e-15:
-                best, best_edge = candidate, edge
-        if best is None or best_edge is None:
-            raise AssertionError(
-                "flows remain but no link has queued flows"
-            )  # pragma: no cover
-
-        a, b, delta, critical_jobs, overlap_mode = best
-        edf_jobs = []
-        for job in critical_jobs:
-            fid = job.id
-            rate = delta / len(flow_edges[fid]) ** (1.0 / alpha)
-            rates[fid] = rate
-            # Execution time w_i / s_i = w'_i / delta.
-            edf_jobs.append(
-                EdfJob(
-                    id=fid,
-                    release=flows[fid].release,
-                    deadline=flows[fid].deadline,
-                    duration=virtual[fid] / delta,
-                )
-            )
-        edf_blocked = () if overlap_mode else blocked[best_edge].segments()
-        try:
-            placed = edf_schedule(edf_jobs, blocked=edf_blocked)
-        except InfeasibleError:
-            # Fragmented availability can defeat EDF even when the total
-            # available time suffices; retry on raw time (overlap mode).
-            try:
-                placed = edf_schedule(edf_jobs, blocked=())
-            except InfeasibleError as exc:
-                raise InfeasibleError(
-                    f"Most-Critical-First: EDF failed inside critical "
-                    f"interval [{a:g}, {b:g}] on link {best_edge!r}: {exc}"
-                ) from exc
-
-        touched: set[Edge] = set()
-        for job in critical_jobs:
-            fid = job.id
-            segments[fid] = placed[fid]
-            remaining.discard(fid)
-            for edge in flow_edges[fid]:
-                link_flows[edge].discard(fid)
-                blocked[edge].add_many(placed[fid])
-                touched.add(edge)
-        for edge in touched:
-            cache[edge] = None
 
     flow_schedules = []
     for flow in flows:

@@ -54,10 +54,8 @@ from repro.routing.costs import EdgeCost
 from repro.routing.mcflow import FrankWolfeSolver
 from repro.routing.rounding import (
     ArrayPathWeights,
-    aggregate_path_weights,
     aggregate_path_weights_array,
     argmax_paths,
-    sample_path,
     sample_paths,
 )
 from repro.scheduling.schedule import (
@@ -73,7 +71,6 @@ __all__ = [
     "solve_dcfsr",
     "relaxation_weights",
     "round_schedule",
-    "round_schedule_reference",
 ]
 
 Path = tuple[str, ...]
@@ -139,7 +136,8 @@ def round_schedule(
 
     Array-native: one registry-space aggregation plus one batched sampling
     pass; consumes the same generator stream (one uniform per flow, in
-    flow order) as :func:`round_schedule_reference`.
+    flow order) as the nested-dict oracle ``round_schedule_reference``
+    (``tests/oracles/rounding.py``).
     """
     weights = relaxation_weights(list(flows), relaxation)
     paths = sample_paths(weights, rng)
@@ -150,26 +148,6 @@ def round_schedule(
         ),
         weights,
     )
-
-
-def round_schedule_reference(
-    flows: FlowSet,
-    relaxation: RelaxationResult,
-    rng: np.random.Generator,
-) -> tuple[Schedule, dict[int | str, dict[Path, float]]]:
-    """The nested-dict rounding loop, retained as the pinning oracle for
-    the array engine (one :func:`aggregate_path_weights` +
-    :func:`sample_path` per flow)."""
-    weights: dict[int | str, dict[Path, float]] = {}
-    flow_schedules = []
-    for flow in flows:
-        fractions = relaxation.fractions_for_flow(flow.id)
-        w_bar = aggregate_path_weights(flow, fractions)
-        weights[flow.id] = w_bar
-        flow_schedules.append(
-            density_schedule(flow, sample_path(w_bar, rng))
-        )
-    return Schedule(flow_schedules), weights
 
 
 class RelaxationPipeline:

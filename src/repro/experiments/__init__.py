@@ -1,4 +1,10 @@
-"""Experiments: the paper's Figure 2 and the library's ablations."""
+"""Experiments: the paper's Figure 2 and the library's ablations.
+
+Figure 2 lives in :mod:`repro.experiments.figure2`, which is also a
+script (``python -m repro.experiments.figure2``); import it from there.
+The package does not import it, so running the script never finds it
+already loaded.
+"""
 
 from repro.experiments.ablations import (
     churn_ablation,
@@ -12,12 +18,6 @@ from repro.experiments.ablations import (
     topology_ablation,
 )
 from repro.experiments.approximation import approximation_study
-from repro.experiments.figure2 import (
-    PAPER_FLOW_COUNTS,
-    Figure2Result,
-    figure2_table,
-    run_figure2,
-)
 from repro.experiments.harness import ComparisonPoint, single_run
 from repro.experiments.parallel import available_parallelism, parallel_map
 
@@ -26,10 +26,6 @@ __all__ = [
     "single_run",
     "parallel_map",
     "available_parallelism",
-    "Figure2Result",
-    "run_figure2",
-    "figure2_table",
-    "PAPER_FLOW_COUNTS",
     "sigma_ablation",
     "lambda_ablation",
     "rounding_ablation",

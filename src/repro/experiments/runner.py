@@ -105,8 +105,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--kernels",
         choices=("auto", "compiled", "python"),
         default=None,
-        help="kernel backend (repro.kernels): auto picks numba when "
-        "importable; overrides REPRO_KERNELS",
+        help="kernel backend of the EDF sweep (repro.kernels): auto "
+        "picks numba when importable; overrides REPRO_KERNELS",
     )
     args = parser.parse_args(argv)
     if args.kernels is not None:

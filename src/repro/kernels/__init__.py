@@ -1,25 +1,23 @@
 """Backend registry for the compiled kernel tier (DESIGN.md Section 15).
 
-The hot loops of the reproduction — the Dijkstra batch inside
-Frank-Wolfe, the EDF event sweep, the pairwise pricing move — have
-their inner kernels written once, in the numba nopython subset, in
-:mod:`repro.kernels._impl`.  This module decides *how* those kernel
-bodies run:
+The tier holds one kernel, the EDF event sweep behind
+:func:`repro.scheduling.edf.edf_schedule_compiled`, written once in the
+numba nopython subset in :mod:`repro.kernels._impl`.  This module
+decides *how* that kernel body runs:
 
 ``auto``
-    (default) use numba-compiled kernels when numba imports cleanly,
+    (default) use the numba-compiled kernel when numba imports cleanly,
     otherwise fall back to the pure-Python/numpy engines silently.
 ``compiled``
     require numba; if it is absent, emit one
     :class:`KernelFallbackWarning` and fall back to ``python``.
 ``python``
-    never dispatch to kernels — the retained array/`*_reference`
-    engines run exactly as before this tier existed.
+    never dispatch to the kernel — the array and scalar EDF engines run
+    exactly as before this tier existed.
 ``interpreted``
-    dispatch to the kernel *bodies* executed as plain Python.  Slow,
-    but it runs the exact code numba would compile, which is how the
-    test suite pins compiled results bit-for-bit on machines without
-    numba.
+    dispatch to the kernel *body* executed as plain Python.  Slow, but
+    it runs the exact code numba would compile, which is how the test
+    suite pins compiled results bit-for-bit on machines without numba.
 
 The backend is chosen via :func:`set_backend`, the ``REPRO_KERNELS``
 environment variable, or the ``repro-experiments --kernels`` flag.
@@ -189,7 +187,7 @@ def kernel_info() -> dict[str, str | None]:
 
 
 def warmup() -> None:
-    """Run every kernel once on a tiny instance to trigger (and cache) JIT.
+    """Run the kernel once on a tiny instance to trigger (and cache) JIT.
 
     Called automatically when the compiled backend resolves, so the
     one-time compilation cost (a few seconds cold, ~nothing with a warm
@@ -201,24 +199,6 @@ def warmup() -> None:
     _warmed = True
     if ns is None:
         return
-    # 2-node, 2-arc ring: 0 -> 1 -> 0.
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    neighbors = np.array([1, 0], dtype=np.int64)
-    weights = np.array([1.0])
-    dist = np.zeros(2)
-    heap_key = np.empty(8)
-    heap_node = np.empty(8, dtype=np.int64)
-    warc = np.array([1.0, 1.0])
-    pred = np.full(2, -1, dtype=np.int64)
-    parc = np.full(2, -1, dtype=np.int64)
-    ns.spt_tree(indptr, neighbors, warc, 0, dist, pred, parc, heap_key, heap_node)
-    child_head = np.empty(2, dtype=np.int64)
-    child_next = np.empty(2, dtype=np.int64)
-    stack = np.empty(2, dtype=np.int64)
-    ns.spt_repair(
-        indptr, neighbors, warc, 0, dist, pred, parc,
-        heap_key, heap_node, child_head, child_next, stack,
-    )
     # One job, no blocked segments.
     rel_a = np.array([0.0])
     dl_a = np.array([2.0])
@@ -227,27 +207,12 @@ def warmup() -> None:
     empty = np.empty(0)
     cum = np.zeros(1)
     err = np.zeros(4)
+    heap_key = np.empty(4)
+    heap_pos = np.empty(4, dtype=np.int64)
     run_pos = np.empty(6, dtype=np.int64)
     run_a0 = np.empty(6)
     run_a1 = np.empty(6)
-    heap_pos = np.empty(4, dtype=np.int64)
     ns.edf_sweep(
         rel_a, dl_a, deadlines, durations, empty, empty, cum, empty,
-        1e-7, 1e-9, heap_key[:4], heap_pos, run_pos, run_a0, run_a1, err,
-    )
-    # One commodity, one single-edge row.
-    eids = np.array([0], dtype=np.int64)
-    lens = np.array([1], dtype=np.int64)
-    starts = np.array([0], dtype=np.int64)
-    owner = np.array([0], dtype=np.int64)
-    flow = np.array([1.0])
-    inv_h = np.array([1.0])
-    demands = np.array([1.0])
-    out = np.empty(1)
-    ns.row_costs(eids, starts, lens, weights, out)
-    delta = np.empty(1)
-    direction = np.empty(1)
-    ns.pairwise_delta(
-        eids, lens, starts, owner, flow, weights, inv_h,
-        demands, True, delta, direction,
+        1e-7, 1e-9, heap_key, heap_pos, run_pos, run_a0, run_a1, err,
     )

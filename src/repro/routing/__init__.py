@@ -1,6 +1,6 @@
-"""Routing: fractional MCF (array-native Frank–Wolfe engine + retained
-reference), randomized rounding, and the array-native fast path (cached
-marginal-cost router + load ledger)."""
+"""Routing: fractional MCF (array-native Frank–Wolfe engine), randomized
+rounding, and the array-native fast path (cached marginal-cost router +
+load ledger)."""
 
 from repro.routing.background import BackgroundProfile
 from repro.routing.costs import EdgeCost, envelope_cost
@@ -9,18 +9,15 @@ from repro.routing.mcflow import (
     ArrayPathFlows,
     Commodity,
     FrankWolfeSolver,
-    FrankWolfeSolverReference,
     MCFSolution,
     PathRegistry,
     RelaxationSession,
 )
-from repro.routing.paths import k_shortest_paths, marginal_route_reference
+from repro.routing.paths import k_shortest_paths
 from repro.routing.rounding import (
     ArrayPathWeights,
-    aggregate_path_weights,
     aggregate_path_weights_array,
     argmax_paths,
-    sample_path,
     sample_paths,
 )
 
@@ -31,18 +28,14 @@ __all__ = [
     "ArrayPathFlows",
     "Commodity",
     "FrankWolfeSolver",
-    "FrankWolfeSolverReference",
     "MCFSolution",
     "PathRegistry",
     "RelaxationSession",
     "ArrayPathWeights",
-    "aggregate_path_weights",
     "aggregate_path_weights_array",
     "argmax_paths",
-    "sample_path",
     "sample_paths",
     "k_shortest_paths",
-    "marginal_route_reference",
     "FastRouter",
     "LoadLedger",
 ]

@@ -25,10 +25,10 @@ integer-array machinery on the topology's cached CSR adjacency
   live, and the span-window correction for each arriving flow is one
   vectorized pass over the commits ending inside its window.
 
-The networkx implementation survives as
-:func:`repro.routing.paths.marginal_route_reference`; the property suite
-in ``tests/test_fastpath.py`` pins :meth:`FastRouter.route` to it at
-equal path cost.
+The networkx implementation survives as the test oracle
+``marginal_route_reference`` in ``tests/oracles/paths.py``; the property
+suite in ``tests/test_fastpath.py`` pins :meth:`FastRouter.route` to it
+at equal path cost.
 """
 
 from __future__ import annotations

@@ -21,20 +21,19 @@ Frank–Wolfe (the classical traffic-assignment algorithm) fits perfectly:
   decomposition** Algorithm 2 needs (step 4) falls out for free, with no
   Raghavan–Tompson extraction from edge flows.
 
-Two implementations live here (DESIGN.md Section 9):
-
-* :class:`FrankWolfeSolver` — the array-native engine.  Path-flow state is
-  a :class:`PathRegistry` (interned path id -> CSR edge-id row) plus flat
-  ``(flow, owner, path id)`` row arrays, so the per-iteration rescaling,
-  load scatters and final pruning are single vectorized operations; the
-  exact line search bisects over the direction's nonzero support only;
-  and every classic step is followed by Newton-sized pairwise (away-step)
-  sweeps that drain every commodity's worst active path into its cheapest
-  one (normally the freshly added all-or-nothing path), cutting iteration
-  counts on ill-conditioned envelope costs while still emitting the
-  certified Frank–Wolfe dual bound each iteration.
-* :class:`FrankWolfeSolverReference` — the dict-of-paths predecessor,
-  retained verbatim as the pinning oracle (``tests/test_fw_engine.py``).
+:class:`FrankWolfeSolver` is the array-native engine (DESIGN.md
+Section 9).  Path-flow state is a :class:`PathRegistry` (interned path id
+-> CSR edge-id row) plus flat ``(flow, owner, path id)`` row arrays, so
+the per-iteration rescaling, load scatters and final pruning are single
+vectorized operations; the exact line search bisects over the direction's
+nonzero support only; and every classic step is followed by Newton-sized
+pairwise (away-step) sweeps that drain every commodity's worst active
+path into its cheapest one (normally the freshly added all-or-nothing
+path), cutting iteration counts on ill-conditioned envelope costs while
+still emitting the certified Frank–Wolfe dual bound each iteration.  Its
+dict-of-paths predecessor is the test oracle
+``tests/oracles/mcflow.py``, which ``tests/test_fw_engine.py`` pins it
+against.
 
 The array engine has one Frank–Wolfe loop, the block loop of
 :meth:`FrankWolfeSolver.solve_stacked` (DESIGN.md Sections 16 and 19).
@@ -51,13 +50,16 @@ seeded all-or-nothing.
 across *consecutive* F-MCF solves and applies commodity-set diffs —
 enter/leave/rescale — before running the same one-block loop on the
 carried rows.  It was the interval sweep's engine before the stacked
-solve and is kept as its sequential reference.
+solve; no library path calls it now, and it stays only while the
+end-to-end benchmark's layer tracer names it (DESIGN.md Section 23).
 
 Shortest paths are batched per distinct source through
 :func:`scipy.sparse.csgraph.dijkstra` (C speed) over a CSR matrix whose
 weight array is updated in place, and reconstructed predecessor walks are
 interned by their integer id sequence — this is what makes the full
-80-switch Figure-2 experiment tractable in pure Python.
+80-switch Figure-2 experiment tractable in pure Python.  That batch and
+the numpy pricing (gathers and ``reduceat`` row sums) are the solver's
+only engines; no compiled kernel serves them.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro import kernels
 from repro.errors import SolverError, ValidationError
 from repro.routing.costs import EdgeCost
 from repro.topology.base import Topology, path_edges
@@ -82,7 +83,6 @@ __all__ = [
     "ArrayPathFlows",
     "PathRegistry",
     "FrankWolfeSolver",
-    "FrankWolfeSolverReference",
     "RelaxationSession",
     "check_fw_settings",
 ]
@@ -525,14 +525,6 @@ class _FlowState:
         """Per-row sum of ``weights`` over the row's edges."""
         if self.n == 0:
             return np.empty(0)
-        kn = kernels.active()
-        if kn is not None:
-            out = np.empty(self.n)
-            kn.row_costs(
-                self.eids[: self.m], self.starts[: self.n],
-                self.lens[: self.n], weights, out,
-            )
-            return out
         return np.add.reduceat(
             weights[self.eids[: self.m]], self.starts[: self.n]
         )
@@ -672,21 +664,10 @@ class FrankWolfeSolver:
         self._attach_of = {
             int(l): int(a) for l, a in zip(leaf_ids.tolist(), attach.tolist())
         }
-        # --- Compiled-tier state (repro.kernels): the core CSR arrays
-        # shared with the kernels, plus per-source shortest-path trees
-        # kept alive across _aon_pids calls.  Weights move smoothly
-        # between Frank-Wolfe iterations (and between the interval
-        # sweep's consecutive solves), so each batch re-roots the
-        # previous tree and repairs only the affected cone instead of
-        # running a cold Dijkstra per source. ---
+        # Core CSR arrays, from which _block_graph lays out the
+        # block-diagonal copies of the search graph.
         self._k_indptr = core_indptr
         self._k_indices = cv
-        #: (block, source core id) -> (dist, pred, parc) of its last tree.
-        #: Keyed per block: the blocks of a stacked solve carry unrelated
-        #: weights, so one tree per raw source would be re-rooted from
-        #: another block's weights on every lookup.
-        self._spt_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-        self._k_scratch: tuple[np.ndarray, ...] | None = None
 
     @property
     def registry(self) -> PathRegistry:
@@ -824,12 +805,6 @@ class FrankWolfeSolver:
         ``searchsorted``, and each ``(src, dst, walk)`` row prefix keys
         the path-id cache by its raw bytes.
 
-        With the kernel tier active the scipy batch is replaced by
-        per-source incremental shortest-path trees
-        (:meth:`_spt_predecessors`): exact distances, but equal-cost
-        ties may resolve differently than scipy's — always at equal
-        cost, which is the level the solver suite pins.
-
         ``weights`` may span several blocks of the stacked edge space
         (``block * num_edges + eid``); each source row then searches its
         own block's weights and its predecessor row is in core ids, so
@@ -839,15 +814,9 @@ class FrankWolfeSolver:
         warc = np.maximum(weights, _WEIGHT_FLOOR).reshape(-1, num_edges)[
             :, self._search_arc_edge
         ]
-        kn = kernels.active()
-        if kn is not None:
-            predecessors = self._spt_predecessors(
-                prep.source_ids, prep.source_blocks, warc, kn
-            )
-        else:
-            predecessors = self._dijkstra_blocks(
-                prep.source_ids, prep.source_blocks, warc
-            )
+        predecessors = self._dijkstra_blocks(
+            prep.source_ids, prep.source_blocks, warc
+        )
         src_rows = prep.src_rows
         targets = prep.target_core
         cur = prep.start_core.copy()
@@ -1011,62 +980,6 @@ class FrankWolfeSolver:
             self._block_graphs[copies] = graph
         return graph
 
-    def _spt_predecessors(
-        self,
-        source_ids: np.ndarray,
-        source_blocks: np.ndarray,
-        warc: np.ndarray,
-        kn,
-    ) -> np.ndarray:
-        """Per-source predecessor rows via incremental shortest-path trees.
-
-        Drop-in replacement for the scipy ``dijkstra`` batch of
-        :meth:`_aon_pids` when the kernel tier is active.  Each distinct
-        ``(block, source)`` keeps its last tree ``(dist, pred, parc)`` in
-        ``self._spt_cache`` — across Frank-Wolfe iterations *and* across
-        consecutive solves — so all but the first batch per source run
-        :func:`repro.kernels._impl.spt_repair` (re-weigh the old tree,
-        seed a heap from one arc scan, label-correct the affected cone)
-        instead of a cold Dijkstra.  Distances are exact for any weight
-        change; only equal-cost tie parents may differ from a cold run.
-        """
-        nc = self._num_core
-        if self._k_scratch is None:
-            cap = 2 * self._k_indices.size + 4
-            self._k_scratch = (
-                np.empty(cap),
-                np.empty(cap, dtype=np.int64),
-                np.empty(nc, dtype=np.int64),
-                np.empty(nc, dtype=np.int64),
-                np.empty(nc, dtype=np.int64),
-            )
-        heap_key, heap_node, child_head, child_next, stack = self._k_scratch
-        cache = self._spt_cache
-        predecessors = np.empty((source_ids.size, nc), dtype=np.int64)
-        for row, (src, block) in enumerate(
-            zip(source_ids.tolist(), source_blocks.tolist())
-        ):
-            block_warc = warc[block]
-            tree = cache.get((block, src))
-            if tree is None:
-                dist = np.empty(nc)
-                pred = np.empty(nc, dtype=np.int64)
-                parc = np.empty(nc, dtype=np.int64)
-                kn.spt_tree(
-                    self._k_indptr, self._k_indices, block_warc, src,
-                    dist, pred, parc, heap_key, heap_node,
-                )
-                cache[(block, src)] = (dist, pred, parc)
-            else:
-                dist, pred, parc = tree
-                kn.spt_repair(
-                    self._k_indptr, self._k_indices, block_warc, src,
-                    dist, pred, parc, heap_key, heap_node,
-                    child_head, child_next, stack,
-                )
-            predecessors[row] = pred
-        return predecessors
-
     # ------------------------------------------------------------------
     # Exact line search: bisection on the convex directional derivative,
     # restricted to the direction's nonzero support.
@@ -1150,85 +1063,49 @@ class FrankWolfeSolver:
         point = self._point(loads)
         weights = self._cost.derivative(point)
         quadratic = self._poly_degree == 2
-        kn = kernels.active()
-        if kn is not None:
-            # Fused kernel path: gathers, lambda, clipped Newton move,
-            # rebalance and direction scatter in one pass — same
-            # arithmetic as the numpy expressions below up to reduceat's
-            # blocked summation order (pinned bit for bit against a
-            # sequential replica in tests/test_kernels; solver-level
-            # agreement is certified by the dual bound).
-            if quadratic:
-                inv_h = 1.0 / (
-                    (2.0 * self._cost.power.mu) * state.lens[:n]
-                )
-            else:
-                curvature = self._cost.curvature(point)
-                row_curv = np.empty(n)
-                kn.row_costs(
-                    state.eids[: state.m], state.starts[:n],
-                    state.lens[:n], curvature, row_curv,
-                )
-                inv_h = 1.0 / np.maximum(row_curv, 1e-30)
-            delta = np.empty(n)
-            direction = np.empty(loads.size)
-            moved = kn.pairwise_delta(
-                state.eids[: state.m], state.lens[:n], state.starts[:n],
-                state.owner[:n], state.flow[:n], weights, inv_h,
-                prep.demands, not quadratic, delta, direction,
-            )
-            if not moved:
-                return None
+        costs = state.path_costs(weights)
+        flow = state.flow[:n]
+        owner = state.owner[:n]
+        if quadratic:
+            # Constant curvature 2 mu: the row Hessian is just the hop
+            # count, no per-edge gather needed.
+            inv_h = 1.0 / ((2.0 * self._cost.power.mu) * state.lens[:n])
         else:
-            costs = state.path_costs(weights)
-            flow = state.flow[:n]
-            owner = state.owner[:n]
-            if quadratic:
-                # Constant curvature 2 mu: the row Hessian is just the hop
-                # count, no per-edge gather needed.
-                inv_h = 1.0 / (
-                    (2.0 * self._cost.power.mu) * state.lens[:n]
-                )
-            else:
-                curvature = self._cost.curvature(point)
-                inv_h = 1.0 / np.maximum(
-                    np.add.reduceat(curvature[state.eids[: state.m]],
-                                    state.starts[:n]),
-                    1e-30,
-                )
-            lam_den = np.bincount(owner, weights=inv_h, minlength=k)
-            lam = np.bincount(owner, weights=costs * inv_h, minlength=k)
-            lam /= np.maximum(lam_den, 1e-30)
-            # Newton move per row, kept feasible (>= -flow).
-            delta = np.maximum((lam[owner] - costs) * inv_h, -flow)
-            if not quadratic:
-                # On the envelope's zero-curvature segments the Newton
-                # step is unbounded; cap it at the demand and let the
-                # line search decide (the cap would only distort
-                # well-conditioned cases).
-                delta = np.minimum(delta, prep.demands[owner])
-            negative = np.minimum(delta, 0.0)
-            positive = delta - negative
-            pos_sum = np.bincount(owner, weights=positive, minlength=k)
-            neg_sum = np.bincount(owner, weights=-negative, minlength=k)
-            # Demand conservation: scale the receiving rows to absorb
-            # exactly the clipped outflow.  A commodity with no receiving
-            # row cannot rebalance — dropping only its negatives would
-            # *lose* mass, so it must not move at all.
-            can_move = pos_sum > 0.0
-            factor = np.where(
-                can_move, neg_sum / np.maximum(pos_sum, 1e-30), 0.0
+            inv_h = 1.0 / np.maximum(
+                state.path_costs(self._cost.curvature(point)), 1e-30
             )
-            delta = np.where(
-                can_move[owner], negative + positive * factor[owner], 0.0
-            )
-            if not np.any(delta):
-                return None
-            direction = np.bincount(
-                state.eids[: state.m],
-                weights=np.repeat(delta, state.lens[:n]),
-                minlength=loads.size,
-            )
+        lam_den = np.bincount(owner, weights=inv_h, minlength=k)
+        lam = np.bincount(owner, weights=costs * inv_h, minlength=k)
+        lam /= np.maximum(lam_den, 1e-30)
+        # Newton move per row, kept feasible (>= -flow).
+        delta = np.maximum((lam[owner] - costs) * inv_h, -flow)
+        if not quadratic:
+            # On the envelope's zero-curvature segments the Newton step
+            # is unbounded; cap it at the demand and let the line search
+            # decide (the cap would only distort well-conditioned cases).
+            delta = np.minimum(delta, prep.demands[owner])
+        negative = np.minimum(delta, 0.0)
+        positive = delta - negative
+        pos_sum = np.bincount(owner, weights=positive, minlength=k)
+        neg_sum = np.bincount(owner, weights=-negative, minlength=k)
+        # Demand conservation: scale the receiving rows to absorb
+        # exactly the clipped outflow.  A commodity with no receiving
+        # row cannot rebalance — dropping only its negatives would
+        # *lose* mass, so it must not move at all.
+        can_move = pos_sum > 0.0
+        factor = np.where(
+            can_move, neg_sum / np.maximum(pos_sum, 1e-30), 0.0
+        )
+        delta = np.where(
+            can_move[owner], negative + positive * factor[owner], 0.0
+        )
+        if not np.any(delta):
+            return None
+        direction = np.bincount(
+            state.eids[: state.m],
+            weights=np.repeat(delta, state.lens[:n]),
+            minlength=loads.size,
+        )
         return point, delta, direction
 
     # ------------------------------------------------------------------
@@ -1878,13 +1755,8 @@ class RelaxationSession:
         if not owners:
             return
         pid_arr = np.array(cand_pids, dtype=np.int64)
-        flat, lens, starts = state.registry.gather(pid_arr)
-        kn = kernels.active()
-        if kn is not None:
-            costs = np.empty(pid_arr.size)
-            kn.row_costs(flat, starts, lens, weights, costs)
-        else:
-            costs = np.add.reduceat(weights[flat], starts)
+        flat, _lens, starts = state.registry.gather(pid_arr)
+        costs = np.add.reduceat(weights[flat], starts)
         counts_arr = np.array(counts, dtype=np.int64)
         gstarts = np.concatenate(([0], np.cumsum(counts_arr)[:-1]))
         seg_min = np.minimum.reduceat(costs, gstarts)
@@ -1985,231 +1857,3 @@ def _validate_commodities(commodities: Sequence[Commodity]) -> None:
     ids = [c.id for c in commodities]
     if len(set(ids)) != len(ids):
         raise ValidationError("commodity ids must be unique")
-
-
-class FrankWolfeSolverReference:
-    """Dict-of-paths Frank–Wolfe solver, retained as the pinning oracle.
-
-    This is the pre-array implementation of :class:`FrankWolfeSolver`,
-    kept verbatim (repo convention for every fast path — see DESIGN.md
-    Sections 7–9).  ``tests/test_fw_engine.py`` pins the array engine to
-    it; ``benchmarks/bench_mcflow.py`` measures the gap.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        cost: EdgeCost,
-        max_iterations: int = 60,
-        gap_tolerance: float = 1e-3,
-    ) -> None:
-        check_fw_settings(max_iterations, gap_tolerance)
-        self._topology = topology
-        self._cost = cost
-        self._max_iterations = max_iterations
-        self._gap_tolerance = gap_tolerance
-
-        n = len(topology.nodes)
-        data, indices, indptr = topology.csr_components(
-            np.full(topology.num_edges, 1.0)
-        )
-        self._graph = csr_matrix((data.copy(), indices, indptr), shape=(n, n))
-        self._arc_edge = topology.csr_components(
-            np.arange(topology.num_edges, dtype=float)
-        )[0].astype(np.int64)
-        # Cache: node path (names) -> integer edge-id array.
-        self._path_eids: dict[tuple[str, ...], np.ndarray] = {}
-        # Cache: reversed node-id path -> (name path, edge-id array); paths
-        # recur massively across Frank-Wolfe iterations and intervals, so
-        # reconstruction from Dijkstra predecessors stays integer-only on
-        # cache hits.
-        self._idpath_cache: dict[
-            tuple[int, ...], tuple[tuple[str, ...], np.ndarray]
-        ] = {}
-
-    # ------------------------------------------------------------------
-    # Cached path plumbing.
-    # ------------------------------------------------------------------
-    def _eids(self, path: tuple[str, ...]) -> np.ndarray:
-        eids = self._path_eids.get(path)
-        if eids is None:
-            topo = self._topology
-            eids = np.fromiter(
-                (topo.edge_id(e) for e in path_edges(path)),
-                dtype=np.int64,
-                count=len(path) - 1,
-            )
-            self._path_eids[path] = eids
-        return eids
-
-    # ------------------------------------------------------------------
-    # Shortest-path machinery.
-    # ------------------------------------------------------------------
-    def _all_or_nothing(
-        self, commodities: Sequence[Commodity], weights: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-        """Assign every commodity to its current shortest path.
-
-        Returns the resulting load vector and the chosen path per commodity
-        (in input order).  One Dijkstra per *distinct source*, batched in C.
-        """
-        topo = self._topology
-        self._graph.data = np.maximum(weights, _WEIGHT_FLOOR)[self._arc_edge]
-        sources = sorted({c.src for c in commodities})
-        source_ids = np.array([topo.node_id(s) for s in sources])
-        _dist, predecessors = dijkstra(
-            self._graph, directed=True, indices=source_ids,
-            return_predecessors=True,
-        )
-        row_of = {src: i for i, src in enumerate(sources)}
-
-        loads = np.zeros(topo.num_edges)
-        paths: list[tuple[str, ...]] = []
-        node_at = topo.node_at
-        cache = self._idpath_cache
-        for commodity in commodities:
-            row = predecessors[row_of[commodity.src]]
-            src_id = topo.node_id(commodity.src)
-            path_ids = [topo.node_id(commodity.dst)]
-            while path_ids[-1] != src_id:
-                prev = row[path_ids[-1]]
-                if prev < 0:
-                    raise SolverError(
-                        f"no path from {commodity.src!r} to {commodity.dst!r}"
-                    )
-                path_ids.append(int(prev))
-            key = tuple(path_ids)  # reversed (dst -> src) id walk
-            hit = cache.get(key)
-            if hit is None:
-                path = tuple(node_at(i) for i in reversed(path_ids))
-                hit = (path, self._eids(path))
-                cache[key] = hit
-            path, eids = hit
-            paths.append(path)
-            loads[eids] += commodity.demand
-        return loads, paths
-
-    # ------------------------------------------------------------------
-    # Exact line search: bisection on the convex directional derivative.
-    # ------------------------------------------------------------------
-    def _line_search(
-        self, loads: np.ndarray, direction: np.ndarray, tol: float = 1e-6
-    ) -> float:
-        cost = self._cost
-
-        def slope(gamma: float) -> float:
-            return float(direction @ cost.derivative(loads + gamma * direction))
-
-        if slope(0.0) >= 0.0:
-            return 0.0
-        if slope(1.0) <= 0.0:
-            return 1.0
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if slope(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    # ------------------------------------------------------------------
-    # Main solve.
-    # ------------------------------------------------------------------
-    def solve(
-        self,
-        commodities: Sequence[Commodity],
-        warm_start: MCFSolution | None = None,
-    ) -> MCFSolution:
-        """Solve the F-MCF instance to the configured duality gap.
-
-        ``warm_start`` reuses a previous solution's path flows for the
-        commodities that persist (rescaled if demands changed) — across
-        consecutive intervals of Random-Schedule most flows persist, which
-        cuts iterations dramatically.
-        """
-        if not commodities:
-            raise ValidationError("solve requires at least one commodity")
-        ids = [c.id for c in commodities]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("commodity ids must be unique")
-        topo = self._topology
-
-        path_flows: dict[int | str, dict[tuple[str, ...], float]] = {}
-        loads = np.zeros(topo.num_edges)
-        fresh: list[Commodity] = []
-        if warm_start is not None:
-            for commodity in commodities:
-                prior = warm_start.path_flows.get(commodity.id)
-                if not prior:
-                    fresh.append(commodity)
-                    continue
-                total = sum(prior.values())
-                scale = commodity.demand / total
-                flows = {path: amount * scale for path, amount in prior.items()}
-                path_flows[commodity.id] = flows
-                for path, amount in flows.items():
-                    loads[self._eids(path)] += amount
-        else:
-            fresh = list(commodities)
-
-        if fresh:
-            aon_loads, aon_paths = self._all_or_nothing(
-                fresh, self._cost.derivative(loads)
-            )
-            loads += aon_loads
-            for commodity, path in zip(fresh, aon_paths):
-                path_flows[commodity.id] = {path: commodity.demand}
-
-        objective = self._cost.total(loads)
-        best_lower = -np.inf
-        gap = np.inf
-        iteration = 1
-
-        while iteration < self._max_iterations:
-            weights = self._cost.derivative(loads)
-            aon_loads, aon_paths = self._all_or_nothing(commodities, weights)
-
-            # Dual bound from the linearization:
-            # f(x) + f'(x)·(y - x) <= f(y) for all feasible y, minimized at
-            # the all-or-nothing point, so this is a valid lower bound.
-            slack = float(weights @ (loads - aon_loads))
-            best_lower = max(best_lower, objective - slack)
-            gap = (objective - best_lower) / max(abs(objective), 1e-30)
-            if gap <= self._gap_tolerance:
-                break
-
-            gamma = self._line_search(loads, aon_loads - loads)
-            if gamma <= 1e-12:
-                # Numerical stall: the gap bound says we are not optimal but
-                # the line search cannot move; accept the current point.
-                break
-
-            loads = loads + gamma * (aon_loads - loads)
-            keep = 1.0 - gamma
-            for commodity, path in zip(commodities, aon_paths):
-                flows = path_flows[commodity.id]
-                for existing in flows:
-                    flows[existing] *= keep
-                flows[path] = flows.get(path, 0.0) + gamma * commodity.demand
-            objective = self._cost.total(loads)
-            iteration += 1
-
-        # Prune vanishing path-flow entries once, after convergence.
-        for commodity in commodities:
-            flows = path_flows[commodity.id]
-            prune = _PRUNE_FRACTION * commodity.demand
-            for path in [p for p, v in flows.items() if v < prune]:
-                del flows[path]
-
-        if not np.isfinite(best_lower):
-            # Zero iterations of the dual bound (max_iterations == 1).
-            best_lower = 0.0
-        return MCFSolution(
-            objective=objective,
-            lower_bound=min(best_lower, objective),
-            link_loads=loads,
-            path_flows=path_flows,
-            relative_gap=float(max(gap, 0.0)) if np.isfinite(gap) else 1.0,
-            iterations=iteration,
-        )

@@ -11,39 +11,35 @@ Because each interval's weights sum to 1 and the intervals tile the flow's
 span exactly, the ``w_bar`` values form a probability distribution; the
 flow's single route is drawn from it.
 
-Two implementations live here (DESIGN.md Section 10):
-
-* the **registry-id-space engine**: :func:`aggregate_path_weights_array`
-  consumes :class:`~repro.routing.mcflow.ArrayPathFlows` rows directly —
-  per-flow ``w_bar`` is one weighted ``bincount``-style reduction over
-  interned path ids, the interval-length weighting is a vector scale — and
-  :func:`sample_paths` draws *every* flow's route in one batched
-  cumulative-sum + ``searchsorted`` pass (one uniform per flow, consumed
-  from the generator in flow order, so the stream matches the per-flow
-  reference draws exactly);
-* the **dict reference**: :func:`aggregate_path_weights` /
-  :func:`sample_path`, the per-flow nested-dict implementations the
-  array engine is pinned against in ``tests/test_rounding.py``.
+The engine works in registry-id space (DESIGN.md Section 10):
+:func:`aggregate_path_weights_array` consumes
+:class:`~repro.routing.mcflow.ArrayPathFlows` rows directly — per-flow
+``w_bar`` is one weighted ``bincount``-style reduction over interned path
+ids, the interval-length weighting is a vector scale — and
+:func:`sample_paths` draws *every* flow's route in one batched
+cumulative-sum + ``searchsorted`` pass (one uniform per flow, consumed
+from the generator in flow order, so the stream matches the per-flow
+reference draws exactly).  The per-flow nested-dict implementations,
+``aggregate_path_weights`` and ``sample_path``, are its oracles in
+``tests/oracles/rounding.py``; ``tests/test_rounding.py`` pins the engine
+to them.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping as MappingABC
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.flows.flow import Flow
-from repro.flows.intervals import Interval
 from repro.routing.mcflow import ArrayPathFlows, PathRegistry
 
 __all__ = [
     "ArrayPathWeights",
-    "aggregate_path_weights",
     "aggregate_path_weights_array",
-    "sample_path",
     "sample_paths",
     "argmax_paths",
 ]
@@ -67,83 +63,14 @@ def _warn_drift(flow_id: int | str, total: float) -> None:
     )
 
 
-def aggregate_path_weights(
-    flow: Flow,
-    interval_fractions: Sequence[tuple[Interval, Mapping[Path, float]]],
-) -> dict[Path, float]:
-    """Compute ``w_bar`` for one flow from its per-interval path fractions.
-
-    Parameters
-    ----------
-    flow:
-        The flow being rounded.
-    interval_fractions:
-        ``(interval, {path: fraction})`` for every grid interval inside the
-        flow's span; each fraction map should sum to ~1.
-
-    Returns
-    -------
-    dict mapping each candidate path to its rounding probability.  The
-    probabilities are renormalized at the end to absorb solver tolerance;
-    if the pre-normalization total drifts from 1 by more than ``1e-6``
-    even though the intervals tile the span, a single
-    :class:`RuntimeWarning` naming the flow is emitted (silent absorption
-    used to hide solver drift).
-    """
-    if not interval_fractions:
-        raise ValidationError(f"flow {flow.id!r}: no interval solutions supplied")
-    span = flow.span_length
-    weights: dict[Path, float] = {}
-    covered = 0.0
-    for interval, fractions in interval_fractions:
-        if not flow.covers_interval(interval.start, interval.end):
-            raise ValidationError(
-                f"flow {flow.id!r}: interval {interval!r} outside span"
-            )
-        covered += interval.length
-        share = interval.length / span
-        for path, fraction in fractions.items():
-            if fraction < -1e-9:
-                raise ValidationError(
-                    f"flow {flow.id!r}: negative path fraction {fraction}"
-                )
-            weights[path] = weights.get(path, 0.0) + fraction * share
-    if abs(covered - span) > 1e-6 * max(span, 1.0):
-        raise ValidationError(
-            f"flow {flow.id!r}: intervals cover {covered:g} of span {span:g}"
-        )
-    total = sum(weights.values())
-    if total <= 0:
-        raise ValidationError(f"flow {flow.id!r}: all path weights are zero")
-    if abs(total - 1.0) > _DRIFT_TOL:
-        _warn_drift(flow.id, total)
-    return {path: w / total for path, w in weights.items()}
-
-
-def sample_path(
-    weights: Mapping[Path, float], rng: np.random.Generator
-) -> Path:
-    """Draw one path according to its ``w_bar`` probability.
-
-    Paths are ordered deterministically before sampling so a fixed seed
-    yields identical choices across runs and platforms.
-    """
-    if not weights:
-        raise ValidationError("cannot sample from an empty path set")
-    paths = sorted(weights)
-    probs = np.array([weights[p] for p in paths], dtype=float)
-    probs = probs / probs.sum()
-    choice = int(rng.choice(len(paths), p=probs))
-    return paths[choice]
-
-
 class ArrayPathWeights(MappingABC):
     """Aggregated ``w_bar`` distributions for a batch of flows, in
     registry-id space.
 
     One row per (flow, candidate path); rows of one flow are contiguous
     (``indptr``) and ordered by the candidate's *node-path name* — the
-    same deterministic order :func:`sample_path` sorts into — so batched
+    same deterministic order the dict oracle ``sample_path`` sorts into —
+    so batched
     draws and the per-flow reference draws consume identical candidate
     orderings.  ``path_ids`` hold one canonical registry id per distinct
     node path (duplicate registry ids for one physical path are merged
@@ -220,7 +147,8 @@ def aggregate_path_weights_array(
         (ids not in ``flows`` are ignored, so a shared relaxation can be
         rounded flow-subset by flow-subset).
 
-    Mirrors :func:`aggregate_path_weights` exactly: per interval each
+    Mirrors the dict oracle ``aggregate_path_weights`` exactly: per
+    interval each
     flow's row amounts normalize to fractions, the fraction scales by
     ``|I_k| / span``, contributions accumulate per distinct *node path*
     (duplicate registry ids merge), intervals must tile each flow's span,
@@ -369,7 +297,8 @@ def sample_paths(
     """Draw one route per flow in a single batched pass.
 
     Consumes exactly one uniform per flow, in flow order — the same
-    generator stream as calling :func:`sample_path` per flow — and
+    generator stream as calling the dict oracle ``sample_path`` per
+    flow — and
     reproduces the per-flow inverse-CDF arithmetic (normalize, cumulative
     sum, normalize the CDF, ``searchsorted`` right), so fixed seeds yield
     the same routes as the dict reference.

@@ -4,7 +4,7 @@ from repro.scheduling.edf import (
     EdfJob,
     edf_schedule,
     edf_schedule_arrays,
-    edf_schedule_reference,
+    edf_schedule_scalar,
 )
 from repro.scheduling.schedule import (
     EnergyBreakdown,
@@ -25,7 +25,6 @@ from repro.scheduling.yds import (
     critical_interval,
     critical_interval_arrays,
     critical_interval_batch,
-    critical_interval_reference,
     yds_schedule,
 )
 
@@ -33,7 +32,7 @@ __all__ = [
     "EdfJob",
     "edf_schedule",
     "edf_schedule_arrays",
-    "edf_schedule_reference",
+    "edf_schedule_scalar",
     "Segment",
     "FlowSchedule",
     "Schedule",
@@ -49,5 +48,4 @@ __all__ = [
     "critical_interval",
     "critical_interval_arrays",
     "critical_interval_batch",
-    "critical_interval_reference",
 ]

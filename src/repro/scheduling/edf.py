@@ -13,23 +13,23 @@ EDF with preemption is optimal for feasibility on one resource, so if EDF
 misses a deadline the job set is genuinely infeasible and
 :class:`~repro.errors.InfeasibleError` is raised.
 
-Three engines live here.  :func:`edf_schedule_arrays` is the array-backed
-event sweep: the merged blocked segments compile once into sorted
-start/end/cumulative-measure arrays, every release and deadline maps into
-*available-time* coordinates in one vectorized pass (inside those
-coordinates the blocked segments vanish, so the sweep's only event axis
-is the sorted release array), and the executed runs map back to real
-time — splitting at the blocks they straddle — in one batched
-``searchsorted`` pass at the end.  :func:`edf_schedule_compiled` shares
-that transform and back-map but runs the sweep itself as the
-:func:`repro.kernels._impl.edf_sweep` flat-array heap kernel (numba when
-available, interpreted otherwise) — the engine that takes single-link
-instances to 10^6 jobs.  :func:`edf_schedule_reference` is the retained
-scalar predecessor, which advances slice by slice through every block
-boundary; the dispatcher :func:`edf_schedule` keeps it for the small
-per-link queues that dominate Most-Critical-First rounds (NumPy call
-overhead would swamp them), switches to the array engine above
-``_SCALAR_CUTOFF`` jobs, and to the compiled engine when the kernel tier
+Three engines live here, and the dispatcher :func:`edf_schedule` picks
+one by size.  :func:`edf_schedule_scalar` advances slice by slice
+through every block boundary; it serves the small per-link queues that
+dominate Most-Critical-First rounds (4.4 jobs per call on the
+``dcfs-epoch`` benchmark), where NumPy call overhead would swamp an
+array engine.  Above ``_SCALAR_CUTOFF`` jobs :func:`edf_schedule_arrays`
+takes over, an array-backed event sweep: the merged blocked segments
+compile once into sorted start/end/cumulative-measure arrays, every
+release and deadline maps into *available-time* coordinates in one
+vectorized pass (inside those coordinates the blocked segments vanish,
+so the sweep's only event axis is the sorted release array), and the
+executed runs map back to real time — splitting at the blocks they
+straddle — in one batched ``searchsorted`` pass at the end.
+:func:`edf_schedule_compiled` shares that transform and back-map but
+runs the sweep itself as the :func:`repro.kernels._impl.edf_sweep`
+flat-array heap kernel (numba when available, interpreted otherwise);
+the dispatcher uses it instead of the array engine when the kernel tier
 (:mod:`repro.kernels`) is active.  ``tests/test_edf.py`` and
 ``tests/test_kernels.py`` pin the engines on a dyadic-rational grid
 where the arithmetics are exact, so all of them must agree bit for bit.
@@ -54,14 +54,14 @@ __all__ = [
     "edf_schedule",
     "edf_schedule_arrays",
     "edf_schedule_compiled",
-    "edf_schedule_reference",
+    "edf_schedule_scalar",
 ]
 
 _EPS = 1e-9
 
-#: Job counts at or below this take the scalar reference engine: the
-#: array engine's fixed transform overhead (~a few numpy calls) would
-#: dominate the tiny per-link queues Most-Critical-First feeds it.
+#: Job counts at or below this take the scalar engine: the array engine's
+#: fixed transform overhead (~a few numpy calls) would dominate the tiny
+#: per-link queues Most-Critical-First feeds it.
 _SCALAR_CUTOFF = 48
 
 
@@ -117,7 +117,7 @@ def edf_schedule(
     """
     job_list = list(jobs)
     if len(job_list) <= _SCALAR_CUTOFF:
-        return edf_schedule_reference(job_list, blocked, tol)
+        return edf_schedule_scalar(job_list, blocked, tol)
     if kernels.active() is not None:
         return edf_schedule_compiled(job_list, blocked, tol)
     return edf_schedule_arrays(job_list, blocked, tol)
@@ -266,10 +266,10 @@ def _edf_transform(
     Returns ``(bs, be, cum, ab, nb, order, deadlines, rel_a, dl_a)``:
     the merged block start/end arrays, ``cum[i]`` the blocked measure
     strictly before block i, ``ab[i]`` block i's start in available
-    coordinates, the reference admission order (release, deadline,
+    coordinates, the scalar engine's admission order (release, deadline,
     str(id)) — A() is monotone, so this order is also nondecreasing in
     transformed release and heap ties resolve identically to the
-    reference — plus the admission-ordered real deadlines and the
+    scalar engine — plus the admission-ordered real deadlines and the
     available-coordinate release/deadline arrays.
     """
     blocked_merged = merge_segments(blocked)
@@ -342,7 +342,7 @@ def _edf_backmap(
     for r, s, e in zip(run_of.tolist(), starts.tolist(), ends.tolist()):
         segments[job_of_run[r]].append((s, e))
     # Per-job pieces are already time-sorted and positive, so the
-    # reference's merge_segments collapses to one linear coalesce with
+    # scalar engine's merge_segments collapses to one linear coalesce with
     # the identical tolerance semantics.
     out: dict[int | str, list[tuple[float, float]]] = {}
     for jid, segs in segments.items():
@@ -433,7 +433,7 @@ def edf_schedule_compiled(
 
 
 # ----------------------------------------------------------------------
-# Scalar reference engine (retained verbatim; the pinning oracle).
+# Scalar engine: slice by slice in real time.
 # ----------------------------------------------------------------------
 def _next_free_time(
     t: float, blocked: Sequence[tuple[float, float]], cursor: int
@@ -471,12 +471,13 @@ def _next_block_start(t: float, block_starts: Sequence[float]) -> float:
     return float("inf")
 
 
-def edf_schedule_reference(
+def edf_schedule_scalar(
     jobs: Iterable[EdfJob],
     blocked: Iterable[tuple[float, float]] = (),
     tol: float = 1e-7,
 ) -> dict[int | str, list[tuple[float, float]]]:
-    """The scalar slice-by-slice EDF engine (see :func:`edf_schedule`)."""
+    """The scalar slice-by-slice EDF engine, for small job sets (see
+    :func:`edf_schedule`)."""
     job_list = list(jobs)
     ids = [j.id for j in job_list]
     if len(set(ids)) != len(ids):

@@ -23,9 +23,10 @@ work takes one NumPy candidate grid with breakpoint arrays and prefix
 sums, which :func:`critical_interval_batch` runs over many links' job
 sets at once (DESIGN.md Sections 8, 17 and 22).
 :func:`critical_interval_arrays` scores one job set the same way.
-:func:`critical_interval_reference` retains the enumeration over
-:class:`YdsJob` lists and is pinned bit-equal by
-``tests/test_perf_kernels.py``.
+The brute-force enumeration over :class:`YdsJob` lists,
+``critical_interval_reference``, is their oracle in
+``tests/oracles/dcfs.py``; ``tests/test_perf_kernels.py`` pins them to
+it bit for bit.
 
 A job counts as contained in ``[a, b]`` when it is released at or after
 ``a - eps`` and due at or before ``b + eps``.  Both sides count equality:
@@ -55,7 +56,6 @@ __all__ = [
     "contained_indices",
     "critical_interval_arrays",
     "critical_interval_batch",
-    "critical_interval_reference",
 ]
 
 _EPS = 1e-12
@@ -138,7 +138,8 @@ def critical_interval(
     divided by the *available* (non-blocked) measure of ``[a, b]``.
 
     Results (values, tie-breaking and infeasibility behavior) are
-    bit-identical to :func:`critical_interval_reference`.
+    bit-identical to the oracle ``critical_interval_reference``
+    (``tests/oracles/dcfs.py``).
     """
     if not jobs:
         raise ValidationError("critical_interval requires at least one job")
@@ -496,9 +497,9 @@ def _critical_interval_lists(
     """The reference enumeration on plain columns, for small job sets.
 
     Returns ``(a, b, intensity, count)`` like
-    :func:`critical_interval_batch`.  Bit-identical to both the grid above and
-    :func:`critical_interval_reference` (same float operations in the same
-    order).  Candidates are visited in ascending ``(a, b)`` order, so the
+    :func:`critical_interval_batch`.  Bit-identical to both the grid
+    above and the oracle ``critical_interval_reference`` (same float
+    operations in the same order).  Candidates are visited in ascending ``(a, b)`` order, so the
     reference's ``(intensity, -a, -(b - a))`` key improves exactly when
     the intensity strictly does.  The blocked measure is
     :meth:`BlockedTimeline.overlap` split in two: its ``a``-dependent half
@@ -562,53 +563,6 @@ def _critical_interval_lists(
             if intensity > best_intensity:
                 best_intensity = intensity
                 best = (a, b, intensity, count)
-    assert best is not None
-    return best
-
-
-def critical_interval_reference(
-    jobs: list[YdsJob], blocked: BlockedTimeline | None = None
-) -> tuple[float, float, float, list[YdsJob]]:
-    """Pure-Python brute-force enumeration of all (release, deadline) pairs.
-
-    Retained as the pinning reference for the vectorized
-    :func:`critical_interval`; semantics are identical.
-    """
-    if not jobs:
-        raise ValidationError("critical_interval requires at least one job")
-    releases = sorted({j.release for j in jobs})
-    deadlines = sorted({j.deadline for j in jobs})
-    best: tuple[float, float, float, list[YdsJob]] | None = None
-    for a in releases:
-        # Jobs released at/after ``a``, grouped by deadline prefix sums.
-        eligible = sorted(
-            (j for j in jobs if j.release >= a - _EPS),
-            key=lambda j: j.deadline,
-        )
-        if not eligible:
-            continue
-        work_prefix = [0.0]
-        for j in eligible:
-            work_prefix.append(work_prefix[-1] + j.work)
-        for b in deadlines:
-            if b <= a:
-                continue
-            # Count eligible jobs with deadline <= b (+ eps).
-            count = bisect_right([j.deadline for j in eligible], b + _EPS)
-            if count == 0:
-                continue
-            total_work = work_prefix[count]
-            available = b - a
-            if blocked is not None:
-                available -= blocked.overlap(a, b)
-            if available <= 1e-12:
-                raise InfeasibleError(
-                    f"no available time in [{a:g}, {b:g}] but jobs remain"
-                )
-            intensity = total_work / available
-            key = (intensity, -a, -(b - a))
-            if best is None or key > (best[2], -best[0], -(best[1] - best[0])):
-                best = (a, b, intensity, eligible[:count])
     assert best is not None
     return best
 

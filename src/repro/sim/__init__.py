@@ -1,7 +1,7 @@
 """Simulators: fluid replay and fault injection.
 
-The store-and-forward packet validator is a test oracle and lives in
-``tests/oracles/packet.py``.
+The store-and-forward packet validator and the global-epoch fluid replay
+are test oracles and live in ``tests/oracles/``.
 """
 
 from repro.sim.churn import (
@@ -17,14 +17,12 @@ from repro.sim.fluid import (
     LinkStats,
     SimulationReport,
     simulate_fluid,
-    simulate_fluid_reference,
 )
 
 __all__ = [
     "LinkStats",
     "SimulationReport",
     "simulate_fluid",
-    "simulate_fluid_reference",
     "fail_links",
     "FailureDomain",
     "FaultEvent",

@@ -66,7 +66,6 @@ _KINDS = (
 #: recovers) at the same instant, before any repair routing runs.
 DOWN_KINDS = (LINK_DOWN, SWITCH_DOWN, SRLG_DOWN)
 UP_KINDS = (LINK_UP, SWITCH_UP, SRLG_UP)
-_DOMAIN_KINDS = (SWITCH_DOWN, SWITCH_UP, SRLG_DOWN, SRLG_UP)
 
 
 def _canonical_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -198,10 +197,6 @@ class FaultEvent:
     @property
     def is_link(self) -> bool:
         return self.kind in (LINK_DOWN, LINK_UP)
-
-    @property
-    def is_domain(self) -> bool:
-        return self.kind in _DOMAIN_KINDS
 
     @property
     def is_fabric(self) -> bool:
@@ -661,16 +656,6 @@ class FaultSchedule:
             fail(index, t, primary=True)
         settle(end)
         return cls(events)
-
-    # ------------------------------------------------------------------
-    # Serialization (trace-store records).
-    # ------------------------------------------------------------------
-    def to_records(self) -> list[dict]:
-        return [event.to_record() for event in self._events]
-
-    @classmethod
-    def from_records(cls, records: Iterable[dict]) -> "FaultSchedule":
-        return cls(FaultEvent.from_record(r) for r in records)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The offline algorithms of :mod:`repro.core` see a whole flow set at once;
 this package is the serving-side counterpart (DESIGN.md Section 6): seeded
 arrival-process generators that emit million-flow traces lazily, a
-streaming JSONL/CSV trace store, and a windowed replay engine that feeds
+streaming JSONL trace store, and a windowed replay engine that feeds
 each epoch to a pluggable scheduling policy while carrying committed
 reservations across window boundaries.
 """
@@ -42,10 +42,8 @@ from repro.traces.sizes import (
 from repro.traces.store import (
     TRACE_VERSION,
     TraceReader,
-    read_trace_csv,
     read_trace_faults,
     read_trace_jsonl,
-    write_trace_csv,
     write_trace_jsonl,
 )
 
@@ -67,8 +65,6 @@ __all__ = [
     "write_trace_jsonl",
     "read_trace_jsonl",
     "read_trace_faults",
-    "write_trace_csv",
-    "read_trace_csv",
     "ChurnManager",
     "ReplayPolicy",
     "WindowContext",

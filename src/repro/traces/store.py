@@ -1,4 +1,4 @@
-"""Streaming trace persistence: JSONL (canonical) and CSV (interchange).
+"""Streaming trace persistence: versioned JSONL.
 
 Same contract as :mod:`repro.io` — versioned formats, loaders that refuse
 what they do not recognize — but line-oriented so that writing and reading
@@ -17,13 +17,6 @@ they are first-class trace citizens.  Plain readers skip them, so every
 pre-fault consumer keeps working; pass ``include_faults=True`` (reader
 and :class:`TraceReader`) to receive them inline, or
 :func:`read_trace_faults` to collect just the schedule.
-
-CSV layout::
-
-    #repro-trace:1
-    id,src,dst,size,release,deadline
-    0,h0,h3,4.25,0.31,8.81
-    ...
 
 Floats are serialized via ``repr`` (shortest round-tripping form), so a
 regenerated trace written twice is byte-for-byte identical and numeric
@@ -44,14 +37,9 @@ __all__ = [
     "write_trace_jsonl",
     "read_trace_jsonl",
     "read_trace_faults",
-    "write_trace_csv",
-    "read_trace_csv",
 ]
 
 TRACE_VERSION = 1
-
-_CSV_MAGIC = f"#repro-trace:{TRACE_VERSION}"
-_CSV_COLUMNS = ("id", "src", "dst", "size", "release", "deadline")
 
 
 def _flow_record(flow: Flow) -> dict:
@@ -315,92 +303,3 @@ class TraceReader:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# CSV.
-# ----------------------------------------------------------------------
-def write_trace_csv(flows: Iterable[Flow], path: str) -> int:
-    """Stream ``flows`` to ``path`` as versioned CSV; returns the count.
-
-    Ids and endpoints must be comma-free (trace-generated ones always are).
-    """
-    count = 0
-    with open(path, "w") as handle:
-        handle.write(_CSV_MAGIC + "\n")
-        handle.write(",".join(_CSV_COLUMNS) + "\n")
-        for flow in flows:
-            fields = (str(flow.id), flow.src, flow.dst)
-            if any("," in f or "\n" in f for f in fields):
-                raise ValidationError(
-                    f"flow {flow.id!r}: CSV fields may not contain commas "
-                    "or newlines; use the JSONL format instead"
-                )
-            handle.write(
-                f"{fields[0]},{fields[1]},{fields[2]},"
-                f"{flow.size!r},{flow.release!r},{flow.deadline!r}\n"
-            )
-            count += 1
-    return count
-
-
-def read_trace_csv(path: str) -> Iterator[Flow]:
-    """Lazily iterate the flows of a CSV trace (header validated eagerly).
-
-    Ids written from canonical integers are restored as ints (the
-    generator's convention); anything else stays a string.
-    """
-    handle = open(path)
-    try:
-        magic = handle.readline().rstrip("\n")
-        if magic != _CSV_MAGIC:
-            raise ValidationError(
-                f"{path}: bad trace magic {magic!r} (expected {_CSV_MAGIC!r})"
-            )
-        columns = tuple(handle.readline().rstrip("\n").split(","))
-        if columns != _CSV_COLUMNS:
-            raise ValidationError(
-                f"{path}: bad column header {columns!r} "
-                f"(expected {_CSV_COLUMNS!r})"
-            )
-    except BaseException:
-        handle.close()
-        raise
-
-    def flows() -> Iterator[Flow]:
-        with handle:
-            for lineno, line in enumerate(handle, start=3):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(_CSV_COLUMNS):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} "
-                        f"fields, got {len(parts)}"
-                    )
-                raw_id, src, dst, size, release, deadline = parts
-                # Only canonical integer spellings become ints; "007" or
-                # "--5" must round-trip as the string ids they were.
-                flow_id: int | str
-                try:
-                    as_int = int(raw_id)
-                    flow_id = as_int if str(as_int) == raw_id else raw_id
-                except ValueError:
-                    flow_id = raw_id
-                try:
-                    numbers = (float(size), float(release), float(deadline))
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}:{lineno}: bad numeric field ({exc})"
-                    ) from exc
-                yield Flow(
-                    id=flow_id,
-                    src=src,
-                    dst=dst,
-                    size=numbers[0],
-                    release=numbers[1],
-                    deadline=numbers[2],
-                )
-
-    return flows()

@@ -15,6 +15,10 @@ instances with a handful of flows/links, used to certify
 * that Most-Critical-First attains (P1)'s optimum, and
 * that the Frank–Wolfe solver attains the F-MCF optimum.
 
+No replay, experiment or library path runs them, and they are the only
+code that loads :mod:`scipy.optimize`, so they live beside the tests;
+tests import them as ``tests.oracles.convex``.
+
 (P1) is solved after the substitution ``u_i = 1/s_i`` which makes both the
 objective ``sum_i |P_i| w_i mu u_i^(1-alpha)`` and the interval constraints
 ``sum w_i u_i <= length`` convex/linear; the exponential family of subset

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from tests.conftest import random_flows_on
-from repro.analysis.convex import solve_p1_reference
+from tests.oracles.convex import solve_p1_reference
 from repro.core import solve_dcfs
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet

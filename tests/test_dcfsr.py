@@ -185,7 +185,8 @@ class TestArrayRoundingPinned:
     def test_random_draws_identical(self, relaxed):
         import numpy as np
 
-        from repro.core import round_schedule, round_schedule_reference
+        from tests.oracles.rounding import round_schedule_reference
+        from repro.core import round_schedule
 
         flows, relaxation = relaxed
         for seed in (0, 7, 123):

@@ -2,10 +2,10 @@
 
 Both engines are exercised: the dispatcher's scenarios run through the
 suites below, and `TestArrayEnginePinned` pins `edf_schedule_arrays`
-against `edf_schedule_reference` on a dyadic-rational grid (multiples of
-1/8, exact in binary floating point) where the available-time transform
-is exact arithmetic — so the engines must agree **bit for bit**,
-including which instances are infeasible.
+against the scalar engine `edf_schedule_scalar` on a dyadic-rational
+grid (multiples of 1/8, exact in binary floating point) where the
+available-time transform is exact arithmetic — so the engines must agree
+**bit for bit**, including which instances are infeasible.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.scheduling import (
     EdfJob,
     edf_schedule,
     edf_schedule_arrays,
-    edf_schedule_reference,
+    edf_schedule_scalar,
 )
 
 
@@ -83,7 +83,7 @@ class TestBasics:
         then looped forever instead of finishing."""
         blocked = [(2e-09, 3.3311739721768316), (8.320253573934155, 12.0)]
         job = EdfJob(3, 1e-09, 8.807427728371055, 4.989079602757323)
-        out = edf_schedule_reference([job], blocked=blocked)
+        out = edf_schedule_scalar([job], blocked=blocked)
         assert out[3] == [(1e-09, 2e-09), (3.3311739721768316, out[3][1][1])]
         assert out[3][1][1] <= 8.320253573934155
         assert total(out[3]) == pytest.approx(job.duration, abs=1e-9)
@@ -172,7 +172,7 @@ _dyadic_pos = st.integers(1, 40).map(lambda k: k / 8.0)
 
 
 class TestArrayEnginePinned:
-    """edf_schedule_arrays pinned bit-for-bit to the scalar reference."""
+    """edf_schedule_arrays pinned bit-for-bit to the scalar engine."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -197,7 +197,7 @@ class TestArrayEnginePinned:
             blocked.append((start, start + data.draw(_dyadic_pos)))
 
         try:
-            reference = edf_schedule_reference(jobs, blocked)
+            reference = edf_schedule_scalar(jobs, blocked)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 edf_schedule_arrays(jobs, blocked)
@@ -231,7 +231,7 @@ class TestArrayEnginePinned:
         assert out["a"] == [
             (0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11),
         ]
-        assert out == edf_schedule_reference(
+        assert out == edf_schedule_scalar(
             [EdfJob("a", 0, 20, 6)], blocked=blocked
         )
 
@@ -244,7 +244,7 @@ class TestArrayEnginePinned:
         jobs = [EdfJob("A", 0, 5, 5), EdfJob("J", 0, 10, 5 + 5e-8)]
         blocked = [(10, 20)]
         with pytest.raises(InfeasibleError):
-            edf_schedule_reference(jobs, blocked)
+            edf_schedule_scalar(jobs, blocked)
         with pytest.raises(InfeasibleError):
             edf_schedule_arrays(jobs, blocked)
 
@@ -254,7 +254,7 @@ class TestArrayEnginePinned:
         jobs = [EdfJob("a", 0, 4, 4)]
         blocked = [(4, 9)]
         assert edf_schedule_arrays(jobs, blocked) == {"a": [(0, 4)]}
-        assert edf_schedule_reference(jobs, blocked) == {"a": [(0, 4)]}
+        assert edf_schedule_scalar(jobs, blocked) == {"a": [(0, 4)]}
 
     def test_dispatcher_uses_array_engine_at_scale(self):
         jobs = [

@@ -6,19 +6,28 @@ These run at deliberately tiny scale; the full-scale reproduction lives in
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ValidationError
 from repro.experiments import (
-    PAPER_FLOW_COUNTS,
-    figure2_table,
     lambda_ablation,
     rounding_ablation,
-    run_figure2,
     sigma_ablation,
     topology_ablation,
 )
+from repro.experiments.figure2 import (
+    PAPER_FLOW_COUNTS,
+    figure2_table,
+    run_figure2,
+)
 from repro.power import PowerModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFigure2:
@@ -70,6 +79,27 @@ class TestFigure2:
         out = capsys.readouterr().out
         assert "Figure 2" in out
         assert csv.exists()
+
+    def test_module_runs_without_runpy_warning(self):
+        """``python -m repro.experiments.figure2`` must not find its own
+        module loaded already: when the package imported it, runpy
+        warned with a RuntimeWarning before running the script."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC), env.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.figure2", "--help",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
 
 class TestAblations:

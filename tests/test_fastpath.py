@@ -4,9 +4,10 @@ Two load-bearing pins:
 
 * routing equivalence — :class:`FastRouter` (the bidirectional,
   cache-seeded router every marginal-cost consumer uses) must return
-  paths of *equal cost* to :func:`marginal_route_reference` (the
-  :func:`networkx.dijkstra_path` oracle) on random jellyfish/fat-tree
-  topologies under random positive marginals;
+  paths of *equal cost* to ``marginal_route_reference`` (the
+  :func:`networkx.dijkstra_path` oracle in ``tests/oracles/paths.py``)
+  on random jellyfish/fat-tree topologies under random positive
+  marginals;
 * ledger exactness — :class:`LoadLedger` must reproduce, bit-for-bit up
   to float tolerance, the from-scratch load rebuild via per-edge
   :class:`PiecewiseConstant` profiles that :mod:`repro.core.online` used
@@ -23,11 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.oracles.paths import marginal_route_reference
 from repro.errors import TopologyError, ValidationError
 from repro.flows import Flow
 from repro.power import PowerModel
 from repro.routing.fastpath import FastRouter, LoadLedger
-from repro.routing.paths import marginal_route_reference
 from repro.scheduling import FlowSchedule, Segment
 from repro.scheduling.timeline import PiecewiseConstant
 from repro.topology import build_topology, fat_tree

@@ -2,9 +2,10 @@
 
 The array engine (`FrankWolfeSolver`: path registry + flat flow rows +
 pairwise/away-step equilibration, one loop for every entry point —
-DESIGN.md §19) keeps its dict-of-paths predecessor as
-``FrankWolfeSolverReference``; this suite proves the pair interchangeable
-across random jellyfish/fat-tree instances, cold and warm:
+DESIGN.md §19) keeps its dict-of-paths predecessor as the oracle
+``FrankWolfeSolverReference`` (``tests/oracles/mcflow.py``); this suite
+proves the pair interchangeable across random jellyfish/fat-tree
+instances, cold and warm:
 
 * ``solve``, a one-block ``solve_stacked`` and a cold
   :class:`RelaxationSession` solve are bit-identical;
@@ -24,12 +25,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tests.oracles.mcflow import FrankWolfeSolverReference
 from repro.errors import SolverError, ValidationError
 from repro.power import PowerModel
 from repro.routing import (
     Commodity,
     FrankWolfeSolver,
-    FrankWolfeSolverReference,
     RelaxationSession,
     envelope_cost,
 )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.convex import solve_fmcf_reference
+from tests.oracles.convex import solve_fmcf_reference
 from repro.errors import SolverError, ValidationError
 from repro.power import PowerModel
 from repro.routing import (

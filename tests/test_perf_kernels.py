@@ -32,7 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import dyadic_ft4_flows, random_flows_on
-from repro.core import solve_dcfs, solve_dcfs_reference, solve_dcfsr, sp_mcf
+from tests.oracles.dcfs import (
+    critical_interval_reference,
+    solve_dcfs_reference,
+)
+from tests.oracles.fluid import simulate_fluid_reference
+from repro.core import solve_dcfs, solve_dcfsr, sp_mcf
 from repro.errors import InfeasibleError, ValidationError
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.parallel import parallel_map
@@ -44,10 +49,9 @@ from repro.scheduling import (
     contained_indices,
     critical_interval,
     critical_interval_batch,
-    critical_interval_reference,
 )
 from repro.scheduling.timeline import BlockedTimeline
-from repro.sim.fluid import simulate_fluid, simulate_fluid_reference
+from repro.sim.fluid import simulate_fluid
 from repro.topology import fat_tree
 from repro.traces import PoissonProcess, TraceSpec, generate_trace
 

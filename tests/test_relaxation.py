@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_flows_on
-from repro import kernels
 from repro.core.relaxation import default_cost, solve_relaxation
 from repro.errors import ValidationError
 from repro.flows import TimeGrid
@@ -239,15 +238,7 @@ class TestStackedAgainstSequential:
     def test_many_intervals_cross_chunk_boundaries(self, monkeypatch):
         """Dozens of intervals under a tiny shortest-path chunk budget:
         every round splits into several block-diagonal calls, and the
-        result must match the single-call layout exactly.  (The scipy
-        batch is what chunks; the kernel tier searches per source.)"""
-        kernels.set_backend("python")
-        try:
-            self._check_chunking(monkeypatch)
-        finally:
-            kernels.reset_backend()
-
-    def _check_chunking(self, monkeypatch):
+        result must match the single-call layout exactly."""
         topo = _TOPOLOGIES["ft4"]
         power = _POWERS["quadratic"]
         flows = random_flows_on(topo, 24, seed=7, horizon=(0.0, 60.0))

@@ -1,9 +1,10 @@
 """Tests for randomized path rounding (Algorithm 2 steps 6-10).
 
-The dict implementations are exercised directly, and the registry-id-
-space engine (`aggregate_path_weights_array` / `sample_paths`) is pinned
-against them: same weights, same sampled routes from the same generator
-stream, same error and drift-warning behavior.
+The dict implementations (the oracles in `tests/oracles/rounding.py`)
+are exercised directly, and the registry-id-space engine
+(`aggregate_path_weights_array` / `sample_paths`) is pinned against
+them: same weights, same sampled routes from the same generator stream,
+same error and drift-warning behavior.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tests.oracles.rounding import aggregate_path_weights, sample_path
 from repro.errors import ValidationError
 from repro.flows import Flow
 from repro.flows.intervals import Interval
 from repro.routing import (
-    aggregate_path_weights,
     aggregate_path_weights_array,
     argmax_paths,
-    sample_path,
     sample_paths,
 )
 

@@ -19,11 +19,9 @@ from repro.traces import (
     materialize,
     pareto_sizes,
     proportional_slack,
-    read_trace_csv,
     read_trace_jsonl,
     uniform_sizes,
     uniform_slack,
-    write_trace_csv,
     write_trace_jsonl,
 )
 
@@ -227,14 +225,6 @@ class TestStore:
         reader = read_trace_jsonl(path)
         assert next(reader).id == 0
 
-    def test_csv_round_trip(self, ft4, tmp_path):
-        flows = list(generate_trace(ft4, spec()))
-        path = str(tmp_path / "trace.csv")
-        count = write_trace_csv(flows, path)
-        assert count == len(flows)
-        restored = list(read_trace_csv(path))
-        assert restored == flows  # ids restored as ints, floats exact
-
     def test_jsonl_rejects_wrong_version(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as handle:
@@ -273,15 +263,6 @@ class TestStore:
         with pytest.raises(ValidationError, match=r"bad\.jsonl:2"):
             list(read_trace_jsonl(path, include_faults=True))
 
-    def test_csv_rejects_malformed_body(self, tmp_path):
-        path = str(tmp_path / "bad.csv")
-        with open(path, "w") as handle:
-            handle.write("#repro-trace:1\n")
-            handle.write("id,src,dst,size,release,deadline\n")
-            handle.write("0,a,b,huge,0.0,1.0\n")
-        with pytest.raises(ValidationError, match=r"bad\.csv:3"):
-            list(read_trace_csv(path))
-
     def test_jsonl_rejects_missing_field(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as handle:
@@ -289,49 +270,6 @@ class TestStore:
             handle.write('{"id":0,"src":"a","dst":"b","size":1.0}\n')
         with pytest.raises(ValidationError):
             list(read_trace_jsonl(path))
-
-    def test_csv_rejects_bad_magic(self, tmp_path):
-        path = str(tmp_path / "bad.csv")
-        with open(path, "w") as handle:
-            handle.write("id,src,dst\n")
-        with pytest.raises(ValidationError):
-            read_trace_csv(path)
-
-    def test_csv_rejects_commas_in_fields(self, tmp_path):
-        from repro.flows import Flow
-
-        flow = Flow(id="a,b", src="x", dst="y", size=1.0, release=0.0, deadline=1.0)
-        with pytest.raises(ValidationError):
-            write_trace_csv([flow], str(tmp_path / "bad.csv"))
-
-    def test_csv_preserves_string_ids(self, tmp_path):
-        from repro.flows import Flow
-
-        flow = Flow(
-            id="incast-3", src="x", dst="y", size=1.5, release=0.25, deadline=2.0
-        )
-        path = str(tmp_path / "named.csv")
-        write_trace_csv([flow], path)
-        restored = list(read_trace_csv(path))
-        assert restored == [flow]
-        assert isinstance(restored[0].id, str)
-
-    def test_csv_awkward_ids_round_trip(self, tmp_path):
-        """Only canonical int spellings become ints; '007' and '--5' must
-        come back as the exact string ids they were (string ids that *are*
-        canonical int spellings, like '-5', are the documented lossy case:
-        they read back as ints)."""
-        from repro.flows import Flow
-
-        flows = [
-            Flow(id=i, src="x", dst="y", size=1.0, release=0.0, deadline=1.0)
-            for i in ("007", "--5", 7, -5)
-        ]
-        path = str(tmp_path / "ids.csv")
-        write_trace_csv(flows, path)
-        restored = list(read_trace_csv(path))
-        assert restored == flows
-        assert [f.id for f in restored] == ["007", "--5", 7, -5]
 
     def test_round_trip_survives_awkward_floats(self, tmp_path):
         from repro.flows import Flow
@@ -345,11 +283,8 @@ class TestStore:
             deadline=math.pi + 1e-9,
         )
         jsonl = str(tmp_path / "f.jsonl")
-        csv = str(tmp_path / "f.csv")
         write_trace_jsonl([flow], jsonl)
-        write_trace_csv([flow], csv)
         assert list(read_trace_jsonl(jsonl)) == [flow]
-        assert list(read_trace_csv(csv)) == [flow]
 
 
 class TestTraceReader:
