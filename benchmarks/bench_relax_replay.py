@@ -8,14 +8,16 @@ solved together as one stacked Frank–Wolfe problem
 (:meth:`~repro.routing.mcflow.FrankWolfeSolver.solve_stacked`, DESIGN.md
 Section 16).  Two measurements land in ``BENCH_relax_replay.json``:
 
-* the headline 10k-flow warm replay (one persistent pipeline — solver,
-  path registry, walk cache — carried across windows, one stacked solve
-  per window, interval-resolved background), with the stacked solve's
-  rounds per window (the most iterations any interval of the window
-  took) and its mean per-interval iterations,
+* the headline 10k-flow warm replay (one pipeline — solver, path
+  registry, walk cache — cached by the policy across windows, one
+  stacked solve per window, interval-resolved background), with the
+  stacked solve's rounds per window (the most iterations any interval
+  of the window took) and its mean per-interval iterations,
 * the warm-vs-cold speedup at a matched smaller trace, where "cold"
-  means a fresh pipeline per window (the committed routes are identical;
-  only the registry, walk cache and shortest-path scratch start empty).
+  means a fresh pipeline per window (``tests.oracles.policies.
+  ColdRelaxationPolicy`` drops the cache before every window: the
+  committed routes are identical; only the registry and walk cache
+  start empty).
 
 The speedup assert is a bound set from the ratio measured on a 2-vCPU
 VM (see the comment at it), with room for a loaded machine.
@@ -35,6 +37,7 @@ import time
 import pytest
 
 from record import record_bench
+from tests.oracles.policies import ColdRelaxationPolicy
 from repro.core.dcfsr import RelaxationPipeline
 from repro.power import PowerModel
 from repro.topology import fat_tree
@@ -70,11 +73,10 @@ def _trace(target_flows: int) -> list:
 
 
 def _run(trace: list, warm: bool) -> tuple[float, object]:
-    policy = RelaxationRoundingPolicy(
+    policy = (RelaxationRoundingPolicy if warm else ColdRelaxationPolicy)(
         seed=0,
         fw_max_iterations=40,
         fw_gap_tolerance=5e-3,
-        warm_windows=warm,
     )
     engine = ReplayEngine(TOPOLOGY, POWER, policy, window=WINDOW)
     start = time.perf_counter()
@@ -113,7 +115,7 @@ def test_relax_replay_throughput(benchmark, monkeypatch):
     cold_small_s, cold_small = _run(small, warm=False)
     assert cold_small.flows_served == warm_small.flows_served
     speedup = cold_small_s / warm_small_s
-    # A carried pipeline against a fresh one per window (same routes).
+    # A cached pipeline against a fresh one per window (same routes).
     # Without a cross-interval warm start the carried caches buy little:
     # 1.04x measured on a 2-vCPU VM, 0.75x the floor.
     assert speedup >= 0.75, f"warm-vs-cold speedup {speedup:.2f}x < 0.75x"

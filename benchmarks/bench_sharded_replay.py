@@ -4,7 +4,7 @@ Replays a locality-heavy Poisson trace on the paper's k = 8 fat-tree two
 ways: through the single-owner
 :class:`~repro.traces.policies.RelaxationRoundingPolicy` (one F-MCF
 relaxation over the whole fabric per window) and through the 4-shard
-:class:`~repro.service.ShardedReplayEngine` (one warm relaxation
+:class:`~repro.service.ShardedReplayEngine` (one relaxation
 pipeline per pod group, windows pipelined across the fork workers, only
 cross-pod flows routed globally).  The speedup has two sources measured
 together: per-shard subproblems are much smaller than the fabric-wide
@@ -88,7 +88,7 @@ def _trace() -> list:
 
 
 def _run_single(trace: list) -> tuple[float, object]:
-    policy = RelaxationRoundingPolicy(seed=0, warm_windows=True, **FW_KWARGS)
+    policy = RelaxationRoundingPolicy(seed=0, **FW_KWARGS)
     engine = ReplayEngine(TOPOLOGY, POWER, policy, window=WINDOW)
     start = time.perf_counter()
     report = engine.run(iter(trace))

@@ -2,9 +2,8 @@
 """The sharded streaming-replay service, end to end.
 
 A fat-tree splits on its pod boundaries into four relaxation shards,
-each owning a warm Frank–Wolfe pipeline in its own fork worker; the
-parent routes only the cross-pod flows and stacks every commitment in
-one exact accountant.  The demo drives the long-lived
+each solved in its own fork worker; the parent routes only the
+cross-pod flows and stacks every commitment in one exact accountant.  The demo drives the long-lived
 :class:`~repro.service.ReplayService` front end through its whole
 lifecycle:
 

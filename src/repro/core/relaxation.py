@@ -26,8 +26,6 @@ from repro.routing.mcflow import Commodity, FrankWolfeSolver, MCFSolution
 
 __all__ = ["IntervalSolution", "RelaxationResult", "solve_relaxation"]
 
-Path = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class IntervalSolution:
@@ -75,16 +73,6 @@ class RelaxationResult:
         which never exceeds the interval's true fractional optimum.
         """
         return sum(iv.lower_bound_contribution for iv in self.intervals)
-
-    def fractions_for_flow(
-        self, flow_id: int | str
-    ) -> list[tuple[Interval, dict[Path, float]]]:
-        """Per-interval path fractions of one flow (rounding input)."""
-        out: list[tuple[Interval, dict[Path, float]]] = []
-        for iv in self.intervals:
-            if flow_id in iv.solution.path_flows:
-                out.append((iv.interval, iv.solution.path_fractions(flow_id)))
-        return out
 
 
 def solve_relaxation(

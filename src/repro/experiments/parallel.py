@@ -25,10 +25,10 @@ a fork-inherited semaphore caps the number of tasks *executing* at once
 — one shared pool of execution slots, so tail ablations queue work the
 moment a slot frees instead of idling behind earlier ablations.
 
-:class:`WorkerGroup` is the *stateful* counterpart for long-lived
-services: one process per worker, built once and messaged many times,
-each owning durable state (a warm relaxation pipeline per topology shard)
-that a stateless pool would have to rebuild on every call.
+:class:`WorkerGroup` is the long-lived counterpart for services: one
+process per worker, built once and messaged many times, each keeping
+whatever its handler caches between messages (a topology shard's
+relaxation pipeline) that a stateless pool would rebuild on every call.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import itertools
 import multiprocessing as mp
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import ValidationError
 
@@ -213,17 +213,17 @@ def _group_worker_main(token: int, index: int, conn) -> None:
 
 
 class WorkerGroup:
-    """``n`` long-lived workers, each owning durable per-worker state.
+    """``n`` long-lived workers, each keeping its handler between messages.
 
     Unlike :func:`parallel_map` (stateless fan-out, fresh pool per call)
     a worker group keeps one process per worker alive across any number
-    of messages, so state that is expensive to warm — a relaxation
-    pipeline's path registry and caches mid-replay — lives
-    where the work happens.  ``factory(i)`` is called *inside* worker
-    ``i`` right after the fork and returns the message handler; the
-    factory itself is inherited through the same fork-time registry as
-    :func:`parallel_map` tasks, so closures over topologies and power
-    models never cross a pipe — only messages and results do.
+    of messages, so what a handler caches — a relaxation pipeline's path
+    registry and walk caches mid-replay — lives where the work happens.
+    ``factory(i)`` is called *inside* worker ``i`` right after the fork
+    and returns the message handler; the factory itself is inherited
+    through the same fork-time registry as :func:`parallel_map` tasks,
+    so closures over topologies and power models never cross a pipe —
+    only messages and results do.
 
     :meth:`submit` is asynchronous (returns immediately);
     :meth:`collect` blocks for that worker's next pending result.
@@ -239,7 +239,6 @@ class WorkerGroup:
     def __init__(self, factory: Callable[[int], Callable], n: int) -> None:
         if n < 1:
             raise ValidationError(f"worker group needs n >= 1, got {n}")
-        self._n = n
         self._factory = factory  # kept for restart()
         self._pending = [0] * n
         self._closed = False
@@ -357,16 +356,6 @@ class WorkerGroup:
         self._pending[index] -= 1
         return self._receive(index, reply)
 
-    def pending(self, index: int) -> int:
-        """Results submitted to worker ``index`` and not yet collected."""
-        return self._pending[index]
-
-    def alive(self, index: int) -> bool:
-        """True while worker ``index`` can take messages."""
-        if self._serial:
-            return self._handlers[index] is not None
-        return self._procs[index].is_alive()
-
     def kill(self, index: int) -> None:
         """Hard-kill worker ``index`` (crash injection for fault drills).
 
@@ -388,8 +377,7 @@ class WorkerGroup:
         """Respawn worker ``index`` with fresh factory state.
 
         Anything it had pending is forfeited (the pending count resets to
-        zero); the caller resubmits whatever it still needs — restoring a
-        checkpoint first, if it kept one.
+        zero); the caller resubmits whatever it still needs.
         """
         if self._closed:
             raise ValidationError("worker group is closed")
@@ -411,12 +399,6 @@ class WorkerGroup:
         finally:
             del _GROUP_WORK[token]
         self._receive(index, self._conns[index].recv())  # factory handshake
-
-    def broadcast(self, msg) -> list:
-        """Send ``msg`` to every worker and collect all replies in order."""
-        for index in range(self._n):
-            self.submit(index, msg)
-        return [self.collect(index) for index in range(self._n)]
 
     def close(self) -> None:
         """Stop every worker (idempotent); pending results are dropped.

@@ -2,9 +2,10 @@
 
 Production-shaped serving layer over the replay machinery: topology
 partitioning along natural locality boundaries
-(:mod:`~repro.service.partition`), per-shard warm relaxation pipelines in
-long-lived worker processes with asynchronously pipelined windows
-(:mod:`~repro.service.sharded`), degrade-under-pressure backpressure
+(:mod:`~repro.service.partition`), per-shard relaxation solves in
+long-lived worker processes with asynchronously pipelined windows, each
+window's routes a function of its inputs (:mod:`~repro.service.sharded`),
+degrade-under-pressure backpressure
 (:mod:`~repro.service.degrade`), and a snapshot/restore-capable admission
 facade (:mod:`~repro.service.api`).
 """

@@ -5,7 +5,7 @@
 one at a time (:meth:`~ReplayService.submit`) or streamed straight from a
 trace file (:meth:`~ReplayService.serve_trace`), per-window telemetry is
 exposed incrementally (:meth:`~ReplayService.poll`), and the whole
-mid-replay state — shard relaxation pipelines, the commitment ledger, the
+mid-replay state — the commitment ledger, the in-flight windows, the
 degrade controller, *and the trace-store cursor* — round-trips through
 :meth:`~ReplayService.snapshot`/:meth:`~ReplayService.restore`, so a
 service killed mid-trace resumes exactly where it stopped and finishes
@@ -176,9 +176,10 @@ class ReplayService:
         """Checkpoint the full service state.
 
         Returns the pickled payload as bytes, or writes it to ``path``
-        and returns the path.  Covers the engine (shard pipelines,
-        commitment ledger, in-flight windows, degrade controller), the
-        poll cursor, and the trace-store cursor.
+        and returns the path.  Covers the engine (commitment ledger,
+        in-flight windows, degrade controller), the poll cursor, and the
+        trace-store cursor.  The shard workers' relaxation pipelines are
+        only caches and are not saved.
 
         The file write is atomic: the payload goes to a temp file in
         ``path``'s directory, is flushed and fsynced, and then replaces

@@ -9,10 +9,8 @@ degraded window is counted on the report
 (:attr:`~repro.traces.replay.ReplayReport.degraded_windows`), per shard
 in the breakdown, and flagged on the per-window stats the service's
 ``poll()`` returns, so a cheap run can never masquerade as a Relax+Round
-run.  That holds whatever made a shard solve greedily — this budget, or
-the resync and resubmission of a worker's recovery, which the
-controller does not pace — because the count reads the worker's own
-result bit.
+run.  This budget is the only thing that degrades a window: a crashed
+worker's windows are re-solved as they were sent.
 
 Two triggers, both optional:
 
@@ -76,8 +74,6 @@ class DegradeController:
     def __init__(self, budget: SolveBudget | None) -> None:
         self._budget = budget
         self._over_budget = False
-        self.degraded_windows = 0
-        self.relaxed_windows = 0
 
     def should_degrade(self, in_flight: int) -> bool:
         """Decide window fate given the current dispatch queue depth."""
@@ -94,12 +90,10 @@ class DegradeController:
     def observe(self, solve_s: float, degraded: bool) -> None:
         """Feed back one collected window's measured solve time."""
         if degraded:
-            self.degraded_windows += 1
             # Greedy windows are cheap by construction; clear the flag so
             # the next dispatch probes the relaxation again.
             self._over_budget = False
             return
-        self.relaxed_windows += 1
         budget = self._budget
         self._over_budget = (
             budget is not None
@@ -111,13 +105,7 @@ class DegradeController:
     # Snapshot plumbing.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        return {
-            "over_budget": self._over_budget,
-            "degraded_windows": self.degraded_windows,
-            "relaxed_windows": self.relaxed_windows,
-        }
+        return {"over_budget": self._over_budget}
 
     def restore_state(self, state: dict) -> None:
         self._over_budget = state["over_budget"]
-        self.degraded_windows = state["degraded_windows"]
-        self.relaxed_windows = state["relaxed_windows"]

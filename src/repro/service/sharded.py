@@ -3,15 +3,16 @@
 The single-owner :class:`~repro.traces.replay.ReplayEngine` runs one
 policy on one fabric in one process.  This module scales the same replay
 semantics out: the fabric is split by :func:`~repro.service.partition.
-partition_topology` into shards, each shard owns a **warm**
-:class:`~repro.core.dcfsr.RelaxationPipeline` living in a long-lived
+partition_topology` into shards, each shard is solved in a long-lived
 :class:`~repro.experiments.parallel.WorkerGroup` process, and each window
 of arrivals is scattered to the shards that can solve its flows locally.
 Only two things ever cross a process boundary per window: the shard's
 restriction of the background load going out (a
 :class:`~repro.routing.background.BackgroundProfile`), and
 ``(flow id, path)`` pairs coming back — the DESIGN.md Section 11 shard
-protocol.
+protocol.  A window's routes are a function of its message alone: the
+worker's :class:`~repro.core.dcfsr.RelaxationPipeline` is only a cache,
+and the rounding draws from ``default_rng((seed, shard, k))``.
 
 Division of labor per window ``k``:
 
@@ -30,8 +31,8 @@ Division of labor per window ``k``:
   window bounds, the commit step (here in arrival order), settlement,
   the trailing sweep and the report are the same code in both engines.
   This module adds partitioning, dispatch, the pipeline lag, crash
-  recovery, checkpoints, dark-shard evacuation and the per-shard and
-  per-window telemetry.
+  recovery, dark-shard evacuation and the per-shard and per-window
+  telemetry.
 
 **Pipelining.**  ``pipeline_depth = d`` keeps up to ``d`` windows in
 flight: window ``k`` is dispatched as soon as its arrivals are complete,
@@ -47,20 +48,19 @@ entries without committing them, so a restored engine replays the same
 dispatch/collect schedule with the same lagged views.
 
 **Degradation** to greedy is decided per window by a
-:class:`~repro.service.degrade.DegradeController` (the solve budget) or
-per shard by recovery (resync windows, crash resubmissions), and every
-degraded window is recorded honestly on the report (see
-:mod:`repro.service.degrade`).
+:class:`~repro.service.degrade.DegradeController` (the solve budget), and
+every degraded window is recorded honestly on the report (see
+:mod:`repro.service.degrade`).  Crash recovery degrades nothing: a
+restarted worker re-solves its uncollected windows as they were sent.
 """
 
 from __future__ import annotations
 
-import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from repro.errors import TopologyError, ValidationError
 from repro.experiments.parallel import WorkerCrash, WorkerGroup
 from repro.flows.flow import Flow, FlowSet
 from repro.power.model import PowerModel
-from repro.routing.background import BackgroundProfile
 from repro.routing.mcflow import check_fw_settings
 from repro.routing.rounding import argmax_paths, sample_paths
 from repro.scheduling.schedule import density_schedule
@@ -110,7 +109,11 @@ SNAPSHOT_KIND = "repro-sharded-replay"
 # v6: the config drops ``background_mode`` (the window-mean mode is gone).
 # v7: the churn counters lose the relaxation repair tier's two keys; the
 # service state carries ``kills_upto``, the kill schedule's enacted boundary.
-SNAPSHOT_VERSION = 7
+# v8: worker state is only a cache, so the worker blobs, the checkpoints,
+# the resync counters and the dark-shard history go; the service state
+# carries the max ``w_bar`` drift, and the config drops the checkpoint
+# period and the resync window count.
+SNAPSHOT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,16 @@ class WindowStats:
 
 
 class _ShardSolver:
-    """Worker-side handler: one warm relaxation pipeline per shard.
+    """Worker-side handler: solves one shard's window messages.
 
     Built *inside* the forked worker by the :class:`WorkerGroup` factory,
-    so the pipeline's solver state never crosses a pipe — only window
-    messages and ``(flow id, path)`` results do.  The pipeline is created
-    lazily on the first relaxed window (greedy-mode services never pay
-    for it).
+    so only window messages and ``(flow id, path)`` results cross a pipe.
+    A result is a function of its message: the rounding of window ``k``
+    draws from ``default_rng((seed, shard, k))``, and the relaxation
+    pipeline, built lazily on the first relaxed window (greedy-mode
+    services never pay for it), is a cache whose registry and walk
+    caches change no route.  A restarted worker therefore re-solves a
+    resubmitted window to the same routes.
     """
 
     def __init__(
@@ -156,41 +162,13 @@ class _ShardSolver:
     ) -> None:
         self._shard = shard
         self._power = power
-        seed, self._fw_iters, self._fw_gap, self._rounding = config
+        self._seed, self._fw_iters, self._fw_gap, self._rounding = config
         self._pipeline: RelaxationPipeline | None = None
-        self._rng = np.random.default_rng((seed, shard.index))
-        self.max_weight_drift = 0.0
 
     def __call__(self, msg):
-        kind = msg[0]
-        if kind == "window":
-            return self._solve_window(msg[1], msg[2], msg[3], msg[4])
-        if kind == "drift":
-            return self.max_weight_drift
-        if kind == "snapshot":
-            return pickle.dumps(
-                {
-                    "pipeline": self._pipeline,
-                    "rng": self._rng,
-                    "drift": self.max_weight_drift,
-                }
-            )
-        if kind == "restore":
-            state = pickle.loads(msg[1])
-            self._pipeline = state["pipeline"]
-            self._rng = state["rng"]
-            self.max_weight_drift = state["drift"]
-            return None
-        raise ValidationError(f"unknown shard message {kind!r}")
-
-    def _solve_window(
-        self,
-        flows: Sequence[Flow],
-        background: BackgroundProfile | None,
-        relax: bool,
-        down_local: frozenset[int],
-    ):
+        k, flows, background, relax, down_local = msg
         t_start = perf_counter()
+        drift = 0.0
         if relax:
             if self._pipeline is None:
                 self._pipeline = RelaxationPipeline(
@@ -202,12 +180,14 @@ class _ShardSolver:
             flow_set = FlowSet(flows)
             relaxation = self._pipeline.solve(flow_set, background=background)
             weights = self._pipeline.weights(flow_set, relaxation)
-            if weights.max_drift > self.max_weight_drift:
-                self.max_weight_drift = weights.max_drift
+            drift = weights.max_drift
             if self._rounding == "deterministic":
                 paths = argmax_paths(weights)
             else:
-                paths = sample_paths(weights, self._rng)
+                rng = np.random.default_rng(
+                    (self._seed, self._shard.index, k)
+                )
+                paths = sample_paths(weights, rng)
         else:
             topology = self._shard.topology
             paths = [topology.shortest_path(f.src, f.dst) for f in flows]
@@ -232,7 +212,7 @@ class _ShardSolver:
                 fixed.append(path)
             paths = fixed
         pairs = [(flow.id, path) for flow, path in zip(flows, paths)]
-        return pairs, perf_counter() - t_start, not relax
+        return pairs, perf_counter() - t_start, drift
 
 
 @dataclass
@@ -244,8 +224,10 @@ class _InFlight:
     assign: dict  # flow id -> shard index (cross-shard flows absent)
     shard_ids: tuple[int, ...]
     cross: dict = field(default_factory=dict)  # flow id -> FlowSchedule
+    #: False when the window's shards solve greedily: greedy mode, or a
+    #: window the solve budget degraded.
     relax: bool = True
-    #: shard index -> (pairs, solve_s, degraded); populated from the
+    #: shard index -> (pairs, solve_s, w_bar drift); populated from the
     #: workers either at collect time or by a snapshot drain.
     results: dict | None = None
     #: Dispatch-time dead-link view — the survivor graph every route in
@@ -279,6 +261,9 @@ class ShardedReplayEngine:
         Algorithm 2 per shard) or ``"greedy"`` (shard-local shortest
         path + density — the deterministic fallback the degrade path and
         the equivalence pins use).
+    seed:
+        Integer >= 0; window ``k`` of shard ``s`` rounds with
+        ``default_rng((seed, s, k))``.
     pipeline_depth:
         Windows in flight; window ``k`` sees the background of windows
         ``<= k - pipeline_depth``.  ``1`` disables overlap and recovers
@@ -292,8 +277,10 @@ class ShardedReplayEngine:
         :class:`~repro.traces.repair.ChurnManager` the single-owner
         engine uses, which reroutes displaced flows greedily on the
         survivor fabric; ``worker_crash`` events kill the named shard
-        worker at the next window dispatch, exercising the recovery
-        machinery below.
+        worker at the next window dispatch, exercising crash recovery:
+        the worker restarts and re-solves its uncollected windows as
+        they were sent, so the report matches the uncrashed run (bar
+        ``worker_restarts`` and solve timings).
     failure_domains:
         Optional :class:`~repro.sim.churn.FailureDomain` iterable seeding
         the churn manager's risk-group registry up front (otherwise
@@ -304,24 +291,14 @@ class ShardedReplayEngine:
         domains down the replay is bit-identical either way.
     heartbeat_s:
         Bound on each worker collect, finite and > 0; a worker silent for
-        this long is declared crashed and restarted.  ``None`` waits
-        forever (crashes are still detected via pipe EOF).
+        this long is declared crashed, restarted and sent its uncollected
+        windows again.  Set it above the slowest window solve, a fresh
+        worker's included: a window that outlasts it after every restart
+        exhausts ``max_worker_restarts`` and fails the run.  ``None``
+        waits forever (crashes are still detected via pipe EOF).
     max_worker_restarts:
         Consecutive failed recoveries of one shard before giving up
         (successful collects reset the count).
-    checkpoint_every:
-        Opportunistically snapshot each shard worker's state every this
-        many windows, an integer >= 1 (only while the shard is
-        quiescent, i.e. has no results in flight); a restarted worker
-        restores the latest checkpoint before uncollected windows are
-        resubmitted.  ``None`` disables checkpoints — recovery then
-        resubmits against fresh (cold) worker state, which is slower but
-        loses nothing: committed flows live in the parent accountant,
-        never in a worker.
-    resync_windows:
-        Windows a freshly restarted shard solves greedily (deterministic,
-        cheap) while its relaxation state re-warms; a dark shard coming
-        back resyncs the same way.  Each counts as a degraded window.
     """
 
     def __init__(
@@ -346,13 +323,17 @@ class ShardedReplayEngine:
         srlg_diverse: bool = True,
         heartbeat_s: float | None = None,
         max_worker_restarts: int = 3,
-        checkpoint_every: int | None = None,
-        resync_windows: int = 2,
     ) -> None:
         if not window > 0:
             raise ValidationError(f"window must be > 0, got {window}")
         if mode not in ("relax", "greedy"):
             raise ValidationError(f"unknown mode {mode!r}")
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            # Checked here, not at the first relaxed window's draw in a
+            # shard worker, and in greedy mode too.
+            raise ValidationError(
+                f"seed must be an integer >= 0, got {seed!r}"
+            )
         if mode == "relax":
             # Checked here, not in the shard workers that build solvers.
             check_fw_settings(fw_max_iterations, fw_gap_tolerance)
@@ -372,24 +353,12 @@ class ShardedReplayEngine:
             raise ValidationError(
                 f"max_worker_restarts must be >= 1, got {max_worker_restarts}"
             )
-        if resync_windows < 0:
-            raise ValidationError(
-                f"resync_windows must be >= 0, got {resync_windows}"
-            )
         if heartbeat_s is not None and not 0.0 < heartbeat_s < float("inf"):
             # NaN fails the comparison too; zero or a negative bound would
             # declare a live worker dead whenever its result is not
             # already in the pipe.
             raise ValidationError(
                 f"heartbeat_s must be finite and > 0, got {heartbeat_s!r}"
-            )
-        if checkpoint_every is not None and not (
-            isinstance(checkpoint_every, (int, np.integer))
-            and checkpoint_every >= 1
-        ):
-            raise ValidationError(
-                "checkpoint_every must be an integer >= 1, got "
-                f"{checkpoint_every!r}"
             )
         self._topology = topology
         self._power = power
@@ -434,8 +403,6 @@ class ShardedReplayEngine:
         # Crash tolerance.
         self._heartbeat_s = heartbeat_s
         self._max_worker_restarts = max_worker_restarts
-        self._ckpt_every = checkpoint_every
-        self._resync = resync_windows
         #: Pending ``worker_crash`` events, time-sorted; every event
         #: before ``_kills_upto`` (the last dispatch boundary) is enacted.
         self._worker_events: list[FaultEvent] = sorted(
@@ -451,16 +418,8 @@ class ShardedReplayEngine:
         #: (append at submit, popleft on successful collect) — exactly
         #: what recovery resubmits after a restart.
         self._sent: list[deque] = [deque() for _ in range(n)]
-        self._checkpoints: list = [None] * n
-        self._last_ckpt = [0] * n
         self._restart_attempts = [0] * n
-        self._resync_left = [0] * n
         self._worker_restarts = 0
-        #: Shards whose owning switch was down at the last dispatch —
-        #: their flows are evacuated to the parent's cross-shard router
-        #: and the worker is quiesced; a dark→lit transition triggers the
-        #: same greedy resync a restarted worker gets.
-        self._dark_prev: frozenset[int] = frozenset()
         self._rev_edge_maps = [
             {int(pid): li for li, pid in enumerate(shard.edge_map)}
             for shard in shards
@@ -468,6 +427,8 @@ class ShardedReplayEngine:
 
         # Service-side counters (the loop keeps the report's).
         self._degraded_windows = 0
+        #: Worst ``w_bar`` drift any collected shard result reported.
+        self._max_drift = 0.0
         #: One ShardStats row of counters per shard, then one for the
         #: cross-shard flows the parent routes.
         self._per_shard = [
@@ -582,16 +543,6 @@ class ShardedReplayEngine:
         # Enact scheduled worker crashes older than this window, then
         # recover immediately so the submits below reach a live worker.
         self._consume_worker_events(loop.bounds(k)[0])
-        self._maybe_checkpoint(k)
-        # Dark shards: a shard whose switch node is down cannot solve
-        # anything meaningful locally — quiesce it (no submits) and
-        # evacuate its flows to the parent's survivor-aware cross-shard
-        # router.  A dark→lit transition re-warms like a worker restart:
-        # the shard solves its next windows greedily while resyncing.
-        dark = self._dark_shards()
-        for shard_idx in sorted(self._dark_prev - dark):
-            self._resync_left[shard_idx] = self._resync
-        self._dark_prev = dark
         if not arrivals:
             # Bookkeeping-only entry: its collect settles the window in
             # commit order (settling now would sweep ahead of the
@@ -604,6 +555,10 @@ class ShardedReplayEngine:
             if flow.deadline > self._max_deadline:
                 self._max_deadline = flow.deadline
 
+        # Dark shards: a shard whose switch node is down cannot solve
+        # anything meaningful locally — it gets no submits, and its flows
+        # are evacuated to the parent's survivor-aware cross-shard router.
+        dark = self._dark_shards()
         assign: dict = {}
         per_shard: dict[int, list[Flow]] = {}
         cross_flows: list[Flow] = []
@@ -629,7 +584,7 @@ class ShardedReplayEngine:
         # One lazily built context: the shard slices read its background
         # profile (built at most once) and the cross-shard policy its
         # live pieces, both from the same accountant state.
-        ctx = loop.context(k, down, {})
+        ctx = loop.context(k, down)
         shard_ids = tuple(sorted(per_shard))
         for shard_idx in shard_ids:
             local_bg = None
@@ -640,20 +595,9 @@ class ShardedReplayEngine:
             down_local = frozenset(
                 rev[pid] for pid in down if pid in rev
             )
-            shard_relax = relax
-            if self._resync_left[shard_idx] > 0:
-                # Degrade-to-greedy while the restarted worker resyncs.
-                shard_relax = False
-                self._resync_left[shard_idx] -= 1
             self._submit_shard(
                 shard_idx,
-                (
-                    "window",
-                    per_shard[shard_idx],
-                    local_bg,
-                    shard_relax,
-                    down_local,
-                ),
+                (k, per_shard[shard_idx], local_bg, relax, down_local),
             )
         # Route cross-shard flows in the parent while the shard solves
         # run; with the async submit above this is the window's overlap.
@@ -684,19 +628,6 @@ class ShardedReplayEngine:
     # ------------------------------------------------------------------
     # Crash tolerance: heartbeat collects, backoff restart, resubmission.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _degrade_msg(msg):
-        """Rewrite a window message to the greedy path for resubmission.
-
-        A restarted worker re-solves its uncollected windows; forcing
-        them greedy makes recovery deterministic (no warm-start state to
-        reproduce) and fast.  The parent entry keeps its original
-        ``relax`` flag — the report's degraded counters come from the
-        worker's own ``degraded`` result bit, which reflects what
-        actually ran.
-        """
-        return ("window", msg[1], msg[2], False, msg[4])
-
     def _submit_shard(self, index: int, msg) -> None:
         """Ledger-tracked submit; a dead pipe triggers recovery (which
         resubmits the ledger, including this message)."""
@@ -724,12 +655,13 @@ class ShardedReplayEngine:
     def _recover_worker(self, index: int) -> None:
         """Backoff-restart one shard worker and replay its ledger.
 
-        Restores the latest checkpoint (when one exists), then resubmits
-        every submitted-but-uncollected window message degraded to
-        greedy.  Committed flows are never at risk — they live in the
-        parent accountant; only in-flight window *solves* are redone.
-        A crash during recovery itself returns early: the next collect
-        raises again and retries with a doubled backoff.
+        Resubmits every submitted-but-uncollected window message as it
+        was sent.  A result is a function of its message, so the fresh
+        worker answers exactly what the dead one would have.  Committed
+        flows are never at risk — they live in the parent accountant;
+        only in-flight window *solves* are redone.  A crash during
+        recovery itself returns early: the next collect raises again and
+        retries with a doubled backoff.
         """
         self._restart_attempts[index] += 1
         if self._restart_attempts[index] > self._max_worker_restarts:
@@ -740,14 +672,9 @@ class ShardedReplayEngine:
         sleep(min(0.02 * 2 ** (self._restart_attempts[index] - 1), 1.0))
         self._group.restart(index)
         self._worker_restarts += 1
-        self._resync_left[index] = self._resync
         try:
-            blob = self._checkpoints[index]
-            if blob is not None:
-                self._group.submit(index, ("restore", blob))
-                self._group.collect(index, timeout=self._heartbeat_s)
             for msg in self._sent[index]:
-                self._group.submit(index, self._degrade_msg(msg))
+                self._group.submit(index, msg)
         except WorkerCrash:
             return
 
@@ -756,7 +683,7 @@ class ShardedReplayEngine:
 
         Kill-then-recover in one step so the dispatch about to run
         submits to a live worker; the crash still exercises the full
-        restart/restore/resubmit path.  (:meth:`inject_worker_crash`
+        restart/resubmit path.  (:meth:`inject_worker_crash`
         kills *without* recovering, leaving detection to the next
         collect's heartbeat — the chaos-test variant.)
         """
@@ -766,31 +693,6 @@ class ShardedReplayEngine:
             event = events.pop(0)
             self._group.kill(event.shard)
             self._recover_worker(event.shard)
-
-    def _maybe_checkpoint(self, k: int) -> None:
-        """Opportunistic per-shard worker checkpoints.
-
-        Only quiescent shards (no results in flight) snapshot — the
-        result pipe is FIFO, so a snapshot request behind pending window
-        results would stall the window pipeline to wait for them.
-        """
-        if self._ckpt_every is None:
-            return
-        for index in range(self._partition.num_shards):
-            if k - self._last_ckpt[index] < self._ckpt_every:
-                continue
-            if self._group.pending(index) or not self._group.alive(index):
-                continue
-            try:
-                self._group.submit(index, ("snapshot",))
-                blob = self._group.collect(
-                    index, timeout=self._heartbeat_s
-                )
-            except WorkerCrash:
-                self._recover_worker(index)
-                continue
-            self._checkpoints[index] = blob
-            self._last_ckpt[index] = k
 
     def inject_worker_crash(self, index: int) -> None:
         """Kill one shard worker mid-replay, with no recovery action.
@@ -824,19 +726,17 @@ class ShardedReplayEngine:
         self._inflight.popleft()
         path_of: dict = {}
         window_solve = 0.0
-        # Degraded when any shard solved greedily, whatever the reason
-        # (budget, resync, crash resubmission): the worker's result bit
-        # says what actually ran.
-        window_degraded = False
+        window_degraded = self._mode == "relax" and not entry.relax
         for shard_idx in entry.shard_ids:
-            pairs, solve_s, degraded = results[shard_idx]
+            pairs, solve_s, drift = results[shard_idx]
             stats = self._per_shard[shard_idx]
             stats["solve_s"] += solve_s
-            if degraded and self._mode == "relax":
+            if window_degraded:
                 stats["degraded_windows"] += 1
-                window_degraded = True
             if solve_s > window_solve:
                 window_solve = solve_s
+            if drift > self._max_drift:
+                self._max_drift = drift
             for flow_id, path in pairs:
                 path_of[flow_id] = path
         if window_degraded:
@@ -866,7 +766,6 @@ class ShardedReplayEngine:
                 misses += 1
         loop.settle(entry.index)
         if entry.shard_ids and self._mode == "relax":
-            # Budget degrades only: the controller paces its own budget.
             self._controller.observe(window_solve, not entry.relax)
         start, end = loop.bounds(entry.index)
         self.window_log.append(
@@ -913,9 +812,6 @@ class ShardedReplayEngine:
         self._loop.finish()
         self._finished = True
 
-        drift = 0.0
-        if self._mode == "relax":
-            drift = max(self._group.broadcast(("drift",)), default=0.0)
         labels = [
             f"shard{shard.index}[{'+'.join(shard.groups)}]"
             for shard in self._partition.shards
@@ -927,7 +823,7 @@ class ShardedReplayEngine:
         return self._loop.report(
             policy=self.name,
             policy_fallbacks=0,
-            max_weight_drift=float(drift),
+            max_weight_drift=float(self._max_drift),
             degraded_windows=self._degraded_windows,
             evacuated_flows=sum(s["evacuated"] for s in self._per_shard),
             worker_restarts=self._worker_restarts,
@@ -958,11 +854,11 @@ class ShardedReplayEngine:
         """Freeze the mid-replay state into one picklable payload.
 
         Worker *results* for in-flight windows are drained into their
-        entries (so worker state is quiescent and snapshotable) but NOT
-        committed — the restored engine replays the identical
-        dispatch/collect schedule, which is what keeps its lagged
-        background views, and hence every report field, bit-identical to
-        an uninterrupted run.
+        entries but NOT committed — the restored engine replays the
+        identical dispatch/collect schedule, which is what keeps its
+        lagged background views, and hence every report field,
+        bit-identical to an uninterrupted run.  No worker state is
+        saved: it is only a cache, and restored workers start fresh.
         """
         if self._finished or self._closed:
             raise ValidationError("cannot snapshot a finished engine")
@@ -975,7 +871,6 @@ class ShardedReplayEngine:
                     shard_idx: self._collect_shard(shard_idx)
                     for shard_idx in entry.shard_ids
                 }
-        workers = self._group.broadcast(("snapshot",))
         return {
             "kind": SNAPSHOT_KIND,
             "version": SNAPSHOT_VERSION,
@@ -993,8 +888,6 @@ class ShardedReplayEngine:
                 "tol": self._tol,
                 "heartbeat_s": self._heartbeat_s,
                 "max_worker_restarts": self._max_worker_restarts,
-                "checkpoint_every": self._ckpt_every,
-                "resync_windows": self._resync,
                 "failure_domains": self._failure_domains,
                 "srlg_diverse": self._srlg_diverse,
             },
@@ -1003,19 +896,15 @@ class ShardedReplayEngine:
             "controller": self._controller.snapshot_state(),
             "inflight": list(self._inflight),
             "window_log": list(self.window_log),
-            "workers": workers,
             "service": {
                 "max_deadline": self._max_deadline,
                 "degraded_windows": self._degraded_windows,
+                "max_drift": self._max_drift,
                 "per_shard": [dict(s) for s in self._per_shard],
                 "worker_events": list(self._worker_events),
                 "kills_upto": self._kills_upto,
                 "worker_restarts": self._worker_restarts,
                 "restart_attempts": list(self._restart_attempts),
-                "resync_left": list(self._resync_left),
-                "checkpoints": list(self._checkpoints),
-                "last_ckpt": list(self._last_ckpt),
-                "dark_prev": sorted(self._dark_prev),
             },
         }
 
@@ -1061,10 +950,6 @@ class ShardedReplayEngine:
             )
         engine = cls(topology, power, partition=partition, **cfg)
         try:
-            for index, blob in enumerate(state["workers"]):
-                engine._group.submit(index, ("restore", blob))
-            for index in range(len(state["workers"])):
-                engine._group.collect(index)
             engine._loop.restore_state(state["loop"])
             engine._controller.restore_state(state["controller"])
             engine._inflight = deque(state["inflight"])
@@ -1072,15 +957,12 @@ class ShardedReplayEngine:
             sc = state["service"]
             engine._max_deadline = sc["max_deadline"]
             engine._degraded_windows = sc["degraded_windows"]
+            engine._max_drift = sc["max_drift"]
             engine._per_shard = [dict(s) for s in sc["per_shard"]]
             engine._worker_events = list(sc["worker_events"])
             engine._kills_upto = sc["kills_upto"]
             engine._worker_restarts = sc["worker_restarts"]
             engine._restart_attempts = list(sc["restart_attempts"])
-            engine._resync_left = list(sc["resync_left"])
-            engine._checkpoints = list(sc["checkpoints"])
-            engine._last_ckpt = list(sc["last_ckpt"])
-            engine._dark_prev = frozenset(sc["dark_prev"])
         except BaseException:
             # A refused restore must not leak the forked shard workers.
             engine.close()

@@ -27,8 +27,8 @@ Six policies span the clairvoyance spectrum:
 * :class:`RelaxationRoundingPolicy` — Algorithm 2 in a window: the
   F-MCF relaxation + randomized rounding pipeline run per epoch against
   the committed background: each window's elementary intervals are one
-  stacked F-MCF solve, on a solver (path registry, walk cache) carried
-  across windows through :attr:`WindowContext.carry`.
+  stacked F-MCF solve, on a solver (path registry, walk cache) the
+  policy keeps across windows as a cache that changes no route.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ class WindowContext:
         routing.fastpath.LoadLedger.seed` with them — the load-aware
         streaming policies price committed load this way (DESIGN.md
         §20).  ``pieces_fn`` reads them on first access.
-    carry:
-        One mutable dict per replay run, handed to every window's
-        context in order: whatever a policy stashes here in window ``k``
-        (a warm relaxation pipeline, committed-route summaries) is
-        exactly what it finds in window ``k + 1``.  The engine creates a
-        fresh dict per :meth:`~repro.traces.replay.ReplayEngine.run`, so
-        carried state can never leak across runs.
     down_edge_ids:
         Dense edge ids of links currently dead (mid-replay fault
         injection; see :mod:`repro.sim.churn`).  Empty on fault-free
@@ -121,7 +114,6 @@ class WindowContext:
     end: float
     background_fn: Callable[[], BackgroundProfile] = field(repr=False)
     pieces_fn: Callable[[], Pieces] = field(repr=False)
-    carry: dict = field(default_factory=dict, repr=False)
     down_edge_ids: frozenset[int] = frozenset()
 
     @cached_property
@@ -471,16 +463,6 @@ class EpochDcfsPolicy(ReplayPolicy):
         self.fallbacks = 0
 
 
-#: Key under which the relaxation policy stashes its warm pipeline in
-#: :attr:`WindowContext.carry`.
-_RELAXATION_CARRY = "relaxation_pipeline"
-
-#: Separate carry key for the survivor-fabric pipeline used while links
-#: are down — the base pipeline is left untouched, so a
-#: replay that never sees a fault follows the base path byte for byte.
-_RELAXATION_DOWN_CARRY = "relaxation_pipeline_down"
-
-
 class RelaxationRoundingPolicy(ReplayPolicy):
     """Algorithm 2 in a window: F-MCF relaxation + randomized rounding.
 
@@ -496,13 +478,13 @@ class RelaxationRoundingPolicy(ReplayPolicy):
 
     Streaming specifics:
 
-    * **Warm windows** (default): one
+    * **Cached pipelines**: the policy keeps one
       :class:`~repro.core.dcfsr.RelaxationPipeline` — solver, path
-      registry and walk caches — persists across windows via
-      :attr:`WindowContext.carry`, and each window is one stacked solve
-      over its intervals.  ``warm_windows=False`` builds a fresh pipeline
-      per window instead (the benchmark baseline; the committed routes
-      are identical, only the caches start cold).
+      registry and walk caches — across a run's windows, plus one on the
+      survivor fabric while links are down; :meth:`reset` drops both.
+      They are caches: a window's routes depend only on its flows, the
+      committed background and the rounding draw, so a fresh pipeline
+      per window commits the same schedules.
     * **Committed background**: the engine's carried reservations enter
       the relaxation so new flows route around traffic committed by
       earlier windows.  The interval-resolved
@@ -523,7 +505,6 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         seed: int = 0,
         fw_max_iterations: int = 60,
         fw_gap_tolerance: float = 1e-3,
-        warm_windows: bool = True,
         rounding: str = "random",
     ) -> None:
         if rounding not in ("random", "deterministic"):
@@ -532,27 +513,22 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         self._seed = seed
         self._fw_max_iterations = fw_max_iterations
         self._fw_gap_tolerance = fw_gap_tolerance
-        self._warm = warm_windows
         self._rounding = rounding
-        self._rng = np.random.default_rng(seed)
-        self.max_weight_drift = 0.0
-        self.windows_solved = 0
+        self.reset()
 
     def _pipeline(self, ctx: WindowContext) -> RelaxationPipeline:
-        pipeline = ctx.carry.get(_RELAXATION_CARRY) if self._warm else None
+        pipeline = self._base_pipeline
         if (
             pipeline is None
             or pipeline.topology is not ctx.topology
             or pipeline.power is not ctx.power
         ):
-            pipeline = RelaxationPipeline(
+            pipeline = self._base_pipeline = RelaxationPipeline(
                 ctx.topology,
                 ctx.power,
                 max_iterations=self._fw_max_iterations,
                 gap_tolerance=self._fw_gap_tolerance,
             )
-            if self._warm:
-                ctx.carry[_RELAXATION_CARRY] = pipeline
         return pipeline
 
     def schedule_window(
@@ -584,25 +560,25 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         """The dead-link window: survivor pipeline, background, flows.
 
         A survivor :class:`~repro.core.dcfsr.RelaxationPipeline` (its own
-        topology, registry and caches) is carried under a separate
-        key, rebuilt whenever the dead-link set changes; survivor node
-        paths are valid parent paths verbatim, so commits need no
-        translation.  Flows with no surviving route are dropped (left
-        unserved); when none survives the background is never built and
-        comes back ``None``.
+        topology, registry and caches) is cached apart from the base
+        one, so a replay that never sees a fault follows the base path
+        byte for byte; it is rebuilt whenever the dead-link set changes.
+        Survivor node paths are valid parent paths verbatim, so commits
+        need no translation.  Flows with no surviving route are dropped
+        (left unserved); when none survives the background is never
+        built and comes back ``None``.
         """
         down = ctx.down_edge_ids
-        entry = ctx.carry.get(_RELAXATION_DOWN_CARRY) if self._warm else None
+        entry = self._survivor_cache
         if (
             entry is None
             or entry["down"] != down
             or entry["parent"] is not ctx.topology
         ):
             survivor, edge_map = survivor_topology(ctx.topology, down)
-            entry = {
+            entry = self._survivor_cache = {
                 "down": down,
                 "parent": ctx.topology,
-                "survivor": survivor,
                 "edge_map": edge_map,
                 "pipeline": RelaxationPipeline(
                     survivor,
@@ -611,8 +587,6 @@ class RelaxationRoundingPolicy(ReplayPolicy):
                     gap_tolerance=self._fw_gap_tolerance,
                 ),
             }
-            if self._warm:
-                ctx.carry[_RELAXATION_DOWN_CARRY] = entry
 
         def routable(flow: Flow) -> bool:
             try:
@@ -629,5 +603,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
+        self._base_pipeline: RelaxationPipeline | None = None
+        self._survivor_cache: dict | None = None
         self.max_weight_drift = 0.0
         self.windows_solved = 0

@@ -119,11 +119,9 @@ class ReplayReport:
     #: Worst pre-normalization deviation of any flow's aggregated rounding
     #: distribution from 1 (relaxation policies only; 0.0 otherwise).
     max_weight_drift: float = 0.0
-    #: Windows that at least one shard solved with the greedy fallback
-    #: instead of the relaxation, counted once each whatever the reason:
-    #: an exhausted solve budget, a resync after a worker restart or a
-    #: dark->lit shard transition, or a crash resubmission (sharded
-    #: service only).
+    #: Windows whose shards solved with the greedy fallback instead of
+    #: the relaxation because the solve budget was exhausted, counted
+    #: once each (sharded service only; crash recovery degrades nothing).
     degraded_windows: int = 0
     #: Disruption accounting (mid-replay fault injection; see
     #: :mod:`repro.traces.repair`).  All zero on fault-free runs.
@@ -901,9 +899,7 @@ class WindowLoop:
             self._down_view = churn.down_key()
         return self._down_view
 
-    def context(
-        self, k: int, down: frozenset[int], carry: dict
-    ) -> WindowContext:
+    def context(self, k: int, down: frozenset[int]) -> WindowContext:
         """Window ``k``'s policy view.  The background profile and the
         live pieces read the accountant lazily, so they must be read
         before any of the window's own commits — and only a reader pays
@@ -917,7 +913,6 @@ class WindowLoop:
             end=end,
             background_fn=lambda: acct.background_profile(start, end),
             pieces_fn=lambda: acct.pieces,
-            carry=carry,
             down_edge_ids=down,
         )
 
@@ -1174,10 +1169,6 @@ class ReplayEngine:
         items (``TraceReader(path, include_faults=True)``).
         """
         self._policy.reset()
-        # One dict per run, threaded through every WindowContext so a
-        # policy's warm state (e.g. a relaxation pipeline) survives window
-        # boundaries but never a run boundary.
-        self._carry: dict = {}
         loop = self._loop = WindowLoop(
             self._topology,
             self._power,
@@ -1212,7 +1203,7 @@ class ReplayEngine:
         loop = self._loop
         if arrivals:
             down = loop.down_view()
-            ctx = loop.context(k, down, self._carry)
+            ctx = loop.context(k, down)
             loop.commit(
                 k,
                 arrivals,

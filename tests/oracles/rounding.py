@@ -2,7 +2,8 @@
 
 :func:`aggregate_path_weights` and :func:`sample_path` are the per-flow
 dict implementations of Algorithm 2's rounding step (``w_bar`` per
-candidate path, then one draw), and :func:`round_schedule_reference`
+candidate path, then one draw), :func:`fractions_for_flow` reads their
+per-interval input off a relaxation, and :func:`round_schedule_reference`
 runs them flow by flow.  :mod:`repro.routing.rounding`'s registry-id
 engine and :func:`repro.core.round_schedule` must match them
 (``tests/test_rounding.py``, ``tests/test_dcfsr.py``).  No replay,
@@ -25,11 +26,23 @@ from repro.scheduling.schedule import Schedule, density_schedule
 
 __all__ = [
     "aggregate_path_weights",
+    "fractions_for_flow",
     "round_schedule_reference",
     "sample_path",
 ]
 
 Path = tuple[str, ...]
+
+
+def fractions_for_flow(
+    relaxation: RelaxationResult, flow_id: int | str
+) -> list[tuple[Interval, dict[Path, float]]]:
+    """Per-interval path fractions of one flow (rounding input)."""
+    out: list[tuple[Interval, dict[Path, float]]] = []
+    for iv in relaxation.intervals:
+        if flow_id in iv.solution.path_flows:
+            out.append((iv.interval, iv.solution.path_fractions(flow_id)))
+    return out
 
 
 def aggregate_path_weights(
@@ -113,7 +126,7 @@ def round_schedule_reference(
     weights: dict[int | str, dict[Path, float]] = {}
     flow_schedules = []
     for flow in flows:
-        fractions = relaxation.fractions_for_flow(flow.id)
+        fractions = fractions_for_flow(relaxation, flow.id)
         w_bar = aggregate_path_weights(flow, fractions)
         weights[flow.id] = w_bar
         flow_schedules.append(

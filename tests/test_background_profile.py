@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.oracles.policies import ColdRelaxationPolicy
 from repro.errors import ValidationError
 from repro.flows import Flow
 from repro.power import PowerModel
@@ -422,9 +423,7 @@ SEAM_POLICIES = [
     ),
     (
         "relax-cold",
-        lambda: RelaxationRoundingPolicy(
-            seed=0, fw_max_iterations=25, warm_windows=False
-        ),
+        lambda: ColdRelaxationPolicy(seed=0, fw_max_iterations=25),
     ),
 ]
 

@@ -764,7 +764,6 @@ class TestShardedChurn:
 
         engine = ShardedReplayEngine(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
-            checkpoint_every=2,
         )
         with engine:
             for i, flow in enumerate(flows):

@@ -25,7 +25,6 @@ from repro.experiments.figure2 import (
     figure2_table,
     run_figure2,
 )
-from repro.power import PowerModel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -4,20 +4,18 @@ window) and the replay plumbing it rides on.
 The load-bearing checks mirror the other policies' suite: windowed energy
 accounting pinned to :meth:`Schedule.energy` and deadline verdicts to
 :func:`repro.sim.fluid.simulate_fluid` — plus the cross-window property:
-a relaxation pipeline carried across windows must produce the same
-committed schedule (hence identical total energy) as a fresh pipeline
-per window under the same seed, with or without link outages.
+the relaxation pipeline the policy caches across windows must produce
+the same committed schedule (hence identical total energy) as a fresh
+pipeline per window under the same seed, with or without link outages.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from tests.oracles.policies import ColdRelaxationPolicy
 from repro.errors import ValidationError
 from repro.flows import Flow, FlowSet
-from repro.power import PowerModel
-from repro.routing.background import BackgroundProfile
 from repro.scheduling import Schedule
 from repro.sim.churn import FaultSchedule
 from repro.sim.fluid import simulate_fluid
@@ -30,7 +28,6 @@ from repro.traces import (
     lognormal_sizes,
     proportional_slack,
 )
-from repro.traces.policies import _RELAXATION_CARRY, WindowContext
 
 
 def small_spec(seed: int = 7, rate: float = 3.0) -> TraceSpec:
@@ -116,7 +113,7 @@ class TestCrossWindowSession:
     def _overlapping_outages(self, ft4):
         """A Poisson trace under two overlapping pod-2 link outages: the
         down set moves {a} -> {a, b} -> {b} -> {} across its 5-unit
-        windows, so the survivor pipeline is rebuilt, carried and
+        windows, so the survivor pipeline is rebuilt, cached and
         dropped."""
         a = ("sw_a_p02_0", "sw_c_00_01")
         b = ("sw_a_p02_1", "sw_e_p02_1")
@@ -129,10 +126,10 @@ class TestCrossWindowSession:
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["no-faults", "overlapping-outages"])
     def test_warm_equals_forced_cold(self, ft4, quadratic, faulted):
-        """A carried pipeline vs a fresh pipeline per window must commit
+        """The cached pipeline vs a fresh pipeline per window must commit
         identical schedules (same seed), hence identical total energy —
-        carried caches never change a route.  Fault-free, a flow spans
-        >= 3 windows; under link outages the carried survivor pipeline
+        cached state never changes a route.  Fault-free, a flow spans
+        >= 3 windows; under link outages the cached survivor pipeline
         must match one rebuilt every window."""
         if faulted:
             trace, faults = self._overlapping_outages(ft4)
@@ -143,9 +140,9 @@ class TestCrossWindowSession:
         for seed in seeds:
             reports = {}
             for warm in (True, False):
-                policy = RelaxationRoundingPolicy(
-                    seed=seed, warm_windows=warm
-                )
+                policy = (
+                    RelaxationRoundingPolicy if warm else ColdRelaxationPolicy
+                )(seed=seed)
                 engine = ReplayEngine(
                     ft4, quadratic, policy, window=window,
                     keep_schedules=True, faults=faults,
@@ -175,7 +172,7 @@ class TestCrossWindowSession:
         class Probe(RelaxationRoundingPolicy):
             def schedule_window(self, flows, ctx):
                 out = super().schedule_window(flows, ctx)
-                seen.append(ctx.carry.get(_RELAXATION_CARRY))
+                seen.append(self._base_pipeline)
                 return out
 
         flows = list(generate_trace(ft4, small_spec(seed=1)))
@@ -187,7 +184,7 @@ class TestCrossWindowSession:
         seen.clear()
         engine.run(iter(flows))
         assert seen and all(p is seen[0] for p in seen)
-        assert seen[0] is not first_run[0]  # carry never leaks across runs
+        assert seen[0] is not first_run[0]  # reset() drops the cache
 
     def test_background_feeds_relaxation(self, ft4, quadratic):
         """With the background the policy must still meet every deadline
@@ -238,17 +235,6 @@ class TestValidation:
     def test_bad_rounding_mode_rejected(self):
         with pytest.raises(ValidationError):
             RelaxationRoundingPolicy(rounding="annealed")
-
-    def test_window_context_carry_defaults_empty(self, ft4, quadratic):
-        ctx = WindowContext(
-            topology=ft4, power=quadratic, start=0.0, end=1.0,
-            background_fn=lambda: BackgroundProfile(
-                ft4.num_edges, 0.0, 1.0, [0.0, 1.0],
-                np.zeros((1, ft4.num_edges)),
-            ),
-            pieces_fn=lambda: (np.empty(0),) * 4,
-        )
-        assert ctx.carry == {}
 
 
 class TestAblation:

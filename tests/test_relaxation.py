@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_flows_on
+from tests.oracles.rounding import fractions_for_flow
 from repro.core.relaxation import default_cost, solve_relaxation
 from repro.errors import ValidationError
 from repro.flows import TimeGrid
@@ -69,7 +70,7 @@ class TestStructure:
         flows = random_flows_on(ft4, 8, seed=5)
         relaxation = make_relaxation(ft4, flows)
         for flow in flows:
-            pieces = relaxation.fractions_for_flow(flow.id)
+            pieces = fractions_for_flow(relaxation, flow.id)
             covered = sum(iv.length for iv, _f in pieces)
             assert covered == pytest.approx(flow.span_length, rel=1e-9)
             for _iv, fractions in pieces:
@@ -190,7 +191,7 @@ def assert_stacked_certified(result, oracle, flows):
         gap = (result.objective - result.lower_bound) / result.objective
         assert gap <= ORACLE_GAP * (1 + 1e-9)
     for flow in flows:
-        pieces = result.fractions_for_flow(flow.id)
+        pieces = fractions_for_flow(result, flow.id)
         covered = sum(interval.length for interval, _ in pieces)
         assert covered == pytest.approx(flow.span_length, rel=1e-9)
         for _, fractions in pieces:

@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.oracles.rounding import aggregate_path_weights, sample_path
+from tests.oracles.rounding import (
+    aggregate_path_weights,
+    fractions_for_flow,
+    sample_path,
+)
 from repro.errors import ValidationError
 from repro.flows import Flow
 from repro.flows.intervals import Interval
@@ -168,7 +172,7 @@ class TestArrayEngine:
         )
         for f in flows:
             reference = aggregate_path_weights(
-                f, relaxation.fractions_for_flow(f.id)
+                f, fractions_for_flow(relaxation, f.id)
             )
             assert set(weights[f.id]) == set(reference)
             for path, value in reference.items():
@@ -199,7 +203,7 @@ class TestArrayEngine:
             sequential = [
                 sample_path(
                     aggregate_path_weights(
-                        f, relaxation.fractions_for_flow(f.id)
+                        f, fractions_for_flow(relaxation, f.id)
                     ),
                     rng,
                 )
@@ -215,7 +219,7 @@ class TestArrayEngine:
         modal = argmax_paths(weights)
         for f, path in zip(flows, modal):
             reference = aggregate_path_weights(
-                f, relaxation.fractions_for_flow(f.id)
+                f, fractions_for_flow(relaxation, f.id)
             )
             assert path == max(sorted(reference), key=lambda p: reference[p])
 
@@ -229,7 +233,7 @@ class TestArrayEngine:
         assert weights.flow_ids == tuple(f.id for f in subset)
         for f in subset:
             reference = aggregate_path_weights(
-                f, relaxation.fractions_for_flow(f.id)
+                f, fractions_for_flow(relaxation, f.id)
             )
             for path, value in reference.items():
                 assert weights[f.id][path] == pytest.approx(value, abs=1e-12)
