@@ -2,15 +2,16 @@
 
 Times the DCFS solver (the paper bounds it by O(n^2 |V|)) on the paper's
 fat-tree with shortest-path routing at increasing flow counts.  The
-incremental engine (DESIGN.md Sections 8, 17 and 22) makes the 400- and
-800-flow sizes routine; the speedup test pins it against the
+incremental engine (DESIGN.md Sections 8, 17, 22 and 25) makes the 400-
+and 800-flow sizes routine; the speedup test pins it against the
 pure-Python oracle ``solve_dcfs_reference`` (``tests/oracles/dcfs.py``)
 on the largest instance, times route construction on its own
-(``paths_s``), and records both in ``BENCH_dcfs_scaling.json``.  The cutoff test measures where scoring a
-batch of links one by one with the critical-interval list enumeration
-stops beating one batched NumPy grid pass, on the batches Epoch-DCFS
-replay windows re-score together: the measurement
-``repro.scheduling.yds._BATCH_WORK_CUTOFF`` is set from.
+(``paths_s``), counts the engine's reservation merges and timelines,
+and records all of it in ``BENCH_dcfs_scaling.json``.  The cutoff test
+measures where scoring a batch of links one by one with the
+critical-interval list enumeration stops beating one batched NumPy grid
+pass, on the batches Epoch-DCFS replay windows re-score together: the
+measurement ``repro.scheduling.yds._BATCH_WORK_CUTOFF`` is set from.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def test_speedup_vs_reference_and_record(capsys):
     t0 = time.perf_counter()
     fast = solve_dcfs(flows, topology, paths, POWER)
     t_fast = time.perf_counter() - t0
+    merges, timelines = _count_reservations(flows, topology, paths)
     t0 = time.perf_counter()
     ref = solve_dcfs_reference(flows, topology, paths, POWER)
     t_ref = time.perf_counter() - t0
@@ -96,15 +98,41 @@ def test_speedup_vs_reference_and_record(capsys):
             "reference_wall_clock_s": t_ref,
             "speedup_vs_reference": speedup,
             "rounds": fast.rounds,
+            "merges": merges,
+            "timelines": timelines,
         },
     )
     with capsys.disabled():
         print(
             f"\ndcfs n={LARGEST}: routes {t_paths:.3f}s, fast {t_fast:.3f}s, "
-            f"reference {t_ref:.3f}s ({speedup:.1f}x) -> {path}"
+            f"reference {t_ref:.3f}s ({speedup:.1f}x), {fast.rounds} rounds, "
+            f"{merges} merges into {timelines} timelines -> {path}"
         )
     if os.environ.get("BENCH_STRICT"):
         assert speedup >= 3.0
+
+
+def _count_reservations(flows, topology, paths) -> tuple[int, int]:
+    """``(merges, timelines)``: the ``add_many`` calls and timelines one
+    untimed ``solve_dcfs`` makes, counted by swapping a counting
+    subclass in for the engine's ``BlockedTimeline``."""
+    counts = [0, 0]
+
+    class Counting(BlockedTimeline):
+        def __init__(self) -> None:
+            counts[1] += 1
+            super().__init__()
+
+        def add_many(self, segments) -> None:
+            counts[0] += 1
+            super().add_many(segments)
+
+    dcfs_module.BlockedTimeline = Counting
+    try:
+        solve_dcfs(flows, topology, paths, POWER)
+    finally:
+        dcfs_module.BlockedTimeline = BlockedTimeline
+    return counts[0], counts[1]
 
 
 def _replay_batches(windows: int = 40, seed: int = 2):
@@ -115,7 +143,8 @@ def _replay_batches(windows: int = 40, seed: int = 2):
     Epoch-DCFS solves each 0.5 s window as a fresh instance (blind to the
     committed background), so solving the windows directly makes exactly
     the replay's calls.  Each batch is a list of ``(release, deadline,
-    work, blocked)`` tuples with the timelines copied as they stood.
+    work, blocked)`` tuples with the timelines copied as they stood
+    (``None`` for a link with nothing reserved stays ``None``).
     """
     spec = TraceSpec(
         arrivals=PoissonProcess(200.0), duration=windows * 0.5, seed=seed
@@ -127,8 +156,10 @@ def _replay_batches(windows: int = 40, seed: int = 2):
     def capture(links):
         copied = []
         for release, deadline, work, blocked in links:
-            timeline = BlockedTimeline()
-            timeline.add_many(blocked.segments())
+            timeline = None
+            if blocked is not None:
+                timeline = BlockedTimeline()
+                timeline.add_many(blocked.segments())
             copied.append((list(release), list(deadline), list(work), timeline))
         batches.append(copied)
         return score(links)

@@ -115,9 +115,8 @@ def _prepare_instance(
     dict[int | str, tuple[str, ...]],
     dict[int | str, tuple[Edge, ...]],
     dict[int | str, float],
-    dict[Edge, set[int | str]],
 ]:
-    """Validate paths and build the shared per-flow/per-link indexes."""
+    """Validate paths and build the per-flow paths, edges and weights."""
     flow_paths: dict[int | str, tuple[str, ...]] = {}
     flow_edges: dict[int | str, tuple[Edge, ...]] = {}
     virtual: dict[int | str, float] = {}
@@ -130,12 +129,7 @@ def _prepare_instance(
         edges = path_edges(path)
         flow_edges[flow.id] = edges
         virtual[flow.id] = _virtual_weight(flow, len(edges), alpha)
-
-    link_flows: dict[Edge, set[int | str]] = {}
-    for flow in flows:
-        for edge in flow_edges[flow.id]:
-            link_flows.setdefault(edge, set()).add(flow.id)
-    return flow_paths, flow_edges, virtual, link_flows
+    return flow_paths, flow_edges, virtual
 
 
 def solve_dcfs(
@@ -146,17 +140,20 @@ def solve_dcfs(
 ) -> DcfsResult:
     """Run Most-Critical-First on a routed instance.
 
-    This is the incremental engine (DESIGN.md Sections 8, 17 and 22):
-    each link keeps its queued flows as parallel Python lists that shrink
-    in place as flows are scheduled, candidate critical intervals live in
-    a lazy max-heap with version-stamp invalidation, each round merges
-    the union of its EDF segments into every touched link's reservations
-    once, and only those links are re-scored, all in one
+    This is the incremental engine (DESIGN.md Sections 8, 17, 22 and
+    25): each link keeps its queued flows as parallel Python lists that
+    shrink in place as flows are scheduled, candidate critical intervals
+    live in a lazy max-heap with version-stamp invalidation, each round
+    merges the union of its EDF segments once into every touched link
+    that still has queued flows (the only links a later round scores or
+    lays out, so a link's timeline is created at its first such merge),
+    and only those links are re-scored, all in one
     :func:`repro.scheduling.yds.critical_interval_batch` call that takes
     the lists as they are.  The contained flows are listed only for the
     link a round selects.  Output — rates, rounds, segments, tie-breaking
     included — is identical to the pure-Python oracle
-    ``solve_dcfs_reference`` in ``tests/oracles/dcfs.py``, which
+    ``solve_dcfs_reference`` in ``tests/oracles/dcfs.py``, which keeps
+    every link's reservations with a full re-merge and which
     ``tests/test_perf_kernels.py`` pins.
 
     Parameters
@@ -182,29 +179,36 @@ def solve_dcfs(
     """
     flows.validate_against(topology)
     alpha = power.alpha
-    flow_paths, flow_edges, virtual, link_flows = _prepare_instance(
+    flow_paths, flow_edges, virtual = _prepare_instance(
         flows, topology, paths, alpha
     )
 
-    blocked: dict[Edge, BlockedTimeline] = {
-        edge: BlockedTimeline() for edge in link_flows
-    }
-
     # Per-link queue: (flow ids, releases, deadlines, virtual weights) as
-    # parallel lists in the reference's order (flow ids sorted by str).
-    # Scheduling a flow deletes its entries in place, so a re-score hands
-    # the live columns to the scorer without copying them.
-    sorted_edges = sorted(link_flows)
-    rank = {edge: i for i, edge in enumerate(sorted_edges)}
+    # parallel lists, filled in one pass over the flows in (str(id),
+    # FlowSet position) order, the reference's order (total even where
+    # two ids share a ``str``).  Scheduling a flow deletes its entries in
+    # place, so a re-score hands the live columns to the scorer without
+    # copying them.
     queue: dict[Edge, tuple[list, list[float], list[float], list[float]]] = {}
-    for edge in sorted_edges:
-        fids = sorted(link_flows[edge], key=str)
-        queue[edge] = (
-            fids,
-            [flows[f].release for f in fids],
-            [flows[f].deadline for f in fids],
-            [virtual[f] for f in fids],
-        )
+    ordered = sorted(
+        enumerate(flows), key=lambda item: (str(item[1].id), item[0])
+    )
+    for _, flow in ordered:
+        for edge in flow_edges[flow.id]:
+            columns = queue.get(edge)
+            if columns is None:
+                columns = queue[edge] = ([], [], [], [])
+            fids, rel, dl, wk = columns
+            fids.append(flow.id)
+            rel.append(flow.release)
+            dl.append(flow.deadline)
+            wk.append(virtual[flow.id])
+    sorted_edges = sorted(queue)
+    rank = {edge: i for i, edge in enumerate(sorted_edges)}
+    # Reservations per link, created at the first merge a re-score reads:
+    # a link without one has nothing reserved, which the scorer reads as
+    # ``None`` and EDF as ``()``.
+    blocked: dict[Edge, BlockedTimeline] = {}
 
     # Candidate = (a, b, delta, count, overlap_mode): the link's critical
     # interval [a, b] holds the first ``count`` queued flows that
@@ -225,7 +229,7 @@ def solve_dcfs(
         columns = [queue[edge] for edge in edges]
         scores = critical_interval_batch(
             [
-                (rel, dl, wk, blocked[edge])
+                (rel, dl, wk, blocked.get(edge))
                 for edge, (_fids, rel, dl, wk) in zip(edges, columns)
             ]
         )
@@ -306,7 +310,8 @@ def solve_dcfs(
                     duration=virtual[fid] / delta,
                 )
             )
-        edf_blocked = () if overlap_mode else blocked[best_edge].segments()
+        timeline = None if overlap_mode else blocked.get(best_edge)
+        edf_blocked = () if timeline is None else timeline.segments()
         try:
             placed = edf_schedule(edf_jobs, blocked=edf_blocked)
         except InfeasibleError:
@@ -335,14 +340,19 @@ def solve_dcfs(
         # Invalidate and eagerly re-score touched links (re-scoring must be
         # eager: added reservations can *raise* a link's best intensity, so
         # a purely pop-time refresh would under-estimate the heap top).
+        # Only a link with queued flows is ever scored or laid out again,
+        # so a link the round emptied keeps no reservations.
         dirty = []
         for edge, blocks in new_blocks.items():
-            blocked[edge].add_many(blocks)
             version[edge] += 1
-            if queue[edge][0]:
-                dirty.append(edge)
-            else:
+            if not queue[edge][0]:
                 cand.pop(edge, None)
+                continue
+            timeline = blocked.get(edge)
+            if timeline is None:
+                timeline = blocked[edge] = BlockedTimeline()
+            timeline.add_many(blocks)
+            dirty.append(edge)
         if dirty:
             score(dirty)
 

@@ -83,11 +83,16 @@ class BlockedTimeline:
     via prefix sums, kept as plain Python lists: the scalar queries run on
     them directly, and the batched critical-interval grid flattens them
     through :meth:`columns`.
-    Insertion is a batched merge: only the incoming blocks are sorted,
-    and :func:`merge_segments` then coalesces the two pre-sorted runs
-    (timsort detects them, so the pass is O(existing + new) rather than a
-    full re-sort per call).  Bit-identical to re-merging the whole raw
-    list — pinned by the Hypothesis suite in ``tests/test_timeline.py``.
+
+    Insertion is a splice.  :func:`merge_segments` (at its default
+    ``tol``) leaves every stored gap wider than ``tol``, so every stored
+    segment before the one preceding the first incoming block is final.
+    :meth:`add_many` sorts only the incoming blocks, re-merges them with
+    the stored tail from that segment on, and rebuilds starts, ends and
+    prefix sums from there: O(new log new + tail) rather than a re-sort
+    and rebuild of the whole list.  Bit-identical to re-merging the
+    whole raw list and rebuilding every column — pinned by the
+    Hypothesis suite in ``tests/test_timeline.py``.
     """
 
     def __init__(self) -> None:
@@ -96,20 +101,23 @@ class BlockedTimeline:
         self._ends: list[float] = []
         self._prefix: list[float] = [0.0]
 
-    def add_many(
-        self, segments: Iterable[tuple[float, float]], tol: float = 1e-12
-    ) -> None:
+    def add_many(self, segments: Iterable[tuple[float, float]]) -> None:
         """Insert segments (merged with the existing reservation set)."""
         incoming = sorted((a, b) for a, b in segments if b > a)
         if not incoming:
             return  # re-merging an already merged set changes nothing
-        merged = merge_segments(self._segments + incoming, tol)
-        self._segments = merged
-        self._starts = [s for s, _ in merged]
-        self._ends = [e for _, e in merged]
+        # The stored segment just before the first incoming start may
+        # absorb it; every earlier one ends more than ``tol`` before that.
+        keep = max(bisect_left(self._starts, incoming[0][0]) - 1, 0)
+        tail = merge_segments(self._segments[keep:] + incoming)
+        self._segments[keep:] = tail
+        self._starts[keep:] = [s for s, _ in tail]
+        self._ends[keep:] = [e for _, e in tail]
         # A strictly sequential running sum, the historical loop's float
-        # additions in its order.
-        self._prefix = list(accumulate((e - s for s, e in merged), initial=0.0))
+        # additions in its order, continued from the kept prefix.
+        self._prefix[keep:] = accumulate(
+            (e - s for s, e in tail), initial=self._prefix[keep]
+        )
 
     def columns(self) -> tuple[list[float], list[float], list[float]]:
         """``(starts, ends, prefix)``: the merged segments' starts and ends
@@ -118,7 +126,9 @@ class BlockedTimeline:
 
         These are the inputs of :meth:`overlap`, exposed for scorers that
         hoist its per-``a`` half out of a loop over ``b`` or repeat it over
-        a whole grid.  Do not mutate.
+        a whole grid.  They are the timeline's own lists, which
+        :meth:`add_many` updates in place: a view always reads the current
+        reservations, so copy it to keep a snapshot.  Do not mutate.
         """
         return self._starts, self._ends, self._prefix
 

@@ -10,24 +10,52 @@ pair of one link over :class:`~repro.scheduling.YdsJob` lists.
 (``tests/test_perf_kernels.py``).  No replay, experiment or library path
 runs them, so they live beside the tests; tests and benchmarks import
 them as ``tests.oracles.dcfs``.
+
+The oracle shares no bookkeeping with the engine it pins: it builds its
+own per-link flow sets, and :class:`_RemergeTimeline` keeps every link's
+reservations by re-merging the whole list and rebuilding every column on
+each insertion, as :class:`~repro.scheduling.timeline.BlockedTimeline`
+did before its splice.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.dcfs import DcfsResult, _prepare_instance
+from repro.core.dcfs import DcfsResult
 from repro.errors import InfeasibleError, ValidationError
 from repro.flows.flow import FlowSet
 from repro.power.model import PowerModel
 from repro.scheduling.edf import EdfJob, edf_schedule
 from repro.scheduling.schedule import FlowSchedule, Schedule, Segment
-from repro.scheduling.timeline import BlockedTimeline
+from repro.scheduling.timeline import BlockedTimeline, merge_segments
 from repro.scheduling.yds import _EPS, YdsJob
-from repro.topology.base import Edge, Topology
+from repro.topology.base import Edge, Topology, path_edges
 
 __all__ = ["critical_interval_reference", "solve_dcfs_reference"]
+
+
+class _RemergeTimeline(BlockedTimeline):
+    """A :class:`BlockedTimeline` whose insertion re-merges everything.
+
+    :meth:`add_many` merges the whole stored list with the incoming
+    blocks and rebuilds starts, ends and prefix sums from scratch; the
+    queries are the production ones.
+    """
+
+    def add_many(self, segments: Iterable[tuple[float, float]]) -> None:
+        incoming = sorted((a, b) for a, b in segments if b > a)
+        if not incoming:
+            return
+        merged = merge_segments(self._segments + incoming)
+        self._segments = merged
+        self._starts = [s for s, _ in merged]
+        self._ends = [e for _, e in merged]
+        self._prefix = list(
+            accumulate((e - s for s, e in merged), initial=0.0)
+        )
 
 
 def critical_interval_reference(
@@ -92,12 +120,26 @@ def solve_dcfs_reference(
     """
     flows.validate_against(topology)
     alpha = power.alpha
-    flow_paths, flow_edges, virtual, link_flows = _prepare_instance(
-        flows, topology, paths, alpha
-    )
+    flow_paths: dict[int | str, tuple[str, ...]] = {}
+    flow_edges: dict[int | str, tuple[Edge, ...]] = {}
+    virtual: dict[int | str, float] = {}
+    position: dict[int | str, int] = {}
+    for i, flow in enumerate(flows):
+        if flow.id not in paths:
+            raise ValidationError(f"no path supplied for flow {flow.id!r}")
+        path = tuple(paths[flow.id])
+        topology.validate_path(path, flow.src, flow.dst)
+        flow_paths[flow.id] = path
+        edges = flow_edges[flow.id] = path_edges(path)
+        virtual[flow.id] = flow.size * len(edges) ** (1.0 / alpha)
+        position[flow.id] = i
+    link_flows: dict[Edge, set[int | str]] = {}
+    for flow in flows:
+        for edge in flow_edges[flow.id]:
+            link_flows.setdefault(edge, set()).add(flow.id)
 
     blocked: dict[Edge, BlockedTimeline] = {
-        edge: BlockedTimeline() for edge in link_flows
+        edge: _RemergeTimeline() for edge in link_flows
     }
     # Cached most-critical interval per link; None = needs recomputation.
     # The boolean marks overlap mode (see the module docstring).
@@ -112,7 +154,10 @@ def solve_dcfs_reference(
                 deadline=flows[fid].deadline,
                 work=virtual[fid],
             )
-            for fid in sorted(link_flows[edge], key=str)
+            # By str(id), ties (ids 1 and "1") in FlowSet order.
+            for fid in sorted(
+                link_flows[edge], key=lambda f: (str(f), position[f])
+            )
         ]
         try:
             a, b, delta, contained = critical_interval_reference(

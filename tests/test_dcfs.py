@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +216,47 @@ class TestValidation:
         paths = {f.id: ft4.shortest_path(f.src, f.dst) for f in flows}
         result = solve_dcfs(flows, ft4, paths, quadratic)
         assert 1 <= result.rounds <= len(flows)
+
+
+#: Ids ``1`` and ``"1"`` share a ``str``; flow 2 splits their span.
+_SHARED_STR_SOLVE = """
+from repro.core import solve_dcfs
+from repro.flows import Flow, FlowSet
+from repro.power import PowerModel
+from repro.topology import line
+
+topology = line(3)
+flows = FlowSet([
+    Flow(id=1, src="n0", dst="n2", size=1.0, release=0.0, deadline=2.0),
+    Flow(id="1", src="n0", dst="n2", size=3.0, release=0.0, deadline=2.0),
+    Flow(id=2, src="n0", dst="n2", size=0.7, release=0.5, deadline=1.5),
+])
+paths = {f.id: ("n0", "n1", "n2") for f in flows}
+result = solve_dcfs(flows, topology, paths, PowerModel.quadratic())
+print(repr([(fs.flow.id, fs.segments) for fs in result.schedule]))
+"""
+
+
+class TestDeterminism:
+    def test_schedule_ignores_string_hashing(self):
+        """Queues order flows by ``str(id)``, ties in FlowSet order.
+        Ordering ids ``1`` and ``"1"`` by ``str`` alone left the tie to
+        set iteration, which follows ``PYTHONHASHSEED``: under seed 5
+        flow 1 moved from [0, 0.43] to [1.57, 2]."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH")))
+        )
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _SHARED_STR_SOLVE],
+                env=dict(env, PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "3", "5", "7", "11")
+        ]
+        schedules = {run.communicate(timeout=120)[0] for run in runs}
+        assert [run.returncode for run in runs] == [0] * len(runs)
+        assert len(schedules) == 1

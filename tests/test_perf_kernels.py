@@ -41,7 +41,7 @@ from repro.core import solve_dcfs, solve_dcfsr, sp_mcf
 from repro.errors import InfeasibleError, ValidationError
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.parallel import parallel_map
-from repro.flows import FlowSet
+from repro.flows import Flow, FlowSet
 from repro.power import PowerModel
 from repro.scheduling import (
     PiecewiseConstant,
@@ -473,6 +473,26 @@ class TestSolveDcfsPinning:
         fast = solve_dcfs(example1_flows, line3, paths, quadratic)
         assert fast.rates == ref.rates
         assert fast.rounds == ref.rounds
+
+    @pytest.mark.parametrize("first", [1, "1"], ids=["int-first", "str-first"])
+    def test_ids_sharing_a_str_keep_flowset_order(self, line3, quadratic, first):
+        """Ids ``1`` and ``"1"`` tie on ``str``: both engines break the
+        tie by FlowSet position, so swapping them swaps their slots."""
+        second = "1" if first == 1 else 1
+        spans = [
+            (first, 1.0, 0.0, 2.0),
+            (second, 3.0, 0.0, 2.0),
+            (2, 0.7, 0.5, 1.5),
+        ]
+        flows = FlowSet(
+            Flow(id=fid, src="n0", dst="n2", size=w, release=r, deadline=d)
+            for fid, w, r, d in spans
+        )
+        paths = _routed(flows, line3)
+        ref = solve_dcfs_reference(flows, line3, paths, quadratic)
+        fast = solve_dcfs(flows, line3, paths, quadratic)
+        _assert_identical(fast, ref)
+        assert fast.schedule[first].segments[0].start == 0.0
 
 
 # ----------------------------------------------------------------------

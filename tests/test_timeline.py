@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
@@ -178,6 +180,15 @@ class TestPiecewiseConstant:
         assert pc.integrate() == pytest.approx(expected, rel=1e-9)
 
 
+def _from_scratch_columns(merged):
+    """Starts, ends and the sequential prefix sum of merged segments."""
+    return (
+        [s for s, _ in merged],
+        [e for _, e in merged],
+        list(accumulate((e - s for s, e in merged), initial=0.0)),
+    )
+
+
 class TestBlockedTimeline:
     def test_overlap_exact(self):
         bt = BlockedTimeline()
@@ -238,10 +249,24 @@ class TestBlockedTimeline:
             max_size=6,
         )
     )
+    # Splice cases, as (start, length) batches: a block bridging two
+    # reserved ones; one starting within tol after the last; one before
+    # the first; blocks sharing a start with a reserved one.
+    @example([[(0.0, 1.0), (2.0, 1.0), (4.0, 1.0), (7.0, 1.0)], [(2.5, 2.0)]])
+    @example([[(0.0, 1.0), (2.0, 1.0)], [(3.0 + 5e-13, 1.0)]])
+    @example([[(2.0, 1.0), (5.0, 1.0)], [(0.0, 1.0)]])
+    @example(
+        [
+            [(0.0, 1.0), (2.0, 1.0), (5.0, 1.0), (8.0, 1.0)],
+            [(5.0, 0.5)],
+            [(5.0, 2.0)],
+        ]
+    )
     def test_incremental_add_many_pins_full_remerge(self, rounds):
-        """The batched per-round merge must be bit-identical to the
-        reference behavior of re-merging the full segment list each call
-        (including tolerance coalescing order and degenerate segments)."""
+        """The spliced merge must be bit-identical to the reference
+        behavior of re-merging the full segment list each call and
+        rebuilding every column from scratch (including tolerance
+        coalescing order and degenerate segments)."""
         bt = BlockedTimeline()
         reference: list[tuple[float, float]] = []
         for batch in rounds:
@@ -249,6 +274,7 @@ class TestBlockedTimeline:
             bt.add_many(segments)
             reference = merge_segments(reference + segments)
             assert bt.segments() == tuple(reference)
+            assert bt.columns() == _from_scratch_columns(reference)
 
     @given(
         st.lists(
@@ -276,6 +302,16 @@ class TestBlockedTimeline:
         union.add_many([seg for batch in rest for seg in batch])
         assert union.segments() == per_batch.segments()
         assert union.columns() == per_batch.columns()
+
+    def test_columns_are_live_views(self):
+        """``columns()`` hands out the timeline's own lists, which a
+        merge updates in place."""
+        bt = BlockedTimeline()
+        bt.add_many([(0.0, 1.0)])
+        starts, ends, prefix = bt.columns()
+        bt.add_many([(0.5, 2.0), (3.0, 4.0)])
+        assert (starts, ends, prefix) == bt.columns()
+        assert (starts, ends, prefix) == ([0.0, 3.0], [2.0, 4.0], [0.0, 2.0, 3.0])
 
     def test_add_many_empty_batch_is_noop(self):
         bt = BlockedTimeline()
