@@ -2,8 +2,8 @@
 
 Times one marginal-cost route on the paper's k=8 fat-tree through each
 engine — the networkx reference (per-edge Python weight callback) and
-the :class:`FastRouter` hot path (bidirectional search + candidate
-cache) — plus the :class:`LoadLedger` loads/commit cycle at a realistic
+the :class:`FastRouter` hot path (bidirectional search) — plus the
+:class:`LoadLedger` loads/commit cycle at a realistic
 resident-ledger size, and one replay window's committed-load view: the
 ledger seeded with the live pieces earlier windows left, next to the
 background-profile build and per-flow gather it replaced (DESIGN.md
@@ -45,19 +45,38 @@ def test_route_reference_networkx(benchmark):
     benchmark.pedantic(run, rounds=3, iterations=1)
 
 
+def _best_of(fn, *args, repeats=5) -> float:
+    """Fastest of ``repeats`` timed calls of ``fn(*args)``, in seconds."""
+    elapsed = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(*args)
+        elapsed = min(elapsed, time.perf_counter() - start)
+    return elapsed
+
+
 @pytest.mark.benchmark(group="fastpath-route")
 def test_route_fast_router_churn(benchmark):
-    """FastRouter under the online policy's access pattern: a fresh
-    marginal (conservatively invalidating) before every route."""
+    """FastRouter under the online policy's access pattern: every route
+    gets its own weight vector."""
     router = FastRouter(TOPOLOGY)
     variants = [np.maximum(MARGINAL * (1.0 + 0.01 * k), 1e-12) for k in range(8)]
 
     def run():
         for i, (src, dst) in enumerate(PAIRS):
-            router.set_marginal(variants[i % 8], decreased=True)
-            router.route(src, dst)
+            router.route(src, dst, variants[i % 8])
 
     benchmark.pedantic(run, rounds=3, iterations=5)
+    elapsed = _best_of(run)
+    record_bench(
+        "fastpath_route",
+        wall_clock_s=elapsed,
+        topology=TOPOLOGY.name,
+        extra={
+            "routes": len(PAIRS),
+            "us_per_route": 1e6 * elapsed / len(PAIRS),
+        },
+    )
 
 
 @pytest.mark.benchmark(group="fastpath-ledger")
@@ -133,15 +152,8 @@ def test_ledger_seeded_window(benchmark):
         _seeded_rows, args=(acct, spans), rounds=5, iterations=1
     )
 
-    def best_of(view, repeats=5):
-        elapsed = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            view(acct, spans)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        return elapsed
-
-    seeded_s, profile_s = best_of(_seeded_rows), best_of(_profile_rows)
+    seeded_s = _best_of(_seeded_rows, acct, spans)
+    profile_s = _best_of(_profile_rows, acct, spans)
     record_bench(
         "fastpath_ledger",
         wall_clock_s=seeded_s,

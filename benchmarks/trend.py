@@ -155,8 +155,6 @@ def _extra_summary(extra: Any) -> str:
         value = extra[key]
         if isinstance(value, (int, float, str)):
             parts.append(f"{key}={_fmt(value)}")
-        if len(parts) >= 4:
-            break
     return ", ".join(parts) if parts else "-"
 
 
@@ -168,8 +166,8 @@ def render_trend(records: Iterable[dict[str, Any]]) -> str:
     lines = [
         "# Benchmark trend",
         "",
-        "One row per recorded run (oldest first); `extra` shows up to "
-        "four benchmark-specific measurements.",
+        "One row per recorded run (oldest first); `extra` shows every "
+        "scalar benchmark-specific measurement.",
         "",
     ]
     if not by_name:

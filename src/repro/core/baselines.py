@@ -85,9 +85,8 @@ def greedy_marginal_routing(
     cheapest path under the marginal envelope cost of the loads committed
     so far (loads approximate each flow's footprint by its density on every
     link of its chosen path, ignoring span overlap — a deliberately cheap
-    surrogate).  Because loads only grow, the marginal only grows, so the
-    :class:`~repro.routing.fastpath.FastRouter` path cache stays valid for
-    every endpoint pair whose cached path the last commit did not touch.
+    surrogate).  A commit changes only its own path's loads, so the
+    weight vector is updated on those edges alone.
     """
     flows.validate_against(topology)
     cost = envelope_cost(power)
@@ -97,12 +96,12 @@ def greedy_marginal_routing(
     from repro.routing.fastpath import FastRouter
 
     router = FastRouter(topology)
-    router.set_marginal(np.maximum(cost.derivative(loads), 1e-12))
+    weights = np.maximum(cost.derivative(loads), 1e-12)
     for flow in order:
-        path, edge_ids = router.route(flow.src, flow.dst)
+        path, edge_ids = router.route(flow.src, flow.dst, weights)
         paths[flow.id] = path
         loads[edge_ids] += flow.density
-        router.bump_edges(
-            edge_ids, np.maximum(cost.derivative(loads[edge_ids]), 1e-12)
+        weights[edge_ids] = np.maximum(
+            cost.derivative(loads[edge_ids]), 1e-12
         )
     return _routed_mcf("Greedy+MCF", flows, topology, power, paths)

@@ -23,7 +23,7 @@ only its own path edges; span-window corrections are one vectorized pass
 per arrival) instead of an O(E x segments) rebuild of per-edge
 :class:`~repro.scheduling.timeline.PiecewiseConstant` profiles, and
 routing goes through a :class:`~repro.routing.fastpath.FastRouter`
-(cached bidirectional Dijkstra over the topology's CSR adjacency).
+(bidirectional Dijkstra over the topology's CSR adjacency).
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def solve_online_density(
 
     for flow in order:
         loads = ledger.loads(flow.release, flow.deadline)
-        router.set_marginal(np.maximum(cost.derivative(loads), 1e-12))
-        path, edge_ids = router.route(flow.src, flow.dst)
+        path, edge_ids = router.route(
+            flow.src, flow.dst, np.maximum(cost.derivative(loads), 1e-12)
+        )
         paths[flow.id] = path
         ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
         flow_schedules.append(density_schedule(flow, path))

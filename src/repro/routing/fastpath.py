@@ -1,4 +1,4 @@
-"""Array-native routing core: cached fast router and incremental load
+"""Array-native routing core: marginal-cost router and incremental load
 accounting.
 
 Finding the cheapest path under the power envelope's per-edge marginal
@@ -14,11 +14,10 @@ profiles adds O(E x segments) more.  This module replaces both with
 integer-array machinery on the topology's cached CSR adjacency
 (:attr:`repro.topology.base.Topology.csr_adjacency`):
 
-* :class:`FastRouter` — a stateful router holding the marginal vector, a
-  ``(src, dst)`` candidate-path cache with staleness stamps, and a
-  bidirectional early-terminating Dijkstra over the CSR adjacency whose
-  pruning bound is seeded with the cached candidate's current cost
-  (~40 us per miss on fat_tree(8));
+* :class:`FastRouter` — a bidirectional early-terminating Dijkstra over
+  the CSR adjacency lists, given each route's weight vector; it keeps
+  no routing state between calls, so a route is a function of its
+  arguments;
 * :class:`LoadLedger` — a deadline-sorted commit ledger that maintains
   the per-edge average-load vector incrementally: a commit touches only
   its own path edges, a bulk seed loads the load earlier windows left
@@ -52,47 +51,21 @@ def _check_endpoints(topology: Topology, src: str, dst: str) -> tuple[int, int]:
     return topology.node_id(src), topology.node_id(dst)
 
 
-def _check_marginal(topology: Topology, marginal: np.ndarray) -> None:
-    if len(marginal) != topology.num_edges:
-        raise ValidationError(
-            f"marginal must have {topology.num_edges} entries, "
-            f"got {len(marginal)}"
-        )
-
-
 # ----------------------------------------------------------------------
-# Stateful fast router: bidirectional CSR Dijkstra + candidate-path cache.
+# Marginal-cost router: bidirectional CSR Dijkstra.
 # ----------------------------------------------------------------------
 class FastRouter:
-    """Stateful marginal-cost router over one topology.
+    """Marginal-cost router over one topology.
 
-    Owns the marginal-cost vector (updated wholesale via
-    :meth:`set_marginal` or edge-wise via :meth:`bump_edges`) and a
-    ``(src, dst)`` candidate-path cache.  Each entry snapshots the
-    marginal of its own path edges; the entry is provably still a
-    cheapest path iff
-
-    * no edge weight anywhere has decreased since the entry was stored
-      (every alternative path can then only have gotten costlier than the
-      cost that lost to this entry), and
-    * the entry's own path edges still carry their snapshot values
-      (off-path increases only make the cached path look better).
-
-    The first condition is one integer comparison against a global
-    "last decrease" stamp, the second an O(path) vector compare — so a
-    hit skips the search entirely.  Otherwise one *bidirectional*
-    early-terminating Dijkstra runs over the topology's CSR adjacency
-    lists — meeting in the middle settles the union of two half-radius
-    balls instead of the full graph (~40 us on fat_tree(8) versus ~500 us
-    for networkx) — and when a cache entry exists its current path cost
-    seeds the search's pruning bound ``mu``: every relaxation that cannot
-    beat the candidate is cut, and if nothing beats it the search has
-    *proved* the cached path still cheapest and returns it without
-    reconstruction.
+    :meth:`route` runs one *bidirectional* early-terminating Dijkstra over
+    the topology's CSR adjacency lists under the weight vector it is
+    given — meeting in the middle settles the union of two half-radius
+    balls instead of the full graph (~40 us on fat_tree(8) versus
+    ~500 us for networkx).  The router owns only the search's scratch
+    buffers, so a route depends on nothing but its arguments.
 
     Weights must be strictly positive (enforced): positivity is what
-    makes the meet-in-the-middle concatenation loop-free and the
-    candidate-bound pruning exact.
+    makes the meet-in-the-middle concatenation loop-free.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -120,123 +93,35 @@ class FastRouter:
         self._done_f = [0] * n
         self._done_b = [0] * n
         self._epoch = 0
-        self._marginal: np.ndarray | None = None
-        self._weights: list[float] | None = None
-        self._tick = 0
-        self._floor_stamp = 0  # last tick at which any weight decreased
-        self._cache: dict[
-            tuple[str, str], tuple[Path, np.ndarray, np.ndarray, int]
-        ] = {}
-        self.hits = 0  # cache hits: stamp/snapshot check alone sufficed
-        self.proofs = 0  # pruned searches that re-proved the cached path
-        self.misses = 0  # searches that built a fresh path
 
     @property
     def topology(self) -> Topology:
         return self._topology
 
-    @property
-    def marginal(self) -> np.ndarray:
-        """The current marginal vector (do not mutate)."""
-        if self._marginal is None:
-            raise ValidationError("set_marginal has not been called yet")
-        return self._marginal
-
-    def set_marginal(
-        self, marginal: np.ndarray, *, decreased: bool | None = None
-    ) -> None:
-        """Replace the whole marginal vector.
-
-        One vectorized decrease check against the previous vector keeps
-        cache entries whose own path edges did not change valid; callers
-        that know the answer (or accept conservative invalidation) can
-        pass ``decreased`` explicitly to skip the scan — ``True`` is
-        always safe, ``False`` asserts no entry dropped.  The router
-        takes ownership of ``marginal``: the array is kept without
-        copying (when already contiguous float64) and :meth:`bump_edges`
-        mutates it in place, so the caller must neither mutate nor reuse
-        it afterwards.
-        """
-        marginal = np.ascontiguousarray(marginal, dtype=float)
-        _check_marginal(self._topology, marginal)
-        if not marginal.min(initial=np.inf) > 0.0:
-            raise ValidationError(
-                "marginal weights must be strictly positive "
-                "(clamp with np.maximum(..., 1e-12) upstream)"
-            )
-        self._tick += 1
-        if decreased is None:
-            decreased = self._marginal is None or bool(
-                np.any(marginal < self._marginal)
-            )
-        if decreased:
-            self._floor_stamp = self._tick
-        self._marginal = marginal
-        self._weights = marginal.tolist()
-
-    def bump_edges(self, edge_ids, values) -> None:
-        """Update the marginal on just-touched edges, in O(len(edge_ids)).
-
-        The incremental sibling of :meth:`set_marginal` for consumers that
-        change only the edges a commit landed on.
-        """
-        if self._marginal is None or self._weights is None:
-            raise ValidationError("set_marginal must seed the vector first")
-        self._tick += 1
-        marginal = self._marginal
-        weights = self._weights
-        for eid, value in zip(edge_ids, values):
-            eid = int(eid)
-            value = float(value)
-            if not value > 0.0:
-                raise ValidationError(
-                    f"marginal weight must be strictly positive, got {value}"
-                )
-            old = marginal[eid]
-            if value == old:
-                continue
-            marginal[eid] = value
-            weights[eid] = value
-            if value < old:
-                self._floor_stamp = self._tick
-
-    def route(self, src: str, dst: str) -> tuple[Path, np.ndarray]:
-        """Cheapest path under the current marginal, as
+    def route(
+        self, src: str, dst: str, weights: np.ndarray
+    ) -> tuple[Path, np.ndarray]:
+        """Cheapest ``src -> dst`` path under ``weights``, as
         ``(node path, edge-id array)``.
 
-        Serves from the candidate-path cache when the entry is provably
-        still cheapest (see class docstring); otherwise runs one
-        candidate-bounded bidirectional Dijkstra and refreshes the entry.
+        ``weights`` holds one strictly positive float64 weight per edge
+        id; the router reads it during the call and keeps no reference.
         """
         src_id, dst_id = _check_endpoints(self._topology, src, dst)
-        if self._marginal is None:
-            raise ValidationError("set_marginal must be called before route")
-        key = (src, dst)
-        entry = self._cache.get(key)
-        bound = inf
-        if entry is not None:
-            path, eids, snapshot, stamp = entry
-            if stamp >= self._floor_stamp and (
-                stamp >= self._tick
-                or np.array_equal(self._marginal[eids], snapshot)
-            ):
-                self.hits += 1
-                return path, eids
-            # Stale entry: its current cost still upper-bounds the
-            # optimum, pruning the search below.
-            bound = float(self._marginal[eids].sum())
-        meet = self._search(src_id, dst_id, bound)
+        weights = np.ascontiguousarray(weights, dtype=float)
+        if weights.shape != (self._topology.num_edges,):
+            raise ValidationError(
+                f"weights must have shape ({self._topology.num_edges},), "
+                f"got {weights.shape}"
+            )
+        if not weights.min(initial=inf) > 0.0:
+            raise ValidationError(
+                "weights must be strictly positive "
+                "(clamp with np.maximum(..., 1e-12) upstream)"
+            )
+        meet = self._search(src_id, dst_id, memoryview(weights))
         if meet is None:
-            if entry is not None:
-                # Nothing beat the candidate: it is re-proven cheapest.
-                path, eids, _snapshot, _stamp = entry
-                self.proofs += 1
-                self._cache[key] = (
-                    path, eids, self._marginal[eids], self._tick,
-                )
-                return path, eids
             raise TopologyError(f"no path between {src!r} and {dst!r}")
-        self.misses += 1
         u, v, cross_eid = meet
         ids = [u]
         edge_list = []
@@ -254,28 +139,22 @@ class FastRouter:
             ids.append(pb[ids[-1]])
         nodes = self._topology.nodes
         path = tuple(nodes[i] for i in ids)
-        eids = np.array(edge_list, dtype=np.int64)
-        self._cache[key] = (path, eids, self._marginal[eids], self._tick)
-        return path, eids
+        return path, np.array(edge_list, dtype=np.int64)
 
     def _search(
-        self, src_id: int, dst_id: int, bound: float
+        self, src_id: int, dst_id: int, weights: memoryview
     ) -> tuple[int, int, int] | None:
         """Bidirectional Dijkstra; returns the meeting arc
-        ``(u, v, edge_id)`` of a path strictly cheaper than ``bound``, or
-        ``None`` when no such path exists (for ``bound=inf``: the pair is
-        disconnected).
+        ``(u, v, edge_id)`` of a cheapest path, or ``None`` when the pair
+        is disconnected.
 
         Standard meet-in-the-middle: alternate the side with the smaller
         frontier top; maintain ``mu``, the best crossing cost seen, and
         stop once ``top_f + top_b >= mu``.  Degree-1 nodes other than the
         endpoints are skipped (they cannot be interior to a simple path),
-        and relaxations at ``>= mu`` are cut — with a finite ``bound``
-        this prunes the search down to the region that could still beat
-        the cached candidate.
+        and relaxations at ``>= mu`` are cut.
         """
         adj = self._adj
-        weights = self._weights
         leaf = self._leaf
         df, db = self._df, self._db
         pf, pb = self._pf, self._pb
@@ -295,7 +174,7 @@ class FastRouter:
         heap_f = [(0.0, src_id)]
         heap_b = [(0.0, dst_id)]
         top_f = top_b = 0.0
-        mu = bound
+        mu = inf
         meet: tuple[int, int, int] | None = None
 
         while heap_f and heap_b:
@@ -416,10 +295,11 @@ class LoadLedger:
     def _merge_pending(self) -> None:
         pending = self._pending
         pending.sort(key=lambda c: c[0])
+        counts = [len(c[2]) for c in pending]
         self._merge(
-            np.concatenate([np.full(len(c[2]), c[0]) for c in pending]),
+            np.repeat([c[0] for c in pending], counts),
             np.concatenate([c[2] for c in pending]),
-            np.concatenate([np.full(len(c[2]), c[1]) for c in pending]),
+            np.repeat([c[1] for c in pending], counts),
         )
         pending.clear()
 

@@ -601,12 +601,8 @@ class ShardedReplayEngine:
             )
         # Route cross-shard flows in the parent while the shard solves
         # run; with the async submit above this is the window's overlap.
-        # The policy is reset every window: its router's candidate cache
-        # depends on history, and a restored run must not inherit a
-        # different cache than the original.
         cross: dict = {}
         if cross_flows:
-            self._cross_policy.reset()
             for fs in self._cross_policy.schedule_window(cross_flows, ctx):
                 cross[fs.flow.id] = fs
         self._inflight.append(

@@ -358,8 +358,8 @@ class OnlineDensityPolicy(ReplayPolicy):
     per-edge average load — a commit touches only its own path edges,
     and each arriving flow's load view is corrected to its individual
     span window in one vectorized pass — while routing goes through a
-    :class:`~repro.routing.fastpath.FastRouter` (cached bidirectional
-    CSR Dijkstra).
+    :class:`~repro.routing.fastpath.FastRouter` (bidirectional CSR
+    Dijkstra, given each flow's weights).
 
     The ledger is seeded with :attr:`WindowContext.pieces`, the
     reservations earlier windows left live, so each flow's load view is
@@ -389,25 +389,17 @@ class OnlineDensityPolicy(ReplayPolicy):
         schedules = []
         for flow in flows:
             loads = ledger.loads(flow.release, flow.deadline)
-            # decreased=True: span corrections shrink as the window slides,
-            # so weights may drop anywhere; invalidate conservatively
-            # rather than pay a full-vector scan per flow (the bound-seeded
-            # search still re-proves cached candidates cheaply).
             weights = np.maximum(cost.derivative(loads), 1e-12)
             if down_idx is not None:
                 # Dead links cost (finitely) everything; a route that
                 # still crosses one proves no survivor path exists.
                 weights[down_idx] = DEAD_EDGE_WEIGHT
-            router.set_marginal(weights, decreased=True)
-            path, edge_ids = router.route(flow.src, flow.dst)
+            path, edge_ids = router.route(flow.src, flow.dst, weights)
             if down and any(int(eid) in down for eid in edge_ids):
                 continue  # no surviving route -> unserved
             ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
             schedules.append(density_schedule(flow, path))
         return schedules
-
-    def reset(self) -> None:
-        self._router = None
 
 
 class EpochDcfsPolicy(ReplayPolicy):

@@ -520,9 +520,8 @@ class ChurnManager:
             )
         if self.down:
             weights[sorted(self.down)] = DEAD_EDGE_WEIGHT
-        router.set_marginal(weights, decreased=True)
         try:
-            path, eids = router.route(flow.src, flow.dst)
+            path, eids = router.route(flow.src, flow.dst, weights)
         except TopologyError:
             return None
         if self.down and any(int(eid) in self.down for eid in eids):
@@ -562,8 +561,9 @@ class ChurnManager:
     # Snapshot plumbing (sharded service).
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Plain-data snapshot (the router and the reachability and
-        risk memos are caches, rebuilt on demand after a restore).
+        """Plain-data snapshot (the router holds only search scratch,
+        and the reachability and risk memos are caches; all three are
+        rebuilt on demand after a restore).
 
         The dead-link state is carried as ``(edge id, multiplicity)``
         pairs — a snapshot taken between a correlated failure and its

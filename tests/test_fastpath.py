@@ -2,12 +2,12 @@
 
 Two load-bearing pins:
 
-* routing equivalence — :class:`FastRouter` (the bidirectional,
-  cache-seeded router every marginal-cost consumer uses) must return
-  paths of *equal cost* to ``marginal_route_reference`` (the
-  :func:`networkx.dijkstra_path` oracle in ``tests/oracles/paths.py``)
-  on random jellyfish/fat-tree topologies under random positive
-  marginals;
+* routing equivalence — :class:`FastRouter` (the bidirectional router
+  every marginal-cost consumer uses) must return paths of *equal cost*
+  to ``marginal_route_reference`` (the :func:`networkx.dijkstra_path`
+  oracle in ``tests/oracles/paths.py``) on random jellyfish/fat-tree
+  topologies under random positive marginals, and a route must depend
+  on its arguments alone;
 * ledger exactness — :class:`LoadLedger` must reproduce, bit-for-bit up
   to float tolerance, the from-scratch load rebuild via per-edge
   :class:`PiecewiseConstant` profiles that :mod:`repro.core.online` used
@@ -60,22 +60,21 @@ class TestFastRouterEquivalence:
     )
     def test_equal_cost_under_marginal_churn(self, topo_index, seed, steps):
         """Random weight updates (growth and shrinkage, full and edge-wise)
-        interleaved with repeated-pair queries: every route the router
-        returns — cached, re-proven, or fresh — must cost the same as the
-        networkx reference."""
+        interleaved with repeated-pair queries on one router: every route
+        must cost the same as the networkx reference under the weights
+        it was given."""
         topology = TOPOLOGIES[topo_index]
         rng = np.random.default_rng(seed)
         hosts = topology.hosts
         router = FastRouter(topology)
         marginal = rng.uniform(0.1, 5.0, topology.num_edges)
-        router.set_marginal(marginal.copy())
         pairs = [
             tuple(hosts[int(i)] for i in rng.choice(len(hosts), 2, False))
             for _ in range(3)
         ]
         for _ in range(steps):
             for src, dst in pairs:
-                path, eids = router.route(src, dst)
+                path, eids = router.route(src, dst, marginal)
                 topology.validate_path(path, src, dst)
                 assert np.array_equal(
                     eids,
@@ -91,7 +90,6 @@ class TestFastRouterEquivalence:
                 marginal = np.maximum(
                     marginal * rng.uniform(0.5, 2.0, len(marginal)), 1e-9
                 )
-                router.set_marginal(marginal.copy())
             else:
                 touched = rng.choice(
                     topology.num_edges,
@@ -102,106 +100,78 @@ class TestFastRouterEquivalence:
                     marginal[touched] * rng.uniform(0.5, 2.0, len(touched)),
                     1e-9,
                 )
-                router.bump_edges(touched, marginal[touched])
-
-    def test_cache_hit_when_weights_untouched(self, ft4):
-        router = FastRouter(ft4)
-        router.set_marginal(np.full(ft4.num_edges, 1.0))
-        h = ft4.hosts
-        path1, eids1 = router.route(h[0], h[-1])
-        path2, _ = router.route(h[0], h[-1])
-        assert path1 is path2
-        assert router.hits == 1 and router.misses == 1
-
-    def test_cache_survives_offpath_increase(self, ft4):
-        router = FastRouter(ft4)
-        marginal = np.full(ft4.num_edges, 1.0)
-        router.set_marginal(marginal.copy())
-        h = ft4.hosts
-        path, eids = router.route(h[0], h[-1])
-        off = [e for e in range(ft4.num_edges) if e not in set(eids.tolist())]
-        router.bump_edges(off[:3], [5.0, 5.0, 5.0])
-        path2, _ = router.route(h[0], h[-1])
-        assert path2 is path
-        assert router.hits == 1
 
     def test_onpath_increase_reroutes_equal_cost(self, ft4, quadratic):
         router = FastRouter(ft4)
         marginal = np.full(ft4.num_edges, 1.0)
-        router.set_marginal(marginal.copy())
         h = ft4.hosts
-        path, eids = router.route(h[0], h[-1])
+        path, eids = router.route(h[0], h[-1], marginal)
         marginal[eids[len(eids) // 2]] = 50.0  # congest a middle link
-        router.bump_edges(
-            [int(eids[len(eids) // 2])], [50.0]
-        )
-        path2, _ = router.route(h[0], h[-1])
+        path2, _ = router.route(h[0], h[-1], marginal)
         assert path2 != path  # the fat-tree always has an equal-length detour
         reference = marginal_route_reference(ft4, h[0], h[-1], marginal)
         assert path_cost(ft4, path2, marginal) == pytest.approx(
             path_cost(ft4, reference, marginal), rel=1e-12
         )
 
-    def test_decrease_reproves_or_reroutes(self, ft4):
-        router = FastRouter(ft4)
-        marginal = np.full(ft4.num_edges, 2.0)
-        router.set_marginal(marginal.copy())
+    def test_route_is_a_function_of_its_inputs(self, ft4):
+        """A detour taken under congested weights leaves no trace: under
+        uniform weights again, the router returns what a fresh router
+        returns, not the equal-cost detour it routed last."""
         h = ft4.hosts
-        path, eids = router.route(h[0], h[-1])
-        # A global decrease invalidates; the bound-seeded search re-proves
-        # the candidate when it is still cheapest.
-        router.set_marginal(np.full(ft4.num_edges, 1.0))
-        path2, _ = router.route(h[0], h[-1])
-        assert path_cost(ft4, path2, np.full(ft4.num_edges, 1.0)) == (
-            pytest.approx(len(path2) - 1)
-        )
-        assert router.proofs + router.misses >= 2
-
-    def test_route_before_set_marginal_rejected(self, ft4):
+        uniform = np.ones(ft4.num_edges)
         router = FastRouter(ft4)
-        with pytest.raises(ValidationError):
-            router.route(ft4.hosts[0], ft4.hosts[-1])
+        path, eids = router.route(h[0], h[-1], uniform)
+        congested = uniform.copy()
+        congested[eids[len(eids) // 2]] = 50.0
+        detour, _ = router.route(h[0], h[-1], congested)
+        assert detour != path
+        again, again_eids = router.route(h[0], h[-1], uniform)
+        fresh, fresh_eids = FastRouter(ft4).route(h[0], h[-1], uniform)
+        assert again == fresh == path
+        assert np.array_equal(again_eids, fresh_eids)
 
     def test_nonpositive_marginal_rejected(self, ft4):
         router = FastRouter(ft4)
+        h = ft4.hosts
         with pytest.raises(ValidationError):
-            router.set_marginal(np.zeros(ft4.num_edges))
-        router.set_marginal(np.ones(ft4.num_edges))
-        with pytest.raises(ValidationError):
-            router.bump_edges([0], [0.0])
+            router.route(h[0], h[-1], np.zeros(ft4.num_edges))
+        for bad in (0.0, -1.0, np.nan):
+            weights = np.ones(ft4.num_edges)
+            weights[0] = bad
+            with pytest.raises(ValidationError):
+                router.route(h[0], h[-1], weights)
 
     def test_disconnected_raises(self):
         topo = build_topology(
             [("a", "b"), ("c", "d")], hosts=["a", "b", "c", "d"]
         )
         router = FastRouter(topo)
-        router.set_marginal(np.ones(topo.num_edges))
         with pytest.raises(TopologyError, match="no path"):
-            router.route("a", "c")
+            router.route("a", "c", np.ones(topo.num_edges))
 
     def test_equal_endpoints_rejected(self, ft4):
         router = FastRouter(ft4)
-        router.set_marginal(np.ones(ft4.num_edges))
         with pytest.raises(TopologyError):
-            router.route(ft4.hosts[0], ft4.hosts[0])
+            router.route(ft4.hosts[0], ft4.hosts[0], np.ones(ft4.num_edges))
 
     def test_unknown_endpoint_rejected(self, ft4):
         router = FastRouter(ft4)
-        router.set_marginal(np.ones(ft4.num_edges))
         with pytest.raises(TopologyError):
-            router.route(ft4.hosts[0], "nope")
+            router.route(ft4.hosts[0], "nope", np.ones(ft4.num_edges))
 
     def test_wrong_marginal_shape_rejected(self, ft4):
         router = FastRouter(ft4)
-        with pytest.raises(ValidationError):
-            router.set_marginal(np.ones(3))
+        h = ft4.hosts
+        for shape in (3, (ft4.num_edges, 1)):
+            with pytest.raises(ValidationError):
+                router.route(h[0], h[-1], np.ones(shape))
 
     def test_routes_through_degree2_hosts(self, line3):
         # Hosts with degree > 1 are legitimate transit nodes (the leaf
         # skip must only prune degree-1 nodes).
         router = FastRouter(line3)
-        router.set_marginal(np.ones(line3.num_edges))
-        path, _ = router.route("n0", "n2")
+        path, _ = router.route("n0", "n2", np.ones(line3.num_edges))
         assert path == ("n0", "n1", "n2")
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -66,3 +68,35 @@ def test_no_module_defines_an_oracle_or_loads_scipy_optimize():
     oracles, scipy_optimize = _run(code).splitlines()
     assert oracles == "[]"
     assert scipy_optimize == "False"
+
+
+def test_solver_modules_leave_the_frank_wolfe_engine_unloaded():
+    """``repro.core`` and ``repro.routing`` re-export lazily, so
+    Most-Critical-First and the fast router load neither the
+    Frank–Wolfe engine nor :mod:`scipy.sparse`."""
+    code = (
+        "import sys\n"
+        "import repro.core.dcfs, repro.routing.fastpath\n"
+        "heavy = ('repro.routing.mcflow', 'scipy.sparse')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+    )
+    assert _run(code) == "[]"
+
+
+def test_lazy_package_names_resolve():
+    """Every name in the lazy packages' ``__all__`` imports; an unknown
+    name raises ``AttributeError``, so a submodule of the same name is
+    still imported by ``from package import name``."""
+    import repro.core
+    import repro.routing
+
+    for package in (repro.core, repro.routing):
+        for name in package.__all__:
+            assert getattr(package, name).__name__ == name
+        with pytest.raises(AttributeError):
+            package.no_such_name
+    from repro.core import dcfs
+    from repro.routing import mcflow
+
+    assert dcfs.__name__ == "repro.core.dcfs"
+    assert mcflow.__name__ == "repro.routing.mcflow"

@@ -38,6 +38,7 @@ from repro.service import (
     SolveBudget,
     partition_topology,
 )
+from repro.sim import FaultEvent, FaultSchedule
 from repro.traces import (
     GreedyDensityPolicy,
     PoissonProcess,
@@ -50,6 +51,7 @@ from repro.traces import (
     write_trace_jsonl,
 )
 from repro.topology import fat_tree, leaf_spine
+from repro.topology.base import path_edges
 
 # The thirteen report fields the sharded greedy engine pins exactly to
 # the single-owner engine (policy/name and solve timings excluded).
@@ -339,6 +341,58 @@ class TestSnapshotRestore:
             resumed = restored.finish()
         finally:
             restored.close()
+        assert _normalized(resumed) == _normalized(uninterrupted)
+
+    def test_relax_restore_with_link_faults_is_bit_identical(
+        self, ft4, quadratic
+    ):
+        """Inline link faults on both sides of the cut: a core link is
+        down when the snapshot is taken, and a pod link fails after the
+        restore.  The parent's repair router and its cross-shard router
+        both route after the restore, and the resumed report equals the
+        uninterrupted one."""
+        flows = _trace(ft4, 60, seed=3)
+        t_cut = flows[30].release
+        edges = path_edges(ft4.shortest_path(ft4.hosts[0], ft4.hosts[-1]))
+        core_link, pod_link = edges[2], edges[1]
+        faults = FaultSchedule.scripted([
+            (t_cut - 4.0, "down", core_link),
+            (t_cut + 3.0, "up", core_link),
+            (t_cut + 1.0, "down", pod_link),
+            (t_cut + 5.0, "up", pod_link),
+        ])
+        stream = sorted(
+            [*flows, *faults],
+            key=lambda x: x.time if isinstance(x, FaultEvent) else x.release,
+        )
+        split = stream.index(flows[30])
+        kwargs = dict(
+            window=1.0, num_shards=2, mode="relax", seed=4,
+            fw_max_iterations=12,
+        )
+
+        def feed(engine, items):
+            for item in items:
+                if isinstance(item, FaultEvent):
+                    engine.feed_fault(item)
+                else:
+                    engine.feed(item)
+
+        with ShardedReplayEngine(ft4, quadratic, **kwargs) as engine:
+            uninterrupted = engine.run(stream)
+        with ShardedReplayEngine(ft4, quadratic, **kwargs) as first:
+            feed(first, stream[:split])
+            state = first.snapshot_state()
+        restored = ShardedReplayEngine.restore_state(ft4, quadratic, state)
+        try:
+            feed(restored, stream[split:])
+            resumed = restored.finish()
+        finally:
+            restored.close()
+        churn = state["loop"]["churn"]
+        assert churn["down"]
+        rerouted_before = churn["counters"]["flows_rerouted"]
+        assert 0 < rerouted_before < uninterrupted.flows_rerouted
         assert _normalized(resumed) == _normalized(uninterrupted)
 
     def test_restore_rejects_wrong_topology(self, ft4, quadratic):

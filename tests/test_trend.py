@@ -99,3 +99,19 @@ class TestCliAccumulation:
         trend.main(["--dir", str(run_dir), "--out", str(out)])
         assert "fw" in out.read_text()
         assert not (tmp_path / "BENCH_HISTORY.jsonl").exists()
+
+
+class TestRender:
+    def test_every_scalar_extra_renders(self):
+        record = _record("dcfs_scaling", 100.0, 1.0)
+        record["extra"] = {
+            "merges": 844,
+            "paths_s": 0.25,
+            "reference_wall_clock_s": 1.5,
+            "rounds": 84,
+            "speedup_vs_reference": 2.5,
+            "timelines": 161,
+        }
+        report = trend.render_trend([record])
+        for key, value in record["extra"].items():
+            assert f"{key}={value}" in report
