@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.dcfs import DcfsResult, solve_dcfs
 from repro.flows.flow import FlowSet
 from repro.power.model import PowerModel
-from repro.routing.costs import envelope_cost
+from repro.routing.costs import envelope_cost, marginal_price
 from repro.scheduling.schedule import EnergyBreakdown, Schedule
 from repro.topology.base import Topology
 
@@ -96,12 +96,10 @@ def greedy_marginal_routing(
     from repro.routing.fastpath import FastRouter
 
     router = FastRouter(topology)
-    weights = np.maximum(cost.derivative(loads), 1e-12)
+    weights = marginal_price(cost, loads)
     for flow in order:
         path, edge_ids = router.route(flow.src, flow.dst, weights)
         paths[flow.id] = path
         loads[edge_ids] += flow.density
-        weights[edge_ids] = np.maximum(
-            cost.derivative(loads[edge_ids]), 1e-12
-        )
+        weights[edge_ids] = marginal_price(cost, loads[edge_ids])
     return _routed_mcf("Greedy+MCF", flows, topology, power, paths)

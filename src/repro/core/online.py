@@ -16,11 +16,13 @@ The ``online_ablation`` experiment quantifies the "price of not knowing
 the future" against offline Random-Schedule and the clairvoyant lower
 bound.
 
-The hot path runs on the array-native routing core (DESIGN.md §7): the
-per-edge average load over each arriving flow's span comes from an
-incremental :class:`~repro.routing.fastpath.LoadLedger` (a commit touches
-only its own path edges; span-window corrections are one vectorized pass
-per arrival) instead of an O(E x segments) rebuild of per-edge
+One loop, :func:`route_online_density`, serves this offline solver and
+the streaming :class:`~repro.traces.policies.OnlineDensityPolicy`.  It
+runs on the array-native routing core (DESIGN.md §7): the per-edge
+average load over each arriving flow's span comes from an incremental
+:class:`~repro.routing.fastpath.LoadLedger` (a commit touches only its
+own path edges; span-window corrections are one vectorized pass per
+arrival) instead of an O(E x segments) rebuild of per-edge
 :class:`~repro.scheduling.timeline.PiecewiseConstant` profiles, and
 routing goes through a :class:`~repro.routing.fastpath.FastRouter`
 (bidirectional Dijkstra over the topology's CSR adjacency).
@@ -28,17 +30,50 @@ routing goes through a :class:`~repro.routing.fastpath.FastRouter`
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.baselines import BaselineResult
-from repro.flows.flow import FlowSet
+from repro.flows.flow import Flow, FlowSet
 from repro.power.model import PowerModel
-from repro.routing.costs import envelope_cost
+from repro.routing.costs import DEAD_EDGE_WEIGHT, envelope_cost, marginal_price
 from repro.routing.fastpath import FastRouter, LoadLedger
-from repro.scheduling.schedule import Schedule, density_schedule
+from repro.scheduling.schedule import FlowSchedule, Schedule, density_schedule
 from repro.topology.base import Topology
 
-__all__ = ["solve_online_density"]
+__all__ = ["route_online_density", "solve_online_density"]
+
+
+def route_online_density(
+    flows: Iterable[Flow],
+    router: FastRouter,
+    ledger: LoadLedger,
+    power: PowerModel,
+    down: frozenset[int] = frozenset(),
+) -> list[FlowSchedule]:
+    """Route and commit ``flows`` in release order (ties by flow id).
+
+    Each flow takes its cheapest path under the
+    :func:`~repro.routing.costs.marginal_price` of the ``ledger``'s load
+    over its span and is committed to the ledger at its density.  Dead
+    links (``down``) are priced out; a flow whose route still crosses one
+    has no survivor path and is left unserved.
+    """
+    cost = envelope_cost(power)
+    down_idx = np.asarray(sorted(down), dtype=np.int64) if down else None
+    schedules = []
+    for flow in sorted(flows, key=lambda f: (f.release, str(f.id))):
+        loads = ledger.loads(flow.release, flow.deadline)
+        weights = marginal_price(cost, loads)
+        if down_idx is not None:
+            weights[down_idx] = DEAD_EDGE_WEIGHT
+        path, edge_ids = router.route(flow.src, flow.dst, weights)
+        if down and any(int(eid) in down for eid in edge_ids):
+            continue  # no surviving route -> unserved
+        ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
+        schedules.append(density_schedule(flow, path))
+    return schedules
 
 
 def solve_online_density(
@@ -52,27 +87,14 @@ def solve_online_density(
     finishes exactly at its deadline at rate ``D_i``).
     """
     flows.validate_against(topology)
-    cost = envelope_cost(power)
-    router = FastRouter(topology)
-    ledger = LoadLedger(topology)
-    order = sorted(flows, key=lambda f: (f.release, str(f.id)))
-    paths: dict[int | str, tuple[str, ...]] = {}
-    flow_schedules = []
-
-    for flow in order:
-        loads = ledger.loads(flow.release, flow.deadline)
-        path, edge_ids = router.route(
-            flow.src, flow.dst, np.maximum(cost.derivative(loads), 1e-12)
-        )
-        paths[flow.id] = path
-        ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
-        flow_schedules.append(density_schedule(flow, path))
-
-    schedule = Schedule(flow_schedules)
+    schedules = route_online_density(
+        flows, FastRouter(topology), LoadLedger(topology), power
+    )
+    schedule = Schedule(schedules)
     t0, t1 = flows.horizon
     return BaselineResult(
         name="Online+Density",
         schedule=schedule,
         energy=schedule.energy(power, horizon=(t0, t1)),
-        paths=paths,
+        paths={fs.flow.id: fs.path for fs in schedules},
     )

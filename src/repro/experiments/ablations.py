@@ -252,6 +252,57 @@ def online_ablation(
     return table
 
 
+def _poisson_spec(rate: float, duration: float, seed: int) -> TraceSpec:
+    """The streaming ablations' trace: Poisson arrivals at ``rate``,
+    lognormal(1.0, 0.6) sizes, proportional(3.0, 1.0) slack."""
+    return TraceSpec(
+        arrivals=PoissonProcess(rate),
+        duration=duration,
+        size_sampler=lognormal_sizes(1.0, 0.6),
+        slack_model=proportional_slack(3.0, 1.0),
+        seed=seed,
+    )
+
+
+def _replay_table(
+    title: str,
+    policies: Sequence,
+    spec: TraceSpec,
+    fat_tree_k: int,
+    window: float,
+    jobs: int,
+) -> Table:
+    """One row per policy: the same trace replayed under each on
+    ``fat_tree(fat_tree_k)`` at quadratic power, with the measured miss
+    rate, energy and peak stacked link rate."""
+    topology = fat_tree(fat_tree_k)
+    power = PowerModel.quadratic()
+    table = Table(
+        title=title,
+        columns=(
+            "policy", "flows", "windows", "miss rate", "energy", "peak rate",
+        ),
+    )
+
+    def one(index: int):
+        policy = policies[index]
+        report = ReplayEngine(topology, power, policy, window=window).run(
+            generate_trace(topology, spec)
+        )
+        return (
+            policy.name,
+            report.flows_seen,
+            report.windows,
+            report.miss_rate,
+            report.total_energy,
+            report.peak_link_rate,
+        )
+
+    for row in parallel_map(one, range(len(policies)), jobs=jobs):
+        table.add_row(*row)
+    return table
+
+
 def trace_ablation(
     rate: float = 4.0,
     duration: float = 40.0,
@@ -272,21 +323,6 @@ def trace_ablation(
     the marginal-cost and clairvoyant policies are judged against what a
     load-balancing fabric would do with no energy model at all.
     """
-    topology = fat_tree(fat_tree_k)
-    power = PowerModel.quadratic()
-    spec = TraceSpec(
-        arrivals=PoissonProcess(rate),
-        duration=duration,
-        size_sampler=lognormal_sizes(1.0, 0.6),
-        slack_model=proportional_slack(3.0, 1.0),
-        seed=seed,
-    )
-    table = Table(
-        title="ABL-TRACE: sliding-horizon replay of one Poisson trace",
-        columns=(
-            "policy", "flows", "windows", "miss rate", "energy", "peak rate",
-        ),
-    )
     policies = (
         OnlineDensityPolicy(),
         EpochDcfsPolicy(),
@@ -294,24 +330,14 @@ def trace_ablation(
         PowerOfTwoPolicy(seed=seed),
         LeastLoadedPolicy(),
     )
-
-    def one(index: int):
-        policy = policies[index]
-        report = ReplayEngine(topology, power, policy, window=window).run(
-            generate_trace(topology, spec)
-        )
-        return (
-            policy.name,
-            report.flows_seen,
-            report.windows,
-            report.miss_rate,
-            report.total_energy,
-            report.peak_link_rate,
-        )
-
-    for row in parallel_map(one, range(len(policies)), jobs=jobs):
-        table.add_row(*row)
-    return table
+    return _replay_table(
+        "ABL-TRACE: sliding-horizon replay of one Poisson trace",
+        policies,
+        _poisson_spec(rate, duration, seed),
+        fat_tree_k,
+        window,
+        jobs,
+    )
 
 
 def relax_replay_ablation(
@@ -332,44 +358,19 @@ def relax_replay_ablation(
     and the table reports measured miss rate, energy, and peak stacked
     link rate.
     """
-    topology = fat_tree(fat_tree_k)
-    power = PowerModel.quadratic()
-    spec = TraceSpec(
-        arrivals=PoissonProcess(rate),
-        duration=duration,
-        size_sampler=lognormal_sizes(1.0, 0.6),
-        slack_model=proportional_slack(3.0, 1.0),
-        seed=seed,
-    )
-    table = Table(
-        title="ABL-RELAX-REPLAY: relaxation+rounding vs heuristics, streaming",
-        columns=(
-            "policy", "flows", "windows", "miss rate", "energy", "peak rate",
-        ),
-    )
     policies = (
         RelaxationRoundingPolicy(seed=seed),
         OnlineDensityPolicy(),
         GreedyDensityPolicy(),
     )
-
-    def one(index: int):
-        policy = policies[index]
-        report = ReplayEngine(topology, power, policy, window=window).run(
-            generate_trace(topology, spec)
-        )
-        return (
-            policy.name,
-            report.flows_seen,
-            report.windows,
-            report.miss_rate,
-            report.total_energy,
-            report.peak_link_rate,
-        )
-
-    for row in parallel_map(one, range(len(policies)), jobs=jobs):
-        table.add_row(*row)
-    return table
+    return _replay_table(
+        "ABL-RELAX-REPLAY: relaxation+rounding vs heuristics, streaming",
+        policies,
+        _poisson_spec(rate, duration, seed),
+        fat_tree_k,
+        window,
+        jobs,
+    )
 
 
 def rounding_mode_ablation(
@@ -523,13 +524,7 @@ def churn_ablation(
 
     topology = fat_tree(fat_tree_k)
     power = PowerModel.quadratic()
-    spec = TraceSpec(
-        arrivals=PoissonProcess(rate),
-        duration=duration,
-        size_sampler=lognormal_sizes(1.0, 0.6),
-        slack_model=proportional_slack(3.0, 1.0),
-        seed=seed,
-    )
+    spec = _poisson_spec(rate, duration, seed)
     table = Table(
         title="ABL-CHURN: mid-replay link churn and self-healing repair",
         columns=(
@@ -727,13 +722,7 @@ def churn_correlated_ablation(
         index, run = task
         independent, correlated = schedules(run)
         faults = independent if index == 0 else correlated
-        spec = TraceSpec(
-            arrivals=PoissonProcess(rate),
-            duration=duration,
-            size_sampler=lognormal_sizes(1.0, 0.6),
-            slack_model=proportional_slack(3.0, 1.0),
-            seed=seed + run,
-        )
+        spec = _poisson_spec(rate, duration, seed + run)
         report = ReplayEngine(
             topology,
             power,

@@ -8,7 +8,8 @@ cost is simply ``mu * x^alpha``; with a power-down term the discontinuous
 to discourage loads above capacity while keeping the objective smooth.
 
 Costs operate on numpy arrays of per-edge loads so the Frank–Wolfe inner
-loop stays vectorized.
+loop stays vectorized.  :func:`marginal_price` is the link price of
+every marginal-cost router.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.power.model import PowerModel
 
-__all__ = ["EdgeCost", "envelope_cost"]
+__all__ = ["DEAD_EDGE_WEIGHT", "EdgeCost", "envelope_cost", "marginal_price"]
+
+#: Routing weight of a dead link: high enough that any surviving route
+#: wins, finite so Dijkstra stays well-defined — a route that still
+#: crosses a dead link after the clamp proves no survivor path exists.
+DEAD_EDGE_WEIGHT = 1e15
 
 
 @dataclass(frozen=True)
@@ -161,3 +167,10 @@ def envelope_cost(power: PowerModel, penalty: float | None = None) -> EdgeCost:
         else:
             penalty = 0.0
     return EdgeCost(power=power, penalty=penalty)
+
+
+def marginal_price(cost: EdgeCost, loads: np.ndarray) -> np.ndarray:
+    """Per-edge link price of the marginal-cost routers: ``c'(x)`` at
+    each link's committed load ``x``, floored at 1e-12 so the router's
+    weights are strictly positive.  A fresh array the caller may edit."""
+    return np.maximum(cost.derivative(loads), 1e-12)

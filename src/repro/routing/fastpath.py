@@ -117,7 +117,7 @@ class FastRouter:
         if not weights.min(initial=inf) > 0.0:
             raise ValidationError(
                 "weights must be strictly positive "
-                "(clamp with np.maximum(..., 1e-12) upstream)"
+                "(price them with repro.routing.costs.marginal_price)"
             )
         meet = self._search(src_id, dst_id, memoryview(weights))
         if meet is None:

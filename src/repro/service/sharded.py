@@ -10,15 +10,20 @@ Only two things ever cross a process boundary per window: the shard's
 restriction of the background load going out (a
 :class:`~repro.routing.background.BackgroundProfile`), and
 ``(flow id, path)`` pairs coming back — the DESIGN.md Section 11 shard
-protocol.  A window's routes are a function of its message alone: the
-worker's :class:`~repro.core.dcfsr.RelaxationPipeline` is only a cache,
-and the rounding draws from ``default_rng((seed, shard, k))``.
+protocol.  A worker runs the replay policies themselves on its shard:
+:class:`~repro.traces.policies.RelaxationRoundingPolicy`, or
+:class:`~repro.traces.policies.GreedyDensityPolicy` for greedy windows.
+A window's routes are a function of its message alone: the policy's
+pipelines are only a cache, and the rounding draws from
+``default_rng((seed, shard, k))``.
 
 Division of labor per window ``k``:
 
 * **Intra-shard flows** (both endpoints in one connected component of one
   shard) are relaxed and rounded *inside* that shard's worker, against
-  the shard-local restriction of the lagged background profile.
+  the shard-local restriction of the lagged background profile; while
+  local links are down the shard solves on its survivor subgraph, as
+  the policy does on the whole fabric.
 * **Cross-shard flows** are routed in the parent on the boundary-aware
   global view by :class:`~repro.traces.policies.OnlineDensityPolicy`
   (marginal envelope-cost routing; :class:`~repro.traces.policies.
@@ -64,24 +69,23 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.dcfsr import RelaxationPipeline
-from repro.errors import TopologyError, ValidationError
+from repro.errors import ValidationError
 from repro.experiments.parallel import WorkerCrash, WorkerGroup
-from repro.flows.flow import Flow, FlowSet
+from repro.flows.flow import Flow
 from repro.power.model import PowerModel
 from repro.routing.mcflow import check_fw_settings
-from repro.routing.rounding import argmax_paths, sample_paths
 from repro.scheduling.schedule import density_schedule
 from repro.service.degrade import DegradeController, SolveBudget
 from repro.service.partition import TopologyPartition, partition_topology
-from repro.sim.churn import (
-    WORKER_CRASH,
-    FaultEvent,
-    FaultSchedule,
-    survivor_shortest_path,
+from repro.sim.churn import WORKER_CRASH, FaultEvent, FaultSchedule
+from repro.topology.base import Topology
+from repro.traces.policies import (
+    GreedyDensityPolicy,
+    OnlineDensityPolicy,
+    RelaxationRoundingPolicy,
+    WindowContext,
+    check_seed,
 )
-from repro.topology.base import Topology, path_edges
-from repro.traces.policies import GreedyDensityPolicy, OnlineDensityPolicy
 from repro.traces.replay import (
     ReplayReport,
     ShardStats,
@@ -141,16 +145,23 @@ class WindowStats:
         )
 
 
+def _no_pieces():
+    raise ValidationError("a shard window ships no live pieces")
+
+
 class _ShardSolver:
-    """Worker-side handler: solves one shard's window messages.
+    """Worker-side handler: runs the replay policies on one shard.
 
     Built *inside* the forked worker by the :class:`WorkerGroup` factory,
     so only window messages and ``(flow id, path)`` results cross a pipe.
-    A result is a function of its message: the rounding of window ``k``
-    draws from ``default_rng((seed, shard, k))``, and the relaxation
-    pipeline, built lazily on the first relaxed window (greedy-mode
-    services never pay for it), is a cache whose registry and walk
-    caches change no route.  A restarted worker therefore re-solves a
+    A message becomes a :class:`WindowContext` over the shard (the
+    shipped background restriction, the dead local links) for
+    :class:`RelaxationRoundingPolicy`, or for :class:`GreedyDensityPolicy`
+    in greedy mode and degraded windows; a flow left unserved ships a
+    ``None`` path.  A result is a function of its message: relax window
+    ``k`` is reseeded with ``(seed, shard, k)`` and reports its own
+    ``w_bar`` drift, and the policy's pipelines, built on the first
+    relaxed window, are caches.  A restarted worker therefore re-solves a
     resubmitted window to the same routes.
     """
 
@@ -162,56 +173,33 @@ class _ShardSolver:
     ) -> None:
         self._shard = shard
         self._power = power
-        self._seed, self._fw_iters, self._fw_gap, self._rounding = config
-        self._pipeline: RelaxationPipeline | None = None
+        self._config = config
+        self._relax: RelaxationRoundingPolicy | None = None
+        self._greedy = GreedyDensityPolicy()
 
     def __call__(self, msg):
-        k, flows, background, relax, down_local = msg
+        k, start, end, flows, background, relax, down_local = msg
         t_start = perf_counter()
+        ctx = WindowContext(
+            self._shard.topology,
+            self._power,
+            start,
+            end,
+            background_fn=lambda: background,
+            pieces_fn=_no_pieces,
+            down_edge_ids=down_local,
+        )
         drift = 0.0
         if relax:
-            if self._pipeline is None:
-                self._pipeline = RelaxationPipeline(
-                    self._shard.topology,
-                    self._power,
-                    max_iterations=self._fw_iters,
-                    gap_tolerance=self._fw_gap,
-                )
-            flow_set = FlowSet(flows)
-            relaxation = self._pipeline.solve(flow_set, background=background)
-            weights = self._pipeline.weights(flow_set, relaxation)
-            drift = weights.max_drift
-            if self._rounding == "deterministic":
-                paths = argmax_paths(weights)
-            else:
-                rng = np.random.default_rng(
-                    (self._seed, self._shard.index, k)
-                )
-                paths = sample_paths(weights, rng)
+            if self._relax is None:
+                self._relax = RelaxationRoundingPolicy(*self._config)
+            self._relax.reseed((self._config[0], self._shard.index, k))
+            schedules = self._relax.schedule_window(flows, ctx)
+            drift = self._relax.max_weight_drift
         else:
-            topology = self._shard.topology
-            paths = [topology.shortest_path(f.src, f.dst) for f in flows]
-        if down_local:
-            # Fault fix-up: any solved/cached route crossing a dead local
-            # link is replaced by the survivor BFS route; a pair with no
-            # surviving route ships ``None`` (the parent leaves the flow
-            # unserved).  The empty-set path above stays byte-identical.
-            topo = self._shard.topology
-            edge_id = topo.edge_id
-            fixed = []
-            for flow, path in zip(flows, paths):
-                if any(
-                    edge_id(e) in down_local for e in path_edges(path)
-                ):
-                    try:
-                        path = survivor_shortest_path(
-                            topo, down_local, flow.src, flow.dst
-                        )
-                    except TopologyError:
-                        path = None
-                fixed.append(path)
-            paths = fixed
-        pairs = [(flow.id, path) for flow, path in zip(flows, paths)]
+            schedules = self._greedy.schedule_window(flows, ctx)
+        path_of = {fs.flow.id: fs.path for fs in schedules}
+        pairs = [(flow.id, path_of.get(flow.id)) for flow in flows]
         return pairs, perf_counter() - t_start, drift
 
 
@@ -328,12 +316,9 @@ class ShardedReplayEngine:
             raise ValidationError(f"window must be > 0, got {window}")
         if mode not in ("relax", "greedy"):
             raise ValidationError(f"unknown mode {mode!r}")
-        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            # Checked here, not at the first relaxed window's draw in a
-            # shard worker, and in greedy mode too.
-            raise ValidationError(
-                f"seed must be an integer >= 0, got {seed!r}"
-            )
+        # Checked here, not by the first relaxed window's policy in a
+        # shard worker, and in greedy mode too.
+        check_seed(seed)
         if mode == "relax":
             # Checked here, not in the shard workers that build solvers.
             check_fw_settings(fw_max_iterations, fw_gap_tolerance)
@@ -439,6 +424,7 @@ class ShardedReplayEngine:
 
         # Fork last: every check above runs before a worker exists, so a
         # rejected configuration cannot leak child processes.
+        # RelaxationRoundingPolicy's arguments, for the shard workers.
         config = (seed, fw_max_iterations, fw_gap_tolerance, rounding)
         self._group = WorkerGroup(
             lambda i: _ShardSolver(shards[i], power, config), n
@@ -588,16 +574,17 @@ class ShardedReplayEngine:
         shard_ids = tuple(sorted(per_shard))
         for shard_idx in shard_ids:
             local_bg = None
-            if self._mode == "relax":
+            if relax:
                 edge_map = self._partition.shards[shard_idx].edge_map
                 local_bg = ctx.background.restrict(edge_map)
             rev = self._rev_edge_maps[shard_idx]
             down_local = frozenset(
                 rev[pid] for pid in down if pid in rev
             )
+            flows = per_shard[shard_idx]
             self._submit_shard(
                 shard_idx,
-                (k, per_shard[shard_idx], local_bg, relax, down_local),
+                (k, ctx.start, ctx.end, flows, local_bg, relax, down_local),
             )
         # Route cross-shard flows in the parent while the shard solves
         # run; with the async submit above this is the window's overlap.

@@ -18,9 +18,8 @@ Six policies span the clairvoyance spectrum:
   by bottleneck load — two sampled candidates for power-of-two-choices,
   all k for least-loaded;
 * :class:`OnlineDensityPolicy` — the :mod:`repro.core.online` policy made
-  streaming-scalable on the array-native routing core: marginal-envelope-
-  cost routing against the committed background, at most one cached
-  bidirectional CSR Dijkstra per flow;
+  streaming: its routing loop, run per window against the committed
+  background, one bidirectional CSR Dijkstra per flow;
 * :class:`EpochDcfsPolicy` — per-epoch re-solve with the paper's optimal
   Most-Critical-First (Algorithm 1) over the window's flows on shortest
   paths; the "batch clairvoyant within the window" upper reference.
@@ -42,19 +41,18 @@ import numpy as np
 
 from repro.core.dcfs import solve_dcfs
 from repro.core.dcfsr import RelaxationPipeline
+from repro.core.online import route_online_density
 from repro.errors import InfeasibleError, TopologyError, ValidationError
 from repro.flows.flow import Flow, FlowSet
 from repro.sim.churn import survivor_shortest_path, survivor_topology
 from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
-from repro.routing.costs import envelope_cost
 from repro.routing.fastpath import FastRouter, LoadLedger
 from repro.routing.mcflow import check_fw_settings
 from repro.routing.paths import k_shortest_paths
 from repro.routing.rounding import argmax_paths, sample_paths
 from repro.scheduling.schedule import FlowSchedule, density_schedule
 from repro.topology.base import Topology, path_edges
-from repro.traces.repair import DEAD_EDGE_WEIGHT
 
 __all__ = [
     "WindowContext",
@@ -65,6 +63,7 @@ __all__ = [
     "OnlineDensityPolicy",
     "EpochDcfsPolicy",
     "RelaxationRoundingPolicy",
+    "check_seed",
 ]
 
 #: Live committed pieces as parallel ``(starts, ends, rates, edge ids)``
@@ -127,6 +126,34 @@ class WindowContext:
         return starts[live], ends[live], rates[live], eids[live]
 
 
+def check_seed(seed) -> None:
+    """Reject a rounding or sampling seed that is not an integer >= 0."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def _hop_routes(
+    flows: Sequence[Flow], ctx: WindowContext
+) -> list[tuple[Flow, tuple[str, ...]]]:
+    """The route-or-drop step: each flow with its hop-shortest path, or
+    its survivor BFS route while links are down; a flow with no surviving
+    route is dropped (left unserved)."""
+    topology, down = ctx.topology, ctx.down_edge_ids
+    if not down:
+        return [
+            (flow, topology.shortest_path(flow.src, flow.dst))
+            for flow in flows
+        ]
+    routed = []
+    for flow in flows:
+        try:
+            path = survivor_shortest_path(topology, down, flow.src, flow.dst)
+        except TopologyError:
+            continue  # no surviving route -> unserved
+        routed.append((flow, path))
+    return routed
+
+
 def _seeded_ledger(ctx: WindowContext) -> LoadLedger:
     """A window's load ledger, seeded with the pieces earlier windows
     left live: its :meth:`~repro.routing.fastpath.LoadLedger.loads`
@@ -169,20 +196,10 @@ class GreedyDensityPolicy(ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        down = ctx.down_edge_ids
-        schedules = []
-        for flow in flows:
-            if down:
-                try:
-                    path = survivor_shortest_path(
-                        ctx.topology, down, flow.src, flow.dst
-                    )
-                except TopologyError:
-                    continue  # no surviving route -> unserved
-            else:
-                path = ctx.topology.shortest_path(flow.src, flow.dst)
-            schedules.append(density_schedule(flow, path))
-        return schedules
+        return [
+            density_schedule(flow, path)
+            for flow, path in _hop_routes(flows, ctx)
+        ]
 
 
 class _CandidateSetMixin:
@@ -269,6 +286,7 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
 
     def __init__(self, k: int = 4, seed: int = 0) -> None:
         super().__init__(k)
+        check_seed(seed)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
@@ -352,8 +370,9 @@ class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
 class OnlineDensityPolicy(ReplayPolicy):
     """Marginal-cost routing against committed load, density rates.
 
-    The streaming port of :func:`repro.core.online.solve_online_density`
-    on the array-native routing core (DESIGN.md §7): a
+    The streaming port of :func:`repro.core.online.solve_online_density`,
+    running its loop (:func:`~repro.core.online.route_online_density`)
+    per window on the array-native routing core (DESIGN.md §7): a
     :class:`~repro.routing.fastpath.LoadLedger` tracks the committed
     per-edge average load — a commit touches only its own path edges,
     and each arriving flow's load view is corrected to its individual
@@ -377,29 +396,12 @@ class OnlineDensityPolicy(ReplayPolicy):
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        cost = envelope_cost(ctx.power)
-        topology = ctx.topology
         router = self._router
-        if router is None or router.topology is not topology:
-            router = self._router = FastRouter(topology)
-        ledger = _seeded_ledger(ctx)
-        flows = sorted(flows, key=lambda f: (f.release, str(f.id)))
-        down = ctx.down_edge_ids
-        down_idx = np.asarray(sorted(down), dtype=np.int64) if down else None
-        schedules = []
-        for flow in flows:
-            loads = ledger.loads(flow.release, flow.deadline)
-            weights = np.maximum(cost.derivative(loads), 1e-12)
-            if down_idx is not None:
-                # Dead links cost (finitely) everything; a route that
-                # still crosses one proves no survivor path exists.
-                weights[down_idx] = DEAD_EDGE_WEIGHT
-            path, edge_ids = router.route(flow.src, flow.dst, weights)
-            if down and any(int(eid) in down for eid in edge_ids):
-                continue  # no surviving route -> unserved
-            ledger.commit(edge_ids, flow.release, flow.deadline, flow.density)
-            schedules.append(density_schedule(flow, path))
-        return schedules
+        if router is None or router.topology is not ctx.topology:
+            router = self._router = FastRouter(ctx.topology)
+        return route_online_density(
+            flows, router, _seeded_ledger(ctx), ctx.power, ctx.down_edge_ids
+        )
 
 
 class EpochDcfsPolicy(ReplayPolicy):
@@ -418,37 +420,20 @@ class EpochDcfsPolicy(ReplayPolicy):
 
     def __init__(self) -> None:
         self.fallbacks = 0
-        self._greedy = GreedyDensityPolicy()
 
     def schedule_window(
         self, flows: Sequence[Flow], ctx: WindowContext
     ) -> list[FlowSchedule]:
-        down = ctx.down_edge_ids
-        if down:
-            routable: list[Flow] = []
-            paths = {}
-            for flow in flows:
-                try:
-                    paths[flow.id] = survivor_shortest_path(
-                        ctx.topology, down, flow.src, flow.dst
-                    )
-                except TopologyError:
-                    continue  # no surviving route -> unserved
-                routable.append(flow)
-            if not routable:
-                return []
-            flows = routable
-        else:
-            paths = {
-                flow.id: ctx.topology.shortest_path(flow.src, flow.dst)
-                for flow in flows
-            }
-        flow_set = FlowSet(flows)
+        routed = _hop_routes(flows, ctx)
+        if not routed:
+            return []
+        flow_set = FlowSet([flow for flow, _ in routed])
+        paths = {flow.id: path for flow, path in routed}
         try:
             result = solve_dcfs(flow_set, ctx.topology, paths, ctx.power)
         except InfeasibleError:
             self.fallbacks += 1
-            return self._greedy.schedule_window(flows, ctx)
+            return [density_schedule(flow, path) for flow, path in routed]
         return list(result.schedule)
 
     def reset(self) -> None:
@@ -488,6 +473,9 @@ class RelaxationRoundingPolicy(ReplayPolicy):
       pre-normalization deviation of any flow's aggregated ``w_bar``
       from 1 seen this run; the engine surfaces it on
       :meth:`~repro.traces.replay.ReplayReport.summary`.
+    * **One rounding stream per run**, ``default_rng(seed)``; the
+      sharded service's shard workers :meth:`reseed` it per window with
+      ``(seed, shard, k)``.
     """
 
     name = "Relax+Round"
@@ -501,6 +489,7 @@ class RelaxationRoundingPolicy(ReplayPolicy):
     ) -> None:
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
+        check_seed(seed)
         check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         self._seed = seed
         self._fw_max_iterations = fw_max_iterations
@@ -557,8 +546,8 @@ class RelaxationRoundingPolicy(ReplayPolicy):
         byte for byte; it is rebuilt whenever the dead-link set changes.
         Survivor node paths are valid parent paths verbatim, so commits
         need no translation.  Flows with no surviving route are dropped
-        (left unserved); when none survives the background is never
-        built and comes back ``None``.
+        by the shared route-or-drop step (left unserved); when none
+        survives the background is never built and comes back ``None``.
         """
         down = ctx.down_edge_ids
         entry = self._survivor_cache
@@ -579,23 +568,21 @@ class RelaxationRoundingPolicy(ReplayPolicy):
                     gap_tolerance=self._fw_gap_tolerance,
                 ),
             }
-
-        def routable(flow: Flow) -> bool:
-            try:
-                survivor_shortest_path(ctx.topology, down, flow.src, flow.dst)
-            except TopologyError:
-                return False
-            return True
-
-        served = [flow for flow in flows if routable(flow)]
+        served = [flow for flow, _ in _hop_routes(flows, ctx)]
         background = (
             ctx.background.restrict(entry["edge_map"]) if served else None
         )
         return entry["pipeline"], background, served
 
+    def reseed(self, seed) -> None:
+        """Restart the rounding stream from ``seed`` (any
+        ``numpy.random.default_rng`` seed) and clear
+        :attr:`max_weight_drift`; the cached pipelines stay."""
+        self._rng = np.random.default_rng(seed)
+        self.max_weight_drift = 0.0
+
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self._seed)
+        self.reseed(self._seed)
         self._base_pipeline: RelaxationPipeline | None = None
         self._survivor_cache: dict | None = None
-        self.max_weight_drift = 0.0
         self.windows_solved = 0

@@ -47,7 +47,7 @@ import numpy as np
 from repro.errors import TopologyError, ValidationError
 from repro.flows.flow import Flow
 from repro.power.model import PowerModel
-from repro.routing.costs import envelope_cost
+from repro.routing.costs import DEAD_EDGE_WEIGHT, envelope_cost, marginal_price
 from repro.routing.fastpath import FastRouter
 from repro.scheduling.schedule import FlowSchedule, Segment
 from repro.sim.churn import (
@@ -60,12 +60,7 @@ from repro.sim.churn import (
 )
 from repro.topology.base import Topology
 
-__all__ = ["ChurnManager", "DEAD_EDGE_WEIGHT", "SRLG_PENALTY"]
-
-#: Marginal weight assigned to dead links: high enough that any surviving
-#: route wins, finite so Dijkstra stays well-defined — a route that still
-#: crosses a dead link after the clamp proves no survivor path exists.
-DEAD_EDGE_WEIGHT = 1e15
+__all__ = ["ChurnManager", "SRLG_PENALTY"]
 
 #: Multiplier applied to surviving links that share a risk group with a
 #: currently-failed domain (SRLG-diverse repair).  Large enough that any
@@ -512,7 +507,7 @@ class ChurnManager:
         if router is None:
             router = self._router = FastRouter(self._topology)
         loads = self._acct.background(boundary, flow.deadline)
-        weights = np.maximum(self._cost.derivative(loads), 1e-12)
+        weights = marginal_price(self._cost, loads)
         risky = self._risky_edges()
         if risky is not None:
             weights[risky] = np.minimum(

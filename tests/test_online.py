@@ -77,6 +77,32 @@ class TestQuality:
         assert a.energy.total == pytest.approx(b.energy.total)
 
 
+class TestOneLoop:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_offline_paths_equal_a_one_window_replay(
+        self, ft4, quadratic, seed
+    ):
+        """The offline solver and the streaming policy run one routing
+        loop: a replay whose only window holds every flow routes each
+        flow on the offline solver's path."""
+        from repro.traces import OnlineDensityPolicy, ReplayEngine
+
+        flows = random_flows_on(ft4, 40, seed=seed)
+        offline = solve_online_density(flows, ft4, quadratic)
+        t0, t1 = flows.horizon
+        report = ReplayEngine(
+            ft4,
+            quadratic,
+            OnlineDensityPolicy(),
+            window=t1 - t0 + 1.0,
+            keep_schedules=True,
+        ).run(sorted(flows, key=lambda f: f.release))
+        assert report.windows == 1
+        assert {fs.flow.id: fs.path for fs in report.schedules} == (
+            offline.paths
+        )
+
+
 class TestWindowIntegral:
     def test_window_integral_exact(self):
         from repro.scheduling import PiecewiseConstant

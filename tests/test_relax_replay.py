@@ -21,6 +21,7 @@ from repro.sim.churn import FaultSchedule
 from repro.sim.fluid import simulate_fluid
 from repro.traces import (
     PoissonProcess,
+    PowerOfTwoPolicy,
     RelaxationRoundingPolicy,
     ReplayEngine,
     TraceSpec,
@@ -235,6 +236,19 @@ class TestValidation:
     def test_bad_rounding_mode_rejected(self):
         with pytest.raises(ValidationError):
             RelaxationRoundingPolicy(rounding="annealed")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+    @pytest.mark.parametrize(
+        "policy", [RelaxationRoundingPolicy, PowerOfTwoPolicy]
+    )
+    def test_bad_seed_rejected(self, policy, seed):
+        """The seeded policies share the sharded service's seed check,
+        so a bad seed fails at construction with the service's message,
+        not with a numpy error at the first draw."""
+        with pytest.raises(
+            ValidationError, match="seed must be an integer >= 0"
+        ):
+            policy(seed=seed)
 
 
 class TestAblation:

@@ -12,6 +12,8 @@ The load-bearing pins:
 * a relax-mode run whose worker is killed mid-trace recovers to the same
   report as the uncrashed run: a window's routes are a function of its
   message, never of worker state;
+* the shard workers run the replay policies, so a lit shard with a dead
+  local link spends what the single engine spends on that shard;
 * degrade-under-pressure is recorded honestly (the report says which
   windows fell back to greedy).
 """
@@ -154,6 +156,29 @@ class TestGreedyBitForBit:
             topology, powerdown, window=1.0, mode="greedy"
         ) as engine:
             sharded = engine.run(flows)
+        assert _pinned(sharded) == _pinned(baseline)
+
+    def test_dead_local_link_matches_single_owner_engine(
+        self, ft4, quadratic
+    ):
+        """A shard worker with a dead local link runs Greedy+Density on
+        its survivor routes, as the single engine does on the fabric."""
+        flows = _trace(ft4, 80, seed=3)
+
+        def faults():
+            return FaultSchedule.scripted(
+                [(-1.0, "down", ("sw_a_p00_0", "sw_e_p00_1"))]
+            )
+
+        baseline = ReplayEngine(
+            ft4, quadratic, GreedyDensityPolicy(), window=1.0,
+            faults=faults(),
+        ).run(flows)
+        with ShardedReplayEngine(
+            ft4, quadratic, window=1.0, mode="greedy", faults=faults()
+        ) as engine:
+            sharded = engine.run(flows)
+        assert sharded.link_failures == 1
         assert _pinned(sharded) == _pinned(baseline)
 
     def test_pipeline_depth_does_not_change_results(self, ft4, quadratic):
@@ -484,6 +509,61 @@ class TestRelaxMode:
         assert sum(s.flows for s in report.shard_stats) == report.flows_served
 
 
+class TestShardRunsThePolicy:
+    def test_lit_shard_with_a_dead_link_solves_its_survivor_subgraph(
+        self, quadratic
+    ):
+        """A lit shard with a dead local link runs Relax+Round on its
+        survivor subgraph, so the service spends what the single engine
+        spends on that shard (1637.843).  Relaxing on the intact shard
+        and swapping survivor BFS routes onto the flows that cross the
+        dead link spends 2726.164."""
+        topology = fat_tree(8)
+        flows = [
+            Flow(
+                id=i,
+                src=f"h_p00_e0_{i % 4}",
+                dst=f"h_p00_e1_{(i // 4) % 4}",
+                size=1 + 0.1 * i,
+                release=0.01 * i,
+                deadline=2 + 0.01 * i,
+            )
+            for i in range(24)
+        ]
+
+        def faults():
+            return FaultSchedule.scripted(
+                [(-1.0, "down", ("sw_a_p00_0", "sw_e_p00_0"))]
+            )
+
+        with ShardedReplayEngine(
+            topology,
+            quadratic,
+            window=1.0,
+            num_shards=2,
+            mode="relax",
+            rounding="deterministic",
+            pipeline_depth=1,
+            seed=3,
+            faults=faults(),
+        ) as engine:
+            sharded = engine.run(flows)
+        shard = next(
+            s for s in engine.partition.shards if "pod00" in s.groups
+        )
+        single = ReplayEngine(
+            shard.topology,
+            quadratic,
+            RelaxationRoundingPolicy(seed=3, rounding="deterministic"),
+            window=1.0,
+            faults=faults(),
+        ).run(flows)
+        assert sharded.flows_served == single.flows_served == len(flows)
+        assert sharded.total_energy == pytest.approx(
+            single.total_energy, rel=1e-9
+        )
+
+
 class TestCrashRecovery:
     @pytest.mark.parametrize("rounding", ["random", "deterministic"])
     def test_relax_kill_matches_uncrashed_run(self, ft4, quadratic, rounding):
@@ -571,6 +651,7 @@ _BAD_SERVICE_SETTINGS = {
     "heartbeat-inf": {"heartbeat_s": float("inf")},
     "seed-negative": {"seed": -1},
     "seed-fractional": {"seed": 1.5},
+    "seed-string": {"seed": "x"},
     "budget-nan": {"per_window_s": float("nan")},
     "in-flight-nan": {"max_in_flight": float("nan")},
     "in-flight-fractional": {"max_in_flight": 1.5},
