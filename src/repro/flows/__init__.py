@@ -2,14 +2,7 @@
 
 from repro.flows.flow import Flow, FlowSet
 from repro.flows.intervals import Interval, TimeGrid
-from repro.flows.workloads import (
-    datamining_sizes,
-    incast,
-    paper_workload,
-    poisson_arrivals,
-    shuffle,
-    websearch_sizes,
-)
+from repro.flows.workloads import incast, paper_workload, shuffle
 
 __all__ = [
     "Flow",
@@ -19,7 +12,4 @@ __all__ = [
     "paper_workload",
     "incast",
     "shuffle",
-    "poisson_arrivals",
-    "websearch_sizes",
-    "datamining_sizes",
 ]

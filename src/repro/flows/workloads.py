@@ -3,10 +3,10 @@
 The paper's evaluation draws release times and deadlines uniformly from the
 horizon and flow sizes from ``N(10, 3)`` (Section V-C); that generator is
 :func:`paper_workload`.  The introduction motivates the deadline model with
-partition-aggregate search traffic, so we also provide the standard DCN
-workload shapes — incast (partition-aggregate), all-to-all shuffle, and
-heavy-tailed "web search" / "data mining" size mixes — used by the example
-applications and the ablation benchmarks.
+partition-aggregate search traffic, so we also provide two standard DCN
+workload shapes: incast (partition-aggregate) and all-to-all shuffle.
+Streaming arrival traces (Poisson and bursty processes, heavy-tailed
+sizes) come from :mod:`repro.traces`.
 
 All generators take an explicit ``numpy`` random generator (or a seed) and
 are fully deterministic given it.
@@ -14,7 +14,6 @@ are fully deterministic given it.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +26,6 @@ __all__ = [
     "paper_workload",
     "incast",
     "shuffle",
-    "poisson_arrivals",
-    "websearch_sizes",
-    "datamining_sizes",
 ]
 
 
@@ -184,84 +180,3 @@ def shuffle(
                 )
             )
     return FlowSet(flows)
-
-
-def poisson_arrivals(
-    topology: Topology,
-    rate: float,
-    duration: float,
-    size_sampler,
-    slack_factor: float = 2.0,
-    reference_rate: float = 1.0,
-    seed: int | np.random.Generator = 0,
-    min_flows: int = 1,
-) -> FlowSet:
-    """Poisson flow arrivals with proportional deadlines.
-
-    Arrivals form a Poisson process of intensity ``rate`` over
-    ``[0, duration]``; each flow's size comes from ``size_sampler(rng)`` and
-    its deadline is ``release + slack_factor * size / reference_rate`` (a
-    deadline proportional to the ideal transfer time, as in D3/D2TCP
-    workloads).
-    """
-    if rate <= 0 or duration <= 0:
-        raise ValidationError("rate and duration must be positive")
-    if slack_factor <= 0 or reference_rate <= 0:
-        raise ValidationError("slack_factor and reference_rate must be positive")
-    rng = _rng(seed)
-    hosts = topology.hosts
-    if len(hosts) < 2:
-        raise ValidationError("topology must have at least 2 hosts")
-
-    flows = []
-    t = 0.0
-    i = 0
-    while True:
-        t += float(rng.exponential(1.0 / rate))
-        if t > duration and len(flows) >= min_flows:
-            break
-        if t > duration:
-            # Degenerate draw (rate too small): restart the clock so we
-            # always return at least ``min_flows`` flows.
-            t = float(rng.uniform(0.0, duration))
-        src, dst = _pick_endpoints(hosts, rng)
-        size = float(size_sampler(rng))
-        if size <= 0:
-            raise ValidationError("size_sampler must return positive sizes")
-        flows.append(
-            Flow(
-                id=i,
-                src=src,
-                dst=dst,
-                size=size,
-                release=t,
-                deadline=t + slack_factor * size / reference_rate,
-            )
-        )
-        i += 1
-    return FlowSet(flows)
-
-
-def websearch_sizes(rng: np.random.Generator) -> float:
-    """Flow sizes mimicking the web-search (DCTCP) distribution.
-
-    A compact 3-mode mixture: mice queries (~70% of flows, small), medium
-    aggregation traffic, and elephant background transfers.  Values are in
-    the same abstract units as the paper's ``N(10, 3)`` sizes.
-    """
-    u = float(rng.uniform())
-    if u < 0.70:
-        return float(rng.uniform(1.0, 5.0))
-    if u < 0.95:
-        return float(rng.uniform(5.0, 30.0))
-    return float(rng.uniform(30.0, 150.0))
-
-
-def datamining_sizes(rng: np.random.Generator) -> float:
-    """Heavier-tailed "data mining" (VL2-style) size distribution."""
-    u = float(rng.uniform())
-    if u < 0.80:
-        return float(rng.uniform(0.5, 3.0))
-    if u < 0.96:
-        return float(rng.uniform(3.0, 40.0))
-    return float(math.exp(rng.uniform(math.log(40.0), math.log(400.0))))

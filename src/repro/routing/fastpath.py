@@ -94,6 +94,11 @@ class FastRouter:
         self._done_b = [0] * n
         self._epoch = 0
 
+    def __reduce__(self):
+        # The scratch buffers are rebuilt, so a router pickles as its
+        # topology alone.
+        return FastRouter, (self._topology,)
+
     @property
     def topology(self) -> Topology:
         return self._topology

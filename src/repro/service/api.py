@@ -5,11 +5,11 @@
 one at a time (:meth:`~ReplayService.submit`) or streamed straight from a
 trace file (:meth:`~ReplayService.serve_trace`), per-window telemetry is
 exposed incrementally (:meth:`~ReplayService.poll`), and the whole
-mid-replay state — the commitment ledger, the in-flight windows, the
-degrade controller, *and the trace-store cursor* — round-trips through
-:meth:`~ReplayService.snapshot`/:meth:`~ReplayService.restore`, so a
-service killed mid-trace resumes exactly where it stopped and finishes
-with the identical report.
+mid-replay state — the engine *and the trace-store cursor* — round-trips
+through :meth:`~ReplayService.snapshot`/:meth:`~ReplayService.restore`,
+so a service killed mid-trace resumes exactly where it stopped and
+finishes with the identical report.  The engine's part of the payload is
+opaque here: :mod:`repro.service.sharded` alone knows its format.
 
 Typical lifecycle::
 
@@ -176,10 +176,10 @@ class ReplayService:
         """Checkpoint the full service state.
 
         Returns the pickled payload as bytes, or writes it to ``path``
-        and returns the path.  Covers the engine (commitment ledger,
-        in-flight windows, degrade controller), the poll cursor, and the
-        trace-store cursor.  The shard workers' relaxation pipelines are
-        only caches and are not saved.
+        and returns the path.  Covers the engine (its
+        :meth:`~repro.service.sharded.ShardedReplayEngine.snapshot_state`),
+        the poll cursor, and the trace-store cursor.  The shard workers'
+        relaxation pipelines are only caches and are not saved.
 
         The file write is atomic: the payload goes to a temp file in
         ``path``'s directory, is flushed and fsynced, and then replaces
@@ -241,8 +241,8 @@ class ReplayService:
         service._poll_cursor = payload["poll_cursor"]
         service._trace_path = payload["trace"]["path"]
         service._trace_cursor = payload["trace"]["cursor"]
-        # Last: the engine forks the shard workers (and closes them
-        # itself if its restore is refused).
+        # Last: the engine forks the shard workers, and only once its
+        # payload has passed every check.
         service._engine = ShardedReplayEngine.restore_state(
             topology, power, payload["engine"], partition=partition
         )

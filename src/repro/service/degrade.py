@@ -100,12 +100,3 @@ class DegradeController:
             and budget.per_window_s is not None
             and solve_s > budget.per_window_s
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot plumbing.
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        return {"over_budget": self._over_budget}
-
-    def restore_state(self, state: dict) -> None:
-        self._over_budget = state["over_budget"]

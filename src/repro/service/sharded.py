@@ -47,10 +47,18 @@ commitments of windows ``<= k - d`` — *structurally* lagged, a function
 of the window index alone, never of worker timing.  That staleness is
 the price of overlap (``d = 1`` recovers the single-owner engine's
 current-background semantics) and is exactly what makes
-:meth:`snapshot_state`/:meth:`restore_state` reproduce an uninterrupted
-run bit for bit: a snapshot drains worker *results* into the in-flight
-entries without committing them, so a restored engine replays the same
-dispatch/collect schedule with the same lagged views.
+:meth:`~ShardedReplayEngine.snapshot_state`/:meth:`~ShardedReplayEngine.
+restore_state` reproduce an uninterrupted run bit for bit: a snapshot
+drains worker *results* into the in-flight entries without committing
+them, so a restored engine replays the same dispatch/collect schedule
+with the same lagged views.
+
+**Snapshots.**  This module is the one that knows the snapshot format.
+The payload is the engine itself, pickled: its window loop, accountant,
+churn registry and in-flight windows are plain Python and NumPy objects.
+The fabric, the power model, the partition and the worker group are
+left out by persistent id; restore maps the first three to the caller's
+objects and forks fresh workers last.
 
 **Degradation** to greedy is decided per window by a
 :class:`~repro.service.degrade.DegradeController` (the solve budget), and
@@ -61,6 +69,9 @@ restarted worker re-solves its uncollected windows as they were sent.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -96,28 +107,12 @@ from repro.traces.replay import (
 __all__ = ["WindowStats", "ShardedReplayEngine"]
 
 SNAPSHOT_KIND = "repro-sharded-replay"
-# v2: the accountant snapshot switched from the per-flow "live" dict to
-# flat piece arrays, and the config grew ``background_mode``.
-# v3: churn — link-fault/repair state, worker-crash events, per-shard
-# checkpoints, and the dead-link element in window messages.
-# v4: correlated failure domains — the churn snapshot carries per-link
-# outage multiplicities plus the domain registry/down-domain/down-switch
-# state bit-for-bit, in-flight entries pin their dispatch-time dead-link
-# view, and the service state grew the dark-shard (evacuation) set and
-# the ``failure_domains``/``srlg_diverse`` config.
-# v5: the stream, counters, accountant and churn state move under one
-# ``"loop"`` key (the shared WindowLoop's own snapshot); in-flight
-# entries drop their window bounds (derived from the index); the
-# topology fingerprint moves out of the config, which is now exactly
-# the constructor's keyword arguments.
-# v6: the config drops ``background_mode`` (the window-mean mode is gone).
-# v7: the churn counters lose the relaxation repair tier's two keys; the
-# service state carries ``kills_upto``, the kill schedule's enacted boundary.
-# v8: worker state is only a cache, so the worker blobs, the checkpoints,
-# the resync counters and the dark-shard history go; the service state
-# carries the max ``w_bar`` drift, and the config drops the checkpoint
-# period and the resync window count.
-SNAPSHOT_VERSION = 8
+#: Any other version is refused: the payload is a pickle of this module's
+#: classes as they stand.
+SNAPSHOT_VERSION = 9
+#: Consecutive failed recoveries of one shard before the run gives up
+#: (a successful collect resets the count).
+MAX_WORKER_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -253,9 +248,10 @@ class ShardedReplayEngine:
         Integer >= 0; window ``k`` of shard ``s`` rounds with
         ``default_rng((seed, s, k))``.
     pipeline_depth:
-        Windows in flight; window ``k`` sees the background of windows
-        ``<= k - pipeline_depth``.  ``1`` disables overlap and recovers
-        the single-owner engine's background semantics.
+        Windows in flight, an integer >= 1; window ``k`` sees the
+        background of windows ``<= k - pipeline_depth``.  ``1`` disables
+        overlap and recovers the single-owner engine's background
+        semantics.
     budget:
         Optional :class:`~repro.service.degrade.SolveBudget`; exhausted
         windows degrade to greedy and are counted on the report.
@@ -282,11 +278,8 @@ class ShardedReplayEngine:
         this long is declared crashed, restarted and sent its uncollected
         windows again.  Set it above the slowest window solve, a fresh
         worker's included: a window that outlasts it after every restart
-        exhausts ``max_worker_restarts`` and fails the run.  ``None``
+        exhausts :data:`MAX_WORKER_RESTARTS` and fails the run.  ``None``
         waits forever (crashes are still detected via pipe EOF).
-    max_worker_restarts:
-        Consecutive failed recoveries of one shard before giving up
-        (successful collects reset the count).
     """
 
     def __init__(
@@ -305,12 +298,10 @@ class ShardedReplayEngine:
         pipeline_depth: int = 2,
         budget: SolveBudget | None = None,
         keep_schedules: bool = False,
-        tol: float = 1e-6,
         faults: FaultSchedule | None = None,
         failure_domains: Iterable | None = None,
         srlg_diverse: bool = True,
         heartbeat_s: float | None = None,
-        max_worker_restarts: int = 3,
     ) -> None:
         if not window > 0:
             raise ValidationError(f"window must be > 0, got {window}")
@@ -324,20 +315,17 @@ class ShardedReplayEngine:
             check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
-        if pipeline_depth < 1:
+        # A NaN or infinite depth would collect no window before finish(),
+        # and 1.5 would run as 2.
+        if not (
+            isinstance(pipeline_depth, (int, np.integer))
+            and pipeline_depth >= 1
+        ):
             raise ValidationError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}"
+                f"pipeline_depth must be an integer >= 1, got "
+                f"{pipeline_depth!r}"
             )
-        if partition is None:
-            partition = partition_topology(topology, num_shards)
-        elif partition.topology is not topology:
-            raise ValidationError(
-                "partition was built for a different topology"
-            )
-        if max_worker_restarts < 1:
-            raise ValidationError(
-                f"max_worker_restarts must be >= 1, got {max_worker_restarts}"
-            )
+        partition = _resolve_partition(topology, partition, num_shards)
         if heartbeat_s is not None and not 0.0 < heartbeat_s < float("inf"):
             # NaN fails the comparison too; zero or a negative bound would
             # declare a live worker dead whenever its result is not
@@ -345,22 +333,13 @@ class ShardedReplayEngine:
             raise ValidationError(
                 f"heartbeat_s must be finite and > 0, got {heartbeat_s!r}"
             )
-        self._topology = topology
-        self._power = power
-        self._window = window
         self._partition = partition
         self._mode = mode
-        self._seed = seed
-        self._fw_iters = fw_max_iterations
-        self._fw_gap = fw_gap_tolerance
-        self._rounding = rounding
         self._depth = pipeline_depth
-        self._budget = budget
-        self._tol = tol
-        self._failure_domains = (
-            tuple(failure_domains) if failure_domains is not None else None
+        #: RelaxationRoundingPolicy's arguments, for the shard workers.
+        self._solver_config = (
+            seed, fw_max_iterations, fw_gap_tolerance, rounding
         )
-        self._srlg_diverse = srlg_diverse
         # Cross-shard flows, routed in the parent on the global view.
         self._cross_policy = (
             OnlineDensityPolicy() if mode == "relax" else GreedyDensityPolicy()
@@ -372,12 +351,15 @@ class ShardedReplayEngine:
             topology,
             power,
             window,
-            WindowAccountant(topology, power, tol=tol),
+            WindowAccountant(topology, power),
             self,
             keep_schedules=keep_schedules,
-            tol=tol,
             faults=faults,
-            domains=self._failure_domains,
+            domains=(
+                tuple(failure_domains)
+                if failure_domains is not None
+                else None
+            ),
             srlg_diverse=srlg_diverse,
         )
         #: Pipeline skip state: the largest dispatched deadline.
@@ -387,7 +369,6 @@ class ShardedReplayEngine:
 
         # Crash tolerance.
         self._heartbeat_s = heartbeat_s
-        self._max_worker_restarts = max_worker_restarts
         #: Pending ``worker_crash`` events, time-sorted; every event
         #: before ``_kills_upto`` (the last dispatch boundary) is enacted.
         self._worker_events: list[FaultEvent] = sorted(
@@ -424,10 +405,15 @@ class ShardedReplayEngine:
 
         # Fork last: every check above runs before a worker exists, so a
         # rejected configuration cannot leak child processes.
-        # RelaxationRoundingPolicy's arguments, for the shard workers.
-        config = (seed, fw_max_iterations, fw_gap_tolerance, rounding)
+        self._fork()
+
+    def _fork(self) -> None:
+        """Start one shard worker per shard: the last step of both the
+        constructor and :meth:`restore_state`."""
+        shards, power = self._partition.shards, self._loop.power
+        config = self._solver_config
         self._group = WorkerGroup(
-            lambda i: _ShardSolver(shards[i], power, config), n
+            lambda i: _ShardSolver(shards[i], power, config), len(shards)
         )
 
     # ------------------------------------------------------------------
@@ -647,9 +633,9 @@ class ShardedReplayEngine:
         retries with a doubled backoff.
         """
         self._restart_attempts[index] += 1
-        if self._restart_attempts[index] > self._max_worker_restarts:
+        if self._restart_attempts[index] > MAX_WORKER_RESTARTS:
             raise RuntimeError(
-                f"shard {index} failed {self._max_worker_restarts} "
+                f"shard {index} failed {MAX_WORKER_RESTARTS} "
                 "consecutive restarts; giving up"
             )
         sleep(min(0.02 * 2 ** (self._restart_attempts[index] - 1), 1.0))
@@ -734,7 +720,7 @@ class ShardedReplayEngine:
             entry.down,
             self.name,
         )
-        mu, alpha = self._power.mu, self._power.alpha
+        mu, alpha = loop.power.mu, loop.power.alpha
         misses = 0
         for fs, missed in committed:
             shard_idx = entry.assign.get(fs.flow.id)
@@ -840,8 +826,11 @@ class ShardedReplayEngine:
         entries but NOT committed — the restored engine replays the
         identical dispatch/collect schedule, which is what keeps its
         lagged background views, and hence every report field,
-        bit-identical to an uninterrupted run.  No worker state is
-        saved: it is only a cache, and restored workers start fresh.
+        bit-identical to an uninterrupted run.  The payload's
+        ``"engine"`` bytes are this engine, pickled with its fabric,
+        power model, partition and worker group left out by persistent
+        id.  No worker state is saved: it is only a cache, and restored
+        workers start fresh.
         """
         if self._finished or self._closed:
             raise ValidationError("cannot snapshot a finished engine")
@@ -854,41 +843,27 @@ class ShardedReplayEngine:
                     shard_idx: self._collect_shard(shard_idx)
                     for shard_idx in entry.shard_ids
                 }
+        topology = self._loop.topology
+        left_out = {
+            id(topology): "topology",
+            id(self._loop.power): "power",
+            id(self._partition): "partition",
+            id(self._group): "workers",
+        }
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: left_out.get(id(obj))
+        pickler.dump(self)
         return {
             "kind": SNAPSHOT_KIND,
             "version": SNAPSHOT_VERSION,
-            "config": {
-                "window": self._window,
-                "num_shards": self._partition.num_shards,
-                "mode": self._mode,
-                "seed": self._seed,
-                "fw_max_iterations": self._fw_iters,
-                "fw_gap_tolerance": self._fw_gap,
-                "rounding": self._rounding,
-                "pipeline_depth": self._depth,
-                "budget": self._budget,
-                "keep_schedules": self._loop.kept is not None,
-                "tol": self._tol,
-                "heartbeat_s": self._heartbeat_s,
-                "max_worker_restarts": self._max_worker_restarts,
-                "failure_domains": self._failure_domains,
-                "srlg_diverse": self._srlg_diverse,
-            },
-            "fabric": (self._topology.name, self._topology.num_edges),
-            "loop": self._loop.snapshot_state(),
-            "controller": self._controller.snapshot_state(),
-            "inflight": list(self._inflight),
-            "window_log": list(self.window_log),
-            "service": {
-                "max_deadline": self._max_deadline,
-                "degraded_windows": self._degraded_windows,
-                "max_drift": self._max_drift,
-                "per_shard": [dict(s) for s in self._per_shard],
-                "worker_events": list(self._worker_events),
-                "kills_upto": self._kills_upto,
-                "worker_restarts": self._worker_restarts,
-                "restart_attempts": list(self._restart_attempts),
-            },
+            "fabric": (
+                topology.name, topology.num_edges, _digest(topology.edges)
+            ),
+            "power": self._loop.power,
+            "num_shards": self._partition.num_shards,
+            "partition": _partition_digest(self._partition),
+            "engine": buffer.getvalue(),
         }
 
     @classmethod
@@ -902,10 +877,13 @@ class ShardedReplayEngine:
     ) -> "ShardedReplayEngine":
         """Rebuild a mid-replay engine from :meth:`snapshot_state`.
 
-        ``topology`` and ``power`` are re-supplied by the caller (the
-        snapshot stores only their fingerprint); a custom partition used
-        at snapshot time must be re-supplied too — the default
-        re-derives the deterministic natural/greedy partition.
+        ``topology`` and ``power`` are re-supplied by the caller and must
+        be the snapshot's (the snapshot stores fingerprints of the fabric
+        and the partition, and the power model's parameters); a custom
+        partition used at snapshot time must be re-supplied too — the
+        default re-derives the deterministic natural/greedy partition.
+        The workers fork last, so a refused restore leaks none.  The
+        payload is unpickled: restore only snapshots this program wrote.
         """
         if not isinstance(state, dict) or state.get("kind") != SNAPSHOT_KIND:
             raise ValidationError("not a sharded replay snapshot")
@@ -914,41 +892,73 @@ class ShardedReplayEngine:
                 f"unsupported snapshot version {state.get('version')!r} "
                 f"(expected {SNAPSHOT_VERSION})"
             )
-        name, num_edges = state["fabric"]
-        if topology.num_edges != num_edges:
+        name, num_edges, links = state["fabric"]
+        if _digest(topology.edges) != links:
             raise ValidationError(
                 f"snapshot was taken on {name!r} ({num_edges} edges); got "
                 f"{topology.name!r} ({topology.num_edges} edges)"
             )
-        # The config holds exactly the constructor's keyword arguments.
-        cfg = state["config"]
-        # Resolve and check the partition before constructing: the
-        # constructor forks one worker per shard.
-        if partition is None:
-            partition = partition_topology(topology, cfg["num_shards"])
-        if partition.num_shards != cfg["num_shards"]:
+        if power != state["power"]:
+            raise ValidationError(
+                f"snapshot was taken under {state['power']!r}; got {power!r}"
+            )
+        num_shards = state["num_shards"]
+        partition = _resolve_partition(topology, partition, num_shards)
+        if partition.num_shards != num_shards:
             raise ValidationError(
                 f"partition yields {partition.num_shards} shards; "
-                f"snapshot had {cfg['num_shards']}"
+                f"snapshot had {num_shards}"
             )
-        engine = cls(topology, power, partition=partition, **cfg)
-        try:
-            engine._loop.restore_state(state["loop"])
-            engine._controller.restore_state(state["controller"])
-            engine._inflight = deque(state["inflight"])
-            engine.window_log = list(state["window_log"])
-            sc = state["service"]
-            engine._max_deadline = sc["max_deadline"]
-            engine._degraded_windows = sc["degraded_windows"]
-            engine._max_drift = sc["max_drift"]
-            engine._per_shard = [dict(s) for s in sc["per_shard"]]
-            engine._worker_events = list(sc["worker_events"])
-            engine._kills_upto = sc["kills_upto"]
-            engine._worker_restarts = sc["worker_restarts"]
-            engine._restart_attempts = list(sc["restart_attempts"])
-        except BaseException:
-            # A refused restore must not leak the forked shard workers.
-            engine.close()
-            raise
+        if _partition_digest(partition) != state["partition"]:
+            raise ValidationError("partition differs from the snapshot's")
+        engine = _EngineUnpickler(
+            state["engine"],
+            {
+                "topology": topology,
+                "power": power,
+                "partition": partition,
+                "workers": None,
+            },
+        ).load()
+        engine._fork()
         return engine
 
+
+def _digest(value) -> str:
+    """SHA-256 of ``repr(value)``: a snapshot's fingerprint of the
+    fabric's links and the partition's shards, in the order the edge ids
+    and shard indices of an engine payload index them."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _partition_digest(partition: TopologyPartition) -> str:
+    return _digest((
+        sorted(partition.node_component.items()),
+        [shard.edge_map.tolist() for shard in partition.shards],
+    ))
+
+
+def _resolve_partition(
+    topology: Topology,
+    partition: TopologyPartition | None,
+    num_shards: int | None,
+) -> TopologyPartition:
+    """``partition``, checked against ``topology``, or the default
+    partition of ``topology`` into ``num_shards``."""
+    if partition is None:
+        return partition_topology(topology, num_shards)
+    if partition.topology is not topology:
+        raise ValidationError("partition was built for a different topology")
+    return partition
+
+
+class _EngineUnpickler(pickle.Unpickler):
+    """Reads a :meth:`ShardedReplayEngine.snapshot_state` engine payload,
+    resolving each left-out object's persistent id to the caller's."""
+
+    def __init__(self, blob: bytes, left_out: dict) -> None:
+        super().__init__(io.BytesIO(blob))
+        self._left_out = left_out
+
+    def persistent_load(self, pid):
+        return self._left_out[pid]

@@ -14,9 +14,9 @@ Six policies span the clairvoyance spectrum:
   rate; the load-oblivious strawman (and the fastest, for 100k-flow runs);
 * :class:`PowerOfTwoPolicy` / :class:`LeastLoadedPolicy` — the classic
   O(1) switch-level load-balancing baselines (packet-sim lineage) lifted
-  to window policies: pick among k precomputed shortest candidate paths
-  by bottleneck load — two sampled candidates for power-of-two-choices,
-  all k for least-loaded;
+  to window policies: pick among :data:`CANDIDATE_PATHS` precomputed
+  shortest candidate paths by bottleneck load — two sampled candidates
+  for power-of-two-choices, all of them for least-loaded;
 * :class:`OnlineDensityPolicy` — the :mod:`repro.core.online` policy made
   streaming: its routing loop, run per window against the committed
   background, one bidirectional CSR Dijkstra per flow;
@@ -69,6 +69,9 @@ __all__ = [
 #: Live committed pieces as parallel ``(starts, ends, rates, edge ids)``
 #: columns (see :attr:`repro.traces.replay.WindowAccountant.pieces`).
 Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Shortest candidate paths per (src, dst) pair of the choice baselines.
+CANDIDATE_PATHS = 4
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,8 @@ class GreedyDensityPolicy(ReplayPolicy):
 
 
 class _CandidateSetMixin:
-    """k-shortest candidate-path memoization for the choice baselines.
+    """:data:`CANDIDATE_PATHS`-shortest candidate-path memoization for
+    the choice baselines.
 
     Candidates are computed once per (src, dst) pair — hop-count order,
     deterministic — and cached with their dense edge-id arrays, so the
@@ -212,10 +216,7 @@ class _CandidateSetMixin:
     demonstrate.
     """
 
-    def __init__(self, k: int = 4) -> None:
-        if k < 2:
-            raise ValidationError(f"need k >= 2 candidate paths, got {k}")
-        self._k = k
+    def __init__(self) -> None:
         self._candidates: dict[
             tuple[str, str], tuple[tuple[tuple[str, ...], np.ndarray], ...]
         ] = {}
@@ -234,7 +235,9 @@ class _CandidateSetMixin:
                         dtype=np.int64,
                     ),
                 )
-                for path in k_shortest_paths(topology, src, dst, self._k)
+                for path in k_shortest_paths(
+                    topology, src, dst, CANDIDATE_PATHS
+                )
             )
             self._candidates[key] = got
         return got
@@ -273,19 +276,19 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
     """Power-of-two-choices path selection, density rates.
 
     The classic randomized load-balancing result as a window policy:
-    each flow samples two of its ``k`` precomputed shortest candidate
-    paths and takes the one whose bottleneck link carries less committed
-    load over the flow's span (first sample wins ties).  Load comes from
-    one :class:`~repro.routing.fastpath.LoadLedger` seeded with the
-    pieces earlier windows left live and fed this window's own commits,
-    so choices see both earlier windows and earlier flows of this
-    window.  Deadlines are met by construction.
+    each flow samples two of its :data:`CANDIDATE_PATHS` precomputed
+    shortest candidate paths and takes the one whose bottleneck link
+    carries less committed load over the flow's span (first sample wins
+    ties).  Load comes from one :class:`~repro.routing.fastpath.
+    LoadLedger` seeded with the pieces earlier windows left live and fed
+    this window's own commits, so choices see both earlier windows and
+    earlier flows of this window.  Deadlines are met by construction.
     """
 
     name = "PowerOfTwo"
 
-    def __init__(self, k: int = 4, seed: int = 0) -> None:
-        super().__init__(k)
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         check_seed(seed)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
@@ -331,11 +334,12 @@ class PowerOfTwoPolicy(_CandidateSetMixin, ReplayPolicy):
 
 
 class LeastLoadedPolicy(_CandidateSetMixin, ReplayPolicy):
-    """Least-loaded of ``k`` shortest candidate paths, density rates.
+    """Least-loaded of the shortest candidate paths, density rates.
 
     The deterministic endpoint of the choice spectrum: every flow scans
-    all ``k`` candidates and takes the one with the smallest bottleneck
-    load over its span (ties fall to the shortest, i.e. first, path).
+    all :data:`CANDIDATE_PATHS` candidates and takes the one with the
+    smallest bottleneck load over its span (ties fall to the shortest,
+    i.e. first, path).
     Same background-plus-ledger load view as :class:`PowerOfTwoPolicy`.
     """
 

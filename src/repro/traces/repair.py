@@ -49,7 +49,7 @@ from repro.flows.flow import Flow
 from repro.power.model import PowerModel
 from repro.routing.costs import DEAD_EDGE_WEIGHT, envelope_cost, marginal_price
 from repro.routing.fastpath import FastRouter
-from repro.scheduling.schedule import FlowSchedule, Segment
+from repro.scheduling.schedule import FEASIBILITY_TOL, FlowSchedule, Segment
 from repro.sim.churn import (
     DOWN_KINDS,
     SWITCH_DOWN,
@@ -107,7 +107,6 @@ class ChurnManager:
         *,
         origin: float,
         window: float,
-        tol: float = 1e-6,
         domains: Iterable[FailureDomain] | None = None,
         srlg_diverse: bool = True,
     ) -> None:
@@ -116,7 +115,6 @@ class ChurnManager:
         self._acct = acct
         self._origin = origin
         self._window = window
-        self._tol = tol
         self._cost = envelope_cost(power)
 
         #: Pending events, time-sorted; ``_applied_upto`` guards ordering.
@@ -391,7 +389,7 @@ class ChurnManager:
                 for seg in lf.segments
                 if seg.end > cut
             )
-            slack = max(lf.flow.deadline - boundary, self._tol)
+            slack = max(lf.flow.deadline - boundary, FEASIBILITY_TOL)
             return (-remaining / slack, str(lf.flow.id))
 
         affected.sort(key=urgency)
@@ -415,14 +413,14 @@ class ChurnManager:
             for seg in lf.segments
             if seg.start < cut
         )
-        if removed_volume <= self._tol * flow.size:
+        if removed_volume <= FEASIBILITY_TOL * flow.size:
             # Effectively complete: accept the sliver loss, no repair.
             self.delivered_delta -= removed_volume
             self._live.pop(flow.id, None)
             return
         path = (
             self._greedy_route(flow, boundary)
-            if flow.deadline > boundary + self._tol
+            if flow.deadline > boundary + FEASIBILITY_TOL
             else None
         )
         if path is None:
@@ -551,87 +549,3 @@ class ChurnManager:
                 verdict = True
             cache[key] = verdict
         return verdict
-
-    # ------------------------------------------------------------------
-    # Snapshot plumbing (sharded service).
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot (the router holds only search scratch,
-        and the reachability and risk memos are caches; all three are
-        rebuilt on demand after a restore).
-
-        The dead-link state is carried as ``(edge id, multiplicity)``
-        pairs — a snapshot taken between a correlated failure and its
-        recovery, with many links concurrently down under overlapping
-        outages, restores the exact per-link counts, so the eventual
-        recovery events resurrect exactly the links they should.  Domain
-        state (risk-group registry, down domains, down switches) rides
-        along bit-for-bit.
-        """
-        return {
-            "events": list(self._events),
-            "applied_upto": self._applied_upto,
-            "down": sorted(self._down_count.items()),
-            "epoch": self.epoch,
-            "risk_groups": sorted(
-                (name, sorted(members))
-                for name, members in self._risk_groups.items()
-            ),
-            "down_domains": sorted(self._down_domains),
-            "down_switches": sorted(self.down_switches),
-            "live": [
-                (lf.flow, lf.path, lf.segments, lf.missed)
-                for lf in self._live.values()
-            ],
-            "pending_void": list(self._pending_void),
-            "counters": {
-                "link_downs": self.link_downs,
-                "link_ups": self.link_ups,
-                "domain_failures": self.domain_failures,
-                "domain_recoveries": self.domain_recoveries,
-                "flows_rerouted": self.flows_rerouted,
-                "repair_energy_delta": self.repair_energy_delta,
-                "time_to_recover": self.time_to_recover,
-                "total_recovery_time": self.total_recovery_time,
-                "misses_attributed": self.misses_attributed,
-                "extra_misses": self.extra_misses,
-                "delivered_delta": self.delivered_delta,
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._events = list(state["events"])
-        self._applied_upto = state["applied_upto"]
-        self._down_count = {
-            int(eid): int(count) for eid, count in state["down"]
-        }
-        self.down = set(self._down_count)
-        self.epoch = state["epoch"]
-        self._risk_groups = {
-            name: frozenset(int(e) for e in members)
-            for name, members in state["risk_groups"]
-        }
-        self._down_domains = set(state["down_domains"])
-        self.down_switches = set(state["down_switches"])
-        self._risky_epoch = -1
-        self._risky = None
-        self._reach_cache = {}
-        self._live = {}
-        self._completions = []
-        pending_void = list(state["pending_void"])
-        for flow, path, segments, missed in state["live"]:
-            self.register(flow, FlowSchedule(flow, path, segments), missed)
-            self._live[flow.id].missed = missed
-        self._pending_void = pending_void
-        counters = state["counters"]
-        self.link_downs = counters["link_downs"]
-        self.link_ups = counters["link_ups"]
-        self.domain_failures = counters["domain_failures"]
-        self.domain_recoveries = counters["domain_recoveries"]
-        self.flows_rerouted = counters["flows_rerouted"]
-        self.repair_energy_delta = counters["repair_energy_delta"]
-        self.time_to_recover = counters["time_to_recover"]
-        self.total_recovery_time = counters["total_recovery_time"]
-        self.misses_attributed = counters["misses_attributed"]
-        self.extra_misses = counters["extra_misses"]
-        self.delivered_delta = counters["delivered_delta"]

@@ -49,7 +49,7 @@ from repro.errors import ValidationError
 from repro.flows.flow import Flow
 from repro.power.model import PowerModel
 from repro.routing.background import BackgroundProfile
-from repro.scheduling.schedule import FlowSchedule
+from repro.scheduling.schedule import FEASIBILITY_TOL, FlowSchedule
 from repro.sim.churn import FaultEvent, FaultSchedule
 from repro.topology.base import Edge, Topology, path_edges
 from repro.traces.policies import ReplayPolicy, WindowContext
@@ -259,9 +259,8 @@ class WindowAccountant:
     peak rate / capacity tracking, and the per-window background views.
     The single-owner :class:`ReplayEngine` and the sharded service engine
     both commit through this class, which is what keeps their energy
-    accounting bit-identical, and its state is plain data so a service
-    can :meth:`snapshot_state` mid-replay and restore an equivalent
-    accountant later.
+    accounting bit-identical.  Its state is plain Python and NumPy data,
+    so the sharded service's snapshot pickles it as it stands.
 
     Committed load is columnar.  :meth:`commit` appends one buffer row
     per schedule segment; the buffer is expanded once per window, at the
@@ -291,12 +290,9 @@ class WindowAccountant:
     #: time and swept in two passes (see :meth:`_settle`).
     _GRID_CELLS = 1 << 16
 
-    def __init__(
-        self, topology: Topology, power: PowerModel, tol: float = 1e-6
-    ) -> None:
+    def __init__(self, topology: Topology, power: PowerModel) -> None:
         self.topology = topology
         self.power = power
-        self.tol = tol
         num_edges = topology.num_edges
         # Live pieces (parallel columns, commit order).
         self._start = np.empty(0)
@@ -323,7 +319,7 @@ class WindowAccountant:
         self._edge_id = topology.edge_id
         self._mu, self._alpha = power.mu, power.alpha
         self._quadratic = power.alpha == 2.0
-        self._cap_limit = power.capacity * (1.0 + tol)
+        self._cap_limit = power.capacity * (1.0 + FEASIBILITY_TOL)
 
     # ------------------------------------------------------------------
     # Commitment.
@@ -647,72 +643,6 @@ class WindowAccountant:
     def idle_energy(self, t0: float, t1: float) -> float:
         return self.power.sigma * (t1 - t0) * len(self._active)
 
-    # ------------------------------------------------------------------
-    # Snapshot plumbing (service engine).
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of all accounting state (picklable)."""
-        starts, ends, rates, eids = self.pieces
-        edges = self.topology.edges
-        return {
-            "pieces": {
-                "start": starts.tolist(),
-                "end": ends.tolist(),
-                "rate": rates.tolist(),
-                "edge_id": eids.tolist(),
-            },
-            "active_links": [edges[eid] for eid in sorted(self._active)],
-            "events": list(
-                zip(
-                    self._ev_t.tolist(),
-                    self._ev_eid.tolist(),
-                    self._ev_delta.tolist(),
-                )
-            ),
-            "cur_rate": self.cur_rate.tolist(),
-            "last_t": self.last_t.tolist(),
-            "dynamic_energy": self.dynamic_energy,
-            "peak_rate": self.peak_rate,
-            "capacity_violations": self.capacity_violations,
-            "max_resident": self.max_resident,
-            "last_segment_end": self.last_segment_end,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` payload (same topology/power)."""
-        pieces = state["pieces"]
-        self._buffer = []
-        self._buffer_eids = []
-        self._start = np.array(pieces["start"], dtype=float)
-        self._end = np.array(pieces["end"], dtype=float)
-        self._rate = np.array(pieces["rate"], dtype=float)
-        self._eid = np.array(pieces["edge_id"], dtype=np.int64)
-        self._active = {self._edge_id(tuple(e)) for e in state["active_links"]}
-        self._ev_t = np.empty(0)
-        self._ev_eid = np.empty(0, dtype=np.int64)
-        self._ev_delta = np.empty(0)
-        if state["events"]:
-            self._append_events([tuple(e) for e in state["events"]])
-        self.cur_rate = np.array(state["cur_rate"], dtype=float)
-        self.last_t = np.array(state["last_t"], dtype=float)
-        self.dynamic_energy = state["dynamic_energy"]
-        self.peak_rate = state["peak_rate"]
-        self.capacity_violations = state["capacity_violations"]
-        self.max_resident = state["max_resident"]
-        self.last_segment_end = state["last_segment_end"]
-
-
-#: The loop's admission counters (snapshotted and restored by name).
-_COUNTERS = (
-    "flows_seen",
-    "flows_served",
-    "misses",
-    "unserved",
-    "volume_offered",
-    "volume_delivered",
-    "max_window_arrivals",
-)
-
 
 class WindowLoop:
     """The one window loop both replay engines run (DESIGN.md Section 6).
@@ -747,7 +677,6 @@ class WindowLoop:
         executor,
         *,
         keep_schedules: bool = False,
-        tol: float = 1e-6,
         faults: FaultSchedule | None = None,
         **churn_options,
     ) -> None:
@@ -755,14 +684,12 @@ class WindowLoop:
         self.power = power
         self.window = window
         self.acct = acct
-        self.tol = tol
         self.kept: list[FlowSchedule] | None = [] if keep_schedules else None
         self._executor = executor
         #: Risk-group settings for the ChurnManager.
         self._churn_options = churn_options
         #: Built once the first flow fixes the window origin; until then
-        #: the constructor's events, then inline ones, wait in ``_stash``
-        #: (which a snapshot carries).
+        #: the constructor's events, then inline ones, wait in ``_stash``.
         self.churn: ChurnManager | None = None
         self._stash: list[FaultEvent] = (
             list(faults.fabric_events()) if faults is not None else []
@@ -827,26 +754,21 @@ class WindowLoop:
         self.t0 = self._last_release = first.release
         self._pending = [first]
         self.flows_seen = 1
-        churn = self._new_churn()
-        churn.add_events(self._stash)
-        self._stash = []
-        # Events timestamped before the first release are pure state
-        # toggles (nothing is committed yet) — pre-apply them so window 0
-        # already sees the right dead-link set.
-        churn.apply_upto(self.t0)
-
-    def _new_churn(self) -> ChurnManager:
         churn = self.churn = ChurnManager(
             self.topology,
             self.power,
             self.acct,
             origin=self.t0,
             window=self.window,
-            tol=self.tol,
             **self._churn_options,
         )
         churn.kept = self.kept
-        return churn
+        churn.add_events(self._stash)
+        self._stash = []
+        # Events timestamped before the first release are pure state
+        # toggles (nothing is committed yet) — pre-apply them so window 0
+        # already sees the right dead-link set.
+        churn.apply_upto(self.t0)
 
     def _close(self, k: int, arrivals: list[Flow]) -> None:
         if len(arrivals) > self.max_window_arrivals:
@@ -933,7 +855,7 @@ class WindowLoop:
         (they are never committed, so no later repair can re-attribute
         them).  Returns the committed ``(schedule, missed)`` pairs.
         """
-        acct, churn, kept, tol = self.acct, self.churn, self.kept, self.tol
+        acct, churn, kept = self.acct, self.churn, self.kept
         by_id = {flow.id: flow for flow in arrivals}
         served_ids: set[int | str] = set()
         committed = []
@@ -948,7 +870,9 @@ class WindowLoop:
                 raise ValidationError(
                     f"{source} scheduled flow {fs.flow.id!r} twice"
                 )
-            in_span, delivered, missed = flow_verdict(fs, flow, tol)
+            in_span, delivered, missed = flow_verdict(
+                fs, flow, FEASIBILITY_TOL
+            )
             if not in_span:
                 raise ValidationError(
                     f"{source}: flow {fs.flow.id!r} scheduled outside "
@@ -1053,42 +977,6 @@ class WindowLoop:
             **fields,
         )
 
-    # ------------------------------------------------------------------
-    # Snapshot plumbing (sharded service).
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the stream, counters, accounting and
-        churn state (picklable)."""
-        return {
-            "t0": self.t0,
-            "current": self.current,
-            "pending": list(self._pending),
-            "last_release": self._last_release,
-            "counters": {name: getattr(self, name) for name in _COUNTERS},
-            "stash": list(self._stash),
-            "kept": None if self.kept is None else list(self.kept),
-            "acct": self.acct.snapshot_state(),
-            "churn": (
-                None if self.churn is None else self.churn.snapshot_state()
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` payload (same configuration)."""
-        self.t0 = state["t0"]
-        self.current = state["current"]
-        self._pending = list(state["pending"])
-        self._last_release = state["last_release"]
-        for name in _COUNTERS:
-            setattr(self, name, state["counters"][name])
-        self._stash = list(state["stash"])
-        self.kept = None if state["kept"] is None else list(state["kept"])
-        self.acct.restore_state(state["acct"])
-        if state["churn"] is not None:
-            # Overwrites the fresh manager's events, dead set and live
-            # registry with the snapshotted ones.
-            self._new_churn().restore_state(state["churn"])
-
 
 class ReplayEngine:
     """Replay an arrival stream through ``policy`` in windows of ``window``.
@@ -1109,8 +997,6 @@ class ReplayEngine:
         Retain every committed :class:`FlowSchedule` on the report (for
         cross-validation against the offline machinery).  Defeats the
         bounded-memory property; leave off for large traces.
-    tol:
-        Relative tolerance for deadline / volume / capacity verdicts.
     faults:
         Optional :class:`~repro.sim.churn.FaultSchedule` of link events to
         apply mid-replay (see :mod:`repro.traces.repair`).  Events may
@@ -1137,7 +1023,6 @@ class ReplayEngine:
         policy: ReplayPolicy,
         window: float,
         keep_schedules: bool = False,
-        tol: float = 1e-6,
         faults: FaultSchedule | None = None,
         failure_domains: Iterable | None = None,
         srlg_diverse: bool = True,
@@ -1149,7 +1034,6 @@ class ReplayEngine:
         self._policy = policy
         self._window = window
         self._keep = keep_schedules
-        self._tol = tol
         self._faults = faults
         self._failure_domains = (
             tuple(failure_domains) if failure_domains is not None else None
@@ -1160,7 +1044,7 @@ class ReplayEngine:
         """Accountant factory — a seam the reference-pin suite overrides
         (swapping :meth:`WindowAccountant.background` for a per-piece
         loop) to pin whole replays against the pre-vectorization path."""
-        return WindowAccountant(self._topology, self._power, tol=self._tol)
+        return WindowAccountant(self._topology, self._power)
 
     def run(self, trace: Iterable[Flow]) -> ReplayReport:
         """Consume ``trace`` (nondecreasing releases) and report metrics.
@@ -1176,7 +1060,6 @@ class ReplayEngine:
             self._accountant(),
             self,
             keep_schedules=self._keep,
-            tol=self._tol,
             faults=self._faults,
             domains=self._failure_domains,
             srlg_diverse=self._srlg_diverse,

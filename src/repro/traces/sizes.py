@@ -1,10 +1,8 @@
 """Flow-size samplers and deadline-slack models for trace generation.
 
-A *size sampler* is a callable ``rng -> float`` (the convention set by
-:mod:`repro.flows.workloads`, whose ``websearch_sizes`` / ``datamining_sizes``
-mixtures plug in directly).  A *slack model* is a callable
-``(rng, size) -> float`` returning the extra time granted past the release,
-so ``deadline = release + slack``.
+A *size sampler* is a callable ``rng -> float``.  A *slack model* is a
+callable ``(rng, size) -> float`` returning the extra time granted past the
+release, so ``deadline = release + slack``.
 
 The heavy-tailed samplers here (Pareto, lognormal) are what measured DCN
 traces actually look like — a sea of mice and a few elephants — and are the

@@ -7,13 +7,14 @@ committed ``(edge, segment)`` piece pushes a ``+rate`` event at its start
 and a ``-rate`` event at its end onto one global ``(time, edge id,
 delta)`` heap, and a sweep pops them one at a time.  Hypothesis drives
 both through the same commits, truncations, finalize boundaries and
-snapshot/restore points and requires every accounting output to be
+pickle round trips (the sharded service's snapshot pickles the
+accountant whole) and requires every accounting output to be
 bit-identical, not approximately equal.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 from heapq import heappop, heappush
 
 import numpy as np
@@ -115,6 +116,22 @@ class HeapAccountant:
         for i in sorted(drop, reverse=True):
             del self.pieces[i]
         return removed_volume, removed_energy
+
+
+def accounting_state(acct: WindowAccountant) -> tuple:
+    """Every field of ``acct`` a restored accountant must carry over."""
+    columns = (*acct.pieces, acct._ev_t, acct._ev_eid, acct._ev_delta)
+    return (
+        [column.tolist() for column in columns],
+        acct.cur_rate.tolist(),
+        acct.last_t.tolist(),
+        acct.dynamic_energy,
+        acct.peak_rate,
+        acct.capacity_violations,
+        acct.max_resident,
+        acct.last_segment_end,
+        acct.active_links,
+    )
 
 
 def assert_same_accounting(acct: WindowAccountant, heap: HeapAccountant):
@@ -219,11 +236,9 @@ class TestSweepMatchesHeap:
             heap.finalize(clock)
             assert_same_accounting(acct, heap)
             if data.draw(st.booleans()):
-                state = acct.snapshot_state()
-                acct = WindowAccountant(FT4, power)
-                acct._GRID_CELLS = grid_cells
-                acct.restore_state(copy.deepcopy(state))
-                assert acct.snapshot_state() == state
+                restored = pickle.loads(pickle.dumps(acct))
+                assert accounting_state(restored) == accounting_state(acct)
+                acct = restored
         while acct.has_live:
             clock += 1.0
             acct.finalize(clock)
@@ -266,30 +281,6 @@ class TestSweepMatchesHeap:
         assert len(batches) > 1
         assert_same_accounting(acct, heap)
         assert acct.capacity_violations > 0
-
-    def test_snapshot_payload_shape(self):
-        acct = WindowAccountant(FT4, POWERS[0])
-        fs = FlowSchedule(
-            Flow(id="f", src=FT4.hosts[0], dst=FT4.hosts[-1], size=3.0,
-                 release=0.0, deadline=3.0),
-            FT4.shortest_path(FT4.hosts[0], FT4.hosts[-1]),
-            (Segment(0.0, 1.0, 1.0), Segment(2.0, 3.0, 2.0)),
-        )
-        eids = acct.commit(fs)
-        acct.finalize(0.5)
-        state = acct.snapshot_state()
-        pieces = state["pieces"]
-        assert set(pieces) == {"start", "end", "rate", "edge_id"}
-        assert all(isinstance(column, list) for column in pieces.values())
-        assert len(pieces["start"]) == 2 * len(eids)
-        assert all(
-            isinstance(t, float) and isinstance(eid, int)
-            and isinstance(delta, float)
-            for t, eid, delta in state["events"]
-        )
-        # The start events at 0.0 are settled; every other one is pending.
-        assert len(state["events"]) == 3 * len(eids)
-        assert state["active_links"] == sorted(path_edges(fs.path))
 
     def test_truncating_a_finalized_piece_raises(self):
         acct = WindowAccountant(FT4, POWERS[0])

@@ -396,9 +396,7 @@ class _ReferenceAccountant(WindowAccountant):
 
 class _ReferenceEngine(ReplayEngine):
     def _accountant(self):
-        return _ReferenceAccountant(
-            self._topology, self._power, tol=self._tol
-        )
+        return _ReferenceAccountant(self._topology, self._power)
 
 
 def _small_trace(topology, seed=7):
@@ -414,8 +412,8 @@ def _small_trace(topology, seed=7):
 
 SEAM_POLICIES = [
     ("greedy", lambda: GreedyDensityPolicy()),
-    ("p2", lambda: PowerOfTwoPolicy(k=4, seed=0)),
-    ("least", lambda: LeastLoadedPolicy(k=4)),
+    ("p2", lambda: PowerOfTwoPolicy(seed=0)),
+    ("least", lambda: LeastLoadedPolicy()),
     ("online", lambda: OnlineDensityPolicy()),
     (
         "relax-warm",

@@ -209,7 +209,7 @@ class TestStoreRoundTrip:
 class TestTruncateCommit:
     def _committed(self, power):
         topo = line(3)
-        acct = WindowAccountant(topo, power, tol=1e-6)
+        acct = WindowAccountant(topo, power)
         flow = Flow(
             id="x", src="n0", dst="n2", size=4.0, release=0.0, deadline=4.0
         )
@@ -445,7 +445,7 @@ class TestMidReplayRepair:
         """A flow within ``tol`` of done when its link dies is complete,
         not live: it leaves the registry instead of lingering there."""
         power = PowerModel.quadratic()
-        acct = WindowAccountant(ft4, power, tol=1e-6)
+        acct = WindowAccountant(ft4, power)
         churn = ChurnManager(ft4, power, acct, origin=0.0, window=1.0)
         h1, h2 = ft4.hosts[0], ft4.hosts[-1]
         path = ft4.shortest_path(h1, h2)
@@ -460,13 +460,13 @@ class TestMidReplayRepair:
         churn.apply_upto(11.0)
         assert churn.flows_rerouted == 0
         assert churn.misses_attributed == 0
-        assert churn.snapshot_state()["live"] == []
+        assert not churn._live
 
     def test_late_event_rejected(self, ft4):
         """An event behind the settled frontier is a hard error."""
         power = PowerModel.quadratic()
         churn = ChurnManager(
-            ft4, power, WindowAccountant(ft4, power, tol=1e-6),
+            ft4, power, WindowAccountant(ft4, power),
             origin=0.0, window=1.0,
         )
         churn.apply_upto(5.0)
@@ -561,12 +561,12 @@ class TestQuietGapFault:
 
 
 # ---------------------------------------------------------------------------
-# ChurnManager snapshot plumbing.
+# ChurnManager state round trips (the sharded snapshot pickles it whole).
 # ---------------------------------------------------------------------------
 class TestChurnManagerSnapshot:
     def test_round_trip_preserves_state(self, ft4):
         power = PowerModel.quadratic()
-        acct = WindowAccountant(ft4, power, tol=1e-6)
+        acct = WindowAccountant(ft4, power)
         churn = ChurnManager(ft4, power, acct, origin=0.0, window=1.0)
         dead = ft4.edges[5]
         churn.add_events((
@@ -587,11 +587,7 @@ class TestChurnManagerSnapshot:
         churn.apply_upto(1.0)
         acct.finalize(1.0)
 
-        state = pickle.loads(pickle.dumps(churn.snapshot_state()))
-        restored = ChurnManager(
-            ft4, power, acct, origin=0.0, window=1.0
-        )
-        restored.restore_state(state)
+        restored = pickle.loads(pickle.dumps(churn))
         assert restored.down == churn.down
         assert restored.epoch == churn.epoch
         assert restored.has_pending == churn.has_pending
@@ -604,7 +600,7 @@ class TestChurnManagerSnapshot:
         dead until every covering outage lifts."""
         power = PowerModel.quadratic()
         churn = ChurnManager(
-            ft4, power, WindowAccountant(ft4, power, tol=1e-6),
+            ft4, power, WindowAccountant(ft4, power),
             origin=0.0, window=1.0,
         )
         node = ft4.switches[0]
@@ -647,7 +643,7 @@ class TestChurnManagerSnapshot:
         under overlapping outages restores the exact per-link counts, so
         the eventual recoveries resurrect exactly the right links."""
         power = PowerModel.quadratic()
-        acct = WindowAccountant(ft4, power, tol=1e-6)
+        acct = WindowAccountant(ft4, power)
         churn = ChurnManager(ft4, power, acct, origin=0.0, window=1.0)
         node = ft4.switches[0]
         sw = FailureDomain.switch(ft4, node)
@@ -670,11 +666,7 @@ class TestChurnManagerSnapshot:
         churn.apply_upto(2.0)  # mid-outage: everything is down
         assert len(churn.down) == len(sw.edges) + 1
 
-        state = pickle.loads(pickle.dumps(churn.snapshot_state()))
-        restored = ChurnManager(
-            ft4, power, acct, origin=0.0, window=1.0
-        )
-        restored.restore_state(state)
+        restored = pickle.loads(pickle.dumps(churn))
         assert restored.down == churn.down
         assert restored.down_switches == churn.down_switches
         # Drain the recoveries on both: they must agree at every step.
@@ -834,13 +826,11 @@ class TestShardedChurn:
             ft4, powerdown, 1.0, num_shards=2, mode="greedy"
         ) as service:
             service.submit_many(flows)
-            churn = pickle.loads(service.snapshot())["engine"]["loop"][
-                "churn"
-            ]
-        settled = churn["applied_upto"]
+            churn = service._engine._loop.churn
+        settled = churn._applied_upto
         assert settled > 30.0
-        assert churn["live"]
-        assert all(flow.deadline > settled for flow, *_ in churn["live"])
+        assert churn._live
+        assert all(lf.flow.deadline > settled for lf in churn._live.values())
 
     def test_late_worker_crash_rejected(self, ft4, powerdown):
         """A ``worker_crash`` older than the enacted kill schedule is an

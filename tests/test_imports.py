@@ -100,3 +100,24 @@ def test_lazy_package_names_resolve():
 
     assert dcfs.__name__ == "repro.core.dcfs"
     assert mcflow.__name__ == "repro.routing.mcflow"
+
+
+def test_only_the_sharded_engine_defines_a_snapshot_codec():
+    """Every class under ``repro``, walked as the oracle-name guard walks
+    the modules: only ``ShardedReplayEngine`` defines ``snapshot_state``
+    or ``restore_state``.  Its payload is the engine, pickled, so no
+    other class keeps a hand-written codec of its own state."""
+    code = (
+        "import importlib, inspect, pkgutil\n"
+        "import repro\n"
+        "codecs = set()\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    module = importlib.import_module(info.name)\n"
+        "    for value in vars(module).values():\n"
+        "        if not inspect.isclass(value):\n"
+        "            continue\n"
+        "        if {'snapshot_state', 'restore_state'} & set(vars(value)):\n"
+        "            codecs.add(value.__module__ + '.' + value.__qualname__)\n"
+        "print(sorted(codecs))\n"
+    )
+    assert _run(code) == "['repro.service.sharded.ShardedReplayEngine']"

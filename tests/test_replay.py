@@ -471,21 +471,13 @@ class TestChoicePolicies:
         assert engine.run(trace).dynamic_energy == runs[0].dynamic_energy
         assert engine.run(trace).dynamic_energy == runs[0].dynamic_energy
 
-    def test_candidate_k_validation(self):
-        from repro.traces import LeastLoadedPolicy, PowerOfTwoPolicy
-
-        with pytest.raises(ValidationError):
-            PowerOfTwoPolicy(k=1)
-        with pytest.raises(ValidationError):
-            LeastLoadedPolicy(k=0)
-
     def test_schedules_ride_real_candidate_paths(self, ft4, quadratic):
         from repro.topology.base import path_edges
         from repro.traces import LeastLoadedPolicy
 
         trace = self._trace(ft4)
         engine = ReplayEngine(
-            ft4, quadratic, LeastLoadedPolicy(k=3), window=5.0,
+            ft4, quadratic, LeastLoadedPolicy(), window=5.0,
             keep_schedules=True,
         )
         report = engine.run(trace)

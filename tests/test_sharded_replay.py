@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.api as service_api
+import repro.service.sharded as sharded
 from repro.errors import ValidationError
 from repro.flows import Flow
 from repro.power import PowerModel
@@ -104,6 +105,22 @@ def _live_children() -> set[int]:
     return {p.pid for p in mp.active_children() if p.is_alive()}
 
 
+def _swapped_shards(partition):
+    """``partition`` with its two shards' indices exchanged."""
+    first, second = partition.shards
+    return dataclasses.replace(
+        partition,
+        shards=(
+            dataclasses.replace(second, index=0),
+            dataclasses.replace(first, index=1),
+        ),
+        node_component={
+            node: (1 - shard, comp)
+            for node, (shard, comp) in partition.node_component.items()
+        },
+    )
+
+
 def _refuse(topology, state, refusal):
     """Break a 2-shard engine snapshot the way ``refusal`` names; returns
     the restore keyword arguments and the error the restore must raise."""
@@ -113,8 +130,16 @@ def _refuse(topology, state, refusal):
             ValidationError,
             "partition yields 4 shards; snapshot had 2",
         )
-    del state["loop"]["acct"]
-    return {}, KeyError, "acct"
+    if refusal == "swapped-shards":
+        partition = partition_topology(topology, num_shards=2)
+        return (
+            {"partition": _swapped_shards(partition)},
+            ValidationError,
+            "partition differs from the snapshot's",
+        )
+    engine = state["engine"]
+    state["engine"] = engine[: len(engine) // 2]
+    return {}, pickle.UnpicklingError, "truncated"
 
 
 class _HalfWriter:
@@ -414,11 +439,54 @@ class TestSnapshotRestore:
             resumed = restored.finish()
         finally:
             restored.close()
-        churn = state["loop"]["churn"]
-        assert churn["down"]
-        rerouted_before = churn["counters"]["flows_rerouted"]
+        churn = first._loop.churn
+        assert churn.down
+        rerouted_before = churn.flows_rerouted
         assert 0 < rerouted_before < uninterrupted.flows_rerouted
         assert _normalized(resumed) == _normalized(uninterrupted)
+
+    def test_payload_leaves_out_the_fabric_and_the_workers(
+        self, ft4, quadratic, monkeypatch
+    ):
+        """The engine payload resolves no topology, networkx or worker
+        class: the restored loop, accountant, churn manager and routers
+        hold the caller's topology object."""
+        flows = _trace(ft4, 60, seed=3)
+        edges = path_edges(ft4.shortest_path(ft4.hosts[0], ft4.hosts[-1]))
+        faults = FaultSchedule.scripted(
+            [(flows[10].release, "down", edges[2])]
+        )
+        resolved = []
+
+        class Recording(sharded._EngineUnpickler):
+            def find_class(self, module, name):
+                resolved.append(f"{module}.{name}")
+                return super().find_class(module, name)
+
+        monkeypatch.setattr(sharded, "_EngineUnpickler", Recording)
+        with ShardedReplayEngine(
+            ft4, quadratic, window=1.0, num_shards=2, mode="relax",
+            fw_max_iterations=12, faults=faults,
+        ) as engine:
+            for flow in flows[:40]:
+                engine.feed(flow)
+            state = engine.snapshot_state()
+        with ShardedReplayEngine.restore_state(
+            ft4, quadratic, state
+        ) as restored:
+            loop = restored._loop
+            assert loop.topology is ft4
+            assert loop.acct.topology is ft4
+            assert loop.churn._topology is ft4
+            assert loop.churn._router.topology is ft4
+            router = restored._cross_policy._router
+            assert router.topology is ft4
+            # A router pickles as its topology: no search scratch rides.
+            assert engine._cross_policy._router._epoch > router._epoch == 0
+        assert "repro.routing.fastpath.FastRouter" in resolved
+        assert "repro.topology.base.Topology" not in resolved
+        assert not [name for name in resolved if name.startswith("networkx")]
+        assert not [name for name in resolved if "WorkerGroup" in name]
 
     def test_restore_rejects_wrong_topology(self, ft4, quadratic):
         with ShardedReplayEngine(
@@ -429,6 +497,11 @@ class TestSnapshotRestore:
         other = fat_tree(6)
         with pytest.raises(ValidationError):
             ShardedReplayEngine.restore_state(other, quadratic, state)
+        # The same edge count over other links is another fabric too.
+        same_size = leaf_spine(8, 4, 2)
+        assert same_size.num_edges == ft4.num_edges
+        with pytest.raises(ValidationError, match="snapshot was taken on"):
+            ShardedReplayEngine.restore_state(same_size, quadratic, state)
 
     @staticmethod
     def _two_shard_state(ft4, quadratic):
@@ -439,7 +512,9 @@ class TestSnapshotRestore:
                 engine.feed(flow)
             return engine.snapshot_state()
 
-    @pytest.mark.parametrize("refusal", ["partition", "loop-payload"])
+    @pytest.mark.parametrize(
+        "refusal", ["partition", "swapped-shards", "loop-payload"]
+    )
     def test_refused_restore_leaks_no_workers(self, ft4, quadratic, refusal):
         """A restore refused after the engine forked its workers must
         close them."""
@@ -452,7 +527,9 @@ class TestSnapshotRestore:
         # must not rely on garbage collection.
         assert not _live_children() - before, info
 
-    @pytest.mark.parametrize("refusal", ["partition", "loop-payload"])
+    @pytest.mark.parametrize(
+        "refusal", ["partition", "swapped-shards", "loop-payload"]
+    )
     def test_service_refused_restore_leaks_no_workers(
         self, ft4, quadratic, refusal
     ):
@@ -468,6 +545,18 @@ class TestSnapshotRestore:
                 ft4, quadratic, pickle.dumps(payload), **kwargs
             )
         assert not _live_children() - before, info
+
+    def test_restore_rejects_another_power_model(self, ft4, quadratic):
+        """The accountant integrated energy under the snapshot's power
+        model: a restore under another one is refused, before any
+        worker forks."""
+        state = self._two_shard_state(ft4, quadratic)
+        before = _live_children()
+        with pytest.raises(ValidationError, match="snapshot was taken under"):
+            ShardedReplayEngine.restore_state(
+                ft4, PowerModel.quadratic(capacity=0.5), state
+            )
+        assert not _live_children() - before
 
     def test_restore_rejects_old_snapshot_version(self, ft4, quadratic):
         state = self._two_shard_state(ft4, quadratic)
@@ -642,8 +731,9 @@ class TestDegrade:
 
 # Settings a healthy run cannot honour: a zero or negative heartbeat
 # declares live workers dead, NaN breaks the collect timeout, a seed
-# that is no integer >= 0 cannot seed a rounding stream, and a NaN
-# budget never triggers.
+# that is no integer >= 0 cannot seed a rounding stream, a NaN budget
+# never triggers, and a pipeline depth that is no integer >= 1 never
+# collects a window before finish (NaN, inf) or runs as another depth.
 _BAD_SERVICE_SETTINGS = {
     "heartbeat-zero": {"heartbeat_s": 0.0},
     "heartbeat-negative": {"heartbeat_s": -1.0},
@@ -655,6 +745,10 @@ _BAD_SERVICE_SETTINGS = {
     "budget-nan": {"per_window_s": float("nan")},
     "in-flight-nan": {"max_in_flight": float("nan")},
     "in-flight-fractional": {"max_in_flight": 1.5},
+    "depth-nan": {"pipeline_depth": float("nan")},
+    "depth-inf": {"pipeline_depth": float("inf")},
+    "depth-fractional": {"pipeline_depth": 1.5},
+    "depth-string": {"pipeline_depth": "2"},
 }
 
 

@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.flows import (
-    TimeGrid,
-    datamining_sizes,
-    incast,
-    paper_workload,
-    poisson_arrivals,
-    shuffle,
-    websearch_sizes,
-)
+from repro.flows import TimeGrid, incast, paper_workload, shuffle
 
 
 class TestPaperWorkload:
@@ -125,42 +117,7 @@ class TestShuffle:
             shuffle(ft4, ["zz", ft4.hosts[0]], 1.0)
 
 
-class TestPoisson:
-    def test_deadlines_proportional(self, ft4):
-        flows = poisson_arrivals(
-            ft4, rate=2.0, duration=10.0,
-            size_sampler=lambda rng: 4.0, slack_factor=3.0,
-            reference_rate=2.0, seed=0,
-        )
-        for f in flows:
-            assert f.deadline - f.release == pytest.approx(3.0 * 4.0 / 2.0)
-
-    def test_arrival_count_scales_with_rate(self, ft4):
-        few = poisson_arrivals(ft4, 0.5, 20.0, websearch_sizes, seed=1)
-        many = poisson_arrivals(ft4, 5.0, 20.0, websearch_sizes, seed=1)
-        assert len(many) > len(few)
-
-    def test_invalid(self, ft4):
-        with pytest.raises(ValidationError):
-            poisson_arrivals(ft4, 0.0, 1.0, websearch_sizes)
-        with pytest.raises(ValidationError):
-            poisson_arrivals(ft4, 1.0, 1.0, lambda rng: -1.0)
-
-
 class TestSizeDistributions:
-    def test_websearch_positive_and_varied(self):
-        rng = np.random.default_rng(0)
-        sizes = [websearch_sizes(rng) for _ in range(500)]
-        assert all(s > 0 for s in sizes)
-        assert min(sizes) < 5.0 < max(sizes)
-
-    def test_datamining_heavier_tail(self):
-        rng = np.random.default_rng(0)
-        dm = sorted(datamining_sizes(rng) for _ in range(2000))
-        rng = np.random.default_rng(0)
-        ws = sorted(websearch_sizes(rng) for _ in range(2000))
-        assert dm[-1] > ws[-1]  # longer tail
-
     def test_workload_grid_compatible(self, ft4):
         flows = paper_workload(ft4, 25, seed=9)
         grid = TimeGrid(flows)
