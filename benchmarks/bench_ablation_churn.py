@@ -25,7 +25,7 @@ import pytest
 from record import record_bench
 from repro.experiments import churn_ablation
 from repro.power import PowerModel
-from repro.service import ShardedReplayEngine
+from repro.service import ReplayService
 from repro.sim import FaultSchedule
 from repro.topology import fat_tree
 from repro.traces import (
@@ -109,7 +109,7 @@ def test_worker_kill_recovery(benchmark, capsys):
 
     def replay(killed: bool, **kwargs):
         faults = FaultSchedule.scripted([(kill_at, "crash", 0)])
-        with ShardedReplayEngine(
+        with ReplayService(
             topology,
             power,
             window=2.0,

@@ -29,7 +29,7 @@ from record import record_bench
 from repro.experiments import churn_correlated_ablation
 from repro.flows import Flow
 from repro.power import PowerModel
-from repro.service import ShardedReplayEngine
+from repro.service import ReplayService
 from repro.sim import FaultSchedule
 from repro.topology import fat_tree
 from repro.traces import (
@@ -166,7 +166,7 @@ def test_switch_partition_all_engines(benchmark, capsys):
             ).run(list(flows))
         for shards in (1, 2):
             faults = FaultSchedule.scripted([(T_CUT, "down", sw)])
-            with ShardedReplayEngine(
+            with ReplayService(
                 topo,
                 power,
                 window=WINDOW,

@@ -4,7 +4,7 @@ Replays a locality-heavy Poisson trace on the paper's k = 8 fat-tree two
 ways: through the single-owner
 :class:`~repro.traces.policies.RelaxationRoundingPolicy` (one F-MCF
 relaxation over the whole fabric per window) and through the 4-shard
-:class:`~repro.service.ShardedReplayEngine` (one relaxation
+:class:`~repro.service.ReplayService` (one relaxation
 pipeline per pod group, windows pipelined across the fork workers, only
 cross-pod flows routed globally).  The speedup has two sources measured
 together: per-shard subproblems are much smaller than the fabric-wide
@@ -29,7 +29,7 @@ import pytest
 
 from record import record_bench
 from repro.power import PowerModel
-from repro.service import ShardedReplayEngine
+from repro.service import ReplayService
 from repro.topology import fat_tree
 from repro.traces import (
     PoissonProcess,
@@ -96,7 +96,7 @@ def _run_single(trace: list) -> tuple[float, object]:
 
 
 def _run_sharded(trace: list, num_shards: int = NUM_SHARDS) -> tuple[float, object]:
-    with ShardedReplayEngine(
+    with ReplayService(
         TOPOLOGY,
         POWER,
         window=WINDOW,

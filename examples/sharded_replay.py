@@ -3,13 +3,15 @@
 
 A fat-tree splits on its pod boundaries into four relaxation shards,
 each solved in its own fork worker; the parent routes only the
-cross-pod flows and stacks every commitment in one exact accountant.  The demo drives the long-lived
-:class:`~repro.service.ReplayService` front end through its whole
-lifecycle:
+cross-pod flows and stacks every commitment in one exact accountant.
+One class, :class:`~repro.service.ReplayService`, is the whole service;
+the demo drives it through its lifecycle:
 
-* stream a trace in (``submit``), watching per-window stats (``poll``);
-* snapshot mid-stream, restore into a *fresh* service, and finish both
-  — the reports match bit for bit;
+* stream a trace in (``submit_many``), watching per-window stats
+  (``poll``);
+* snapshot mid-stream (one payload: fabric, power and partition
+  fingerprints plus the pickled service), restore into a *fresh*
+  service, and ``drain`` both — the reports match bit for bit;
 * replay the same trace under a starvation solve budget and watch the
   degrade-to-greedy fallback being recorded honestly.
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import threading
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import ValidationError
@@ -57,9 +58,8 @@ class WorkerCrash(RuntimeError):
     Distinct from the ``RuntimeError`` a worker ships back when its
     *handler* raises: a crash means the process itself is gone — the pipe
     hit EOF, a send found it closed, or a bounded :meth:`WorkerGroup.
-    collect` expired.  The pending count is left untouched, so a caller
-    holding its own ledger of submitted work can
-    :meth:`~WorkerGroup.restart` the worker and resubmit.
+    collect` expired.  The worker's unanswered messages stay recorded,
+    and :meth:`~WorkerGroup.restart` sends them again.
     """
 
     def __init__(self, index: int, reason: str) -> None:
@@ -228,26 +228,30 @@ class WorkerGroup:
     :meth:`submit` is asynchronous (returns immediately);
     :meth:`collect` blocks for that worker's next pending result.
     Submitting to several workers before collecting any is what overlaps
-    their work — the sharded replay engine's window pipelining.
+    their work — the replay service's window pipelining.  The group
+    keeps each worker's unanswered messages, oldest first: a message is
+    recorded before it is sent and dropped when :meth:`collect` returns
+    its answer, so :meth:`restart` can send a crashed worker's backlog
+    to its replacement.
 
     On platforms without ``fork`` (or nested inside a daemonic pool
-    worker) the group degrades to in-process handlers with a per-worker
-    result queue: submissions execute immediately in :meth:`submit`, so
-    results and their ordering are identical, just serial.
+    worker) the group degrades to in-process handlers: each recorded
+    message runs in :meth:`collect`, in submission order, so results and
+    their ordering are identical, just serial.
     """
 
     def __init__(self, factory: Callable[[int], Callable], n: int) -> None:
         if n < 1:
             raise ValidationError(f"worker group needs n >= 1, got {n}")
         self._factory = factory  # kept for restart()
-        self._pending = [0] * n
+        #: Per worker, the messages sent and not yet answered, oldest first.
+        self._pending: list[deque] = [deque() for _ in range(n)]
         self._closed = False
         self._serial = (
             mp.get_start_method() != "fork" or mp.current_process().daemon
         )
         if self._serial:
             self._handlers = [factory(i) for i in range(n)]
-            self._results: list[list] = [[] for _ in range(n)]
             return
         self._conns = []
         self._procs = []
@@ -309,39 +313,44 @@ class WorkerGroup:
     def submit(self, index: int, msg) -> None:
         """Queue ``msg`` for worker ``index`` (non-blocking).
 
-        Raises :class:`WorkerCrash` when the worker is dead (killed or
-        exited); the message is NOT counted as pending in that case.
+        The message is recorded before it is sent.  Raises
+        :class:`WorkerCrash` when the worker is dead (killed or exited);
+        the message stays recorded, and :meth:`restart` sends it.
         """
         if self._closed:
             raise ValidationError("worker group is closed")
+        self._pending[index].append(msg)
         if self._serial:
-            handler = self._handlers[index]
-            if handler is None:
+            if self._handlers[index] is None:
                 raise WorkerCrash(index, "worker was killed")
-            self._pending[index] += 1
-            self._results[index].append(handler(msg))
             return
+        self._send(index, msg)
+
+    def _send(self, index: int, msg) -> None:
         try:
             self._conns[index].send(msg)
         except (BrokenPipeError, OSError) as exc:
             raise WorkerCrash(index, f"submit failed ({exc!r})") from exc
-        self._pending[index] += 1
 
     def collect(self, index: int, timeout: float | None = None):
         """Block for worker ``index``'s oldest pending result.
 
-        ``timeout`` (seconds; fork mode only — serial results are already
-        computed) bounds the wait.  A dead pipe or an expired wait raises
-        :class:`WorkerCrash` WITHOUT decrementing the pending count — the
-        caller decides what to resubmit after :meth:`restart`.
+        ``timeout`` (seconds; fork mode only — a serial handler runs
+        here, to completion) bounds the wait.  The answered message is
+        dropped from the record.  A dead pipe or an expired wait raises
+        :class:`WorkerCrash` and keeps it: :meth:`restart` sends it again.
         """
-        if self._pending[index] <= 0:
+        pending = self._pending[index]
+        if not pending:
             raise ValidationError(f"worker {index} has no pending work")
         if self._serial:
-            if self._handlers[index] is None:
+            handler = self._handlers[index]
+            if handler is None:
                 raise WorkerCrash(index, "worker was killed")
-            self._pending[index] -= 1
-            return self._results[index].pop(0)
+            try:
+                return handler(pending[0])
+            finally:
+                pending.popleft()
         conn = self._conns[index]
         try:
             if timeout is not None and not conn.poll(timeout):
@@ -353,7 +362,7 @@ class WorkerGroup:
             raise
         except (EOFError, OSError) as exc:
             raise WorkerCrash(index, f"pipe closed ({exc!r})") from exc
-        self._pending[index] -= 1
+        pending.popleft()
         return self._receive(index, reply)
 
     def kill(self, index: int) -> None:
@@ -365,7 +374,6 @@ class WorkerGroup:
         """
         if self._serial:
             self._handlers[index] = None
-            self._results[index] = []
             return
         proc = self._procs[index]
         if proc.is_alive():
@@ -374,17 +382,16 @@ class WorkerGroup:
         self._conns[index].close()
 
     def restart(self, index: int) -> None:
-        """Respawn worker ``index`` with fresh factory state.
+        """Respawn worker ``index`` with fresh factory state and send it
+        the messages the old one left unanswered, in order.
 
-        Anything it had pending is forfeited (the pending count resets to
-        zero); the caller resubmits whatever it still needs.
+        If a send fails, the rest stay recorded and the next
+        :meth:`collect` raises :class:`WorkerCrash`.
         """
         if self._closed:
             raise ValidationError("worker group is closed")
-        self._pending[index] = 0
         if self._serial:
             self._handlers[index] = self._factory(index)
-            self._results[index] = []
             return
         proc = self._procs[index]
         if proc.is_alive():
@@ -399,6 +406,9 @@ class WorkerGroup:
         finally:
             del _GROUP_WORK[token]
         self._receive(index, self._conns[index].recv())  # factory handshake
+        with suppress(WorkerCrash):
+            for msg in self._pending[index]:
+                self._send(index, msg)
 
     def close(self) -> None:
         """Stop every worker (idempotent); pending results are dropped.
@@ -413,7 +423,6 @@ class WorkerGroup:
         self._closed = True
         if self._serial:
             self._handlers = []
-            self._results = []
             return
         for index, conn in enumerate(self._conns):
             if self._pending[index]:

@@ -2,30 +2,27 @@
 
 Production-shaped serving layer over the replay machinery: topology
 partitioning along natural locality boundaries
-(:mod:`~repro.service.partition`), per-shard relaxation solves in
-long-lived worker processes with asynchronously pipelined windows, each
-window's routes a function of its inputs (:mod:`~repro.service.sharded`),
-degrade-under-pressure backpressure
-(:mod:`~repro.service.degrade`), and a snapshot/restore-capable admission
-facade (:mod:`~repro.service.api`).
+(:mod:`~repro.service.partition`), and one service class,
+:class:`~repro.service.sharded.ReplayService`: streaming admission of
+flows and fault events, per-shard relaxation solves in long-lived worker
+processes with asynchronously pipelined windows (each window's routes a
+function of its inputs), per-window telemetry, degrade-under-pressure
+backpressure (:mod:`~repro.service.degrade`), and snapshot/restore.
 """
 
-from repro.service.api import ReplayService
-from repro.service.degrade import DegradeController, SolveBudget
+from repro.service.degrade import SolveBudget
 from repro.service.partition import (
     Shard,
     TopologyPartition,
     partition_topology,
 )
-from repro.service.sharded import ShardedReplayEngine, WindowStats
+from repro.service.sharded import ReplayService, WindowStats
 
 __all__ = [
     "ReplayService",
-    "DegradeController",
     "SolveBudget",
     "Shard",
     "TopologyPartition",
     "partition_topology",
-    "ShardedReplayEngine",
     "WindowStats",
 ]

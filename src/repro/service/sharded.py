@@ -1,11 +1,15 @@
-"""Sharded streaming replay: partitioned relaxation shards, pipelined windows.
+"""The replay service: partitioned relaxation shards, pipelined windows.
 
 The single-owner :class:`~repro.traces.replay.ReplayEngine` runs one
-policy on one fabric in one process.  This module scales the same replay
-semantics out: the fabric is split by :func:`~repro.service.partition.
-partition_topology` into shards, each shard is solved in a long-lived
+policy on one fabric in one process.  :class:`ReplayService` scales the
+same replay semantics out and keeps them running: the fabric is split by
+:func:`~repro.service.partition.partition_topology` into shards, each
+shard is solved in a long-lived
 :class:`~repro.experiments.parallel.WorkerGroup` process, and each window
 of arrivals is scattered to the shards that can solve its flows locally.
+Flows and fault events are admitted one at a time, per-window stats are
+polled as windows settle, and the whole mid-replay state round-trips
+through :meth:`~ReplayService.snapshot`/:meth:`~ReplayService.restore`.
 Only two things ever cross a process boundary per window: the shard's
 restriction of the background load going out (a
 :class:`~repro.routing.background.BackgroundProfile`), and
@@ -30,14 +34,14 @@ Division of labor per window ``k``:
   GreedyDensityPolicy` in greedy mode): cheap, load-aware, and
   deterministic.  They are the only traffic that can load a boundary
   link.
-* **Everything else is the shared window loop.**  This engine is the
+* **Everything else is the shared window loop.**  The service is the
   pipelined executor of :class:`~repro.traces.replay.WindowLoop`, the
   loop :class:`~repro.traces.replay.ReplayEngine` runs inline: ingest,
   window bounds, the commit step (here in arrival order), settlement,
-  the trailing sweep and the report are the same code in both engines.
-  This module adds partitioning, dispatch, the pipeline lag, crash
-  recovery, dark-shard evacuation and the per-shard and per-window
-  telemetry.
+  the trailing sweep and the report are the same code in both.  This
+  module adds admission, partitioning, dispatch, the pipeline lag, crash
+  recovery, dark-shard evacuation, the per-shard and per-window
+  telemetry and the snapshot.
 
 **Pipelining.**  ``pipeline_depth = d`` keeps up to ``d`` windows in
 flight: window ``k`` is dispatched as soon as its arrivals are complete,
@@ -47,31 +51,48 @@ commitments of windows ``<= k - d`` — *structurally* lagged, a function
 of the window index alone, never of worker timing.  That staleness is
 the price of overlap (``d = 1`` recovers the single-owner engine's
 current-background semantics) and is exactly what makes
-:meth:`~ShardedReplayEngine.snapshot_state`/:meth:`~ShardedReplayEngine.
-restore_state` reproduce an uninterrupted run bit for bit: a snapshot
-drains worker *results* into the in-flight entries without committing
-them, so a restored engine replays the same dispatch/collect schedule
-with the same lagged views.
+:meth:`~ReplayService.snapshot`/:meth:`~ReplayService.restore` reproduce
+an uninterrupted run bit for bit: a snapshot drains worker *results*
+into the in-flight entries without committing them, so a restored
+service replays the same dispatch/collect schedule with the same lagged
+views.
 
 **Snapshots.**  This module is the one that knows the snapshot format.
-The payload is the engine itself, pickled: its window loop, accountant,
-churn registry and in-flight windows are plain Python and NumPy objects.
-The fabric, the power model, the partition and the worker group are
-left out by persistent id; restore maps the first three to the caller's
-objects and forks fresh workers last.
+The payload is one pickled dict: fingerprints of the fabric, the power
+model and the partition, plus the service itself, pickled.  Its window
+loop, accountant, churn registry, in-flight windows and its poll and
+trace cursors are plain Python and NumPy objects.  The fabric, the power
+model, the partition and the worker group are left out by persistent
+id; restore maps the first three to the caller's objects and forks
+fresh workers last.
 
 **Degradation** to greedy is decided per window by a
 :class:`~repro.service.degrade.DegradeController` (the solve budget), and
 every degraded window is recorded honestly on the report (see
 :mod:`repro.service.degrade`).  Crash recovery degrades nothing: a
 restarted worker re-solves its uncollected windows as they were sent.
+
+Typical lifecycle::
+
+    service = ReplayService(topology, power, window=4.0, num_shards=4)
+    service.serve_trace("trace.jsonl", limit=5_000)
+    for stats in service.poll():
+        print(stats.describe())
+    blob = service.snapshot()          # durable checkpoint (bytes)
+    ...
+    service = ReplayService.restore(topology, power, blob)
+    service.resume_trace()             # picks up at the stored cursor
+    report = service.drain()
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import os
 import pickle
+import tempfile
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -103,13 +124,14 @@ from repro.traces.replay import (
     WindowAccountant,
     WindowLoop,
 )
+from repro.traces.store import TraceReader
 
-__all__ = ["WindowStats", "ShardedReplayEngine"]
+__all__ = ["WindowStats", "ReplayService"]
 
-SNAPSHOT_KIND = "repro-sharded-replay"
+SNAPSHOT_KIND = "repro-replay-service"
 #: Any other version is refused: the payload is a pickle of this module's
 #: classes as they stand.
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 #: Consecutive failed recoveries of one shard before the run gives up
 #: (a successful collect resets the count).
 MAX_WORKER_RESTARTS = 3
@@ -117,7 +139,8 @@ MAX_WORKER_RESTARTS = 3
 
 @dataclass(frozen=True)
 class WindowStats:
-    """Per-window service telemetry (what ``ReplayService.poll`` returns)."""
+    """Per-window service telemetry (what :meth:`ReplayService.poll`
+    returns)."""
 
     index: int
     start: float
@@ -219,15 +242,19 @@ class _InFlight:
     down: frozenset = frozenset()
 
 
-class ShardedReplayEngine:
+class ReplayService:
     """Streaming replay over partitioned relaxation shards.
 
     The incremental counterpart of :class:`~repro.traces.replay.
-    ReplayEngine`: arrivals are *fed* one at a time (the service's
-    ``submit``), windows dispatch to shard workers as soon as they close,
-    and :meth:`finish` settles everything into one
-    :class:`~repro.traces.replay.ReplayReport` with a per-shard
-    breakdown.  :meth:`run` wraps feed/finish for whole traces.
+    ReplayEngine`: flows and fault events are admitted one at a time
+    (:meth:`submit`) or as a stream (:meth:`submit_many`, or
+    :meth:`serve_trace` straight from a trace file), windows dispatch to
+    shard workers as soon as they close, :meth:`poll` returns the
+    windows settled since the last poll, and :meth:`drain` settles
+    everything into one :class:`~repro.traces.replay.ReplayReport` with
+    a per-shard breakdown and stops the workers.  :meth:`run` is
+    :meth:`submit_many` followed by :meth:`drain`.  After :meth:`drain`
+    or :meth:`close` the service admits nothing.
 
     Parameters
     ----------
@@ -315,7 +342,7 @@ class ShardedReplayEngine:
             check_fw_settings(fw_max_iterations, fw_gap_tolerance)
         if rounding not in ("random", "deterministic"):
             raise ValidationError(f"unknown rounding mode {rounding!r}")
-        # A NaN or infinite depth would collect no window before finish(),
+        # A NaN or infinite depth would collect no window before drain(),
         # and 1.5 would run as 2.
         if not (
             isinstance(pipeline_depth, (int, np.integer))
@@ -346,7 +373,12 @@ class ShardedReplayEngine:
         )
         self._controller = DegradeController(budget)
         self._inflight: deque[_InFlight] = deque()
-        self.window_log: list[WindowStats] = []
+        self._window_log: list[WindowStats] = []
+        self._poll_cursor = 0
+        #: The trace :meth:`serve_trace` reads, and the byte offset of its
+        #: next unread record.
+        self._trace_path: str | None = None
+        self._trace_cursor: int | None = None
         self._loop = WindowLoop(
             topology,
             power,
@@ -364,7 +396,6 @@ class ShardedReplayEngine:
         )
         #: Pipeline skip state: the largest dispatched deadline.
         self._max_deadline = -np.inf
-        self._finished = False
         self._closed = False
 
         # Crash tolerance.
@@ -380,10 +411,6 @@ class ShardedReplayEngine:
         self._kills_upto = -np.inf
         shards = partition.shards
         n = len(shards)
-        #: Per-shard ledger of submitted-but-uncollected window messages
-        #: (append at submit, popleft on successful collect) — exactly
-        #: what recovery resubmits after a restart.
-        self._sent: list[deque] = [deque() for _ in range(n)]
         self._restart_attempts = [0] * n
         self._worker_restarts = 0
         self._rev_edge_maps = [
@@ -409,7 +436,7 @@ class ShardedReplayEngine:
 
     def _fork(self) -> None:
         """Start one shard worker per shard: the last step of both the
-        constructor and :meth:`restore_state`."""
+        constructor and :meth:`restore`."""
         shards, power = self._partition.shards, self._loop.power
         config = self._solver_config
         self._group = WorkerGroup(
@@ -429,37 +456,97 @@ class ShardedReplayEngine:
         return f"Sharded+{label}[{self._partition.num_shards}]"
 
     @property
-    def flows_fed(self) -> int:
+    def flows_submitted(self) -> int:
         return self._loop.flows_seen
 
     # ------------------------------------------------------------------
-    # Streaming admission.
+    # Admission.
     # ------------------------------------------------------------------
-    def feed(self, flow: Flow) -> None:
-        """Admit one flow (releases must be nondecreasing)."""
-        if self._finished:
-            raise ValidationError("engine already finished")
-        if self._closed:
-            raise ValidationError("engine is closed")
-        self._loop.feed(flow)
+    def submit(self, item: Flow | FaultEvent) -> None:
+        """Admit one flow or fault event: the one admission step.
 
-    def feed_fault(self, event: FaultEvent) -> None:
-        """Admit one fault event (same nondecreasing-time stream as flows).
-
-        Fabric events go to the window loop's churn manager;
-        ``worker_crash`` events join the dispatch-time kill schedule,
-        unless it has already been enacted past them.
+        Flows and events form one stream, nondecreasing in time.  Fabric
+        events go to the window loop's churn manager; ``worker_crash``
+        events join the dispatch-time kill schedule, unless it has
+        already been enacted past them.
         """
-        if event.kind == WORKER_CRASH:
-            self._check_shard(event.shard)
-            if event.time < self._kills_upto:
+        self._check_open()
+        if not isinstance(item, FaultEvent):
+            self._loop.feed(item)
+        elif item.kind != WORKER_CRASH:
+            self._loop.feed_fault(item)
+        else:
+            self._check_shard(item.shard)
+            if item.time < self._kills_upto:
                 raise ValidationError(
-                    f"worker_crash at t={event.time} arrived after the "
+                    f"worker_crash at t={item.time} arrived after the "
                     f"kill schedule was enacted through {self._kills_upto}"
                 )
-            insort(self._worker_events, event, key=lambda e: e.time)
-        else:
-            self._loop.feed_fault(event)
+            insort(self._worker_events, item, key=lambda e: e.time)
+
+    def submit_fault(self, event: FaultEvent) -> None:
+        """Admit one fault event inline (:meth:`submit` takes it too)."""
+        self.submit(event)
+
+    def submit_many(self, items: Iterable[Flow | FaultEvent]) -> int:
+        """Admit a stream of flows and fault events, such as
+        ``TraceReader(path, include_faults=True)``; returns how many
+        flows it admitted."""
+        flows = 0
+        for item in items:
+            self.submit(item)
+            flows += not isinstance(item, FaultEvent)
+        return flows
+
+    def run(self, trace: Iterable[Flow | FaultEvent]) -> ReplayReport:
+        """Replay a whole stream: :meth:`submit_many`, then :meth:`drain`."""
+        self.submit_many(trace)
+        return self.drain()
+
+    def serve_trace(self, path: str, limit: int | None = None) -> int:
+        """Stream flows and inline fault events from a JSONL trace file,
+        tracking a resume cursor.
+
+        Admits up to ``limit`` flows (all of them when None; fault
+        records do not count) and records the byte cursor of the next
+        unread record after every admission, so a :meth:`snapshot` taken
+        at any point carries an exact resume position.  A second call on
+        the same path continues from that cursor.  Returns the number of
+        flows admitted by this call.
+        """
+        if limit is not None and not (
+            isinstance(limit, (int, np.integer)) and limit >= 0
+        ):
+            raise ValidationError(
+                f"limit must be None or an integer >= 0, got {limit!r}"
+            )
+        self._check_open()
+        flows = 0
+        if limit == 0:
+            return flows
+        with TraceReader(path, include_faults=True) as reader:
+            if self._trace_path == path and self._trace_cursor is not None:
+                reader.seek(self._trace_cursor)
+            for item in reader:
+                self.submit(item)
+                flows += not isinstance(item, FaultEvent)
+                self._trace_path = path
+                self._trace_cursor = reader.tell()
+                if flows == limit:
+                    break
+        return flows
+
+    def resume_trace(self, limit: int | None = None) -> int:
+        """Continue :meth:`serve_trace` from the stored cursor."""
+        if self._trace_path is None:
+            raise ValidationError(
+                "no trace cursor to resume; call serve_trace first"
+            )
+        return self.serve_trace(self._trace_path, limit=limit)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ValidationError("the service is drained or closed")
 
     def _check_shard(self, index: int) -> None:
         if not 0 <= index < self._partition.num_shards:
@@ -467,19 +554,6 @@ class ShardedReplayEngine:
                 f"no shard {index}; partition has "
                 f"{self._partition.num_shards}"
             )
-
-    def run(self, trace: Iterable[Flow]) -> ReplayReport:
-        """Feed an entire trace and :meth:`finish` — whole-trace sugar.
-
-        The stream may interleave :class:`~repro.sim.churn.FaultEvent`
-        items (``TraceReader(path, include_faults=True)``).
-        """
-        for item in trace:
-            if isinstance(item, FaultEvent):
-                self.feed_fault(item)
-            else:
-                self.feed(item)
-        return self.finish()
 
     # ------------------------------------------------------------------
     # Executor hooks (see WindowLoop).
@@ -492,14 +566,14 @@ class ShardedReplayEngine:
         equivalent full-information test: a dispatched flow's span ends
         exactly at its deadline, so windows before ``after`` still carry
         load iff any dispatched deadline lies beyond ``after``'s start.
-        A pure function of the fed prefix — the snapshot/restore pins
+        A pure function of the admitted prefix — the snapshot/restore pins
         rely on that.
         """
         if self._max_deadline > self._loop.bounds(after)[0]:
             return after
         return upto
 
-    def drain(self) -> None:
+    def settle_in_flight(self) -> None:
         """Collect, commit and settle every window still in flight."""
         while self._inflight:
             self._collect_one()
@@ -595,12 +669,11 @@ class ShardedReplayEngine:
         )
 
     # ------------------------------------------------------------------
-    # Crash tolerance: heartbeat collects, backoff restart, resubmission.
+    # Crash tolerance: heartbeat collects and backoff restarts.
     # ------------------------------------------------------------------
     def _submit_shard(self, index: int, msg) -> None:
-        """Ledger-tracked submit; a dead pipe triggers recovery (which
-        resubmits the ledger, including this message)."""
-        self._sent[index].append(msg)
+        """Submit one window message; a dead pipe triggers recovery (the
+        group records the message first, so the restart sends it)."""
         try:
             self._group.submit(index, msg)
         except WorkerCrash:
@@ -618,19 +691,18 @@ class ShardedReplayEngine:
                 self._recover_worker(index)
                 continue
             self._restart_attempts[index] = 0
-            self._sent[index].popleft()
             return result
 
     def _recover_worker(self, index: int) -> None:
-        """Backoff-restart one shard worker and replay its ledger.
+        """Backoff-restart one shard worker.
 
-        Resubmits every submitted-but-uncollected window message as it
-        was sent.  A result is a function of its message, so the fresh
-        worker answers exactly what the dead one would have.  Committed
-        flows are never at risk — they live in the parent accountant;
-        only in-flight window *solves* are redone.  A crash during
-        recovery itself returns early: the next collect raises again and
-        retries with a doubled backoff.
+        The group sends the fresh worker every window message the dead
+        one left unanswered, as it was sent.  A result is a function of
+        its message, so the fresh worker answers exactly what the dead
+        one would have.  Committed flows are never at risk — they live in
+        the parent accountant; only in-flight window *solves* are redone.
+        A crash during the restart's sends surfaces at the next collect,
+        which retries with a doubled backoff.
         """
         self._restart_attempts[index] += 1
         if self._restart_attempts[index] > MAX_WORKER_RESTARTS:
@@ -641,18 +713,13 @@ class ShardedReplayEngine:
         sleep(min(0.02 * 2 ** (self._restart_attempts[index] - 1), 1.0))
         self._group.restart(index)
         self._worker_restarts += 1
-        try:
-            for msg in self._sent[index]:
-                self._group.submit(index, msg)
-        except WorkerCrash:
-            return
 
     def _consume_worker_events(self, start: float) -> None:
         """Enact scheduled ``worker_crash`` events older than ``start``.
 
         Kill-then-recover in one step so the dispatch about to run
         submits to a live worker; the crash still exercises the full
-        restart/resubmit path.  (:meth:`inject_worker_crash`
+        restart/resend path.  (:meth:`inject_worker_crash`
         kills *without* recovering, leaving detection to the next
         collect's heartbeat — the chaos-test variant.)
         """
@@ -667,9 +734,11 @@ class ShardedReplayEngine:
         """Kill one shard worker mid-replay, with no recovery action.
 
         The next collect touching the shard sees the dead pipe (or
-        heartbeat expiry), restarts it, and resubmits its uncollected
-        windows — the zero-lost-flows guarantee the chaos tests pin.
+        heartbeat expiry), restarts it, and the group resends its
+        uncollected windows — the zero-lost-flows guarantee the chaos
+        tests pin.
         """
+        self._check_open()
         self._check_shard(index)
         self._group.kill(index)
 
@@ -737,7 +806,7 @@ class ShardedReplayEngine:
         if entry.shard_ids and self._mode == "relax":
             self._controller.observe(window_solve, not entry.relax)
         start, end = loop.bounds(entry.index)
-        self.window_log.append(
+        self._window_log.append(
             WindowStats(
                 index=entry.index,
                 start=start,
@@ -772,15 +841,22 @@ class ShardedReplayEngine:
                 yield fs
 
     # ------------------------------------------------------------------
-    # Settlement.
+    # Telemetry and settlement.
     # ------------------------------------------------------------------
-    def finish(self) -> ReplayReport:
-        """Dispatch the final window, drain every shard, build the report."""
-        if self._finished:
-            raise ValidationError("engine already finished")
-        self._loop.finish()
-        self._finished = True
+    def poll(self) -> list[WindowStats]:
+        """Per-window stats settled since the last poll (oldest first)."""
+        fresh = self._window_log[self._poll_cursor :]
+        self._poll_cursor = len(self._window_log)
+        return fresh
 
+    def drain(self) -> ReplayReport:
+        """Dispatch the final window, settle every window in flight, stop
+        the shard workers and build the report."""
+        self._check_open()
+        try:
+            self._loop.finish()
+        finally:
+            self.close()
         labels = [
             f"shard{shard.index}[{'+'.join(shard.groups)}]"
             for shard in self._partition.shards
@@ -803,14 +879,14 @@ class ShardedReplayEngine:
         """Stop the shard workers (idempotent, exception-safe).
 
         Safe to call repeatedly and from ``__exit__`` after a
-        :meth:`finish` that raised mid-collect: the group reaps each
-        fork worker exactly once and tolerates already-dead pipes, so no
+        :meth:`drain` that raised mid-collect: the group reaps each fork
+        worker exactly once and tolerates already-dead pipes, so no
         child process leaks whichever way the replay ended.
         """
         self._closed = True
         self._group.close()
 
-    def __enter__(self) -> "ShardedReplayEngine":
+    def __enter__(self) -> "ReplayService":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -819,26 +895,29 @@ class ShardedReplayEngine:
     # ------------------------------------------------------------------
     # Snapshot / restore.
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Freeze the mid-replay state into one picklable payload.
+    def snapshot(self, path: str | None = None) -> bytes | str:
+        """Checkpoint the full service state.
 
-        Worker *results* for in-flight windows are drained into their
-        entries but NOT committed — the restored engine replays the
-        identical dispatch/collect schedule, which is what keeps its
-        lagged background views, and hence every report field,
-        bit-identical to an uninterrupted run.  The payload's
-        ``"engine"`` bytes are this engine, pickled with its fabric,
-        power model, partition and worker group left out by persistent
-        id.  No worker state is saved: it is only a cache, and restored
-        workers start fresh.
+        Returns the payload as bytes, or writes it to ``path`` and
+        returns the path.  Worker *results* for in-flight windows are
+        drained into their entries but NOT committed — the restored
+        service replays the identical dispatch/collect schedule, which is
+        what keeps its lagged background views, and hence every report
+        field, bit-identical to an uninterrupted run.  The payload holds
+        fingerprints of the fabric, the power model and the partition,
+        and this service, pickled with its fabric, power model, partition
+        and worker group left out by persistent id; the poll and trace
+        cursors ride along as its attributes.  No worker state is saved:
+        it is only a cache, and restored workers start fresh.
+
+        The file write is atomic: the payload goes to a temp file in
+        ``path``'s directory, is flushed and fsynced, and then replaces
+        ``path`` — so a write that fails (a full disk) leaves the
+        previous checkpoint intact and no temp file behind.
         """
-        if self._finished or self._closed:
-            raise ValidationError("cannot snapshot a finished engine")
+        self._check_open()
         for entry in self._inflight:
             if entry.results is None and entry.shard_ids:
-                # _collect_shard (not a bare collect) so the resubmission
-                # ledger drains too — a snapshot holds results, never
-                # uncollected sends.
                 entry.results = {
                     shard_idx: self._collect_shard(shard_idx)
                     for shard_idx in entry.shard_ids
@@ -854,7 +933,7 @@ class ShardedReplayEngine:
         pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
         pickler.persistent_id = lambda obj: left_out.get(id(obj))
         pickler.dump(self)
-        return {
+        blob = pickle.dumps({
             "kind": SNAPSHOT_KIND,
             "version": SNAPSHOT_VERSION,
             "fabric": (
@@ -863,19 +942,36 @@ class ShardedReplayEngine:
             "power": self._loop.power,
             "num_shards": self._partition.num_shards,
             "partition": _partition_digest(self._partition),
-            "engine": buffer.getvalue(),
-        }
+            "service": buffer.getvalue(),
+        })
+        if path is None:
+            return blob
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+        )
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        return path
 
     @classmethod
-    def restore_state(
+    def restore(
         cls,
         topology: Topology,
         power: PowerModel,
-        state: dict,
+        source: bytes | str,
         *,
         partition: TopologyPartition | None = None,
-    ) -> "ShardedReplayEngine":
-        """Rebuild a mid-replay engine from :meth:`snapshot_state`.
+    ) -> "ReplayService":
+        """Rebuild a mid-replay service from :meth:`snapshot` bytes or a
+        file path.
 
         ``topology`` and ``power`` are re-supplied by the caller and must
         be the snapshot's (the snapshot stores fingerprints of the fabric
@@ -885,8 +981,12 @@ class ShardedReplayEngine:
         The workers fork last, so a refused restore leaks none.  The
         payload is unpickled: restore only snapshots this program wrote.
         """
+        if not isinstance(source, (bytes, bytearray)):
+            with open(source, "rb") as handle:
+                source = handle.read()
+        state = pickle.loads(source)
         if not isinstance(state, dict) or state.get("kind") != SNAPSHOT_KIND:
-            raise ValidationError("not a sharded replay snapshot")
+            raise ValidationError("not a replay service snapshot")
         if state.get("version") != SNAPSHOT_VERSION:
             raise ValidationError(
                 f"unsupported snapshot version {state.get('version')!r} "
@@ -911,8 +1011,8 @@ class ShardedReplayEngine:
             )
         if _partition_digest(partition) != state["partition"]:
             raise ValidationError("partition differs from the snapshot's")
-        engine = _EngineUnpickler(
-            state["engine"],
+        service = _ServiceUnpickler(
+            state["service"],
             {
                 "topology": topology,
                 "power": power,
@@ -920,14 +1020,14 @@ class ShardedReplayEngine:
                 "workers": None,
             },
         ).load()
-        engine._fork()
-        return engine
+        service._fork()
+        return service
 
 
 def _digest(value) -> str:
     """SHA-256 of ``repr(value)``: a snapshot's fingerprint of the
     fabric's links and the partition's shards, in the order the edge ids
-    and shard indices of an engine payload index them."""
+    and shard indices of the pickled service index them."""
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
@@ -952,9 +1052,10 @@ def _resolve_partition(
     return partition
 
 
-class _EngineUnpickler(pickle.Unpickler):
-    """Reads a :meth:`ShardedReplayEngine.snapshot_state` engine payload,
-    resolving each left-out object's persistent id to the caller's."""
+class _ServiceUnpickler(pickle.Unpickler):
+    """Reads the pickled service inside a :meth:`ReplayService.snapshot`
+    payload, resolving each left-out object's persistent id to the
+    caller's."""
 
     def __init__(self, blob: bytes, left_out: dict) -> None:
         super().__init__(io.BytesIO(blob))

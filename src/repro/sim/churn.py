@@ -195,10 +195,6 @@ class FaultEvent:
             )
 
     @property
-    def is_link(self) -> bool:
-        return self.kind in (LINK_DOWN, LINK_UP)
-
-    @property
     def is_fabric(self) -> bool:
         """Does this event change fabric capacity (vs. kill a worker)?"""
         return self.kind != WORKER_CRASH
@@ -235,18 +231,6 @@ class FaultEvent:
         if self.kind in (SRLG_DOWN, SRLG_UP):
             return self.edges
         return ()
-
-    def expand(self, topology: Topology) -> tuple["FaultEvent", ...]:
-        """The equivalent raw link events, one per member link, all at
-        this event's timestamp (the atomic multi-link outage a domain
-        event denotes).  Worker events expand to themselves."""
-        if not self.is_fabric:
-            return (self,)
-        kind = LINK_DOWN if self.is_down else LINK_UP
-        return tuple(
-            FaultEvent(time=self.time, kind=kind, edge=edge)
-            for edge in self.member_edges(topology)
-        )
 
     def to_record(self) -> dict:
         """JSONL-ready plain-data form (see :mod:`repro.traces.store`)."""
@@ -367,9 +351,6 @@ class FaultSchedule:
 
     def __bool__(self) -> bool:
         return bool(self._events)
-
-    def link_events(self) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self._events if e.is_link)
 
     def fabric_events(self) -> tuple[FaultEvent, ...]:
         """Every capacity-changing event: raw link + domain kinds."""

@@ -661,10 +661,11 @@ class WindowLoop:
       executor's choice.
     * ``busy_window(after, upto)`` — the first window in ``[after,
       upto]`` that may carry load: the quiet-gap skip.
-    * ``drain()`` — commit and settle every window still in flight.
+    * ``settle_in_flight()`` — commit and settle every window still in
+      flight.
 
     :class:`ReplayEngine` is the inline executor (policy, commit and
-    settle at once); :class:`~repro.service.sharded.ShardedReplayEngine`
+    settle at once); :class:`~repro.service.sharded.ReplayService`
     pipelines windows through shard workers and commits them later.
     """
 
@@ -927,7 +928,7 @@ class WindowLoop:
             raise ValidationError("trace produced no flows")
         self._close(self.current, self._pending)
         self._pending = []
-        self._executor.drain()
+        self._executor.settle_in_flight()
         self.current += 1
         # Everything is committed now, so the live ledger drives the skip.
         acct, churn = self.acct, self.churn
@@ -1100,5 +1101,5 @@ class ReplayEngine:
         """Every earlier window is committed: read the live ledger."""
         return self._loop.live_window(after, upto)
 
-    def drain(self) -> None:
+    def settle_in_flight(self) -> None:
         """Nothing is in flight: every window settled as it closed."""

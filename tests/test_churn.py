@@ -26,7 +26,7 @@ from repro.experiments.parallel import WorkerCrash, WorkerGroup
 from repro.flows import Flow
 from repro.power import PowerModel
 from repro.scheduling.schedule import FlowSchedule, Segment
-from repro.service import ReplayService, ShardedReplayEngine
+from repro.service import ReplayService
 from repro.sim import (
     FailureDomain,
     FaultEvent,
@@ -75,6 +75,11 @@ def _middle_edge(topology, path):
     return edges[len(edges) // 2]
 
 
+def _link_events(fs):
+    """The raw ``link_down``/``link_up`` events of a fault schedule."""
+    return [e for e in fs.events if e.kind in ("link_down", "link_up")]
+
+
 # ---------------------------------------------------------------------------
 # FaultSchedule construction and validation.
 # ---------------------------------------------------------------------------
@@ -86,7 +91,7 @@ class TestFaultSchedule:
         )
         assert [e.kind for e in fs] == ["link_down", "link_up",
                                        "worker_crash"]
-        assert len(fs.link_events()) == 2
+        assert len(_link_events(fs)) == 2
         assert fs.worker_events()[0].shard == 1
 
     def test_double_down_rejected(self):
@@ -149,10 +154,10 @@ class TestFaultSchedule:
     def test_generate_connectivity_safe(self, ft4):
         """Every prefix of the schedule leaves all hosts connected."""
         fs = FaultSchedule.generate(ft4, rate=1.0, duration=20.0, seed=1)
-        assert len(fs.link_events()) > 0
+        assert len(_link_events(fs)) > 0
         graph = ft4.graph.copy()
         hosts = set(ft4.hosts)
-        for event in fs.link_events():
+        for event in _link_events(fs):
             if event.kind == "link_down":
                 graph.remove_edge(*event.edge)
                 assert event.edge[0] not in hosts
@@ -540,7 +545,7 @@ class TestQuietGapFault:
         ]
         faults = FaultSchedule.scripted([(5.0, "down", dead)])
         if sharded:
-            with ShardedReplayEngine(
+            with ReplayService(
                 ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
                 keep_schedules=True, faults=faults,
             ) as engine:
@@ -718,7 +723,7 @@ class TestShardedChurn:
     def test_empty_schedule_bit_identical(self, ft4, powerdown):
         flows = _poisson_flows(ft4)
         def run(**kw):
-            with ShardedReplayEngine(
+            with ReplayService(
                 ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
                 **kw,
             ) as engine:
@@ -735,7 +740,7 @@ class TestShardedChurn:
         faults = FaultSchedule.scripted(
             [(2.0, "down", dead), (7.0, "up", dead)]
         )
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
             faults=faults,
         ) as engine:
@@ -749,20 +754,20 @@ class TestShardedChurn:
         shard resubmits its in-flight windows and the report matches the
         unkilled run on every service-level field."""
         flows = _poisson_flows(ft4)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
         ) as engine:
             baseline = engine.run(iter(flows))
 
-        engine = ShardedReplayEngine(
+        engine = ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
         )
         with engine:
             for i, flow in enumerate(flows):
-                engine.feed(flow)
+                engine.submit(flow)
                 if i == len(flows) // 2:
                     engine.inject_worker_crash(0)
-            report = engine.finish()
+            report = engine.drain()
         assert report.worker_restarts >= 1
         assert report.flows_served == baseline.flows_served
         assert report.deadline_misses == baseline.deadline_misses
@@ -775,12 +780,12 @@ class TestShardedChurn:
         flows = _poisson_flows(ft4)
         mid = flows[len(flows) // 2].release
         faults = FaultSchedule.scripted([(mid, "crash", 1)])
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
             faults=faults,
         ) as engine:
             report = engine.run(iter(flows))
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
         ) as engine:
             baseline = engine.run(iter(flows))
@@ -791,11 +796,11 @@ class TestShardedChurn:
         )
 
     def test_crash_event_shard_validated(self, ft4, powerdown):
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
         ) as engine:
             with pytest.raises(ValidationError):
-                engine.feed_fault(
+                engine.submit_fault(
                     FaultEvent(time=1.0, kind="worker_crash", shard=7)
                 )
             with pytest.raises(ValidationError):
@@ -803,7 +808,7 @@ class TestShardedChurn:
         # The constructor path: rejected before any worker is forked.
         before = {p.pid for p in mp.active_children()}
         with pytest.raises(ValidationError):
-            ShardedReplayEngine(
+            ReplayService(
                 ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
                 faults=FaultSchedule.scripted([(1.0, "crash", 7)]),
             )
@@ -826,7 +831,7 @@ class TestShardedChurn:
             ft4, powerdown, 1.0, num_shards=2, mode="greedy"
         ) as service:
             service.submit_many(flows)
-            churn = service._engine._loop.churn
+            churn = service._loop.churn
         settled = churn._applied_upto
         assert settled > 30.0
         assert churn._live
@@ -839,20 +844,20 @@ class TestShardedChurn:
         flows = _poisson_flows(ft4)
         split = next(i for i, f in enumerate(flows) if f.release > 5.0)
         faults = FaultSchedule.scripted([(2.5, "crash", 0)])
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
             faults=faults,
         ) as engine:
             for flow in flows[:split]:
-                engine.feed(flow)
+                engine.submit(flow)
             # The t=2.5 kill of shard 0 is enacted by now.
             with pytest.raises(ValidationError, match="t=1.0"):
-                engine.feed_fault(
+                engine.submit_fault(
                     FaultEvent(time=1.0, kind="worker_crash", shard=1)
                 )
             for flow in flows[split:]:
-                engine.feed(flow)
-            report = engine.finish()
+                engine.submit(flow)
+            report = engine.drain()
         assert report.worker_restarts == 1
 
     def test_snapshot_between_failure_and_recovery(self, ft4, powerdown):
@@ -869,7 +874,7 @@ class TestShardedChurn:
         )
 
         def make():
-            return ShardedReplayEngine(
+            return ReplayService(
                 ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
                 faults=faults,
             )
@@ -886,16 +891,14 @@ class TestShardedChurn:
         ) + 1
         engine = make()
         for flow in flows[:split]:
-            engine.feed(flow)
-        blob = pickle.dumps(engine.snapshot_state())
-        restored = ShardedReplayEngine.restore_state(
-            ft4, powerdown, pickle.loads(blob)
-        )
+            engine.submit(flow)
+        blob = engine.snapshot()
+        restored = ReplayService.restore(ft4, powerdown, blob)
         for flow in flows[split:]:
-            engine.feed(flow)
-            restored.feed(flow)
-        original = engine.finish()
-        resumed = restored.finish()
+            engine.submit(flow)
+            restored.submit(flow)
+        original = engine.drain()
+        resumed = restored.drain()
         engine.close()
         restored.close()
         assert _normalized(resumed) == _normalized(original)
@@ -904,27 +907,34 @@ class TestShardedChurn:
         assert resumed.link_recoveries == 1
 
 
+def _write_faulted_trace(topology, path):
+    """Write :func:`_poisson_flows` to ``path`` with one link outage
+    inline, from a third to two thirds of the way through; returns the
+    flows and the outage's start."""
+    flows = _poisson_flows(topology)
+    hosts = topology.hosts
+    dead = _middle_edge(topology, topology.shortest_path(hosts[0], hosts[-1]))
+    down_t = flows[len(flows) // 3].release + 0.01
+    up_t = flows[2 * len(flows) // 3].release + 0.01
+    write_trace_jsonl(
+        flows,
+        path,
+        faults=FaultSchedule.scripted(
+            [(down_t, "down", dead), (up_t, "up", dead)]
+        ),
+    )
+    return flows, down_t
+
+
 class TestServeTraceFaults:
     def test_service_replays_inline_faults(self, ft4, powerdown, tmp_path):
         """``serve_trace`` feeds a trace's fault records to the engine:
         same report as ``run`` over ``TraceReader(include_faults=True)``,
         also across a snapshot/restore split taken after a fault record."""
-        flows = _poisson_flows(ft4)
-        dead = _middle_edge(
-            ft4, ft4.shortest_path(ft4.hosts[0], ft4.hosts[-1])
-        )
-        down_t = flows[len(flows) // 3].release + 0.01
-        up_t = flows[2 * len(flows) // 3].release + 0.01
         path = str(tmp_path / "faulted.jsonl")
-        write_trace_jsonl(
-            flows,
-            path,
-            faults=FaultSchedule.scripted(
-                [(down_t, "down", dead), (up_t, "up", dead)]
-            ),
-        )
+        flows, down_t = _write_faulted_trace(ft4, path)
         kwargs = dict(window=1.0, num_shards=2, mode="greedy")
-        with ShardedReplayEngine(ft4, powerdown, **kwargs) as engine:
+        with ReplayService(ft4, powerdown, **kwargs) as engine:
             with TraceReader(path, include_faults=True) as reader:
                 expected = engine.run(reader)
         assert expected.link_failures == 1
@@ -945,6 +955,24 @@ class TestServeTraceFaults:
             resumed = restored.drain()
         assert _normalized(resumed) == _normalized(expected)
 
+    def test_submit_many_takes_inline_faults(self, ft4, powerdown, tmp_path):
+        """``submit_many`` admits the mixed stream of flows and fault
+        records ``TraceReader(include_faults=True)`` yields, and counts
+        its flows: same report as ``run`` over the same file."""
+        path = str(tmp_path / "faulted.jsonl")
+        flows, _ = _write_faulted_trace(ft4, path)
+        kwargs = dict(window=1.0, num_shards=2, mode="greedy")
+        with ReplayService(ft4, powerdown, **kwargs) as service:
+            with TraceReader(path, include_faults=True) as reader:
+                expected = service.run(reader)
+        assert expected.link_failures == 1
+
+        with ReplayService(ft4, powerdown, **kwargs) as service:
+            with TraceReader(path, include_faults=True) as reader:
+                assert service.submit_many(reader) == len(flows)
+            report = service.drain()
+        assert _normalized(report) == _normalized(expected)
+
 
 class TestSnapshotBeforeFirstFlow:
     def test_constructor_faults_survive_restore(self, ft4, powerdown):
@@ -959,16 +987,16 @@ class TestSnapshotBeforeFirstFlow:
             [(flows[len(flows) // 3].release + 0.01, "down", dead)]
         )
         kwargs = dict(window=1.0, num_shards=2, mode="greedy")
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, faults=faults, **kwargs
         ) as engine:
             expected = engine.run(iter(flows))
         assert expected.link_failures == 1
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, faults=faults, **kwargs
         ) as engine:
-            state = pickle.loads(pickle.dumps(engine.snapshot_state()))
-        restored = ShardedReplayEngine.restore_state(ft4, powerdown, state)
+            blob = engine.snapshot()
+        restored = ReplayService.restore(ft4, powerdown, blob)
         with restored:
             resumed = restored.run(iter(flows))
         assert _normalized(resumed) == _normalized(expected)
@@ -976,7 +1004,7 @@ class TestSnapshotBeforeFirstFlow:
 
 class TestCloseHardening:
     def test_close_idempotent(self, ft4, powerdown):
-        engine = ShardedReplayEngine(
+        engine = ReplayService(
             ft4, powerdown, window=1.0, num_shards=2, mode="greedy"
         )
         engine.run(iter(_poisson_flows(ft4, n=10)))
@@ -986,10 +1014,10 @@ class TestCloseHardening:
     def test_exit_reaps_workers_after_midstream_error(self, ft4, powerdown):
         before = {p.pid for p in mp.active_children()}
         with pytest.raises(RuntimeError, match="boom"):
-            with ShardedReplayEngine(
+            with ReplayService(
                 ft4, powerdown, window=1.0, num_shards=2, mode="greedy"
             ) as engine:
-                engine.feed(
+                engine.submit(
                     Flow(id="f", src=ft4.hosts[0], dst=ft4.hosts[1],
                          size=1.0, release=0.0, deadline=2.0)
                 )
@@ -1036,6 +1064,23 @@ class TestCloseHardening:
             group.restart(0)
             group.submit(0, 21)
             assert group.collect(0) == 42
+        finally:
+            group.close()
+
+    def test_restart_resends_unanswered_messages(self):
+        """The group keeps each message until ``collect`` returns its
+        answer, so a restarted worker answers what the killed one was
+        sent, in order."""
+        group = WorkerGroup(lambda i: (lambda msg: msg * 2), 2)
+        try:
+            group.submit(0, 21)
+            group.submit(0, 5)
+            group.kill(0)
+            group.restart(0)
+            assert group.collect(0, timeout=5.0) == 42
+            assert group.collect(0, timeout=5.0) == 10
+            with pytest.raises(ValidationError, match="no pending work"):
+                group.collect(0)
         finally:
             group.close()
 

@@ -15,7 +15,6 @@ SRLG-blind repair lands on.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import networkx as nx
 import pytest
@@ -26,7 +25,7 @@ from repro.errors import ValidationError
 from repro.experiments.ablations import uplink_conduits
 from repro.flows import Flow
 from repro.power import PowerModel
-from repro.service import ShardedReplayEngine
+from repro.service import ReplayService
 from repro.sim import FailureDomain, FaultEvent, FaultSchedule
 from repro.topology import fat_tree
 from repro.topology.base import canonical_edge, path_edges
@@ -70,6 +69,15 @@ gaps = st.floats(
 # ---------------------------------------------------------------------------
 # SRLG event expansion properties.
 # ---------------------------------------------------------------------------
+def _per_link(event, kind):
+    """``event`` as one raw ``kind`` event per member link, all at its
+    timestamp (the atomic multi-link outage a domain event denotes)."""
+    return tuple(
+        FaultEvent(time=event.time, kind=kind, edge=edge)
+        for edge in event.member_edges(FT4)
+    )
+
+
 class TestDomainExpansion:
     @settings(max_examples=60, deadline=None)
     @given(edges=member_sets, t=times, gap=gaps)
@@ -78,8 +86,8 @@ class TestDomainExpansion:
         at the domain event's own timestamp, and the down/up expansions
         pair per link."""
         domain = FailureDomain.srlg("g", edges)
-        down = domain.down_event(t).expand(FT4)
-        up = domain.up_event(t + gap).expand(FT4)
+        down = _per_link(domain.down_event(t), "link_down")
+        up = _per_link(domain.up_event(t + gap), "link_up")
         assert len(down) == len(domain.edges)
         assert all(e.kind == "link_down" and e.time == t for e in down)
         assert all(
@@ -317,7 +325,7 @@ class TestSwitchPartition:
         topo, sw, flows = partition_scenario
         power = PowerModel.quadratic(capacity=CAPACITY)
         faults = FaultSchedule.scripted([(T_CUT, "down", sw)])
-        with ShardedReplayEngine(
+        with ReplayService(
             topo, power, window=WINDOW, num_shards=num_shards,
             mode="greedy", faults=faults,
         ) as engine:
@@ -375,7 +383,7 @@ class TestShardedCorrelatedRestore:
         )
 
         def make():
-            return ShardedReplayEngine(
+            return ReplayService(
                 ft4, powerdown, window=1.0, num_shards=2, mode="greedy",
                 faults=faults,
             )
@@ -391,16 +399,14 @@ class TestShardedCorrelatedRestore:
         ) + 1
         engine = make()
         for flow in flows[:split]:
-            engine.feed(flow)
-        blob = pickle.dumps(engine.snapshot_state())
-        restored = ShardedReplayEngine.restore_state(
-            ft4, powerdown, pickle.loads(blob)
-        )
+            engine.submit(flow)
+        blob = engine.snapshot()
+        restored = ReplayService.restore(ft4, powerdown, blob)
         for flow in flows[split:]:
-            engine.feed(flow)
-            restored.feed(flow)
-        original = engine.finish()
-        resumed = restored.finish()
+            engine.submit(flow)
+            restored.submit(flow)
+        original = engine.drain()
+        resumed = restored.drain()
         engine.close()
         restored.close()
         assert _normalized(resumed) == _normalized(original)

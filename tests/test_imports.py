@@ -102,22 +102,29 @@ def test_lazy_package_names_resolve():
     assert mcflow.__name__ == "repro.routing.mcflow"
 
 
-def test_only_the_sharded_engine_defines_a_snapshot_codec():
-    """Every class under ``repro``, walked as the oracle-name guard walks
-    the modules: only ``ShardedReplayEngine`` defines ``snapshot_state``
-    or ``restore_state``.  Its payload is the engine, pickled, so no
-    other class keeps a hand-written codec of its own state."""
+def test_one_service_class_snapshots_and_no_engine_name_is_bound():
+    """Every module under ``repro``, walked as the oracle-name guard walks
+    them: only ``ReplayService`` defines ``snapshot`` or ``restore`` (or
+    a ``snapshot_state``/``restore_state`` codec), and no module binds
+    the name ``ShardedReplayEngine``.  The payload is the service,
+    pickled, so no other class keeps a codec of its own state, and no
+    second service class or alias stands in front of it."""
     code = (
         "import importlib, inspect, pkgutil\n"
         "import repro\n"
-        "codecs = set()\n"
-        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
-        "    module = importlib.import_module(info.name)\n"
+        "names = {'snapshot', 'restore', 'snapshot_state', 'restore_state'}\n"
+        "codecs, bound = set(), []\n"
+        "modules = ['repro'] + [\n"
+        "    info.name\n"
+        "    for info in pkgutil.walk_packages(repro.__path__, 'repro.')\n"
+        "]\n"
+        "for name in modules:\n"
+        "    module = importlib.import_module(name)\n"
+        "    if 'ShardedReplayEngine' in vars(module):\n"
+        "        bound.append(name)\n"
         "    for value in vars(module).values():\n"
-        "        if not inspect.isclass(value):\n"
-        "            continue\n"
-        "        if {'snapshot_state', 'restore_state'} & set(vars(value)):\n"
+        "        if inspect.isclass(value) and names & set(vars(value)):\n"
         "            codecs.add(value.__module__ + '.' + value.__qualname__)\n"
-        "print(sorted(codecs))\n"
+        "print(sorted(codecs), bound)\n"
     )
-    assert _run(code) == "['repro.service.sharded.ShardedReplayEngine']"
+    assert _run(code) == "['repro.service.sharded.ReplayService'] []"

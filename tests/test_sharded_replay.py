@@ -1,4 +1,4 @@
-"""Tests for the sharded streaming-replay service (service/sharded.py, api.py).
+"""Tests for the sharded streaming-replay service (service/sharded.py).
 
 The load-bearing pins:
 
@@ -30,17 +30,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.service.api as service_api
 import repro.service.sharded as sharded
 from repro.errors import ValidationError
 from repro.flows import Flow
 from repro.power import PowerModel
-from repro.service import (
-    ReplayService,
-    ShardedReplayEngine,
-    SolveBudget,
-    partition_topology,
-)
+from repro.service import ReplayService, SolveBudget, partition_topology
 from repro.sim import FaultEvent, FaultSchedule
 from repro.traces import (
     GreedyDensityPolicy,
@@ -122,7 +116,7 @@ def _swapped_shards(partition):
 
 
 def _refuse(topology, state, refusal):
-    """Break a 2-shard engine snapshot the way ``refusal`` names; returns
+    """Break a 2-shard snapshot payload the way ``refusal`` names; returns
     the restore keyword arguments and the error the restore must raise."""
     if refusal == "partition":
         return (
@@ -137,8 +131,8 @@ def _refuse(topology, state, refusal):
             ValidationError,
             "partition differs from the snapshot's",
         )
-    engine = state["engine"]
-    state["engine"] = engine[: len(engine) // 2]
+    service = state["service"]
+    state["service"] = service[: len(service) // 2]
     return {}, pickle.UnpicklingError, "truncated"
 
 
@@ -177,7 +171,7 @@ class TestGreedyBitForBit:
         baseline = ReplayEngine(
             topology, powerdown, GreedyDensityPolicy(), window=1.0
         ).run(flows)
-        with ShardedReplayEngine(
+        with ReplayService(
             topology, powerdown, window=1.0, mode="greedy"
         ) as engine:
             sharded = engine.run(flows)
@@ -199,7 +193,7 @@ class TestGreedyBitForBit:
             ft4, quadratic, GreedyDensityPolicy(), window=1.0,
             faults=faults(),
         ).run(flows)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, mode="greedy", faults=faults()
         ) as engine:
             sharded = engine.run(flows)
@@ -210,7 +204,7 @@ class TestGreedyBitForBit:
         flows = _trace(ft4, 60, seed=11)
         reports = []
         for depth in (1, 3):
-            with ShardedReplayEngine(
+            with ReplayService(
                 ft4, quadratic, window=1.0, mode="greedy", pipeline_depth=depth
             ) as engine:
                 reports.append(engine.run(flows))
@@ -270,7 +264,7 @@ class TestIntraShardPin:
         baseline = ReplayEngine(
             topology, POWER, GreedyDensityPolicy(), window=1.5
         ).run(flows)
-        with ShardedReplayEngine(
+        with ReplayService(
             topology, POWER, window=1.5, mode="greedy"
         ) as engine:
             sharded = engine.run(flows)
@@ -330,7 +324,7 @@ class TestIntervalProfileExchange:
             ),
             window=1.5,
         ).run(flows)
-        with ShardedReplayEngine(
+        with ReplayService(
             topology,
             POWER,
             window=1.5,
@@ -348,21 +342,21 @@ class TestSnapshotRestore:
     @pytest.mark.parametrize("cut", [1, 25, 55])
     def test_greedy_restore_is_bit_identical(self, ft4, powerdown, cut):
         flows = _trace(ft4, 70, seed=5)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, mode="greedy"
         ) as engine:
             uninterrupted = engine.run(flows)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, powerdown, window=1.0, mode="greedy"
         ) as first:
             for flow in flows[:cut]:
-                first.feed(flow)
-            state = first.snapshot_state()
-        restored = ShardedReplayEngine.restore_state(ft4, powerdown, state)
+                first.submit(flow)
+            state = first.snapshot()
+        restored = ReplayService.restore(ft4, powerdown, state)
         try:
             for flow in flows[cut:]:
-                restored.feed(flow)
-            resumed = restored.finish()
+                restored.submit(flow)
+            resumed = restored.drain()
         finally:
             restored.close()
         assert _normalized(resumed) == _normalized(uninterrupted)
@@ -372,23 +366,23 @@ class TestSnapshotRestore:
         kwargs = dict(
             window=1.0, mode="relax", seed=4, fw_max_iterations=12
         )
-        with ShardedReplayEngine(
+        with ReplayService(
             small_leafspine, quadratic, **kwargs
         ) as engine:
             uninterrupted = engine.run(flows)
-        with ShardedReplayEngine(
+        with ReplayService(
             small_leafspine, quadratic, **kwargs
         ) as first:
             for flow in flows[:13]:
-                first.feed(flow)
-            state = first.snapshot_state()
-        restored = ShardedReplayEngine.restore_state(
+                first.submit(flow)
+            state = first.snapshot()
+        restored = ReplayService.restore(
             small_leafspine, quadratic, state
         )
         try:
             for flow in flows[13:]:
-                restored.feed(flow)
-            resumed = restored.finish()
+                restored.submit(flow)
+            resumed = restored.drain()
         finally:
             restored.close()
         assert _normalized(resumed) == _normalized(uninterrupted)
@@ -424,19 +418,19 @@ class TestSnapshotRestore:
         def feed(engine, items):
             for item in items:
                 if isinstance(item, FaultEvent):
-                    engine.feed_fault(item)
+                    engine.submit_fault(item)
                 else:
-                    engine.feed(item)
+                    engine.submit(item)
 
-        with ShardedReplayEngine(ft4, quadratic, **kwargs) as engine:
+        with ReplayService(ft4, quadratic, **kwargs) as engine:
             uninterrupted = engine.run(stream)
-        with ShardedReplayEngine(ft4, quadratic, **kwargs) as first:
+        with ReplayService(ft4, quadratic, **kwargs) as first:
             feed(first, stream[:split])
-            state = first.snapshot_state()
-        restored = ShardedReplayEngine.restore_state(ft4, quadratic, state)
+            state = first.snapshot()
+        restored = ReplayService.restore(ft4, quadratic, state)
         try:
             feed(restored, stream[split:])
-            resumed = restored.finish()
+            resumed = restored.drain()
         finally:
             restored.close()
         churn = first._loop.churn
@@ -458,20 +452,20 @@ class TestSnapshotRestore:
         )
         resolved = []
 
-        class Recording(sharded._EngineUnpickler):
+        class Recording(sharded._ServiceUnpickler):
             def find_class(self, module, name):
                 resolved.append(f"{module}.{name}")
                 return super().find_class(module, name)
 
-        monkeypatch.setattr(sharded, "_EngineUnpickler", Recording)
-        with ShardedReplayEngine(
+        monkeypatch.setattr(sharded, "_ServiceUnpickler", Recording)
+        with ReplayService(
             ft4, quadratic, window=1.0, num_shards=2, mode="relax",
             fw_max_iterations=12, faults=faults,
         ) as engine:
             for flow in flows[:40]:
-                engine.feed(flow)
-            state = engine.snapshot_state()
-        with ShardedReplayEngine.restore_state(
+                engine.submit(flow)
+            state = engine.snapshot()
+        with ReplayService.restore(
             ft4, quadratic, state
         ) as restored:
             loop = restored._loop
@@ -489,28 +483,28 @@ class TestSnapshotRestore:
         assert not [name for name in resolved if "WorkerGroup" in name]
 
     def test_restore_rejects_wrong_topology(self, ft4, quadratic):
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, mode="greedy"
         ) as engine:
-            engine.feed(_trace(ft4, 5, seed=0)[0])
-            state = engine.snapshot_state()
+            engine.submit(_trace(ft4, 5, seed=0)[0])
+            state = engine.snapshot()
         other = fat_tree(6)
         with pytest.raises(ValidationError):
-            ShardedReplayEngine.restore_state(other, quadratic, state)
+            ReplayService.restore(other, quadratic, state)
         # The same edge count over other links is another fabric too.
         same_size = leaf_spine(8, 4, 2)
         assert same_size.num_edges == ft4.num_edges
         with pytest.raises(ValidationError, match="snapshot was taken on"):
-            ShardedReplayEngine.restore_state(same_size, quadratic, state)
+            ReplayService.restore(same_size, quadratic, state)
 
     @staticmethod
     def _two_shard_state(ft4, quadratic):
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, num_shards=2, mode="greedy"
         ) as engine:
             for flow in _trace(ft4, 10, seed=1):
-                engine.feed(flow)
-            return engine.snapshot_state()
+                engine.submit(flow)
+            return pickle.loads(engine.snapshot())
 
     @pytest.mark.parametrize(
         "refusal", ["partition", "swapped-shards", "loop-payload"]
@@ -522,7 +516,9 @@ class TestSnapshotRestore:
         kwargs, error, match = _refuse(ft4, state, refusal)
         before = _live_children()
         with pytest.raises(error, match=match) as info:
-            ShardedReplayEngine.restore_state(ft4, quadratic, state, **kwargs)
+            ReplayService.restore(
+                ft4, quadratic, pickle.dumps(state), **kwargs
+            )
         # ``info`` keeps the traceback (and its frames) alive: closing
         # must not rely on garbage collection.
         assert not _live_children() - before, info
@@ -538,7 +534,7 @@ class TestSnapshotRestore:
         ) as service:
             service.submit_many(_trace(ft4, 10, seed=1))
             payload = pickle.loads(service.snapshot())
-        kwargs, error, match = _refuse(ft4, payload["engine"], refusal)
+        kwargs, error, match = _refuse(ft4, payload, refusal)
         before = _live_children()
         with pytest.raises(error, match=match) as info:
             ReplayService.restore(
@@ -553,8 +549,8 @@ class TestSnapshotRestore:
         state = self._two_shard_state(ft4, quadratic)
         before = _live_children()
         with pytest.raises(ValidationError, match="snapshot was taken under"):
-            ShardedReplayEngine.restore_state(
-                ft4, PowerModel.quadratic(capacity=0.5), state
+            ReplayService.restore(
+                ft4, PowerModel.quadratic(capacity=0.5), pickle.dumps(state)
             )
         assert not _live_children() - before
 
@@ -564,7 +560,7 @@ class TestSnapshotRestore:
         with pytest.raises(
             ValidationError, match="unsupported snapshot version 5"
         ):
-            ShardedReplayEngine.restore_state(ft4, quadratic, state)
+            ReplayService.restore(ft4, quadratic, pickle.dumps(state))
 
 
 class TestRelaxMode:
@@ -573,10 +569,10 @@ class TestRelaxMode:
         kwargs = dict(window=1.0, mode="relax", seed=2, fw_max_iterations=20)
         reports = []
         for _ in range(2):
-            with ShardedReplayEngine(ft4, quadratic, **kwargs) as engine:
+            with ReplayService(ft4, quadratic, **kwargs) as engine:
                 reports.append(engine.run(flows))
         assert _normalized(reports[0]) == _normalized(reports[1])
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, mode="greedy"
         ) as engine:
             greedy = engine.run(flows)
@@ -587,7 +583,7 @@ class TestRelaxMode:
 
     def test_summary_has_per_shard_breakdown(self, ft4, quadratic):
         flows = _trace(ft4, 40, seed=13)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, mode="greedy"
         ) as engine:
             report = engine.run(flows)
@@ -625,7 +621,7 @@ class TestShardRunsThePolicy:
                 [(-1.0, "down", ("sw_a_p00_0", "sw_e_p00_0"))]
             )
 
-        with ShardedReplayEngine(
+        with ReplayService(
             topology,
             quadratic,
             window=1.0,
@@ -669,14 +665,14 @@ class TestCrashRecovery:
             fw_max_iterations=15,
             rounding=rounding,
         )
-        with ShardedReplayEngine(ft4, quadratic, **kwargs) as engine:
+        with ReplayService(ft4, quadratic, **kwargs) as engine:
             uncrashed = engine.run(flows)
-        with ShardedReplayEngine(ft4, quadratic, **kwargs) as engine:
+        with ReplayService(ft4, quadratic, **kwargs) as engine:
             for i, flow in enumerate(flows):
-                engine.feed(flow)
+                engine.submit(flow)
                 if i == len(flows) // 2:
                     engine.inject_worker_crash(0)
-            recovered = engine.finish()
+            recovered = engine.drain()
         assert recovered.worker_restarts == 1
         assert recovered.degraded_windows == 0
         assert dataclasses.replace(
@@ -687,7 +683,7 @@ class TestCrashRecovery:
 class TestDegrade:
     def test_zero_budget_degrades_and_recovers(self, ft4, quadratic):
         flows = _trace(ft4, 60, seed=17)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4,
             quadratic,
             window=1.0,
@@ -703,7 +699,7 @@ class TestDegrade:
 
     def test_queue_depth_trigger(self, ft4, quadratic):
         flows = _trace(ft4, 60, seed=17)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4,
             quadratic,
             window=1.0,
@@ -716,7 +712,7 @@ class TestDegrade:
 
     def test_unlimited_budget_never_degrades(self, ft4, quadratic):
         flows = _trace(ft4, 30, seed=17)
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, mode="relax", fw_max_iterations=10
         ) as engine:
             report = engine.run(flows)
@@ -733,7 +729,7 @@ class TestDegrade:
 # declares live workers dead, NaN breaks the collect timeout, a seed
 # that is no integer >= 0 cannot seed a rounding stream, a NaN budget
 # never triggers, and a pipeline depth that is no integer >= 1 never
-# collects a window before finish (NaN, inf) or runs as another depth.
+# collects a window before drain (NaN, inf) or runs as another depth.
 _BAD_SERVICE_SETTINGS = {
     "heartbeat-zero": {"heartbeat_s": 0.0},
     "heartbeat-negative": {"heartbeat_s": -1.0},
@@ -791,12 +787,36 @@ class TestIngestValidation:
             ReplayEngine(
                 ft4, quadratic, GreedyDensityPolicy(), window=1.0
             ).run(iter(flows))
-        with ShardedReplayEngine(
+        with ReplayService(
             ft4, quadratic, window=1.0, mode="greedy"
         ) as engine:
             with pytest.raises(ValidationError) as sharded:
                 engine.run(iter(flows))
         assert str(sharded.value) == str(inline.value)
+
+
+#: Every way to hand a service work, each called as ``(service, flows,
+#: trace_path)`` once the service has ended.
+_AFTER_THE_END = {
+    "submit-flow": lambda svc, flows, path: svc.submit(flows[5]),
+    "submit-link-fault": lambda svc, flows, path: svc.submit_fault(
+        FaultEvent(
+            time=flows[5].release,
+            kind="link_down",
+            edge=("sw_a_p00_0", "sw_e_p00_1"),
+        )
+    ),
+    "submit-worker-crash": lambda svc, flows, path: svc.submit_fault(
+        FaultEvent(time=flows[5].release, kind="worker_crash", shard=0)
+    ),
+    "submit-many": lambda svc, flows, path: svc.submit_many(flows[5:]),
+    "serve-trace": lambda svc, flows, path: svc.serve_trace(path),
+    "inject-worker-crash": lambda svc, flows, path: (
+        svc.inject_worker_crash(0)
+    ),
+    "snapshot": lambda svc, flows, path: svc.snapshot(),
+    "drain": lambda svc, flows, path: svc.drain(),
+}
 
 
 class TestReplayService:
@@ -880,7 +900,7 @@ class TestReplayService:
             service.submit_many(flows[25:40])
             # The disk fills up halfway through the next checkpoint.
             monkeypatch.setattr(
-                service_api, "open", _disk_full_open, raising=False
+                sharded, "open", _disk_full_open, raising=False
             )
             with pytest.raises(OSError) as info:
                 service.snapshot(blob_path)
@@ -896,6 +916,43 @@ class TestReplayService:
         finally:
             resumed.close()
         assert _normalized(report) == _normalized(uninterrupted)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_serve_trace_limit(self, ft4, quadratic, tmp_path, limit):
+        """``limit=0`` admits no flow and leaves the trace cursor where
+        it was; a negative limit is refused before the file is read."""
+        trace_path = str(tmp_path / "trace.jsonl")
+        write_trace_jsonl(_trace(ft4, 20, seed=2), trace_path)
+        with ReplayService(
+            ft4, quadratic, window=1.0, num_shards=2, mode="greedy"
+        ) as service:
+            assert service.serve_trace(trace_path, limit=5) == 5
+            if limit == 0:
+                assert service.serve_trace(trace_path, limit=limit) == 0
+            else:
+                with pytest.raises(ValidationError, match="limit must be"):
+                    service.serve_trace(trace_path, limit=limit)
+            assert service.flows_submitted == 5
+            assert service.resume_trace() == 15
+
+    @pytest.mark.parametrize("end", ["drain", "close"])
+    @pytest.mark.parametrize("entry", sorted(_AFTER_THE_END))
+    def test_nothing_is_admitted_after_the_end(
+        self, ft4, quadratic, tmp_path, entry, end
+    ):
+        """Once drained or closed, every entry point refuses alike: no
+        flow, fault event or worker kill is queued for a dispatch that
+        never happens."""
+        flows = _trace(ft4, 10, seed=2)
+        trace_path = str(tmp_path / "trace.jsonl")
+        write_trace_jsonl(flows, trace_path)
+        with ReplayService(
+            ft4, quadratic, window=1.0, num_shards=2, mode="greedy"
+        ) as service:
+            service.submit_many(flows[:5])
+            getattr(service, end)()
+            with pytest.raises(ValidationError, match="drained or closed"):
+                _AFTER_THE_END[entry](service, flows, trace_path)
 
     def test_explicit_partition_is_honored(self, ft4, quadratic):
         partition = partition_topology(ft4, num_shards=2)
